@@ -82,7 +82,7 @@ pub struct BenchRecord {
     pub note: String,
     /// Wall-clock ratio of this record's baseline counterpart to this
     /// record — filled in by the merge-writer for the optimized side of a
-    /// `{before,after}`, `{seq,par}`, or `{seq,spec}` target pair (e.g.
+    /// `{before,after}` or `{seq,par}` target pair (e.g.
     /// `game_round/n500/after` gets `before/after`). `0` on baselines,
     /// unpaired targets, and records written before this field existed.
     #[serde(default)]
@@ -91,7 +91,7 @@ pub struct BenchRecord {
 
 /// The `baseline → optimized` target-suffix pairs the merge-writer
 /// recognizes when computing [`BenchRecord::speedup`].
-const SPEEDUP_PAIRS: [(&str, &str); 3] = [("before", "after"), ("seq", "par"), ("seq", "spec")];
+const SPEEDUP_PAIRS: [(&str, &str); 2] = [("before", "after"), ("seq", "par")];
 
 /// Fills [`BenchRecord::speedup`] on every record whose target ends in an
 /// optimized-side suffix and whose baseline counterpart is present in the
@@ -265,10 +265,13 @@ mod tests {
         };
         // The pair lands across *two* invocations: the merge-writer must
         // compute the ratio over the merged set, not the current batch.
-        record_bench_results(&[record("day_pipeline/seq", 2.0), record("lonely/after", 1.0)])
-            .unwrap();
         record_bench_results(&[
-            record("day_pipeline/spec", 0.5),
+            record("fleet/day_close/seq", 2.0),
+            record("lonely/after", 1.0),
+        ])
+        .unwrap();
+        record_bench_results(&[
+            record("fleet/day_close/par", 0.5),
             record("game_round/n500/before", 3.0),
             record("game_round/n500/after", 1.5),
         ])
@@ -277,9 +280,13 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::env::remove_var("NMS_BENCH_RESULTS");
         let by_target = |t: &str| loaded.iter().find(|r| r.target == t).unwrap();
-        assert_eq!(by_target("day_pipeline/spec").speedup, 4.0);
+        assert_eq!(by_target("fleet/day_close/par").speedup, 4.0);
         assert_eq!(by_target("game_round/n500/after").speedup, 2.0);
-        assert_eq!(by_target("day_pipeline/seq").speedup, 0.0, "baselines stay 0");
+        assert_eq!(
+            by_target("fleet/day_close/seq").speedup,
+            0.0,
+            "baselines stay 0"
+        );
         assert_eq!(by_target("lonely/after").speedup, 0.0, "unpaired stays 0");
         let _ = std::fs::remove_file(&path);
     }

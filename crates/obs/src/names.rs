@@ -8,19 +8,6 @@
 //! tests assert on them, so a rename is a compile error instead of a
 //! dashboard that quietly flatlines.
 
-/// Speculative day-pipeline metrics emitted by the `nms-sim` supervised
-/// runner (DESIGN.md §15).
-pub mod pipeline {
-    /// Counter: next-day speculations submitted to the pipeline worker.
-    pub const SPECULATION_LAUNCHED: &str = "pipeline_speculation_launched";
-    /// Counter: speculations whose compromise-set assumption held and whose
-    /// precomputed day inputs were committed.
-    pub const SPECULATION_COMMITTED: &str = "pipeline_speculation_committed";
-    /// Counter: speculations discarded (assumption diverged or the worker
-    /// failed); the day recomputed inline, bit-identically.
-    pub const SPECULATION_DISCARDED: &str = "pipeline_speculation_discarded";
-}
-
 /// Fleet-supervision metrics emitted by the `nms-fleet` shard runner.
 pub mod fleet {
     /// Counter: shard-days closed successfully (any rung).

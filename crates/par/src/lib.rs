@@ -54,10 +54,6 @@ use std::time::Instant;
 use nms_obs::{NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
-mod speculate;
-
-pub use speculate::SpeculativeWorker;
-
 /// The workspace-wide parallelism knob: how many worker threads a
 /// parallelizable stage may use.
 ///

@@ -27,8 +27,9 @@
 //!   and is journaled on completion, so a killed run resumes
 //!   bit-identically from the journal (see `journal` and DESIGN.md §8).
 
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use nms_obs::{span, NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
@@ -217,7 +218,7 @@ fn belief_entropy(belief: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Immutable per-run context built once from the scenario.
-pub(crate) struct RunSetup {
+struct RunSetup {
     market: Market,
     generator: CommunityGenerator,
     weather: Vec<f64>,
@@ -234,7 +235,7 @@ struct DetectorState {
 
 /// All evolving state of a long-term run between days — exactly what the
 /// journal's day records let a resume reconstruct.
-pub(crate) struct RunState {
+struct RunState {
     health: RunHealth,
     training_health: DayHealth,
     history: PriceHistory,
@@ -251,10 +252,7 @@ pub(crate) struct RunState {
     quarantine_events: Vec<QuarantineEvent>,
 }
 
-pub(crate) fn prepare(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-) -> Result<RunSetup, SimError> {
+fn prepare(scenario: &PaperScenario, config: &LongTermRunConfig) -> Result<RunSetup, SimError> {
     scenario.validate()?;
     config.validate()?;
     let market = Market::new(scenario)?;
@@ -426,18 +424,9 @@ fn faulted_view(
     Ok(report.cleaned)
 }
 
-/// The sorted meter indices of a compromise set — the canonical form the
-/// speculation commit check compares.
-fn compromised_indices(set: &CompromiseSet) -> Vec<usize> {
-    let mut indices: Vec<usize> = set.iter().map(|m| m.index()).collect();
-    indices.sort_unstable();
-    indices
-}
-
 /// Realizes one day's response for a compromise set: the committed (clean)
 /// plan with hacked homes deviating unilaterally. Pure in
-/// `(community, clean, manipulated, realization_seed, compromised)` — the
-/// property that lets a speculating worker compute it ahead of time.
+/// `(community, clean, manipulated, realization_seed, compromised)`.
 fn realize_day(
     setup: &RunSetup,
     community: &Community,
@@ -462,97 +451,147 @@ fn realize_day(
     )?)
 }
 
-/// The belief-independent front half of one detection day: everything that
-/// is a pure function of `(scenario, config, day_offset, day RNG stream,
-/// assumed compromise set)` and can therefore be computed ahead of time by
-/// a speculating worker (DESIGN.md §15). The back half
-/// ([`simulate_day_with_inputs`]) consumes this plus the run state.
-pub(crate) struct DayInputs {
-    /// Which detection day these inputs belong to.
-    pub(crate) day_offset: usize,
-    /// The day's community (weather-scaled PV, per-day task jitter).
-    pub(crate) community: Community,
-    /// The cleanly cleared market day.
-    pub(crate) clean: DayOutcome,
-    /// The attacker-manipulated price signal derived from `clean`.
-    pub(crate) manipulated: PriceSignal,
-    /// Seed for the realization / prediction child RNGs.
-    pub(crate) realization_seed: u64,
-    /// Sorted meter indices the `realization` was computed for. The commit
-    /// check: inputs apply only to a run whose compromise set at day start
-    /// equals this assumption.
-    pub(crate) assumed: Vec<usize>,
-    /// The realized response under `assumed`.
-    pub(crate) realization: PredictedResponse,
-    /// Wall-clock spent clearing (telemetry only).
-    pub(crate) clearing_secs: f64,
+/// The recorder the prediction helper sees while a day is forked
+/// (DESIGN.md §15). Commutative metrics (`add`, `observe`) go straight to
+/// the day's recorder; order-sensitive signals (events, gauges) are
+/// buffered and replayed on the calling thread after the join, so the
+/// trace keeps the sequential order and no event leaves a parallel region.
+/// Spans are dropped: the span tree profiles the calling thread only.
+struct Deferred<'a> {
+    rec: &'a dyn Recorder,
+    buffered: Mutex<Vec<DeferredSignal>>,
 }
 
-/// Computes one day's [`DayInputs`], consuming the day RNG exactly as
-/// [`simulate_day`] historically did: one draw inside the market clearing,
-/// then one draw for the realization seed. Nothing else in the day touches
-/// `rng`, so precomputing these inputs from the day's seeded stream is
-/// bit-identical to computing them inline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_day_inputs(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    setup: &RunSetup,
-    day_offset: usize,
-    assumed: &CompromiseSet,
-    rng: &mut impl Rng,
-    clearing_cache: Option<&mut PersistentCache>,
+enum DeferredSignal {
+    Event(TraceEvent),
+    Gauge(String, f64),
+}
+
+impl<'a> Deferred<'a> {
+    fn new(rec: &'a dyn Recorder) -> Self {
+        Self {
+            rec,
+            buffered: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn push(&self, signal: DeferredSignal) {
+        self.buffered
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(signal);
+    }
+
+    /// Emits the buffered signals on `rec`, in the order they were made.
+    fn replay(self) {
+        let buffered = self
+            .buffered
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        for signal in buffered {
+            match signal {
+                DeferredSignal::Event(event) => self.rec.event(&event),
+                DeferredSignal::Gauge(name, value) => self.rec.gauge(&name, value),
+            }
+        }
+    }
+}
+
+impl Recorder for Deferred<'_> {
+    fn enabled(&self) -> bool {
+        self.rec.enabled()
+    }
+
+    fn event(&self, event: &TraceEvent) {
+        self.push(DeferredSignal::Event(event.clone()));
+    }
+
+    fn add(&self, name: &str, by: u64) {
+        self.rec.add(name, by);
+    }
+
+    fn gauge(&self, name: &str, value: f64) {
+        self.push(DeferredSignal::Gauge(name.to_string(), value));
+    }
+
+    fn observe(&self, name: &str, value: f64) {
+        self.rec.observe(name, value);
+    }
+}
+
+/// Where a detection day runs the detector's day-ahead prediction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fork {
+    /// On one scoped helper thread, beside the clearing (every run).
+    Overlapped,
+    /// To completion on the calling thread before the clearing starts, its
+    /// outcome resolved as the overlapped day resolves it: the sequential
+    /// reference the overlapped day is checked against.
+    JoinedFirst,
+}
+
+/// Runs one detection day's two independent halves: `front` (clearing,
+/// attack, realization) on the calling thread with `rec`, and, when the
+/// run has a detector, `prediction` with a [`Deferred`] view of `rec`.
+/// Without a prediction no thread is spawned.
+///
+/// The outcome is the one running `front` and then `prediction` in
+/// sequence would give:
+///
+/// - `front`'s error wins (in sequence the prediction would not have run);
+/// - a prediction panic is re-raised with its original payload, so a fleet
+///   supervisor reports the prediction's own message;
+/// - then the prediction's error, after its buffered telemetry replays.
+///
+/// The `prediction` span wraps only the join, so it times the calling
+/// thread's wait for the helper.
+fn fork_day<A, B, E, F, P>(
+    front: F,
+    prediction: Option<P>,
+    fork: Fork,
     rec: &dyn Recorder,
-) -> Result<DayInputs, SimError> {
-    let day = scenario.training_days + day_offset;
-    let community = setup.generator.community_for_day(day, setup.weather[day]);
-    let clearing_watch = Stopwatch::start();
-    let clean = {
-        let _span = span(rec, "clearing");
-        match clearing_cache {
-            Some(cache) => setup.market.clear_day_cached_recorded(
-                &community,
-                config.clearing_iterations,
-                rng,
-                cache,
-                rec,
-            )?,
-            None => setup.market.clear_day_recorded(
-                &community,
-                config.clearing_iterations,
-                rng,
-                rec,
-            )?,
+) -> Result<(A, Option<B>), E>
+where
+    F: FnOnce() -> Result<A, E>,
+    P: FnOnce(&dyn Recorder) -> Result<B, E> + Send,
+    B: Send,
+    E: Send,
+{
+    let Some(prediction) = prediction else {
+        return Ok((front()?, None));
+    };
+    let deferred = Deferred::new(rec);
+    let (front, predicted) = match fork {
+        Fork::Overlapped => std::thread::scope(|scope| {
+            let helper = scope.spawn(|| prediction(&deferred));
+            let front = front();
+            let _wait = span(rec, "prediction");
+            (front, helper.join())
+        }),
+        Fork::JoinedFirst => {
+            let predicted = {
+                let _span = span(rec, "prediction");
+                std::panic::catch_unwind(AssertUnwindSafe(|| prediction(&deferred)))
+            };
+            (front(), predicted)
         }
     };
-    let clearing_secs = clearing_watch.secs();
-    let manipulated = config.timeline.attack().apply(&clean.price);
-    let realization_seed: u64 = rng.gen();
-    let realization = realize_day(
-        setup,
-        &community,
-        &clean,
-        &manipulated,
-        realization_seed,
-        assumed,
-        rec,
-    )?;
-    Ok(DayInputs {
-        day_offset,
-        community,
-        clean,
-        manipulated,
-        realization_seed,
-        assumed: compromised_indices(assumed),
-        realization,
-        clearing_secs,
-    })
+    let front = front?;
+    let predicted = predicted.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    deferred.replay();
+    Ok((front, Some(predicted?)))
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
 /// journalable transcript. Both run drivers call exactly this, so a
 /// supervised run and the legacy run behave identically given identical
-/// RNG draws.
+/// RNG draws. The optional cross-day solver caches change wall-clock only
+/// (hits are exact-verified — see [`PersistentCache`]).
+///
+/// The day draws two values from `rng`, in this order: the clearing seed,
+/// then the realization seed (which also seeds the detector's load
+/// prediction). Nothing else in the day touches `rng`.
+#[allow(clippy::too_many_arguments)]
 fn simulate_day(
     scenario: &PaperScenario,
     config: &LongTermRunConfig,
@@ -560,72 +599,12 @@ fn simulate_day(
     state: &mut RunState,
     day_offset: usize,
     rng: &mut impl Rng,
-    rec: &dyn Recorder,
-) -> Result<DayRecord, SimError> {
-    simulate_day_cached(
-        scenario, config, setup, state, day_offset, rng, None, None, rec,
-    )
-}
-
-/// [`simulate_day`] with optional cross-day solver caches for the market
-/// clearing and the detector's load prediction. `None` for both is exactly
-/// the historical path; supplied caches change wall-clock only (hits are
-/// exact-verified — see [`PersistentCache`]).
-#[allow(clippy::too_many_arguments)]
-fn simulate_day_cached(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    setup: &RunSetup,
-    state: &mut RunState,
-    day_offset: usize,
-    rng: &mut impl Rng,
     clearing_cache: Option<&mut PersistentCache>,
     prediction_cache: Option<&mut PersistentCache>,
+    fork: Fork,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
     let _day_span = span(rec, "detect_day");
-    let inputs = prepare_day_inputs(
-        scenario,
-        config,
-        setup,
-        day_offset,
-        &state.compromised,
-        rng,
-        clearing_cache,
-        rec,
-    )?;
-    simulate_day_with_inputs(scenario, config, setup, state, inputs, prediction_cache, rec)
-}
-
-/// The stateful back half of one detection day: prediction, slot loop,
-/// detector actions, quarantine, history roll-in. Requires
-/// `inputs.assumed` to equal the run's compromise set at day start — the
-/// speculation commit check; [`simulate_day`] satisfies it trivially by
-/// preparing inputs from the live set.
-pub(crate) fn simulate_day_with_inputs(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    setup: &RunSetup,
-    state: &mut RunState,
-    inputs: DayInputs,
-    prediction_cache: Option<&mut PersistentCache>,
-    rec: &dyn Recorder,
-) -> Result<DayRecord, SimError> {
-    let DayInputs {
-        day_offset,
-        community,
-        clean,
-        manipulated,
-        realization_seed,
-        assumed,
-        realization: initial_realization,
-        clearing_secs,
-    } = inputs;
-    if assumed != compromised_indices(&state.compromised) {
-        return Err(SimError::Config(ValidateError::new(
-            "day inputs were speculated for a different compromise set than the run holds",
-        )));
-    }
     let fault_plan = config.faults.as_ref().filter(|plan| !plan.is_noop());
     let fleet = setup.fleet;
     let day = scenario.training_days + day_offset;
@@ -633,45 +612,79 @@ pub(crate) fn simulate_day_with_inputs(
     let true_start = state.true_buckets.len();
     let observed_start = state.observed_buckets.len();
     let demand_start = state.realized_demand.len();
+    let community = setup.generator.community_for_day(day, setup.weather[day]);
+    let clearing_seed: u64 = rng.gen();
+    let realization_seed: u64 = rng.gen();
 
-    // The detector's day-ahead view.
-    let prediction_watch = Stopwatch::start();
-    let prediction_span = span(rec, "prediction");
-    let day_prediction = match state.detector.as_mut() {
-        None => None,
-        Some(det) => {
-            let theta = community.total_generation();
-            let generation_forecast = det
-                .price_predictor
+    // The clearing, the attack and the day-start realization.
+    let compromised = &state.compromised;
+    let front = || -> Result<_, SimError> {
+        let clearing_watch = Stopwatch::start();
+        let clean = {
+            let _span = span(rec, "clearing");
+            setup.market.clear_day_seeded_with(
+                &community,
+                config.clearing_iterations,
+                clearing_seed,
+                clearing_cache,
+                rec,
+            )?
+        };
+        let clearing_secs = clearing_watch.secs();
+        let manipulated = config.timeline.attack().apply(&clean.price);
+        let realization = realize_day(
+            setup,
+            &community,
+            &clean,
+            &manipulated,
+            realization_seed,
+            compromised,
+            rec,
+        )?;
+        Ok((clean, manipulated, realization, clearing_secs))
+    };
+    // The detector's day-ahead view reads the trained predictors, the
+    // history through yesterday, the day's community and the realization
+    // seed — never the clearing or the compromise set — so it runs beside
+    // the front half.
+    let history = &state.history;
+    let community_ref = &community;
+    let prediction = state.detector.as_ref().map(|det| {
+        let (price_predictor, load) = (&det.price_predictor, &det.framework.load);
+        move |rec: &dyn Recorder| -> Result<(PredictedResponse, f64), SimError> {
+            let prediction_watch = Stopwatch::start();
+            let theta = community_ref.total_generation();
+            let generation_forecast = price_predictor
                 .features()
                 .target_generation
                 .then_some(&theta);
-            let predicted_price = det.price_predictor.predict_day(
-                &state.history,
-                community.horizon(),
+            let predicted_price = price_predictor.predict_day(
+                history,
+                community_ref.horizon(),
                 generation_forecast,
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
             let predicted = match prediction_cache {
-                Some(cache) => det.framework.load.predict_cached_recorded(
-                    &community,
+                Some(cache) => load.predict_cached_recorded(
+                    community_ref,
                     &predicted_price,
                     &mut predicted_rng,
                     cache,
                     rec,
                 )?,
-                None => det.framework.load.predict_recorded(
-                    &community,
-                    &predicted_price,
-                    &mut predicted_rng,
-                    rec,
-                )?,
+                None => {
+                    load.predict_recorded(community_ref, &predicted_price, &mut predicted_rng, rec)?
+                }
             };
-            Some(predicted)
+            Ok((predicted, prediction_watch.secs()))
         }
+    });
+    let ((clean, manipulated, mut realization, clearing_secs), prediction) =
+        fork_day(front, prediction, fork, rec)?;
+    let (day_prediction, prediction_secs) = match prediction {
+        Some((predicted, secs)) => (Some(predicted), secs),
+        None => (None, 0.0),
     };
-    drop(prediction_span);
-    let prediction_secs = prediction_watch.secs();
 
     // Quarantined suspects feed the observation: a breaker the detector has
     // opened is a meter it already distrusts, so the observed bucket can
@@ -685,8 +698,7 @@ pub(crate) fn simulate_day_with_inputs(
         )
     });
 
-    // Re-realize the day whenever the compromise set changes mid-day; the
-    // day-start realization arrived precomputed in `inputs`.
+    // Re-realize the day whenever the compromise set changes mid-day.
     let realize = |compromised: &CompromiseSet| -> Result<PredictedResponse, SimError> {
         realize_day(
             setup,
@@ -698,7 +710,6 @@ pub(crate) fn simulate_day_with_inputs(
             rec,
         )
     };
-    let mut realization = initial_realization;
     // The telemetry view of the current realization, rebuilt lazily
     // whenever the realization changes mid-day.
     let mut observed_view: Option<TimeSeries<f64>> = None;
@@ -990,7 +1001,18 @@ pub fn run_long_term_detection_recorded(
     let setup = prepare(scenario, config)?;
     let mut state = train(scenario, config, &setup, rng, rec)?;
     for day_offset in 0..config.detection_days {
-        simulate_day(scenario, config, &setup, &mut state, day_offset, rng, rec)?;
+        simulate_day(
+            scenario,
+            config,
+            &setup,
+            &mut state,
+            day_offset,
+            rng,
+            None,
+            None,
+            Fork::Overlapped,
+            rec,
+        )?;
     }
     finalize(state)
 }
@@ -1003,7 +1025,7 @@ pub fn run_long_term_detection_recorded(
 const TRAINING_STREAM: u64 = 0x7472_6169_6e69_6e67; // "training"
 
 /// The seeded stream for detection day `day_offset` of a supervised run.
-pub(crate) fn day_stream_seed(seed: u64, day_offset: usize) -> u64 {
+fn day_stream_seed(seed: u64, day_offset: usize) -> u64 {
     seed.wrapping_add((day_offset as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
@@ -1045,9 +1067,6 @@ pub struct SupervisedRun {
     /// while two runs built from independent options can never see each
     /// other's faults.
     storage: StorageFaultLedger,
-    /// The cache knob this run was built with (handed to the speculative
-    /// pipeline's worker so it caches the same way).
-    cache: DayCacheConfig,
     /// Cross-day memo cache for the market clearing's truth-model solves.
     clearing_cache: Option<PersistentCache>,
     /// Cross-day memo cache for the detector's load-prediction solves.
@@ -1091,7 +1110,7 @@ impl DayCacheConfig {
     }
 
     /// Builds one cache under this configuration (`None` when disabled).
-    pub(crate) fn build(&self) -> Result<Option<PersistentCache>, SimError> {
+    fn build(&self) -> Result<Option<PersistentCache>, SimError> {
         if !self.enabled {
             return Ok(None);
         }
@@ -1266,7 +1285,6 @@ impl SupervisedRun {
             next_day,
             recorder,
             storage,
-            cache,
             clearing_cache,
             prediction_cache,
         })
@@ -1296,12 +1314,30 @@ impl SupervisedRun {
     /// completed day cannot be persisted (the day's state changes are kept
     /// in memory but will re-run on resume).
     pub fn step_day(&mut self) -> Result<(), SimError> {
+        self.step(Fork::Overlapped)
+    }
+
+    /// [`SupervisedRun::step_day`] with the detector's prediction run to
+    /// completion before the clearing starts instead of beside it. The
+    /// results, journal and trace are identical; this is the sequential
+    /// reference `tests/obs_determinism.rs` checks the overlapped day
+    /// against.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SupervisedRun::step_day`].
+    #[doc(hidden)]
+    pub fn step_day_prediction_first(&mut self) -> Result<(), SimError> {
+        self.step(Fork::JoinedFirst)
+    }
+
+    fn step(&mut self, fork: Fork) -> Result<(), SimError> {
         if self.is_finished() {
             return Ok(());
         }
         let mut rng = ChaCha8Rng::seed_from_u64(day_stream_seed(self.seed, self.next_day));
         let rec = self.recorder.as_ref();
-        let record = simulate_day_cached(
+        let record = simulate_day(
             &self.scenario,
             &self.config,
             &self.setup,
@@ -1310,15 +1346,9 @@ impl SupervisedRun {
             &mut rng,
             self.clearing_cache.as_mut(),
             self.prediction_cache.as_mut(),
+            fork,
             rec,
         )?;
-        self.commit_day(record)
-    }
-
-    /// Journals one completed day and advances the day counter — the tail
-    /// every stepping path (sequential and speculative) shares.
-    fn commit_day(&mut self, record: DayRecord) -> Result<(), SimError> {
-        let rec = self.recorder.as_ref();
         let append_watch = Stopwatch::start();
         {
             let _span = span(rec, "journal_append");
@@ -1343,69 +1373,6 @@ impl SupervisedRun {
         }
         self.next_day += 1;
         Ok(())
-    }
-
-    /// Steps the next day from precomputed [`DayInputs`] — the speculative
-    /// pipeline's commit path. The inputs' assumed compromise set must
-    /// match the run's (checked again inside, returning
-    /// [`SimError::Config`] on a protocol violation).
-    pub(crate) fn step_day_with_speculated(&mut self, inputs: DayInputs) -> Result<(), SimError> {
-        debug_assert_eq!(inputs.day_offset, self.next_day);
-        let rec = self.recorder.as_ref();
-        let record = {
-            let _day_span = span(rec, "detect_day");
-            simulate_day_with_inputs(
-                &self.scenario,
-                &self.config,
-                &self.setup,
-                &mut self.state,
-                inputs,
-                self.prediction_cache.as_mut(),
-                rec,
-            )?
-        };
-        self.commit_day(record)
-    }
-
-    /// Everything a speculating worker needs to rebuild this run's
-    /// per-day computation independently: the scenario/config pair, the
-    /// run seed (day RNG streams derive from it), and the cache knob.
-    pub(crate) fn speculation_parts(
-        &self,
-    ) -> (PaperScenario, LongTermRunConfig, u64, DayCacheConfig) {
-        (
-            self.scenario.clone(),
-            self.config.clone(),
-            self.seed,
-            self.cache,
-        )
-    }
-
-    /// The run's compromise set right now, in canonical sorted-index form.
-    pub(crate) fn current_compromised(&self) -> Vec<usize> {
-        compromised_indices(&self.state.compromised)
-    }
-
-    /// The compromise set expected at the *start* of day `day_offset + 1`,
-    /// assuming the detector dispatches no fix during day `day_offset`:
-    /// the current set plus every scripted timeline event in that day's
-    /// slots. This is the speculation's assumption — a fix mid-day makes
-    /// it diverge, which the commit check catches.
-    pub(crate) fn project_compromised_after(&self, day_offset: usize) -> Vec<usize> {
-        let mut projected = self.state.compromised.clone();
-        for slot in 0..SLOTS_PER_DAY {
-            let global_slot = day_offset * SLOTS_PER_DAY + slot;
-            let _ = self
-                .config
-                .timeline
-                .step(global_slot, &mut projected, self.setup.fleet);
-        }
-        compromised_indices(&projected)
-    }
-
-    /// The run's recorder (shared with the speculative driver's counters).
-    pub(crate) fn rec(&self) -> &dyn Recorder {
-        self.recorder.as_ref()
     }
 
     /// Cumulative persistent-cache statistics across the run's clearing and
@@ -1579,6 +1546,113 @@ mod tests {
             "configs serialized before the knob existed must load as the \
              historical 2 clearing rounds, not usize::default()"
         );
+    }
+
+    /// Records event kinds and counter names in arrival order.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<String>>);
+
+    impl Recorder for Log {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, event: &TraceEvent) {
+            self.0.lock().unwrap().push(event.kind.clone());
+        }
+
+        fn add(&self, name: &str, _by: u64) {
+            self.0.lock().unwrap().push(name.to_string());
+        }
+    }
+
+    type Prediction = fn(&dyn Recorder) -> Result<u32, String>;
+
+    #[test]
+    fn fork_day_reraises_a_prediction_panic_with_its_own_message() {
+        // The fleet ladder isolates shards through `par_map_outcomes`; the
+        // verdict must carry the prediction's payload, not the scope's
+        // generic "a scoped thread panicked".
+        for fork in [Fork::Overlapped, Fork::JoinedFirst] {
+            let outcomes = nms_par::par_map_outcomes(1, &[()], |_, _| {
+                let prediction: Prediction = |_| panic!("prediction exploded");
+                fork_day(|| Ok::<_, String>(1), Some(prediction), fork, &NoopRecorder)
+            });
+            match &outcomes[0] {
+                nms_par::Outcome::Panicked(message) => {
+                    assert!(
+                        message.contains("prediction exploded"),
+                        "{fork:?}: {message}"
+                    );
+                    assert!(!message.contains("scoped thread"), "{fork:?}: {message}");
+                }
+                other => panic!("{fork:?}: expected a panic verdict, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fork_day_surfaces_errors_in_sequential_order() {
+        for fork in [Fork::Overlapped, Fork::JoinedFirst] {
+            let failing: Prediction = |_| Err("prediction".into());
+            let panicking: Prediction = |_| panic!("unreachable in sequence");
+            let front_fails = || Err::<u32, _>("clearing".to_string());
+            assert_eq!(
+                fork_day(front_fails, Some(failing), fork, &NoopRecorder),
+                Err("clearing".into()),
+                "{fork:?}: both fail, the clearing's error wins"
+            );
+            assert_eq!(
+                fork_day(front_fails, Some(panicking), fork, &NoopRecorder),
+                Err("clearing".into()),
+                "{fork:?}: in sequence the prediction never runs after a failed clearing"
+            );
+            assert_eq!(
+                fork_day(|| Ok::<_, String>(1), Some(failing), fork, &NoopRecorder),
+                Err("prediction".into())
+            );
+            let ok: Prediction = |_| Ok(2);
+            assert_eq!(
+                fork_day(|| Ok::<_, String>(1), Some(ok), fork, &NoopRecorder),
+                Ok((1, Some(2)))
+            );
+            assert_eq!(
+                fork_day(
+                    || Ok::<_, String>(1),
+                    None::<Prediction>,
+                    fork,
+                    &NoopRecorder
+                ),
+                Ok((1, None))
+            );
+        }
+    }
+
+    #[test]
+    fn fork_day_replays_prediction_events_after_the_front_half() {
+        let log = Log::default();
+        let caller = std::thread::current().id();
+        let (done, recorded) = std::sync::mpsc::channel();
+        let prediction = move |rec: &dyn Recorder| -> Result<bool, String> {
+            rec.event(&TraceEvent::new("predicted"));
+            rec.add("prediction_counter", 1);
+            done.send(()).unwrap();
+            Ok(std::thread::current().id() != caller)
+        };
+        let front = || -> Result<(), String> {
+            // The helper records first; its event must still come after.
+            recorded.recv().unwrap();
+            log.event(&TraceEvent::new("cleared"));
+            Ok(())
+        };
+        let (_, on_helper) = fork_day(front, Some(prediction), Fork::Overlapped, &log).unwrap();
+        assert_eq!(
+            on_helper,
+            Some(true),
+            "the prediction runs on a helper thread"
+        );
+        let seen = log.0.into_inner().unwrap();
+        assert_eq!(seen, ["prediction_counter", "cleared", "predicted"]);
     }
 
     #[test]

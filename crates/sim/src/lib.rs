@@ -42,7 +42,6 @@ mod faults;
 pub mod export;
 pub mod journal;
 mod market;
-mod pipeline;
 mod report;
 mod scenario;
 pub mod sweeps;
@@ -59,7 +58,6 @@ pub use faults::{
     corrupt_day, corrupt_day_meters, CorruptedDay, CorruptedMeters, FaultPlan, MeterOutage,
 };
 pub use market::{DayOutcome, Market};
-pub use pipeline::SpeculationReport;
 pub use nms_par::Parallelism;
 pub use report::{render_series, render_table};
 pub use scenario::{CommunityGenerator, PaperScenario};

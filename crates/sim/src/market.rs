@@ -100,30 +100,6 @@ impl Market {
         self.clear_day_seeded_recorded(community, iterations, seed, rec)
     }
 
-    /// [`Market::clear_day_recorded`] backed by a cross-day
-    /// [`PersistentCache`]: the fixed-point iterations re-solve the game
-    /// under near-identical prices day after day, so pure-DP best responses
-    /// the cache has already answered skip the re-solve. Hits are
-    /// exact-verified (see
-    /// [`GameEngine::solve_persistent_recorded`](nms_solver::GameEngine::solve_persistent_recorded)),
-    /// so the outcome is bit-identical to [`Market::clear_day_recorded`]
-    /// under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_cached_recorded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-        rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
-        let seed: u64 = rng.gen();
-        self.clear_day_seeded_with(community, iterations, seed, Some(cache), rec)
-    }
-
     /// [`Market::clear_day`] with the day's solver seed supplied explicitly
     /// instead of drawn from a shared RNG.
     ///
@@ -154,7 +130,19 @@ impl Market {
         self.clear_day_seeded_with(community, iterations, seed, None, rec)
     }
 
-    fn clear_day_seeded_with(
+    /// [`Market::clear_day_seeded_recorded`], optionally backed by a
+    /// cross-day [`PersistentCache`]: the fixed-point iterations re-solve
+    /// the game under near-identical prices day after day, so pure-DP best
+    /// responses the cache has already answered skip the re-solve. Hits are
+    /// exact-verified (see
+    /// [`GameEngine::solve_persistent_recorded`](nms_solver::GameEngine::solve_persistent_recorded)),
+    /// so the outcome is bit-identical to the uncached clearing under the
+    /// same seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] when scheduling fails.
+    pub(crate) fn clear_day_seeded_with(
         &self,
         community: &Community,
         iterations: usize,

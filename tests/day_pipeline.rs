@@ -1,8 +1,8 @@
-//! Speculative day-pipeline acceptance (DESIGN.md §15): a supervised run
-//! driven through [`SupervisedRun::run_speculative`] must be bit-identical
-//! to the sequential [`SupervisedRun::run`] — whether its speculations
-//! commit or get discarded — and the cross-day [`PersistentCache`]s the
-//! pipeline leans on must never change a single bit of any run artifact.
+//! Cross-day cache acceptance (DESIGN.md §15): the [`PersistentCache`]s a
+//! supervised run carries across day boundaries under [`DayCacheConfig`]
+//! must never change a single bit of any run artifact.
+//!
+//! [`PersistentCache`]: netmeter_sentinel::solver::PersistentCache
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +13,7 @@ use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, QuarantineConfig};
 use netmeter_sentinel::sim::{
     DayCacheConfig, FaultPlan, LongTermRunConfig, LongTermRunResult, PaperScenario,
-    SpeculationReport, SupervisedOptions, SupervisedRun,
+    SupervisedOptions, SupervisedRun,
 };
 
 /// Unique scratch path for a journal file.
@@ -66,13 +66,13 @@ fn timeline(fleet: usize) -> AttackTimeline {
     .unwrap()
 }
 
-fn build(
+fn run_with_cache(
     scenario: &PaperScenario,
     config: &LongTermRunConfig,
     seed: u64,
     cache: DayCacheConfig,
     tag: &str,
-) -> SupervisedRun {
+) -> LongTermRunResult {
     SupervisedRun::with_options(
         scenario,
         config,
@@ -84,28 +84,8 @@ fn build(
         },
     )
     .unwrap()
-}
-
-fn run_sequential(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    seed: u64,
-    cache: DayCacheConfig,
-    tag: &str,
-) -> LongTermRunResult {
-    build(scenario, config, seed, cache, tag).run().unwrap()
-}
-
-fn run_speculative(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    seed: u64,
-    cache: DayCacheConfig,
-    tag: &str,
-) -> (LongTermRunResult, SpeculationReport) {
-    build(scenario, config, seed, cache, tag)
-        .run_speculative()
-        .unwrap()
+    .run()
+    .unwrap()
 }
 
 /// Bit-identity on every float the run produces; `to_bits` keeps any
@@ -124,56 +104,6 @@ fn assert_identical(a: &LongTermRunResult, b: &LongTermRunResult) {
 }
 
 #[test]
-fn speculative_run_is_bit_identical_to_sequential() {
-    let scenario = scenario(8, 77);
-    let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
-    let config = config(Some(detector), 2, timeline(scenario.customers));
-    let seed = 5;
-
-    let sequential = run_sequential(&scenario, &config, seed, DayCacheConfig::default(), "seq");
-    let (speculative, report) =
-        run_speculative(&scenario, &config, seed, DayCacheConfig::on(), "spec");
-
-    assert_identical(&sequential, &speculative);
-    // Day 0 never speculates (nothing precedes it); every later day does.
-    assert_eq!(report.launched, (config.detection_days - 1) as u64);
-    assert_eq!(report.committed + report.discarded, report.launched);
-}
-
-#[test]
-fn forced_divergence_discards_and_stays_bit_identical() {
-    // A mid-day fix is the one event the speculation cannot foresee: the
-    // projection assumes no repairs, so the day after a fix must arrive
-    // with a wrong assumed compromise set and be discarded. A half-fleet
-    // wave against the net-metering-aware detector reliably triggers the
-    // POMDP's check-&-fix dispatch.
-    let scenario = scenario(8, 77);
-    let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
-    let config = config(Some(detector), 3, timeline(scenario.customers));
-    let seed = 5;
-
-    let sequential = run_sequential(&scenario, &config, seed, DayCacheConfig::default(), "div-seq");
-    assert!(
-        sequential
-            .fixes_at
-            .iter()
-            .any(|&slot| slot % 24 != 23 && slot < 2 * 24),
-        "precondition: a fix must fire mid-day before the last day to force \
-         a divergent speculation (got fixes at {:?})",
-        sequential.fixes_at
-    );
-
-    let (speculative, report) =
-        run_speculative(&scenario, &config, seed, DayCacheConfig::on(), "div-spec");
-    assert_identical(&sequential, &speculative);
-    assert!(
-        report.discarded >= 1,
-        "a mid-day fix must discard at least one speculation: {report:?}"
-    );
-    assert_eq!(report.committed + report.discarded, report.launched);
-}
-
-#[test]
 fn quarantined_meter_days_do_not_poison_the_cache() {
     // Fault injection + quarantine excludes meters from the telemetry
     // aggregate; the caches sit under the clearing and prediction solves,
@@ -189,8 +119,14 @@ fn quarantined_meter_days_do_not_poison_the_cache() {
     config.faults = Some(faults);
     let seed = 11;
 
-    let cold = run_sequential(&scenario, &config, seed, DayCacheConfig::default(), "q-cold");
-    let cached = run_sequential(&scenario, &config, seed, DayCacheConfig::on(), "q-cached");
+    let cold = run_with_cache(
+        &scenario,
+        &config,
+        seed,
+        DayCacheConfig::default(),
+        "q-cold",
+    );
+    let cached = run_with_cache(&scenario, &config, seed, DayCacheConfig::on(), "q-cached");
     assert_identical(&cold, &cached);
     assert!(
         !cold.quarantine_events.is_empty() || cold.health.faults_injected.total() > 0,
@@ -213,8 +149,8 @@ proptest! {
         let quantum = [1e-12, 1e-9, 1e-3, 1.0][quantum_exp];
         let scenario = scenario(6, 19);
         let config = config(None, 2, timeline(scenario.customers));
-        let cold = run_sequential(&scenario, &config, seed, DayCacheConfig::default(), "p-cold");
-        let cached = run_sequential(
+        let cold = run_with_cache(&scenario, &config, seed, DayCacheConfig::default(), "p-cold");
+        let cached = run_with_cache(
             &scenario,
             &config,
             seed,

@@ -180,3 +180,151 @@ fn recorded_supervised_run_matches_noop_and_traces_quarantine() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// A trace event with its wall-clock fields removed: what must repeat
+/// exactly from run to run.
+fn untimed(event: &TraceEvent) -> TraceEvent {
+    let mut event = event.clone();
+    event.fields.retain(|field| !field.key.ends_with("seconds"));
+    event
+}
+
+/// Per detection day, the solver events (`game_round`, `game_solved`) from
+/// the end of the previous day (or training) up to the day's first `slot`,
+/// or its `day_phases` when the run has no detector.
+fn day_front_solver_events(events: &[TraceEvent]) -> Vec<Vec<TraceEvent>> {
+    let mut days = Vec::new();
+    let mut current = Vec::new();
+    let mut open = false;
+    for event in events {
+        match event.kind.as_str() {
+            "training" | "journal_append" => {
+                current.clear();
+                open = true;
+            }
+            "game_round" | "game_solved" if open => current.push(untimed(event)),
+            "slot" | "day_phases" if open => {
+                days.push(std::mem::take(&mut current));
+                open = false;
+            }
+            _ => {}
+        }
+    }
+    days
+}
+
+/// The detector-on supervised day forks its prediction beside the market
+/// clearing. The trace must not notice: the event sequence repeats across
+/// runs, each day's prediction game lands after the clearing's games and
+/// before the first slot, and the solver totals equal a run whose
+/// prediction finishes before the clearing starts.
+#[test]
+fn forked_detection_days_keep_the_sequential_trace() {
+    let mut scenario = PaperScenario::small(10, 29);
+    scenario.training_days = 4;
+    let config = detection_config(scenario.customers);
+    let seed = 29;
+
+    let traced = |tag: &str, config: &LongTermRunConfig, prediction_first: bool| {
+        let journal = temp_path(&format!("fork-{tag}-journal"));
+        let trace_path = temp_path(&format!("fork-{tag}-trace"));
+        for path in [&journal, &trace_path] {
+            let _ = std::fs::remove_file(path);
+        }
+        let trace = Arc::new(JsonlTrace::create(&trace_path).unwrap());
+        let metrics = MetricsRegistry::new();
+        let tee = Tee::new(vec![
+            trace.clone() as Arc<dyn Recorder>,
+            Arc::new(metrics.clone()),
+        ]);
+        let mut run =
+            SupervisedRun::new_recorded(&scenario, config, seed, &journal, Arc::new(tee)).unwrap();
+        while !run.is_finished() {
+            if prediction_first {
+                run.step_day_prediction_first().unwrap();
+            } else {
+                run.step_day().unwrap();
+            }
+        }
+        let result = run.finish().unwrap();
+        assert_eq!(trace.dropped(), 0, "no trace line may be dropped");
+        let events: Vec<TraceEvent> = read_trace(&trace_path)
+            .unwrap()
+            .iter()
+            .map(untimed)
+            .collect();
+        for path in [&journal, &trace_path] {
+            let _ = std::fs::remove_file(path);
+        }
+        (result, events, metrics)
+    };
+
+    let (first, first_events, first_metrics) = traced("a", &config, false);
+    let (second, second_events, _) = traced("b", &config, false);
+    assert_identical(&first, &second);
+    assert_eq!(
+        first_events, second_events,
+        "the event sequence must repeat"
+    );
+
+    let (reference, reference_events, reference_metrics) = traced("ref", &config, true);
+    assert_identical(&first, &reference);
+    assert_eq!(first_events, reference_events);
+    for counter in [
+        "solver_games",
+        "solver_rounds",
+        "solver_ce_solves",
+        "solver_dp_cells",
+    ] {
+        assert!(
+            first_metrics.counter(counter) > 0,
+            "{counter} never counted"
+        );
+        assert_eq!(
+            first_metrics.counter(counter),
+            reference_metrics.counter(counter),
+            "{counter} differs from the prediction-first run"
+        );
+    }
+
+    // The helper's counters reach the registry directly while its events
+    // replay after the join; both must account for every game.
+    let games: Vec<&TraceEvent> = first_events
+        .iter()
+        .filter(|e| e.kind == "game_solved")
+        .collect();
+    let rounds: f64 = games.iter().filter_map(|e| e.field_value("rounds")).sum();
+    assert_eq!(first_metrics.counter("solver_games"), games.len() as u64);
+    assert_eq!(first_metrics.counter("solver_rounds"), rounds as u64);
+
+    // The clearing reads neither the detector nor the compromise set, so a
+    // detector-free run of the same seed clears the same games. Each forked
+    // day's solver events before its first slot are exactly those, then
+    // the prediction's game as the last one.
+    let mut no_detector = config.clone();
+    no_detector.detector = None;
+    let (_, clearing_events, _) = traced("clear", &no_detector, false);
+    let forked_days = day_front_solver_events(&first_events);
+    let clearing_days = day_front_solver_events(&clearing_events);
+    assert_eq!(forked_days.len(), config.detection_days);
+    assert_eq!(clearing_days.len(), config.detection_days);
+    let solved = |events: &[TraceEvent]| events.iter().filter(|e| e.kind == "game_solved").count();
+    for (day, (forked, clearing)) in forked_days.iter().zip(&clearing_days).enumerate() {
+        assert_eq!(
+            solved(clearing),
+            config.clearing_iterations + 1,
+            "day {day}"
+        );
+        assert_eq!(solved(forked), solved(clearing) + 1, "day {day}");
+        assert_eq!(
+            &forked[..clearing.len()],
+            &clearing[..],
+            "day {day}: clearing first"
+        );
+        assert_eq!(
+            forked.last().map(|e| e.kind.as_str()),
+            Some("game_solved"),
+            "day {day}: the prediction's game closes the day's front half"
+        );
+    }
+}
