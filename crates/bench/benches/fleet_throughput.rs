@@ -138,8 +138,6 @@ fn bench(c: &mut Criterion) {
         threads,
         host_cores: host_cores(),
         solver_rounds: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         note: format!("{shards} shards × {days} days, day-lockstep supervisor"),
         speedup: 0.0,
     };

@@ -131,11 +131,9 @@ fn bench(c: &mut Criterion) {
         fault_seq_secs / fault_par_secs.max(1e-9)
     );
 
-    // Solver effort and cache tallies are deterministic point fields, so
-    // the seq/par pairs share them by construction (asserted above).
+    // Solver effort is a deterministic point field, so the seq/par pairs
+    // share it by construction (asserted above).
     let attack_rounds: u64 = attack_seq.iter().map(|p| p.solver_rounds as u64).sum();
-    let attack_hits: u64 = attack_seq.iter().map(|p| p.cache_hits as u64).sum();
-    let attack_misses: u64 = attack_seq.iter().map(|p| p.cache_misses as u64).sum();
     let sweep_note = |requested: usize| {
         if requested == 1 {
             "sequential".to_string()
@@ -146,40 +144,22 @@ fn bench(c: &mut Criterion) {
             )
         }
     };
-    let record = |target: &str, wall_secs: f64, threads: usize, rounds: u64, hits: u64, misses: u64| {
-        BenchRecord {
-            target: target.to_string(),
-            wall_secs,
-            customers: scenario.customers,
-            seed: scenario.seed,
-            threads,
-            host_cores: host_cores(),
-            solver_rounds: rounds,
-            cache_hits: hits,
-            cache_misses: misses,
-            note: sweep_note(threads),
-            speedup: 0.0,
-        }
+    let record = |target: &str, wall_secs: f64, threads: usize, rounds: u64| BenchRecord {
+        target: target.to_string(),
+        wall_secs,
+        customers: scenario.customers,
+        seed: scenario.seed,
+        threads,
+        host_cores: host_cores(),
+        solver_rounds: rounds,
+        note: sweep_note(threads),
+        speedup: 0.0,
     };
     record_bench_results(&[
-        record(
-            "sweep_attack_window/seq",
-            attack_seq_secs,
-            1,
-            attack_rounds,
-            attack_hits,
-            attack_misses,
-        ),
-        record(
-            "sweep_attack_window/par",
-            attack_par_secs,
-            threads,
-            attack_rounds,
-            attack_hits,
-            attack_misses,
-        ),
-        record("sweep_fault_tolerance/seq", fault_seq_secs, 1, 0, 0, 0),
-        record("sweep_fault_tolerance/par", fault_par_secs, threads, 0, 0, 0),
+        record("sweep_attack_window/seq", attack_seq_secs, 1, attack_rounds),
+        record("sweep_attack_window/par", attack_par_secs, threads, attack_rounds),
+        record("sweep_fault_tolerance/seq", fault_seq_secs, 1, 0),
+        record("sweep_fault_tolerance/par", fault_par_secs, threads, 0),
     ])
     .expect("bench results written");
     println!("recorded to {}", nms_bench::bench_results_path().display());

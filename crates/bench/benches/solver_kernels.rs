@@ -382,8 +382,6 @@ fn bench(c: &mut Criterion) {
         threads: 1,
         host_cores: host_cores(),
         solver_rounds: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         note: format!("mean of {iters} iters after warmup; {note}"),
         speedup: 0.0,
     };

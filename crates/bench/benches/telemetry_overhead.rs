@@ -168,8 +168,6 @@ fn bench(c: &mut Criterion) {
         threads,
         host_cores: host_cores(),
         solver_rounds: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         note: format!(
             "{shards} shards × {days} days; striped registry + spans + /metrics server; \
              overhead {overhead_pct:+.2}%"

@@ -69,13 +69,6 @@ pub struct BenchRecord {
     /// Total best-response rounds executed across the target's games.
     #[serde(default)]
     pub solver_rounds: u64,
-    /// Solver memo-cache hits across the target's games (zero when the
-    /// cache is disabled, the default).
-    #[serde(default)]
-    pub cache_hits: u64,
-    /// Solver memo-cache misses across the target's games.
-    #[serde(default)]
-    pub cache_misses: u64,
     /// Free-form provenance note (thread/chunking choices, iteration
     /// counts) so a record explains its own measurement conditions.
     #[serde(default)]
@@ -206,10 +199,13 @@ mod tests {
                       \"seed\":1,\"threads\":2}";
         let record: BenchRecord = serde_json::from_str(legacy).unwrap();
         assert_eq!(record.host_cores, 0);
-        assert_eq!(record.cache_hits, 0);
-        assert_eq!(record.cache_misses, 0);
         assert_eq!(record.note, "");
         assert!(host_cores() >= 1, "this host has at least one core");
+        // Records written while the solver memo caches existed carry
+        // `cache_hits`/`cache_misses`; those keys are ignored on load.
+        let with_cache_keys = legacy.replace('}', ",\"cache_hits\":3,\"cache_misses\":4}");
+        let old: BenchRecord = serde_json::from_str(&with_cache_keys).unwrap();
+        assert_eq!(old, record);
     }
 
     #[test]
@@ -227,8 +223,6 @@ mod tests {
             threads: 2,
             host_cores: host_cores(),
             solver_rounds: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             note: String::new(),
             speedup: 0.0,
         };
@@ -258,8 +252,6 @@ mod tests {
             threads: 1,
             host_cores: host_cores(),
             solver_rounds: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             note: String::new(),
             speedup: 0.0,
         };

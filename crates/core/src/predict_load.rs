@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, LoadProfile};
-use nms_solver::{CacheStats, GameConfig, GameEngine, PersistentCache, PriceAssignment, SolverError};
+use nms_solver::{GameConfig, GameEngine, PriceAssignment, SolverError};
 use nms_types::{MeterId, TimeSeries};
 
 /// The community's predicted response to a price signal.
@@ -24,9 +24,6 @@ pub struct PredictedResponse {
     /// Best-response rounds the game executed (`0` for responses that did
     /// not run the full game, e.g. unilateral deviations).
     pub rounds: usize,
-    /// Solver memo-cache tallies from the game (all-zero when the cache is
-    /// disabled or no game ran).
-    pub cache: CacheStats,
 }
 
 impl PredictedResponse {
@@ -88,7 +85,6 @@ impl LoadPredictor {
             PriceAssignment::Uniform(prices),
             rng,
             &NoopRecorder,
-            None,
         )
     }
 
@@ -106,34 +102,7 @@ impl LoadPredictor {
         rng: &mut impl Rng,
         rec: &dyn Recorder,
     ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::Uniform(prices), rng, rec, None)
-    }
-
-    /// [`LoadPredictor::predict_recorded`] backed by a cross-solve
-    /// [`PersistentCache`] (see [`GameEngine::solve_persistent_recorded`]):
-    /// pure-DP best responses the cache has seen — in this prediction or an
-    /// earlier day's — skip the re-solve. Hits are exact-verified, so the
-    /// result is bit-identical to [`LoadPredictor::predict_recorded`] under
-    /// the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict`].
-    pub fn predict_cached_recorded(
-        &self,
-        community: &Community,
-        prices: &PriceSignal,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-        rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::Uniform(prices),
-            rng,
-            rec,
-            Some(cache),
-        )
+        self.predict_with_assignment(community, PriceAssignment::Uniform(prices), rng, rec)
     }
 
     /// Predicts the community response when each customer's meter reports
@@ -156,7 +125,6 @@ impl LoadPredictor {
             PriceAssignment::PerCustomer(signals),
             rng,
             &NoopRecorder,
-            None,
         )
     }
 
@@ -173,7 +141,7 @@ impl LoadPredictor {
         rng: &mut impl Rng,
         rec: &dyn Recorder,
     ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::PerCustomer(signals), rng, rec, None)
+        self.predict_with_assignment(community, PriceAssignment::PerCustomer(signals), rng, rec)
     }
 
     /// The community's realized response when `hacked_meters` deviate
@@ -279,7 +247,6 @@ impl LoadPredictor {
             par,
             converged: committed.converged,
             rounds: 0,
-            cache: CacheStats::default(),
             schedule,
         })
     }
@@ -290,7 +257,6 @@ impl LoadPredictor {
         prices: PriceAssignment<'_>,
         rng: &mut impl Rng,
         rec: &dyn Recorder,
-        cache: Option<&mut PersistentCache>,
     ) -> Result<PredictedResponse, SolverError> {
         let stripped_storage;
         let community_model: &Community = if self.net_metering {
@@ -305,10 +271,7 @@ impl LoadPredictor {
         }
         let engine = GameEngine::with_price_assignment(community_model, prices, self.tariff, game)
             .map_err(SolverError::Config)?;
-        let outcome = match cache {
-            Some(cache) => engine.solve_persistent_recorded(rng, rec, cache)?,
-            None => engine.solve_recorded(rng, rec)?,
-        };
+        let outcome = engine.solve_recorded(rng, rec)?;
         let grid_demand = outcome.schedule.grid_demand_clamped();
         let par = grid_demand.par().unwrap_or(1.0);
         Ok(PredictedResponse {
@@ -316,7 +279,6 @@ impl LoadPredictor {
             par,
             converged: outcome.converged,
             rounds: outcome.rounds,
-            cache: outcome.cache,
             schedule: outcome.schedule,
         })
     }

@@ -23,17 +23,6 @@ pub struct UtilityConfig {
     pub sensitivity: f64,
     /// Hard cap on the designed price.
     pub price_cap: f64,
-    /// Granularity ($/kWh) the published price is rounded to, `0.0` for
-    /// continuous prices (the historical behavior). Real tariffs are quoted
-    /// at finite precision — e.g. `0.001` is tenth-of-a-cent pricing.
-    /// Besides realism, a positive quantum makes the market's fixed-point
-    /// clearing iteration a map on a *finite* price set, so it reaches a
-    /// bitwise-exact fixed point (or short cycle) instead of chasing the
-    /// last float bits of a chaotic game equilibrium forever — which is
-    /// what lets a cross-day solver cache answer repeat clearings
-    /// wholesale.
-    #[serde(default)]
-    pub price_quantum: f64,
 }
 
 impl UtilityConfig {
@@ -48,7 +37,6 @@ impl UtilityConfig {
             ("base_price", self.base_price),
             ("sensitivity", self.sensitivity),
             ("price_cap", self.price_cap),
-            ("price_quantum", self.price_quantum),
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(ValidateError::new(format!(
@@ -69,7 +57,6 @@ impl Default for UtilityConfig {
             base_price: 0.04,
             sensitivity: 0.03,
             price_cap: 1.0,
-            price_quantum: 0.0,
         }
     }
 }
@@ -138,12 +125,7 @@ impl Utility {
         let series = expected_net_demand.map(|&d| {
             let per_customer = d.max(0.0) / n;
             let raw = self.config.base_price + self.config.sensitivity * per_customer;
-            let published = if self.config.price_quantum > 0.0 {
-                (raw / self.config.price_quantum).round() * self.config.price_quantum
-            } else {
-                raw
-            };
-            published.min(self.config.price_cap)
+            raw.min(self.config.price_cap)
         });
         PriceSignal::new(series)
             .expect("designed prices are non-negative and finite by construction")
@@ -215,53 +197,11 @@ mod tests {
             base_price: 0.04,
             sensitivity: 0.03,
             price_cap: 0.1,
-            price_quantum: 0.0,
         };
         let utility = Utility::new(config, 1).unwrap();
         let demand = TimeSeries::filled(day(), 1e6);
         let price = utility.design_price(&demand);
         assert!(price.as_series().iter().all(|&p| p <= 0.1 + 1e-12));
-    }
-
-    #[test]
-    fn quantized_prices_land_on_the_grid() {
-        let config = UtilityConfig {
-            price_quantum: 0.005,
-            ..UtilityConfig::default()
-        };
-        assert!(config.validate().is_ok());
-        let utility = Utility::new(config, 10).unwrap();
-        let demand = TimeSeries::from_fn(day(), |h| 3.0 + 1.7 * h as f64);
-        let price = utility.design_price(&demand);
-        for (h, &p) in price.as_series().iter().enumerate() {
-            let cells = p / 0.005;
-            assert!(
-                (cells - cells.round()).abs() < 1e-9,
-                "slot {h}: price {p} is off the 0.005 grid"
-            );
-            assert!(p <= config.price_cap);
-        }
-        // Nearby demands collapse onto the same published price: the
-        // mechanism that gives the clearing iteration an exact fixed point.
-        let a = utility.design_price(&TimeSeries::filled(day(), 10.0));
-        let b = utility.design_price(&TimeSeries::filled(day(), 10.1));
-        assert_eq!(
-            a.at(0).value().to_bits(),
-            b.at(0).value().to_bits(),
-            "within-cell demand wiggle must not move the published price"
-        );
-        // A continuous (quantum 0) utility still prices continuously.
-        let c = Utility::new(UtilityConfig::default(), 10).unwrap();
-        assert_ne!(
-            c.design_price(&TimeSeries::filled(day(), 10.0)).at(0).value().to_bits(),
-            c.design_price(&TimeSeries::filled(day(), 10.1)).at(0).value().to_bits(),
-        );
-        // Rejects non-finite quanta.
-        let bad = UtilityConfig {
-            price_quantum: f64::NAN,
-            ..UtilityConfig::default()
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -223,9 +223,6 @@ pub(crate) fn calibrate_detector(
             centroids[i] = centroids[i - 1] + 1e-6;
         }
     }
-    if std::env::var("NMS_DEBUG_CALIBRATION").is_ok() {
-        eprintln!("calibration centroids: {centroids:?}");
-    }
     let observation_map = ParObservationMap::from_centroids(centroids)?;
 
     // Trained observation matrix: empirical confusion of the map on the

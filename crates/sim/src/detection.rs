@@ -47,7 +47,6 @@ use nms_forecast::PriceHistory;
 use nms_par::Parallelism;
 use nms_pricing::PriceSignal;
 use nms_smarthome::Community;
-use nms_solver::{CacheStats, PersistentCache};
 use nms_types::{
     DayHealth, MeterId, RetryPolicy, RunHealth, SolveBudget, StorageFaultCounts,
     StorageFaultLedger, TimeSeries,
@@ -110,9 +109,8 @@ pub struct LongTermRunConfig {
     /// Fixed-point rounds of `price ← design(demand(price))` per cleared
     /// detection day (see [`Market::clear_day`]). The historical value — and
     /// what configurations serialized before this knob existed load as — is
-    /// 2. Higher values iterate the market to (often bitwise) convergence;
-    /// once the price repeats exactly, the remaining rounds are exact
-    /// re-solves a [`DayCacheConfig`] persistent cache answers wholesale.
+    /// 2. Higher values iterate the market closer to its fixed point, each
+    /// iteration costing one more game solve.
     #[serde(default = "default_clearing_iterations")]
     pub clearing_iterations: usize,
 }
@@ -327,12 +325,16 @@ fn train(
 
     rec.observe("detect_training_seconds", watch.secs());
     if rec.enabled() {
-        rec.event(
-            &TraceEvent::new("training")
-                .field("training_days", scenario.training_days as f64)
-                .field("detector", f64::from(u8::from(detector.is_some())))
-                .field("seconds", watch.secs()),
-        );
+        let mut event = TraceEvent::new("training")
+            .field("training_days", scenario.training_days as f64)
+            .field("detector", f64::from(u8::from(detector.is_some())));
+        // The calibrated observation-map centroids, one field per bucket.
+        if let Some(det) = &detector {
+            for (bucket, &centroid) in det.observation_map.centroids().iter().enumerate() {
+                event = event.field(format!("centroid_{bucket}"), centroid);
+            }
+        }
+        rec.event(&event.field("seconds", watch.secs()));
     }
 
     let training_health = DayHealth::delta(0, &RunHealth::new(), &health, 0);
@@ -585,8 +587,7 @@ where
 /// Simulates one detection day, mutating `state` and returning the day's
 /// journalable transcript. Both run drivers call exactly this, so a
 /// supervised run and the legacy run behave identically given identical
-/// RNG draws. The optional cross-day solver caches change wall-clock only
-/// (hits are exact-verified — see [`PersistentCache`]).
+/// RNG draws.
 ///
 /// The day draws two values from `rng`, in this order: the clearing seed,
 /// then the realization seed (which also seeds the detector's load
@@ -599,8 +600,6 @@ fn simulate_day(
     state: &mut RunState,
     day_offset: usize,
     rng: &mut impl Rng,
-    clearing_cache: Option<&mut PersistentCache>,
-    prediction_cache: Option<&mut PersistentCache>,
     fork: Fork,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
@@ -622,11 +621,10 @@ fn simulate_day(
         let clearing_watch = Stopwatch::start();
         let clean = {
             let _span = span(rec, "clearing");
-            setup.market.clear_day_seeded_with(
+            setup.market.clear_day_seeded_recorded(
                 &community,
                 config.clearing_iterations,
                 clearing_seed,
-                clearing_cache,
                 rec,
             )?
         };
@@ -664,18 +662,8 @@ fn simulate_day(
                 generation_forecast,
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
-            let predicted = match prediction_cache {
-                Some(cache) => load.predict_cached_recorded(
-                    community_ref,
-                    &predicted_price,
-                    &mut predicted_rng,
-                    cache,
-                    rec,
-                )?,
-                None => {
-                    load.predict_recorded(community_ref, &predicted_price, &mut predicted_rng, rec)?
-                }
-            };
+            let predicted =
+                load.predict_recorded(community_ref, &predicted_price, &mut predicted_rng, rec)?;
             Ok((predicted, prediction_watch.secs()))
         }
     });
@@ -765,11 +753,6 @@ fn simulate_day(
             state.health.slots_observed += 1;
             let observed = det.observation_map.observe(statistic).max(suspect_bucket);
             par_secs += par_watch.secs();
-            if std::env::var("NMS_DEBUG_CALIBRATION").is_ok() {
-                eprintln!(
-                    "slot {global_slot}: stat {statistic:.4} true {true_bucket} obs {observed}"
-                );
-            }
             state.observed_buckets.push(observed);
             state.accuracy.record(true_bucket, observed);
             if observed != true_bucket {
@@ -1008,8 +991,6 @@ pub fn run_long_term_detection_recorded(
             &mut state,
             day_offset,
             rng,
-            None,
-            None,
             Fork::Overlapped,
             rec,
         )?;
@@ -1067,57 +1048,6 @@ pub struct SupervisedRun {
     /// while two runs built from independent options can never see each
     /// other's faults.
     storage: StorageFaultLedger,
-    /// Cross-day memo cache for the market clearing's truth-model solves.
-    clearing_cache: Option<PersistentCache>,
-    /// Cross-day memo cache for the detector's load-prediction solves.
-    prediction_cache: Option<PersistentCache>,
-}
-
-/// Cross-day solver cache knob for a [`SupervisedRun`] (DESIGN.md §15).
-///
-/// When enabled, the runner carries two [`PersistentCache`]s across day
-/// boundaries — one for the market clearing's truth model, one for the
-/// detector's load prediction (they solve under different game
-/// configurations, so sharing one cache would thrash its invalidation).
-/// Purely a wall-clock knob: cached days are bit-identical to cold days,
-/// which is why this lives in the options and not in the journaled
-/// [`LongTermRunConfig`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DayCacheConfig {
-    /// Whether cross-day caches are carried at all (default off).
-    pub enabled: bool,
-    /// Bucketing quantum (kWh) for the caches' quantized lookup buckets.
-    pub quantum: f64,
-}
-
-impl Default for DayCacheConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            quantum: 1e-9,
-        }
-    }
-}
-
-impl DayCacheConfig {
-    /// The enabled configuration at the default quantum.
-    #[must_use]
-    pub fn on() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Builds one cache under this configuration (`None` when disabled).
-    fn build(&self) -> Result<Option<PersistentCache>, SimError> {
-        if !self.enabled {
-            return Ok(None);
-        }
-        Ok(Some(
-            PersistentCache::new(self.quantum).map_err(SimError::Config)?,
-        ))
-    }
 }
 
 /// Injectable plumbing for a [`SupervisedRun`]: which storage the journal
@@ -1138,9 +1068,6 @@ pub struct SupervisedOptions {
     /// into the same tally); `Default` starts a fresh, independent one, so
     /// concurrent runs built from separate options cannot cross-contaminate.
     pub storage: StorageFaultLedger,
-    /// Cross-day solver caching (off by default; results are bit-identical
-    /// either way, so this is deliberately not journaled or fingerprinted).
-    pub cache: DayCacheConfig,
 }
 
 impl Default for SupervisedOptions {
@@ -1150,7 +1077,6 @@ impl Default for SupervisedOptions {
             recorder: Arc::new(NoopRecorder),
             policy: StoragePolicy::default(),
             storage: StorageFaultLedger::new(),
-            cache: DayCacheConfig::default(),
         }
     }
 }
@@ -1159,7 +1085,6 @@ impl std::fmt::Debug for SupervisedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisedOptions")
             .field("policy", &self.policy)
-            .field("cache", &self.cache)
             .finish_non_exhaustive()
     }
 }
@@ -1234,7 +1159,6 @@ impl SupervisedRun {
             recorder,
             policy,
             storage,
-            cache,
         } = options;
         let setup = prepare(scenario, config)?;
         let mut training_rng = ChaCha8Rng::seed_from_u64(seed ^ TRAINING_STREAM);
@@ -1272,8 +1196,6 @@ impl SupervisedRun {
             }
         };
         let journal = journal.with_policy(policy);
-        let clearing_cache = cache.build()?;
-        let prediction_cache = cache.build()?;
 
         Ok(Self {
             scenario: scenario.clone(),
@@ -1285,8 +1207,6 @@ impl SupervisedRun {
             next_day,
             recorder,
             storage,
-            clearing_cache,
-            prediction_cache,
         })
     }
 
@@ -1344,8 +1264,6 @@ impl SupervisedRun {
             &mut self.state,
             self.next_day,
             &mut rng,
-            self.clearing_cache.as_mut(),
-            self.prediction_cache.as_mut(),
             fork,
             rec,
         )?;
@@ -1373,21 +1291,6 @@ impl SupervisedRun {
         }
         self.next_day += 1;
         Ok(())
-    }
-
-    /// Cumulative persistent-cache statistics across the run's clearing and
-    /// prediction caches so far (all zero when [`DayCacheConfig`] caching is
-    /// disabled). Telemetry only — never journaled.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for cache in [self.clearing_cache.as_ref(), self.prediction_cache.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            stats.hits += cache.hits() as usize;
-            stats.misses += cache.misses() as usize;
-        }
-        stats
     }
 
     /// Storage faults this run's ledger absorbed so far (never part of the

@@ -180,8 +180,8 @@ pub fn export_fault_tolerance<W: Write>(
 }
 
 /// Exports a tariff or PV-ownership sweep: one row per swept value with the
-/// cleared grid shape plus the point's solver telemetry (rounds,
-/// convergence, memo-cache tallies).
+/// cleared grid shape plus the point's solver telemetry (rounds and
+/// convergence).
 ///
 /// # Errors
 ///
@@ -196,8 +196,6 @@ pub fn export_sweep<W: Write>(writer: W, points: &[SweepPoint]) -> io::Result<()
             "midday_draw",
             "solver_rounds",
             "solver_converged",
-            "cache_hits",
-            "cache_misses",
         ],
         points.iter().map(|p| {
             vec![
@@ -207,8 +205,6 @@ pub fn export_sweep<W: Write>(writer: W, points: &[SweepPoint]) -> io::Result<()
                 p.midday_draw,
                 p.solver_rounds as f64,
                 f64::from(u8::from(p.solver_converged)),
-                p.cache_hits as f64,
-                p.cache_misses as f64,
             ]
         }),
     )
@@ -228,8 +224,6 @@ pub fn export_attack_window<W: Write>(writer: W, points: &[AttackWindowPoint]) -
             "attacked_par",
             "peak_slot",
             "solver_rounds",
-            "cache_hits",
-            "cache_misses",
         ],
         points.iter().map(|p| {
             vec![
@@ -237,8 +231,6 @@ pub fn export_attack_window<W: Write>(writer: W, points: &[AttackWindowPoint]) -
                 p.attacked_par,
                 p.peak_slot as f64,
                 p.solver_rounds as f64,
-                p.cache_hits as f64,
-                p.cache_misses as f64,
             ]
         }),
     )
@@ -422,32 +414,27 @@ mod tests {
             midday_draw: 2.0,
             solver_rounds: 5,
             solver_converged: true,
-            cache_hits: 7,
-            cache_misses: 13,
         }];
         let mut buffer = Vec::new();
         export_sweep(&mut buffer, &points).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].ends_with("solver_rounds,solver_converged,cache_hits,cache_misses"));
-        assert_eq!(lines[1], "1,1.4,3,2,5,1,7,13");
+        assert!(lines[0].ends_with("solver_rounds,solver_converged"));
+        assert_eq!(lines[1], "1,1.4,3,2,5,1");
 
         let windows = vec![AttackWindowPoint {
             from_hour: 16.0,
             attacked_par: 2.1,
             peak_slot: 16,
             solver_rounds: 4,
-            cache_hits: 0,
-            cache_misses: 9,
         }];
         let mut buffer = Vec::new();
         export_attack_window(&mut buffer, &windows).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         assert_eq!(
             text,
-            "from_hour,attacked_par,peak_slot,solver_rounds,cache_hits,cache_misses\n\
-             16,2.1,16,4,0,9\n"
+            "from_hour,attacked_par,peak_slot,solver_rounds\n16,2.1,16,4\n"
         );
     }
 

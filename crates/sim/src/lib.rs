@@ -50,7 +50,7 @@ mod weather;
 pub use calibrate::DetectorCalibration;
 pub use detection::{
     run_long_term_detection, run_long_term_detection_recorded, run_long_term_supervised,
-    run_long_term_supervised_recorded, DayCacheConfig, LongTermRunConfig, LongTermRunResult,
+    run_long_term_supervised_recorded, LongTermRunConfig, LongTermRunResult,
     SupervisedOptions, SupervisedRun,
 };
 pub use error::SimError;

@@ -9,7 +9,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nms_core::{LoadPredictor, PredictedResponse};
-use nms_solver::PersistentCache;
 use nms_forecast::PriceHistory;
 use nms_pricing::{PriceSignal, Utility};
 use nms_smarthome::Community;
@@ -127,29 +126,6 @@ impl Market {
         seed: u64,
         rec: &dyn Recorder,
     ) -> Result<DayOutcome, SimError> {
-        self.clear_day_seeded_with(community, iterations, seed, None, rec)
-    }
-
-    /// [`Market::clear_day_seeded_recorded`], optionally backed by a
-    /// cross-day [`PersistentCache`]: the fixed-point iterations re-solve
-    /// the game under near-identical prices day after day, so pure-DP best
-    /// responses the cache has already answered skip the re-solve. Hits are
-    /// exact-verified (see
-    /// [`GameEngine::solve_persistent_recorded`](nms_solver::GameEngine::solve_persistent_recorded)),
-    /// so the outcome is bit-identical to the uncached clearing under the
-    /// same seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub(crate) fn clear_day_seeded_with(
-        &self,
-        community: &Community,
-        iterations: usize,
-        seed: u64,
-        mut cache: Option<&mut PersistentCache>,
-        rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
         let horizon = community.horizon();
         let mut price = PriceSignal::flat(horizon, self.utility.config().base_price)?;
         // Common random numbers across iterations keep the fixed point from
@@ -157,13 +133,7 @@ impl Market {
         let mut response = None;
         for _ in 0..iterations.max(1) {
             let mut child = ChaCha8Rng::seed_from_u64(seed);
-            let r = match cache.as_deref_mut() {
-                Some(cache) => {
-                    self.truth
-                        .predict_cached_recorded(community, &price, &mut child, cache, rec)?
-                }
-                None => self.truth.predict_recorded(community, &price, &mut child, rec)?,
-            };
+            let r = self.truth.predict_recorded(community, &price, &mut child, rec)?;
             price = self.utility.design_price(&r.grid_demand);
             response = Some(r);
         }
@@ -171,13 +141,7 @@ impl Market {
         let mut child = ChaCha8Rng::seed_from_u64(seed);
         let response = match iterations {
             0 => response.expect("at least one iteration ran"),
-            _ => match cache {
-                Some(cache) => {
-                    self.truth
-                        .predict_cached_recorded(community, &price, &mut child, cache, rec)?
-                }
-                None => self.truth.predict_recorded(community, &price, &mut child, rec)?,
-            },
+            _ => self.truth.predict_recorded(community, &price, &mut child, rec)?,
         };
         Ok(DayOutcome { price, response })
     }

@@ -43,12 +43,6 @@ pub struct SweepPoint {
     /// Whether that game converged within its round budget.
     #[serde(default)]
     pub solver_converged: bool,
-    /// Solver memo-cache hits in that game (zero when the cache is off).
-    #[serde(default)]
-    pub cache_hits: usize,
-    /// Solver memo-cache misses in that game (zero when the cache is off).
-    #[serde(default)]
-    pub cache_misses: usize,
 }
 
 /// Sweeps the net-metering reward divisor `W` and reports the cleared grid
@@ -151,8 +145,6 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
         midday_draw,
         solver_rounds: outcome.response.rounds,
         solver_converged: outcome.response.converged,
-        cache_hits: outcome.response.cache.hits,
-        cache_misses: outcome.response.cache.misses,
     })
 }
 
@@ -169,12 +161,6 @@ pub struct AttackWindowPoint {
     /// thread-invariant, like [`SweepPoint::solver_rounds`]).
     #[serde(default)]
     pub solver_rounds: usize,
-    /// Solver memo-cache hits in the attacked game.
-    #[serde(default)]
-    pub cache_hits: usize,
-    /// Solver memo-cache misses in the attacked game.
-    #[serde(default)]
-    pub cache_misses: usize,
 }
 
 /// Sweeps one-hour zero-price windows across the day: where does the
@@ -221,8 +207,6 @@ pub fn sweep_attack_window_recorded(
             attacked_par: attacked.par,
             peak_slot: attacked.grid_demand.peak_slot(),
             solver_rounds: attacked.rounds,
-            cache_hits: attacked.cache.hits,
-            cache_misses: attacked.cache.misses,
         })
     })
 }

@@ -6,8 +6,6 @@
 //! (Gauss–Seidel), or for a fixed number of Jacobi rounds when running the
 //! parallel variant.
 
-use std::collections::HashMap;
-
 use nms_obs::{span, NoopRecorder, Recorder, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -15,11 +13,10 @@ use serde::{Deserialize, Serialize};
 
 use nms_par::Parallelism;
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
-use nms_smarthome::{Community, CommunitySchedule, Customer, CustomerSchedule};
+use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule};
 use nms_types::ValidateError;
 
 use crate::batch::BatchResponseWorkspace;
-use crate::cache::{schedule_fingerprint, PersistentCache, PersistentKey, COLD_WARM_FP};
 use crate::{best_response_slice_in, ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Configuration for [`GameEngine`].
@@ -37,13 +34,6 @@ pub struct GameConfig {
     /// existed load as sequential.
     #[serde(default)]
     pub parallelism: Parallelism,
-    /// Quantum (kWh) for the best-response memo cache key: two rounds whose
-    /// inputs agree after rounding to this grid share one cached response
-    /// (DESIGN.md §9). `0.0` — the default, and what old serialized configs
-    /// load as — disables the cache entirely, keeping the legacy bit-exact
-    /// path.
-    #[serde(default)]
-    pub cache_quantum: f64,
 }
 
 impl GameConfig {
@@ -52,8 +42,7 @@ impl GameConfig {
     /// # Errors
     ///
     /// Returns [`ValidateError`] on zero rounds/threads, a non-positive
-    /// tolerance, a negative or non-finite cache quantum, or an invalid
-    /// response configuration.
+    /// tolerance, or an invalid response configuration.
     pub fn validate(&self) -> Result<(), ValidateError> {
         if self.max_rounds == 0 {
             return Err(ValidateError::new("need at least one round"));
@@ -62,11 +51,6 @@ impl GameConfig {
             return Err(ValidateError::new("tolerance must be positive"));
         }
         self.parallelism.validate().map_err(ValidateError::new)?;
-        if !(self.cache_quantum >= 0.0 && self.cache_quantum.is_finite()) {
-            return Err(ValidateError::new(
-                "cache quantum must be finite and non-negative",
-            ));
-        }
         self.response.validate()
     }
 
@@ -77,7 +61,6 @@ impl GameConfig {
             tolerance: 0.05,
             response: ResponseConfig::fast(),
             parallelism: Parallelism::SEQUENTIAL,
-            cache_quantum: 0.0,
         }
     }
 }
@@ -89,35 +72,6 @@ impl Default for GameConfig {
             tolerance: 0.01,
             response: ResponseConfig::default(),
             parallelism: Parallelism::SEQUENTIAL,
-            cache_quantum: 0.0,
-        }
-    }
-}
-
-/// Hit/miss counters for the best-response memo cache.
-///
-/// All-zero when the cache is disabled (`cache_quantum == 0.0`). When
-/// enabled, every best-response invocation is tallied exactly once, so
-/// `hits + misses` equals customers × rounds.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Invocations answered from the cache.
-    pub hits: usize,
-    /// Invocations that ran the full DP + CE best response.
-    pub misses: usize,
-    /// Hits per round (index = zero-based round); divide by the customer
-    /// count for a per-round hit rate.
-    pub hits_by_round: Vec<usize>,
-}
-
-impl CacheStats {
-    /// Overall hit fraction; `0.0` when nothing was tallied.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
         }
     }
 }
@@ -133,8 +87,6 @@ pub struct GameOutcome {
     pub converged: bool,
     /// Largest per-slot trading change after each round (kWh).
     pub history: Vec<f64>,
-    /// Best-response memo cache tallies (all-zero when disabled).
-    pub cache: CacheStats,
 }
 
 /// Which guideline price each customer's smart controller sees.
@@ -255,10 +207,9 @@ impl<'a> GameEngine<'a> {
     /// Runs the iterative best-response loop, deterministically seeded from
     /// `rng`.
     ///
-    /// Per-customer seeds for every round are drawn from `rng` up front and
-    /// regardless of cache hits, so the draw order (and therefore any
-    /// downstream consumer of `rng`) is identical across thread counts and
-    /// cache settings.
+    /// Per-customer seeds for every round are drawn from `rng` up front, so
+    /// the draw order (and therefore any downstream consumer of `rng`) is
+    /// identical across thread counts.
     ///
     /// # Errors
     ///
@@ -270,7 +221,7 @@ impl<'a> GameEngine<'a> {
     /// [`GameEngine::solve`] with solver telemetry: per-round `game_round`
     /// events (Jacobi/Gauss–Seidel residuals), a closing `game_solved`
     /// event, `solver_round_delta` observations, and
-    /// `solver_games` / `solver_rounds` / `solver_cache_*` counters into
+    /// `solver_games` / `solver_rounds` / `solver_games_converged` counters into
     /// `rec` — plus everything [`best_response_recorded`] tallies per
     /// customer. Recording only reads values the solve already produced
     /// (see the crate-level RNG-neutrality contract in `nms-obs`), so the
@@ -285,108 +236,21 @@ impl<'a> GameEngine<'a> {
         rng: &mut impl Rng,
         rec: &dyn Recorder,
     ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, rec, None)
-    }
-
-    /// [`GameEngine::solve`] backed by a cross-solve [`PersistentCache`]
-    /// (DESIGN.md §15): pure-DP customers whose inputs the cache has seen —
-    /// in an earlier round, an earlier solve, or an earlier *day* — skip
-    /// the re-solve. Hits are exact-verified, so the outcome is
-    /// bit-identical to [`GameEngine::solve`] under the same seed; the
-    /// supplied cache supersedes the per-solve `cache_quantum` memo.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_persistent(
-        &self,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-    ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, &NoopRecorder, Some(cache))
-    }
-
-    /// [`GameEngine::solve_persistent`] with the same telemetry as
-    /// [`GameEngine::solve_recorded`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_persistent_recorded(
-        &self,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-        cache: &mut PersistentCache,
-    ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, rec, Some(cache))
-    }
-
-    fn solve_with(
-        &self,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-        mut persistent: Option<&mut PersistentCache>,
-    ) -> Result<GameOutcome, SolverError> {
         let _game_span = span(rec, "game_solve");
         let horizon = self.community.horizon();
         let n = self.community.len();
 
         let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
-        // SoA slabs for the round kernels: per-customer trading and price
-        // lanes plus the running total, all flat `f64` (DESIGN.md §15).
+        // SoA slabs for the round kernels: per-customer trading lanes plus
+        // the running total, all flat `f64` (DESIGN.md §15).
         let mut batch = BatchResponseWorkspace::new();
         batch.begin(n, horizon.slots());
-        for index in 0..n {
-            batch.set_price_lane(index, self.prices.for_customer(index));
-        }
         let mut history = Vec::new();
         let mut converged = false;
         let mut rounds = 0;
-        // A supplied persistent cache supersedes the per-solve memo: its
-        // key covers a superset of the per-solve key's inputs, so
-        // within-solve repeats hit it too.
-        let mut cache = ResponseCache::new(if persistent.is_some() {
-            0.0
-        } else {
-            self.config.cache_quantum
-        });
-        let mut stats = CacheStats::default();
         // One scratch arena reused across every sequential best response;
         // parallel rounds hold one per worker instead (DESIGN.md §11).
         let mut ws = ResponseWorkspace::default();
-
-        // Per-solve fingerprints for the persistent key: the customer's
-        // full definition and its believed price lane, hashed once. `None`
-        // marks battery-active customers, whose response consumes the CE
-        // RNG stream and must never be cached.
-        let persist_meta: Vec<Option<(u64, u64)>> = match persistent.as_deref_mut() {
-            None => Vec::new(),
-            Some(p) => {
-                p.ensure_config(self.persistent_context_hash());
-                self.community
-                    .iter()
-                    .enumerate()
-                    .map(|(index, customer)| {
-                        if self.config.response.use_battery && customer.battery().is_usable() {
-                            None
-                        } else {
-                            let mut price = Fnv1a::new();
-                            for &value in batch.price_lane(index) {
-                                price.word(value.to_bits());
-                            }
-                            Some((customer_fingerprint(customer), price.finish()))
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let tally_rounds = persistent.is_some() || cache.enabled();
-        // Memoized warm-start fingerprints for the persistent key. The
-        // engine only ever warm-starts customer `i` from the response it
-        // last committed for `i`, so the fingerprint rides along instead of
-        // being re-hashed from the schedule on every probe: hits hand it
-        // back from the entry, misses compute it once at insertion.
-        let mut warm_fps: Vec<u64> = vec![COLD_WARM_FP; n];
 
         for _round in 0..self.config.max_rounds {
             rounds += 1;
@@ -394,9 +258,6 @@ impl<'a> GameEngine<'a> {
             // same per-customer randomness.
             let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             let mut round_delta = 0.0_f64;
-            if tally_rounds {
-                stats.hits_by_round.push(0);
-            }
 
             if self.config.parallelism.threads <= 1 {
                 // Gauss–Seidel over the flat lanes: others = total − lane,
@@ -405,45 +266,18 @@ impl<'a> GameEngine<'a> {
                 // over contiguous f64 slices.
                 for (index, customer) in self.community.iter().enumerate() {
                     batch.fill_others(index);
-                    let probe = self.probe(
-                        &batch,
-                        index,
-                        &mut cache,
-                        persistent.as_deref_mut(),
-                        &persist_meta,
-                        &warm_fps,
-                        &schedules,
-                        &mut stats,
-                    );
-                    let response = match probe {
-                        Probe::Hit(hit, response_fp) => {
-                            if let Some(fp) = response_fp {
-                                warm_fps[index] = fp;
-                            }
-                            hit
-                        }
-                        Probe::Miss(key) => {
-                            let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                            let cost_model =
-                                CostModel::new(self.prices.for_customer(index), self.tariff);
-                            let response = best_response_slice_in(
-                                customer,
-                                batch.others(),
-                                cost_model,
-                                &self.config.response,
-                                schedules[index].as_ref(),
-                                &mut child,
-                                rec,
-                                &mut ws,
-                            )?;
-                            if let Some(fp) =
-                                store(key, &response, &mut cache, persistent.as_deref_mut())
-                            {
-                                warm_fps[index] = fp;
-                            }
-                            response
-                        }
-                    };
+                    let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
+                    let cost_model = CostModel::new(self.prices.for_customer(index), self.tariff);
+                    let response = best_response_slice_in(
+                        customer,
+                        batch.others(),
+                        cost_model,
+                        &self.config.response,
+                        schedules[index].as_ref(),
+                        &mut child,
+                        rec,
+                        &mut ws,
+                    )?;
                     let delta = batch.max_abs_delta(index, response.trading().as_slice());
                     round_delta = round_delta.max(delta);
                     batch.commit_gauss_seidel(index, response.trading().as_slice());
@@ -452,56 +286,19 @@ impl<'a> GameEngine<'a> {
                 // Round boundary: rebuild `total` from the lanes, exactly as
                 // the Jacobi branch does. The incremental per-commit update
                 // (`total = others + response`) accumulates a different
-                // floating-point rounding history every round, so a game
-                // whose discrete schedules settle into a limit cycle would
-                // still never present bitwise-repeating inputs and the
-                // persistent cache's exact verification could never hit.
-                // Re-accumulating from the lanes makes the round-boundary
-                // state a pure function of the lanes themselves: periodic
-                // schedules now give bitwise-periodic rounds.
+                // floating-point rounding history every round; re-accumulating
+                // from the lanes makes the round-boundary state a pure
+                // function of the lanes, the same fold the Jacobi path and
+                // the `tests/solver_workspace.rs` replica perform, bit for
+                // bit. Dropping this call changes results (and the
+                // benchmark's seed-1 digests).
                 batch.rebuild_total();
             } else {
                 // Jacobi: all respond to the same snapshot of the lanes, in
-                // parallel. Cache lookups run sequentially against the
-                // snapshot; only the misses fan out to the worker pool. The
-                // lanes stay untouched until the commit loop below, so the
-                // whole round reads one consistent snapshot.
-                let mut responses: Vec<Option<CustomerSchedule>> = vec![None; n];
-                let mut misses: Vec<(usize, PendingKey)> = Vec::new();
-                for index in 0..n {
-                    batch.fill_others(index);
-                    let probe = self.probe(
-                        &batch,
-                        index,
-                        &mut cache,
-                        persistent.as_deref_mut(),
-                        &persist_meta,
-                        &warm_fps,
-                        &schedules,
-                        &mut stats,
-                    );
-                    match probe {
-                        Probe::Hit(hit, response_fp) => {
-                            if let Some(fp) = response_fp {
-                                warm_fps[index] = fp;
-                            }
-                            responses[index] = Some(hit);
-                        }
-                        Probe::Miss(key) => misses.push((index, key)),
-                    }
-                }
-                let miss_indices: Vec<usize> = misses.iter().map(|(index, _)| *index).collect();
-                let computed =
-                    self.parallel_round(&batch, &schedules, &seeds, &miss_indices, rec)?;
-                for ((index, key), response) in misses.into_iter().zip(computed) {
-                    if let Some(fp) = store(key, &response, &mut cache, persistent.as_deref_mut())
-                    {
-                        warm_fps[index] = fp;
-                    }
-                    responses[index] = Some(response);
-                }
+                // parallel. The lanes stay untouched until the commit loop
+                // below, so the whole round reads one consistent snapshot.
+                let responses = self.parallel_round(&batch, &schedules, &seeds, rec)?;
                 for (index, response) in responses.into_iter().enumerate() {
-                    let response = response.expect("every customer answered this round");
                     let delta = batch.max_abs_delta(index, response.trading().as_slice());
                     round_delta = round_delta.max(delta);
                     batch.set_lane(index, response.trading().as_slice());
@@ -513,14 +310,11 @@ impl<'a> GameEngine<'a> {
             history.push(round_delta);
             rec.observe("solver_round_delta", round_delta);
             if rec.enabled() {
-                let mut event = TraceEvent::new("game_round")
-                    .field("round", rounds as f64)
-                    .field("delta", round_delta);
-                if cache.enabled() {
-                    let round_hits = stats.hits_by_round.last().copied().unwrap_or(0);
-                    event = event.field("cache_hits", round_hits as f64);
-                }
-                rec.event(&event);
+                rec.event(
+                    &TraceEvent::new("game_round")
+                        .field("round", rounds as f64)
+                        .field("delta", round_delta),
+                );
             }
             if round_delta <= self.config.tolerance {
                 converged = true;
@@ -533,16 +327,12 @@ impl<'a> GameEngine<'a> {
         if converged {
             rec.add("solver_games_converged", 1);
         }
-        rec.add("solver_cache_hits", stats.hits as u64);
-        rec.add("solver_cache_misses", stats.misses as u64);
         if rec.enabled() {
             rec.event(
                 &TraceEvent::new("game_solved")
                     .field("rounds", rounds as f64)
                     .field("converged", f64::from(u8::from(converged)))
-                    .field("final_delta", history.last().copied().unwrap_or(0.0))
-                    .field("cache_hits", stats.hits as f64)
-                    .field("cache_misses", stats.misses as f64),
+                    .field("final_delta", history.last().copied().unwrap_or(0.0)),
             );
         }
 
@@ -556,12 +346,10 @@ impl<'a> GameEngine<'a> {
             rounds,
             converged,
             history,
-            cache: stats,
         })
     }
 
-    /// One parallel Jacobi round over the given customer indices (the cache
-    /// misses; every index when the cache is disabled), via the ordered
+    /// One parallel Jacobi round over every customer, via the ordered
     /// deterministic [`nms_par::par_map`]. Workers read the immutable lane
     /// snapshot and fill others into a per-worker scratch buffer.
     fn parallel_round(
@@ -569,7 +357,6 @@ impl<'a> GameEngine<'a> {
         batch: &BatchResponseWorkspace,
         schedules: &[Option<CustomerSchedule>],
         seeds: &[u64],
-        indices: &[usize],
         rec: &dyn Recorder,
     ) -> Result<Vec<CustomerSchedule>, SolverError> {
         // Workers record only the commutative metric methods (via
@@ -579,11 +366,10 @@ impl<'a> GameEngine<'a> {
         // per response.
         nms_par::par_map_scratch_recorded(
             self.config.parallelism.threads,
-            indices,
+            self.community.customers(),
             rec,
             || (ResponseWorkspace::default(), Vec::new()),
-            |(ws, others), _, &index| {
-                let customer = &self.community.customers()[index];
+            |(ws, others), index, customer| {
                 batch.fill_others_into(index, others);
                 let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
                 let cost_model = CostModel::new(self.prices.for_customer(index), self.tariff);
@@ -599,280 +385,6 @@ impl<'a> GameEngine<'a> {
                 )
             },
         )
-    }
-
-    /// Consults whichever cache is active for customer `index` against the
-    /// others lane just filled in `batch`. Tallies per-solve [`CacheStats`]
-    /// for both cache kinds.
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        batch: &BatchResponseWorkspace,
-        index: usize,
-        cache: &mut ResponseCache,
-        persistent: Option<&mut PersistentCache>,
-        persist_meta: &[Option<(u64, u64)>],
-        warm_fps: &[u64],
-        schedules: &[Option<CustomerSchedule>],
-        stats: &mut CacheStats,
-    ) -> Probe {
-        if let Some(persistent) = persistent {
-            return match persist_meta[index] {
-                None => {
-                    // Battery-active: the CE step consumes the per-customer
-                    // RNG stream, so the response is never cached and always
-                    // tallies as a miss.
-                    persistent.tally_uncacheable();
-                    stats.misses += 1;
-                    Probe::Miss(PendingKey::Uncached)
-                }
-                Some((customer_fp, price_fp)) => {
-                    let key =
-                        persistent.keys(customer_fp, price_fp, batch.others(), warm_fps[index]);
-                    match persistent.lookup(&key) {
-                        Some((hit, response_fp)) => {
-                            stats.hits += 1;
-                            if let Some(last) = stats.hits_by_round.last_mut() {
-                                *last += 1;
-                            }
-                            Probe::Hit(hit, Some(response_fp))
-                        }
-                        None => {
-                            stats.misses += 1;
-                            Probe::Miss(PendingKey::Persistent(key))
-                        }
-                    }
-                }
-            };
-        }
-        let key = cache.key(index, batch.others(), schedules[index].as_ref());
-        match cache.lookup(key, stats) {
-            Some(hit) => Probe::Hit(hit, None),
-            None => Probe::Miss(match key {
-                Some(key) => PendingKey::PerSolve(key),
-                None => PendingKey::Uncached,
-            }),
-        }
-    }
-
-    /// Fingerprint of everything a persistently cached response depends on
-    /// besides its per-invocation key: the response configuration and the
-    /// tariff. A [`PersistentCache`] drops its entries when this changes.
-    fn persistent_context_hash(&self) -> u64 {
-        let mut hash = Fnv1a::new();
-        hash.bytes(format!("{:?}|{:?}", self.config.response, self.tariff).as_bytes());
-        hash.finish()
-    }
-}
-
-/// Outcome of a cache probe for one best-response invocation. Persistent
-/// hits carry the response's stored [`schedule_fingerprint`] so the caller
-/// can use it as the next probe's warm-start word.
-enum Probe {
-    Hit(CustomerSchedule, Option<u64>),
-    Miss(PendingKey),
-}
-
-/// Where to store a freshly computed response after a miss.
-enum PendingKey {
-    /// No cache active for this invocation.
-    Uncached,
-    /// Per-solve memo cache key.
-    PerSolve(u64),
-    /// Persistent cross-solve key pair.
-    Persistent(PersistentKey),
-}
-
-/// Stores a freshly computed response under its pending key. Persistent
-/// inserts fingerprint the response once and return that word — the
-/// caller's memoized warm-start fingerprint for the next probe.
-fn store(
-    key: PendingKey,
-    response: &CustomerSchedule,
-    cache: &mut ResponseCache,
-    persistent: Option<&mut PersistentCache>,
-) -> Option<u64> {
-    match key {
-        PendingKey::Uncached => None,
-        PendingKey::PerSolve(key) => {
-            cache.insert(Some(key), response);
-            None
-        }
-        PendingKey::Persistent(key) => {
-            let response_fp = schedule_fingerprint(response);
-            if let Some(persistent) = persistent {
-                persistent.insert(&key, response, response_fp);
-            }
-            Some(response_fp)
-        }
-    }
-}
-
-/// Per-solve memo cache for best responses, keyed on a quantized
-/// fingerprint of everything the response depends on: the customer index,
-/// that customer's believed price signal, the aggregate trading of the
-/// others, and the warm-start schedule. In late rounds these inputs settle
-/// onto the quantization grid, so re-solves collapse into lookups.
-///
-/// Cache hits skip the DP + CE re-solve but never the per-round seed draw,
-/// so the caller-visible RNG stream is unchanged by caching.
-struct ResponseCache {
-    quantum: f64,
-    map: HashMap<u64, CustomerSchedule>,
-}
-
-impl ResponseCache {
-    fn new(quantum: f64) -> Self {
-        Self {
-            quantum,
-            map: HashMap::new(),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.quantum > 0.0
-    }
-
-    /// The cache key for one invocation, `None` when disabled.
-    fn key(
-        &self,
-        index: usize,
-        others_trading: &[f64],
-        warm: Option<&CustomerSchedule>,
-    ) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut hash = Fnv1a::new();
-        hash.word(index as u64);
-        for &v in others_trading {
-            hash.word(self.quantize(v));
-        }
-        match warm {
-            None => hash.word(0),
-            Some(schedule) => {
-                hash.word(1);
-                for appliance in schedule.appliance_schedules() {
-                    for &v in appliance.energy().iter() {
-                        hash.word(self.quantize(v));
-                    }
-                }
-                for level in schedule.battery() {
-                    hash.word(self.quantize(level.value()));
-                }
-            }
-        }
-        Some(hash.finish())
-    }
-
-    fn lookup(&self, key: Option<u64>, stats: &mut CacheStats) -> Option<CustomerSchedule> {
-        let key = key?;
-        match self.map.get(&key) {
-            Some(hit) => {
-                stats.hits += 1;
-                if let Some(last) = stats.hits_by_round.last_mut() {
-                    *last += 1;
-                }
-                Some(hit.clone())
-            }
-            None => {
-                stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: Option<u64>, response: &CustomerSchedule) {
-        if let Some(key) = key {
-            self.map.insert(key, response.clone());
-        }
-    }
-
-    /// Rounds a value onto the quantization grid; values within half a
-    /// quantum of each other map to the same cell.
-    fn quantize(&self, value: f64) -> u64 {
-        ((value / self.quantum).round() as i64) as u64
-    }
-}
-
-/// Exhaustive content fingerprint of one customer for the persistent-cache
-/// key: every field a pure-DP best response reads — identity, horizon,
-/// appliances (levels + task windows), battery, PV profile, base load —
-/// hashed over raw `f64` bit patterns. Length words guard the boundaries
-/// of the variable-length sections so adjacent sequences cannot alias.
-fn customer_fingerprint(customer: &Customer) -> u64 {
-    let mut fp = Fnv1a::new();
-    fp.word(customer.id().index() as u64);
-    let horizon = customer.horizon();
-    fp.word(horizon.slots() as u64);
-    fp.word(horizon.slot_hours().to_bits());
-    fp.word(customer.appliances().len() as u64);
-    for appliance in customer.appliances() {
-        fp.word(appliance.id().index() as u64);
-        let kind = appliance.kind().name();
-        fp.word(kind.len() as u64);
-        fp.bytes(kind.as_bytes());
-        let levels = appliance.levels().as_slice();
-        fp.word(levels.len() as u64);
-        for level in levels {
-            fp.word(level.value().to_bits());
-        }
-        let task = appliance.task();
-        fp.word(task.energy().value().to_bits());
-        fp.word(task.start() as u64);
-        fp.word(task.deadline() as u64);
-    }
-    let battery = customer.battery();
-    fp.word(battery.capacity().value().to_bits());
-    fp.word(battery.initial_charge().value().to_bits());
-    match battery.slot_throughput_limit() {
-        None => fp.word(0),
-        Some(limit) => {
-            fp.word(1);
-            fp.word(limit.value().to_bits());
-        }
-    }
-    fp.word(customer.pv().rating().value().to_bits());
-    for &value in customer.pv().profile().iter() {
-        fp.word(value.to_bits());
-    }
-    for &value in customer.base_load().iter() {
-        fp.word(value.to_bits());
-    }
-    fp.finish()
-}
-
-/// FNV-1a-style 64-bit hasher, never persisted — values live only inside
-/// this process's cache keys and fingerprints, so the mixing scheme can
-/// change freely between versions. Shared with the persistent cache's key
-/// pairs (`crate::cache`).
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Mixes a whole `u64` in one xor + multiply step. Eight times fewer
-    /// operations than byte-at-a-time FNV-1a; the hot cache-probe path
-    /// hashes tens of words per best-response invocation, so this is the
-    /// difference between the probe costing less than the DP it saves and
-    /// more.
-    #[inline]
-    pub(crate) fn word(&mut self, word: u64) {
-        self.0 ^= word;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -924,63 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn customer_fingerprint_discriminates_every_field_class() {
-        let base = |id: usize| {
-            Customer::builder(CustomerId::new(id), day())
-                .appliance(Appliance::new(
-                    ApplianceId::new(0),
-                    ApplianceKind::WaterHeater,
-                    PowerLevels::stepped(Kw::new(2.0), 2).unwrap(),
-                    TaskSpec::new(Kwh::new(3.0), 0, 23).unwrap(),
-                ))
-                .pv(PvPanel::new(Kw::new(2.0), clear_sky_profile(day(), Kw::new(2.0))).unwrap())
-        };
-        let reference = customer_fingerprint(&base(0).build().unwrap());
-        assert_eq!(
-            reference,
-            customer_fingerprint(&base(0).build().unwrap()),
-            "identical content must fingerprint identically"
-        );
-        let variants = [
-            base(1).build().unwrap(),
-            base(0)
-                .appliance(Appliance::new(
-                    ApplianceId::new(1),
-                    ApplianceKind::Dishwasher,
-                    PowerLevels::on_off(Kw::new(1.0)).unwrap(),
-                    TaskSpec::new(Kwh::new(1.0), 17, 22).unwrap(),
-                ))
-                .build()
-                .unwrap(),
-            Customer::builder(CustomerId::new(0), day())
-                .appliance(Appliance::new(
-                    ApplianceId::new(0),
-                    ApplianceKind::WaterHeater,
-                    PowerLevels::stepped(Kw::new(2.0), 2).unwrap(),
-                    TaskSpec::new(Kwh::new(3.0), 1, 23).unwrap(), // window shifted
-                ))
-                .pv(PvPanel::new(Kw::new(2.0), clear_sky_profile(day(), Kw::new(2.0))).unwrap())
-                .build()
-                .unwrap(),
-            base(0)
-                .battery(Battery::new(Kwh::new(3.0), Kwh::ZERO).unwrap())
-                .build()
-                .unwrap(),
-            base(0)
-                .base_load(nms_types::TimeSeries::filled(day(), 0.25))
-                .build()
-                .unwrap(),
-        ];
-        for (i, variant) in variants.iter().enumerate() {
-            assert_ne!(
-                reference,
-                customer_fingerprint(variant),
-                "variant {i} must change the fingerprint"
-            );
-        }
-    }
-
-    #[test]
     fn config_validation() {
         assert!(GameConfig::default().validate().is_ok());
         assert!(GameConfig {
@@ -997,18 +452,6 @@ mod tests {
         .is_err());
         assert!(GameConfig {
             parallelism: Parallelism::new(0),
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(GameConfig {
-            cache_quantum: -1.0,
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(GameConfig {
-            cache_quantum: f64::NAN,
             ..GameConfig::default()
         }
         .validate()
@@ -1166,200 +609,5 @@ mod tests {
             assert_eq!(a.trading(), b.trading());
             assert_eq!(a.battery(), b.battery());
         }
-    }
-
-    #[test]
-    fn cache_disabled_by_default() {
-        let community = small_community(3, false);
-        let prices = tou_prices();
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            GameConfig::fast(),
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let outcome = engine.solve(&mut rng).unwrap();
-        assert_eq!(outcome.cache, CacheStats::default());
-        assert_eq!(outcome.cache.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn persistent_cache_is_bit_identical_and_reuses_across_solves() {
-        // Battery-less customers are pure DP, so every response is
-        // cacheable. A persistent cache must (a) leave the solve
-        // bit-identical to the uncached engine and (b) answer a repeat of
-        // the identical solve from its entries — the cross-day reuse the
-        // supervised runner relies on.
-        let community = small_community(4, false);
-        let prices = tou_prices();
-        let mut config = GameConfig::fast();
-        config.max_rounds = 12;
-        config.tolerance = 1e-6;
-        let engine =
-            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let plain = engine.solve(&mut rng).unwrap();
-
-        let mut cache = PersistentCache::new(1e-6).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let first = engine.solve_persistent(&mut rng, &mut cache).unwrap();
-        for (a, b) in plain
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(first.schedule.customer_schedules())
-        {
-            assert_eq!(a.trading(), b.trading());
-            assert_eq!(a.battery(), b.battery());
-        }
-        assert_eq!(
-            first.cache.hits + first.cache.misses,
-            community.len() * first.rounds
-        );
-
-        // The identical solve again: round one re-probes the cold-start
-        // inputs the first solve already answered, so it hits immediately.
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let second = engine.solve_persistent(&mut rng, &mut cache).unwrap();
-        for (a, b) in plain
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(second.schedule.customer_schedules())
-        {
-            assert_eq!(a.trading(), b.trading());
-        }
-        assert_eq!(
-            second.cache.misses, 0,
-            "a repeated solve must be answered entirely from the cache: {:?}",
-            second.cache
-        );
-        assert_eq!(
-            second.cache.hits_by_round.first().copied().unwrap_or(0),
-            community.len()
-        );
-    }
-
-    #[test]
-    fn persistent_cache_never_caches_battery_customers() {
-        // Battery-active responses consume the CE RNG stream; caching one
-        // would desynchronize a later solve. They tally as misses and leave
-        // no entries, while the solve stays bit-identical to the uncached
-        // engine.
-        let community = small_community(3, true);
-        let prices = tou_prices();
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            GameConfig::fast(),
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let plain = engine.solve(&mut rng).unwrap();
-
-        let mut cache = PersistentCache::new(1e-6).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let cached = engine.solve_persistent(&mut rng, &mut cache).unwrap();
-        for (a, b) in plain
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(cached.schedule.customer_schedules())
-        {
-            assert_eq!(a.trading(), b.trading());
-            assert_eq!(a.battery(), b.battery());
-        }
-        assert_eq!(cached.cache.hits, 0);
-        assert_eq!(
-            cached.cache.misses,
-            community.len() * cached.rounds,
-            "every battery-active invocation tallies as a miss"
-        );
-        assert!(cache.is_empty(), "no battery response may be stored");
-    }
-
-    #[test]
-    fn persistent_cache_invalidates_on_config_change() {
-        let community = small_community(3, false);
-        let prices = tou_prices();
-        let mut cache = PersistentCache::new(1e-6).unwrap();
-
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            GameConfig::fast(),
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(25);
-        engine.solve_persistent(&mut rng, &mut cache).unwrap();
-        assert!(!cache.is_empty());
-
-        // A different response configuration must drop every entry before
-        // the solve consults the cache.
-        let mut config = GameConfig::fast();
-        config.response.dp_resolution *= 2;
-        let engine =
-            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(25);
-        let outcome = engine.solve_persistent(&mut rng, &mut cache).unwrap();
-        assert_eq!(cache.invalidations(), 1);
-        assert_eq!(
-            outcome.cache.hits_by_round.first().copied().unwrap_or(0),
-            0,
-            "round one after invalidation cannot hit"
-        );
-    }
-
-    #[test]
-    fn memo_cache_preserves_loads_and_hits_late_rounds() {
-        // Battery-less customers make the best response pure deterministic
-        // DP, and the Jacobi iteration settles into an exact period-2 limit
-        // cycle after a few rounds: every late round re-solves a problem the
-        // cache has already seen, while the round delta stays above tolerance
-        // so the run keeps going. A hit returns exactly what recomputation
-        // would, so loads are bit-identical with the cache on or off.
-        let community = small_community(4, false);
-        let prices = tou_prices();
-        let run = |cache_quantum: f64| {
-            let mut config = GameConfig::fast();
-            config.max_rounds = 12;
-            config.tolerance = 1e-6;
-            config.parallelism = Parallelism::new(2);
-            config.cache_quantum = cache_quantum;
-            let engine =
-                GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(23);
-            engine.solve(&mut rng).unwrap()
-        };
-        let plain = run(0.0);
-        let cached = run(1e-6);
-
-        // The cache skips re-solves but must not change what anyone
-        // consumes: per-customer load profiles are bit-identical.
-        for (a, b) in plain
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(cached.schedule.customer_schedules())
-        {
-            assert_eq!(a.load().series(), b.load().series());
-        }
-
-        // Late rounds re-solve an (almost) identical problem and should hit.
-        assert!(cached.cache.hits > 0, "stats: {:?}", cached.cache);
-        let last_round_hits = *cached.cache.hits_by_round.last().unwrap();
-        assert!(
-            last_round_hits * 2 > community.len(),
-            "late-round hit rate too low: {:?}",
-            cached.cache
-        );
-        assert_eq!(
-            cached.cache.hits + cached.cache.misses,
-            community.len() * cached.rounds
-        );
     }
 }

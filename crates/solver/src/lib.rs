@@ -40,7 +40,6 @@
 
 mod batch;
 mod battery;
-mod cache;
 mod ce;
 mod dp;
 mod error;
@@ -56,13 +55,12 @@ pub use battery::{
     try_optimize_battery_budgeted, try_optimize_battery_budgeted_in,
     try_optimize_battery_budgeted_par, BatteryProblem,
 };
-pub use cache::PersistentCache;
 pub use ce::{CeConfig, CeSolution, CeWorkspace, CrossEntropyOptimizer};
 pub use dp::{DpScheduler, DpWorkspace};
 pub use error::SolverError;
-pub use game::{CacheStats, GameConfig, GameEngine, GameOutcome, PriceAssignment};
-pub use nms_par::Parallelism;
+pub use game::{GameConfig, GameEngine, GameOutcome, PriceAssignment};
 pub use nash::{nash_gap, NashGap};
+pub use nms_par::Parallelism;
 pub use response::{
     best_response, best_response_in, best_response_recorded, best_response_reference,
     best_response_slice_in, ResponseConfig,

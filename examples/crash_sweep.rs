@@ -137,8 +137,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         threads: 1,
         host_cores: host_cores(),
         solver_rounds: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         note: format!("{operations} kill points x 2 pipeline runs each, plus 1 golden run"),
         speedup: 0.0,
     }])?;

@@ -380,8 +380,6 @@ fn bench_merge_writer_retries_and_fails_typed() {
         threads: 1,
         host_cores: 1,
         solver_rounds: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         note: "storage-fault smoke".into(),
         speedup: 0.0,
     };

@@ -98,6 +98,24 @@ fn recorded_legacy_run_matches_noop() {
     let kinds = |kind: &str| events.iter().filter(|e| e.kind == kind).count();
     assert_eq!(kinds("day_phases"), config.detection_days);
     assert_eq!(kinds("training"), 1);
+    // The training event carries the calibrated observation-map
+    // centroids: one `centroid_<bucket>` field per bucket, increasing.
+    let training = events.iter().find(|e| e.kind == "training").unwrap();
+    let centroids: Vec<f64> = (0..config.buckets)
+        .map(|bucket| {
+            training
+                .field_value(&format!("centroid_{bucket}"))
+                .unwrap_or_else(|| panic!("training event lacks centroid_{bucket}"))
+        })
+        .collect();
+    assert!(training
+        .field_value(&format!("centroid_{}", config.buckets))
+        .is_none());
+    assert!(centroids.iter().all(|c| c.is_finite()));
+    assert!(
+        centroids.windows(2).all(|pair| pair[0] < pair[1]),
+        "centroids must increase: {centroids:?}"
+    );
     assert!(kinds("game_solved") > 0, "solver convergence events missing");
     assert_eq!(kinds("slot"), config.detection_days * 24);
     let day_phases: Vec<&TraceEvent> =

@@ -67,23 +67,50 @@ fn parallelism_roundtrips_and_defaults_sequential() {
     roundtrip(&Parallelism::SEQUENTIAL);
     roundtrip(&Parallelism::new(8));
 
-    // A GameConfig serialized before the parallelism/cache knobs existed
-    // must still load, landing on the sequential cache-free defaults that
-    // keep old runs bit-identical: strip the new keys from today's JSON to
-    // reconstruct a pre-knob config file.
+    // A GameConfig serialized before the parallelism knob existed must
+    // still load, landing on the sequential default that keeps old runs
+    // bit-identical: strip the key from today's JSON to reconstruct a
+    // pre-knob config file.
+    let parallelism = "\"parallelism\":{\"threads\":1}";
     let full = serde_json::to_string(&GameConfig::default()).expect("serialize");
     let legacy = full
-        .replace(",\"parallelism\":{\"threads\":1}", "")
-        .replace("\"parallelism\":{\"threads\":1},", "")
-        .replace(",\"cache_quantum\":0.0", "")
-        .replace("\"cache_quantum\":0.0,", "");
+        .replace(&format!(",{parallelism}"), "")
+        .replace(&format!("{parallelism},"), "");
     assert!(
-        !legacy.contains("parallelism") && !legacy.contains("cache_quantum"),
-        "failed to strip new keys from {legacy}"
+        !legacy.contains("parallelism"),
+        "failed to strip the parallelism key from {legacy}"
     );
     let config: GameConfig = serde_json::from_str(&legacy).expect("legacy config loads");
-    assert_eq!(config.parallelism, Parallelism::SEQUENTIAL);
-    assert_eq!(config.cache_quantum, 0.0);
+    assert_eq!(config, GameConfig::default());
+
+    // Files written while the solver memo caches existed carry
+    // `"cache_quantum":0.0` after every GameConfig's parallelism and
+    // `"price_quantum":0.0` after the UtilityConfig's price cap. The keys
+    // are ignored on load, so those files equal today's defaults.
+    let with_cache_keys = |json: &str| {
+        let json = json.replace(parallelism, &format!("{parallelism},\"cache_quantum\":0.0"));
+        let cap = json.find("\"price_cap\":").map(|at| at + json[at..].find('}').unwrap());
+        match cap {
+            Some(end) => format!("{},\"price_quantum\":0.0{}", &json[..end], &json[end..]),
+            None => json,
+        }
+    };
+    let parent_game = with_cache_keys(&full);
+    assert!(parent_game.contains("\"cache_quantum\":0.0"), "{parent_game}");
+    let config: GameConfig = serde_json::from_str(&parent_game).expect("parent config loads");
+    assert_eq!(config, GameConfig::default());
+
+    let scenario = PaperScenario::paper(7);
+    let parent_scenario =
+        with_cache_keys(&serde_json::to_string(&scenario).expect("serialize scenario"));
+    assert!(
+        parent_scenario.contains("\"cache_quantum\":0.0")
+            && parent_scenario.contains("\"price_quantum\":0.0}"),
+        "{parent_scenario}"
+    );
+    let loaded: PaperScenario =
+        serde_json::from_str(&parent_scenario).expect("parent scenario loads");
+    assert_eq!(loaded, scenario);
 }
 
 #[test]
