@@ -14,12 +14,13 @@ use nms_bench::bench_scenario;
 use nms_forecast::{
     persistence_forecast, seasonal_mean_forecast, FeatureConfig, Kernel, Svr, SvrParams,
 };
+use nms_obs::NoopRecorder;
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_sim::Market;
 use nms_smarthome::Battery;
 use nms_solver::{
-    coordinate_descent_battery, nash_gap, optimize_battery, BatteryProblem, CeConfig,
-    CrossEntropyOptimizer, GameConfig, GameEngine, PriceAssignment, ResponseConfig,
+    coordinate_descent_battery, nash_gap, optimize_battery, BatteryProblem, CeConfig, CeWorkspace,
+    CrossEntropyOptimizer, GameConfig, GameEngine, ResponseConfig,
 };
 use nms_types::{Horizon, Kwh, TimeSeries};
 
@@ -46,7 +47,9 @@ fn ablation_battery_solver(c: &mut Criterion) {
     // Report solution quality once.
     let ce = CrossEntropyOptimizer::new(CeConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let (_, ce_solution) = optimize_battery(&problem, &ce, None, &mut rng);
+    let (_, ce_solution) =
+        optimize_battery(&problem, &ce, None, &mut rng, &mut CeWorkspace::default())
+            .expect("solves");
     let cd = coordinate_descent_battery(&problem, 3);
     let cd_interior: Vec<f64> = cd[1..].iter().map(|b| b.value()).collect();
     println!(
@@ -62,7 +65,10 @@ fn ablation_battery_solver(c: &mut Criterion) {
     group.bench_function("cross_entropy", |b| {
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(2),
-            |mut rng| optimize_battery(&problem, &ce, None, &mut rng),
+            |mut rng| {
+                optimize_battery(&problem, &ce, None, &mut rng, &mut CeWorkspace::default())
+                    .expect("solves")
+            },
             BatchSize::SmallInput,
         )
     });
@@ -115,7 +121,7 @@ fn ablation_svr_kernel(c: &mut Criterion) {
             kernel,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&dataset.xs, &dataset.ys, &params).expect("trains");
+        let (model, _) = Svr::fit(&dataset.xs, &dataset.ys, &params, None).expect("trains");
         let preds = model.predict_all(&dataset.xs);
         println!(
             "{label}: rmse {:.6}, support vectors {}",
@@ -135,7 +141,7 @@ fn ablation_svr_kernel(c: &mut Criterion) {
             ..SvrParams::default()
         };
         group.bench_function(label, |b| {
-            b.iter(|| Svr::fit(&dataset.xs, &dataset.ys, &params).expect("trains"))
+            b.iter(|| Svr::fit(&dataset.xs, &dataset.ys, &params, None).expect("trains"))
         });
     }
     group.finish();
@@ -191,12 +197,12 @@ fn ablation_game_rounds(c: &mut Criterion) {
         let engine =
             GameEngine::new(&community, &prices, tariff, config).expect("valid config");
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let outcome = engine.solve(&mut rng).expect("solves");
+        let outcome = engine.solve(&mut rng, &NoopRecorder).expect("solves");
         let mut gap_rng = ChaCha8Rng::seed_from_u64(7);
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &ResponseConfig::default(),
             &mut gap_rng,
@@ -214,14 +220,14 @@ fn ablation_game_rounds(c: &mut Criterion) {
         let engine = GameEngine::new(&community, &prices, tariff, GameConfig::fast())
             .expect("valid config");
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let outcome = engine.solve(&mut rng).expect("solves");
+        let outcome = engine.solve(&mut rng, &NoopRecorder).expect("solves");
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(9),
             |mut rng| {
                 nash_gap(
                     &community,
                     &outcome.schedule,
-                    PriceAssignment::Uniform(&prices),
+                    &prices,
                     tariff,
                     &ResponseConfig::fast(),
                     &mut rng,

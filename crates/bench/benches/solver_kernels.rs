@@ -4,11 +4,10 @@
 //! Three kernels are measured on the same inputs through both code paths:
 //!
 //! * `dp_solve` — one DP appliance schedule: fresh tables per solve
-//!   (`DpScheduler::schedule`) vs a warm [`DpWorkspace`]
-//!   (`DpScheduler::schedule_in`);
+//!   (`DpScheduler::schedule` on a new [`DpWorkspace`]) vs a warm one;
 //! * `best_response` — one full customer best response: fresh allocations
 //!   plus the per-cell billing closure (`best_response_reference`) vs a warm
-//!   [`ResponseWorkspace`] plus the hoisted cost table (`best_response_in`);
+//!   [`ResponseWorkspace`] plus the hoisted cost table (`best_response`);
 //! * `jacobi_round` — one synchronous round of best responses across the
 //!   whole community, reference path vs one warm workspace carried across
 //!   customers.
@@ -48,8 +47,8 @@ use nms_smarthome::{
     Appliance, ApplianceKind, Community, CustomerSchedule, PowerLevels, TaskSpec,
 };
 use nms_solver::{
-    best_response_in, best_response_reference, best_response_slice_in, BatchResponseWorkspace,
-    DpScheduler, DpWorkspace, ResponseConfig, ResponseWorkspace,
+    best_response, best_response_reference, BatchResponseWorkspace, DpScheduler, DpWorkspace,
+    ResponseConfig, ResponseWorkspace,
 };
 use nms_types::{ApplianceId, Kw, Kwh, TimeSeries};
 
@@ -133,20 +132,24 @@ fn bench(c: &mut Criterion) {
     let appliance = ev_appliance();
     let scheduler = DpScheduler::new(4);
     let slot_cost = |slot: usize, e: f64| (0.05 + 0.01 * (slot % 7) as f64) * e * (1.0 + e);
-    let fresh = scheduler.schedule(&appliance, horizon, slot_cost).expect("feasible");
+    let fresh = scheduler
+        .schedule(&appliance, horizon, &mut DpWorkspace::default(), slot_cost)
+        .expect("feasible");
     let mut dp_ws = DpWorkspace::default();
     let warm = scheduler
-        .schedule_in(&appliance, horizon, &mut dp_ws, slot_cost)
+        .schedule(&appliance, horizon, &mut dp_ws, slot_cost)
         .expect("feasible");
     for (h, (x, y)) in fresh.energy().iter().zip(warm.energy().iter()).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "dp_solve slot {h} diverged");
     }
     let dp_before = mean_secs(warmup_of(dp_iters), dp_iters, || {
-        scheduler.schedule(&appliance, horizon, slot_cost).expect("feasible");
+        scheduler
+            .schedule(&appliance, horizon, &mut DpWorkspace::default(), slot_cost)
+            .expect("feasible");
     });
     let dp_after = mean_secs(warmup_of(dp_iters), dp_iters, || {
         scheduler
-            .schedule_in(&appliance, horizon, &mut dp_ws, slot_cost)
+            .schedule(&appliance, horizon, &mut dp_ws, slot_cost)
             .expect("feasible");
     });
 
@@ -164,9 +167,9 @@ fn bench(c: &mut Criterion) {
         &NoopRecorder,
     )
     .expect("responds");
-    let hoisted = best_response_in(
+    let hoisted = best_response(
         customer,
-        &others,
+        others.as_slice(),
         CostModel::new(&prices, tariff),
         &config,
         None,
@@ -189,9 +192,9 @@ fn bench(c: &mut Criterion) {
         .expect("responds");
     });
     let response_after = mean_secs(warmup_of(response_iters), response_iters, || {
-        best_response_in(
+        best_response(
             customer,
-            &others,
+            others.as_slice(),
             CostModel::new(&prices, tariff),
             &config,
             None,
@@ -215,9 +218,9 @@ fn bench(c: &mut Criterion) {
             .map(|(index, customer)| {
                 let mut rng = ChaCha8Rng::seed_from_u64(1000 + index as u64);
                 if use_workspace {
-                    best_response_in(
+                    best_response(
                         customer,
-                        &others,
+                        others.as_slice(),
                         CostModel::new(&prices, tariff),
                         &game_config,
                         None,
@@ -308,7 +311,7 @@ fn bench(c: &mut Criterion) {
             .enumerate()
             .map(|(index, customer)| {
                 batch.fill_others(index);
-                let response = best_response_slice_in(
+                let response = best_response(
                     customer,
                     batch.others(),
                     CostModel::new(&paper_prices, tariff),
@@ -390,13 +393,13 @@ fn bench(c: &mut Criterion) {
             "solver_kernels/dp_solve/before",
             dp_before,
             dp_iters,
-            "fresh DP tables per solve (DpScheduler::schedule)",
+            "fresh DP tables per solve (DpScheduler::schedule, new DpWorkspace)",
         ),
         record(
             "solver_kernels/dp_solve/after",
             dp_after,
             dp_iters,
-            "warm DpWorkspace (DpScheduler::schedule_in)",
+            "warm DpWorkspace (DpScheduler::schedule)",
         ),
         record(
             "solver_kernels/best_response/before",
@@ -408,7 +411,7 @@ fn bench(c: &mut Criterion) {
             "solver_kernels/best_response/after",
             response_after,
             response_iters,
-            "warm ResponseWorkspace + hoisted cost table (best_response_in)",
+            "warm ResponseWorkspace + hoisted cost table (best_response)",
         ),
         record(
             "solver_kernels/jacobi_round/before",
@@ -441,7 +444,7 @@ fn bench(c: &mut Criterion) {
                 game_after,
                 game_iters,
                 "one paper-scale Gauss–Seidel round, SoA BatchResponseWorkspace \
-                 lanes + best_response_slice_in",
+                 lanes + best_response",
             )
         },
     ])
@@ -455,12 +458,16 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_kernels");
     group.sample_size(10);
     group.bench_function("dp_solve_before", |b| {
-        b.iter(|| scheduler.schedule(&appliance, horizon, slot_cost).expect("feasible"))
+        b.iter(|| {
+            scheduler
+                .schedule(&appliance, horizon, &mut DpWorkspace::default(), slot_cost)
+                .expect("feasible")
+        })
     });
     group.bench_function("dp_solve_after", |b| {
         b.iter(|| {
             scheduler
-                .schedule_in(&appliance, horizon, &mut dp_ws, slot_cost)
+                .schedule(&appliance, horizon, &mut dp_ws, slot_cost)
                 .expect("feasible")
         })
     });
@@ -480,9 +487,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("best_response_after", |b| {
         b.iter(|| {
-            best_response_in(
+            best_response(
                 customer,
-                &others,
+                others.as_slice(),
                 CostModel::new(&prices, tariff),
                 &config,
                 None,

@@ -8,10 +8,13 @@ use rand_chacha::ChaCha8Rng;
 
 use nms_bench::bench_scenario;
 use nms_forecast::{FeatureConfig, Kernel, PriceHistory, Svr, SvrParams};
+use nms_obs::NoopRecorder;
 use nms_pomdp::{PbviConfig, PbviPolicy, Pomdp, QmdpPolicy};
 use nms_pricing::{NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Appliance, ApplianceKind, PowerLevels, TaskSpec};
-use nms_solver::{CeConfig, CrossEntropyOptimizer, DpScheduler, GameConfig, GameEngine};
+use nms_solver::{
+    CeConfig, CeWorkspace, CrossEntropyOptimizer, DpScheduler, DpWorkspace, GameConfig, GameEngine,
+};
 use nms_types::{ApplianceId, Horizon, Kw, Kwh};
 
 fn bench_cross_entropy(c: &mut Criterion) {
@@ -22,12 +25,15 @@ fn bench_cross_entropy(c: &mut Criterion) {
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(7),
             |mut rng| {
-                optimizer.minimize(
-                    |x| x.iter().map(|v| (v - 1.3).powi(2)).sum(),
-                    &bounds,
-                    &init,
-                    &mut rng,
-                )
+                optimizer
+                    .minimize(
+                        |x| x.iter().map(|v| (v - 1.3).powi(2)).sum(),
+                        &bounds,
+                        &init,
+                        &mut rng,
+                        &mut CeWorkspace::default(),
+                    )
+                    .expect("solves")
             },
             BatchSize::SmallInput,
         )
@@ -46,9 +52,12 @@ fn bench_dp(c: &mut Criterion) {
     c.bench_function("dp/ev_full_day", |b| {
         b.iter(|| {
             scheduler
-                .schedule(&appliance, horizon, |slot, e| {
-                    (0.05 + 0.01 * (slot % 7) as f64) * e * (1.0 + e)
-                })
+                .schedule(
+                    &appliance,
+                    horizon,
+                    &mut DpWorkspace::default(),
+                    |slot, e| (0.05 + 0.01 * (slot % 7) as f64) * e * (1.0 + e),
+                )
                 .expect("feasible")
         })
     });
@@ -68,7 +77,7 @@ fn bench_svr(c: &mut Criterion) {
         ..SvrParams::default()
     };
     c.bench_function("svr/train_8day_history", |b| {
-        b.iter(|| Svr::fit(&dataset.xs, &dataset.ys, &params).expect("trains"))
+        b.iter(|| Svr::fit(&dataset.xs, &dataset.ys, &params, None).expect("trains"))
     });
 }
 
@@ -132,7 +141,7 @@ fn bench_game(c: &mut Criterion) {
                     GameConfig::fast(),
                 )
                 .unwrap();
-                engine.solve(&mut rng).expect("solves")
+                engine.solve(&mut rng, &NoopRecorder).expect("solves")
             },
             BatchSize::SmallInput,
         )

@@ -1,13 +1,13 @@
 //! Net-metering-aware energy-load prediction (§3): simulate the community's
 //! scheduling response to a guideline price by solving the game.
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::Recorder;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, LoadProfile};
-use nms_solver::{GameConfig, GameEngine, PriceAssignment, SolverError};
+use nms_solver::{best_response, GameConfig, GameEngine, ResponseWorkspace, SolverError};
 use nms_types::{MeterId, TimeSeries};
 
 /// The community's predicted response to a price signal.
@@ -68,7 +68,9 @@ impl LoadPredictor {
         }
     }
 
-    /// Predicts the community response to `prices`.
+    /// Predicts the community response to `prices`, with solver telemetry
+    /// routed into `rec` (see [`GameEngine::solve`]; the result is the same
+    /// under any recorder).
     ///
     /// # Errors
     ///
@@ -79,69 +81,31 @@ impl LoadPredictor {
         community: &Community,
         prices: &PriceSignal,
         rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::Uniform(prices),
-            rng,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`LoadPredictor::predict`] with solver telemetry routed into `rec`
-    /// (see [`GameEngine::solve_recorded`]). Bit-identical results to
-    /// [`LoadPredictor::predict`] under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict`].
-    pub fn predict_recorded(
-        &self,
-        community: &Community,
-        prices: &PriceSignal,
-        rng: &mut impl Rng,
         rec: &dyn Recorder,
     ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::Uniform(prices), rng, rec)
-    }
-
-    /// Predicts the community response when each customer's meter reports
-    /// its own price signal (`signals[i]` for customer `i`) — the
-    /// mixed-compromise setting where hacked meters see a manipulated
-    /// signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError`] when the signal count is wrong or the game
-    /// engine fails.
-    pub fn predict_per_customer(
-        &self,
-        community: &Community,
-        signals: &[PriceSignal],
-        rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::PerCustomer(signals),
-            rng,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`LoadPredictor::predict_per_customer`] with solver telemetry routed
-    /// into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict_per_customer`].
-    pub fn predict_per_customer_recorded(
-        &self,
-        community: &Community,
-        signals: &[PriceSignal],
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::PerCustomer(signals), rng, rec)
+        let stripped_storage;
+        let community_model: &Community = if self.net_metering {
+            community
+        } else {
+            stripped_storage = strip_der(community);
+            &stripped_storage
+        };
+        let mut game = self.game;
+        if !self.net_metering {
+            game.response.use_battery = false;
+        }
+        let engine = GameEngine::new(community_model, prices, self.tariff, game)
+            .map_err(SolverError::Config)?;
+        let outcome = engine.solve(rng, rec)?;
+        let grid_demand = outcome.schedule.grid_demand_clamped();
+        let par = grid_demand.par().unwrap_or(1.0);
+        Ok(PredictedResponse {
+            grid_demand,
+            par,
+            converged: outcome.converged,
+            rounds: outcome.rounds,
+            schedule: outcome.schedule,
+        })
     }
 
     /// The community's realized response when `hacked_meters` deviate
@@ -152,37 +116,14 @@ impl LoadPredictor {
     ///
     /// `committed` must be a response previously produced by this predictor
     /// for the same community (its schedules are reused as warm starts and
-    /// as the honest homes' plans).
+    /// as the honest homes' plans). The per-meter best responses tally
+    /// their DP/CE work into `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError`] if a hacked home's subproblem fails or the
     /// committed response does not match the community.
     pub fn respond_unilaterally(
-        &self,
-        community: &Community,
-        committed: &PredictedResponse,
-        manipulated_price: &PriceSignal,
-        hacked_meters: &[MeterId],
-        rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.respond_unilaterally_recorded(
-            community,
-            committed,
-            manipulated_price,
-            hacked_meters,
-            rng,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`LoadPredictor::respond_unilaterally`] with solver telemetry routed
-    /// into `rec` (the per-meter best responses tally DP/CE work).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::respond_unilaterally`].
-    pub fn respond_unilaterally_recorded(
         &self,
         community: &Community,
         committed: &PredictedResponse,
@@ -217,6 +158,7 @@ impl LoadPredictor {
         });
 
         let mut schedules = committed_schedules.to_vec();
+        let mut ws = ResponseWorkspace::default();
         for meter in hacked_meters {
             let index = meter.customer().index();
             let customer = community_model.customer(meter.customer()).ok_or_else(|| {
@@ -228,14 +170,15 @@ impl LoadPredictor {
             let others = total
                 .sub(committed_own.trading())
                 .expect("aligned horizons");
-            schedules[index] = nms_solver::best_response_recorded(
+            schedules[index] = best_response(
                 customer,
-                &others,
+                others.as_slice(),
                 cost_model,
                 &response_config,
                 Some(committed_own),
                 rng,
                 rec,
+                &mut ws,
             )?;
         }
 
@@ -248,38 +191,6 @@ impl LoadPredictor {
             converged: committed.converged,
             rounds: 0,
             schedule,
-        })
-    }
-
-    fn predict_with_assignment(
-        &self,
-        community: &Community,
-        prices: PriceAssignment<'_>,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
-        let stripped_storage;
-        let community_model: &Community = if self.net_metering {
-            community
-        } else {
-            stripped_storage = strip_der(community);
-            &stripped_storage
-        };
-        let mut game = self.game;
-        if !self.net_metering {
-            game.response.use_battery = false;
-        }
-        let engine = GameEngine::with_price_assignment(community_model, prices, self.tariff, game)
-            .map_err(SolverError::Config)?;
-        let outcome = engine.solve_recorded(rng, rec)?;
-        let grid_demand = outcome.schedule.grid_demand_clamped();
-        let par = grid_demand.par().unwrap_or(1.0);
-        Ok(PredictedResponse {
-            grid_demand,
-            par,
-            converged: outcome.converged,
-            rounds: outcome.rounds,
-            schedule: outcome.schedule,
         })
     }
 }
@@ -304,6 +215,7 @@ fn strip_der(community: &Community) -> Community {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use nms_smarthome::{
         clear_sky_profile, Appliance, ApplianceKind, Battery, PowerLevels, PvPanel, TaskSpec,
     };
@@ -353,9 +265,13 @@ mod tests {
         let naive =
             LoadPredictor::ignore_net_metering(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let aware_response = aware.predict(&community, &prices, &mut rng).unwrap();
+        let aware_response = aware
+            .predict(&community, &prices, &mut rng, &NoopRecorder)
+            .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let naive_response = naive.predict(&community, &prices, &mut rng).unwrap();
+        let naive_response = naive
+            .predict(&community, &prices, &mut rng, &NoopRecorder)
+            .unwrap();
 
         // The aware model sees far less midday net demand (PV supplies it).
         let midday = |r: &PredictedResponse| (10..15).map(|h| r.grid_demand[h]).sum::<f64>();
@@ -379,7 +295,9 @@ mod tests {
         let predictor =
             LoadPredictor::net_metering_aware(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let response = predictor.predict(&community, &prices, &mut rng).unwrap();
+        let response = predictor
+            .predict(&community, &prices, &mut rng, &NoopRecorder)
+            .unwrap();
         assert!(response.par.is_finite());
         assert!(response.par >= 1.0 - 1e-9);
     }
@@ -397,9 +315,13 @@ mod tests {
         let predictor =
             LoadPredictor::ignore_net_metering(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let under_attack = predictor.predict(&community, &attacked, &mut rng).unwrap();
+        let under_attack = predictor
+            .predict(&community, &attacked, &mut rng, &NoopRecorder)
+            .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let baseline = predictor.predict(&community, &clean, &mut rng).unwrap();
+        let baseline = predictor
+            .predict(&community, &clean, &mut rng, &NoopRecorder)
+            .unwrap();
 
         assert!(
             under_attack.par > baseline.par + 0.2,

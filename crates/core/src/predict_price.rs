@@ -54,7 +54,7 @@ impl From<ValidateError> for PredictPriceError {
     }
 }
 
-/// Outcome of [`PricePredictor::train_robust`].
+/// Outcome of [`PricePredictor::train_robust_budgeted`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Extra SMO attempts consumed beyond the first.
@@ -131,8 +131,8 @@ impl PricePredictor {
     }
 
     /// `true` once [`train`](Self::train) or
-    /// [`train_robust`](Self::train_robust) has succeeded — possibly by
-    /// dropping to the seasonal baseline.
+    /// [`train_robust_budgeted`](Self::train_robust_budgeted) has
+    /// succeeded — possibly by dropping to the seasonal baseline.
     #[inline]
     pub fn is_trained(&self) -> bool {
         self.model.is_some() || self.baseline_fallback
@@ -161,39 +161,26 @@ impl PricePredictor {
                 self.features.max_lag()
             ))));
         }
-        self.model = Some(Svr::fit(&dataset.xs, &dataset.ys, &self.params)?);
+        self.model = Some(Svr::fit(&dataset.xs, &dataset.ys, &self.params, None)?.0);
         self.baseline_fallback = false;
         Ok(())
     }
 
-    /// Fits the SVR under a [`RetryPolicy`], degrading instead of failing:
-    /// retries escalate the SMO pass budget, and when every attempt either
-    /// fails to converge or trips on non-finite (corrupted) data the
-    /// predictor drops to the seasonal-mean baseline so the pipeline can
-    /// keep producing verdicts. The drop is reported as a
-    /// [`FallbackRecord`].
+    /// Fits the SVR under a [`RetryPolicy`] and a watchdog [`SolveBudget`],
+    /// degrading instead of failing: retries escalate the SMO pass budget,
+    /// and when every attempt either fails to converge, trips on
+    /// non-finite (corrupted) data, or breaches the budget (recorded as a
+    /// `BudgetExceeded` fallback reason) the predictor drops to the
+    /// seasonal-mean baseline so the pipeline can keep producing verdicts.
+    /// The drop is reported as a [`FallbackRecord`]. Pass
+    /// [`SolveBudget::unlimited`] for no watchdog.
     ///
     /// # Errors
     ///
     /// Returns [`PredictPriceError`] only for structural problems — invalid
-    /// features/policy/hyperparameters or a history too short to yield any
-    /// training sample. Numerical trouble degrades; it does not error.
-    pub fn train_robust(
-        &mut self,
-        history: &PriceHistory,
-        policy: &RetryPolicy,
-    ) -> Result<TrainReport, PredictPriceError> {
-        self.train_robust_budgeted(history, policy, &SolveBudget::unlimited())
-    }
-
-    /// Like [`PricePredictor::train_robust`], with the whole retry sequence
-    /// additionally watched by a [`SolveBudget`]. A breach abandons SMO
-    /// training — recorded as a `BudgetExceeded` fallback reason — and
-    /// drops to the seasonal-mean baseline so the pipeline keeps moving.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PricePredictor::train_robust`], plus an invalid budget.
+    /// features/policy/budget/hyperparameters or a history too short to
+    /// yield any training sample. Numerical trouble degrades; it does not
+    /// error.
     pub fn train_robust_budgeted(
         &mut self,
         history: &PriceHistory,
@@ -209,7 +196,7 @@ impl PricePredictor {
                 self.features.max_lag()
             ))));
         }
-        match Svr::fit_with_retry_budgeted(&dataset.xs, &dataset.ys, &self.params, policy, budget) {
+        match Svr::fit_with_retry(&dataset.xs, &dataset.ys, &self.params, policy, budget) {
             Ok((model, report)) if report.converged => {
                 self.model = Some(model);
                 self.baseline_fallback = false;
@@ -452,7 +439,7 @@ mod tests {
         let (history, forecast) = coupled_history(8);
         let mut aware = PricePredictor::net_metering_aware(24);
         let report = aware
-            .train_robust(&history, &RetryPolicy::default())
+            .train_robust_budgeted(&history, &RetryPolicy::default(), &SolveBudget::unlimited())
             .unwrap();
         assert!(report.converged);
         assert!(report.fallback.is_none());
@@ -476,9 +463,10 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 2,
             iteration_growth: 1.0,
-            reseed_stride: 1,
         };
-        let report = naive.train_robust(&history, &policy).unwrap();
+        let report = naive
+            .train_robust_budgeted(&history, &policy, &SolveBudget::unlimited())
+            .unwrap();
         assert!(!report.converged);
         assert_eq!(report.retries, 1);
         let record = report.fallback.expect("fallback recorded");
@@ -543,7 +531,7 @@ mod tests {
         history.push(f64::NAN, 0.0, 120.0);
         let mut naive = PricePredictor::naive(24);
         let report = naive
-            .train_robust(&history, &RetryPolicy::default())
+            .train_robust_budgeted(&history, &RetryPolicy::default(), &SolveBudget::unlimited())
             .unwrap();
         assert!(!report.converged);
         assert!(report.fallback.is_some());

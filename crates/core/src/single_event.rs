@@ -2,6 +2,7 @@
 //! would exhibit under the *received* guideline price against the PAR under
 //! the *predicted* price, and flag when the excess passes a threshold.
 
+use nms_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -88,12 +89,15 @@ impl SingleEventDetector {
         let seed: u64 = rng.gen();
         let mut rng_predicted = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut rng_received = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let predicted = self
-            .predictor
-            .predict(community, predicted_price, &mut rng_predicted)?;
-        let received = self
-            .predictor
-            .predict(community, received_price, &mut rng_received)?;
+        let predicted = self.predictor.predict(
+            community,
+            predicted_price,
+            &mut rng_predicted,
+            &NoopRecorder,
+        )?;
+        let received =
+            self.predictor
+                .predict(community, received_price, &mut rng_received, &NoopRecorder)?;
         let par_excess = received.par - predicted.par;
         Ok(SingleEventOutcome {
             predicted_par: predicted.par,

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use nms_obs::names::fleet as names;
 use nms_obs::span;
-use nms_par::{par_map_outcomes_recorded, Outcome};
+use nms_par::{par_map_outcomes, Outcome};
 use nms_sim::{LongTermRunResult, SupervisedRun};
 use nms_types::{FleetHealth, ShardHealth, ShardStage};
 
@@ -189,7 +189,7 @@ pub fn run_fleet(
         // post-join worker tallies here; fleet metrics are recorded in
         // the sequential ladder below, keeping events out of the
         // parallel region (the PR 4 contract).
-        let outcomes = par_map_outcomes_recorded(
+        let outcomes = par_map_outcomes(
             config.parallelism.threads,
             &active,
             rec.as_ref(),
@@ -372,7 +372,7 @@ fn attempt_once(
     options: &FleetOptions,
     rec: &dyn nms_obs::Recorder,
 ) -> Attempt {
-    let mut outcomes = par_map_outcomes_recorded(1, &[()], &nms_obs::NoopRecorder, |_, _item| {
+    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, |_, _item| {
         close_day(slot, day, config, options)
     });
     match outcomes.pop() {
@@ -454,12 +454,11 @@ fn recover_quarantined(slot: &mut ShardSlot) -> Option<LongTermRunResult> {
     let seed = slot.spec.seed;
     let path = slot.spec.journal_path.clone();
     let options = slot.options.clone();
-    let mut outcomes =
-        par_map_outcomes_recorded(1, &[()], &nms_obs::NoopRecorder, move |_, _item| {
-            SupervisedRun::with_options(&scenario, &config, seed, &path, options.clone())
-                .and_then(SupervisedRun::finish)
-                .map_err(|err| format!("quarantine recovery failed: {err}"))
-        });
+    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, move |_, _item| {
+        SupervisedRun::with_options(&scenario, &config, seed, &path, options.clone())
+            .and_then(SupervisedRun::finish)
+            .map_err(|err| format!("quarantine recovery failed: {err}"))
+    });
     match outcomes.pop() {
         Some(Outcome::Ok(result)) => Some(result),
         Some(Outcome::Err(message)) | Some(Outcome::Panicked(message)) => {

@@ -455,7 +455,7 @@ mod tests {
 
         let run = |config: &FeatureConfig| {
             let dataset = train.training_set(config);
-            let model = Svr::fit(&dataset.xs, &dataset.ys, &params).unwrap();
+            let model = Svr::fit(&dataset.xs, &dataset.ys, &params, None).unwrap().0;
             train
                 .forecast(&model, config, 24, Some(future_generation))
                 .unwrap()
@@ -475,7 +475,9 @@ mod tests {
         let history = pv_coupled_history(3);
         let config = FeatureConfig::net_metering_aware(24);
         let dataset = history.training_set(&config);
-        let model = Svr::fit(&dataset.xs, &dataset.ys, &SvrParams::default()).unwrap();
+        let model = Svr::fit(&dataset.xs, &dataset.ys, &SvrParams::default(), None)
+            .unwrap()
+            .0;
         // Missing generation forecast.
         assert!(history.forecast(&model, &config, 24, None).is_err());
         // Too-short generation forecast.
@@ -510,7 +512,7 @@ mod tests {
             kernel: Kernel::Linear,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&dataset.xs, &dataset.ys, &params).unwrap();
+        let model = Svr::fit(&dataset.xs, &dataset.ys, &params, None).unwrap().0;
         let forecast = history.forecast(&model, &config, spd, None).unwrap();
         assert!(forecast.iter().all(|&p| p >= 0.0));
     }

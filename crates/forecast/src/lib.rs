@@ -23,7 +23,7 @@
 //! // Learn y = 2x − 1 from a handful of points.
 //! let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 10.0]).collect();
 //! let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] - 1.0).collect();
-//! let model = Svr::fit(&xs, &ys, &SvrParams::default())?;
+//! let (model, _report) = Svr::fit(&xs, &ys, &SvrParams::default(), None)?;
 //! let prediction = model.predict(&[0.55]);
 //! assert!((prediction - 0.1).abs() < 0.1);
 //! # Ok(())

@@ -114,40 +114,20 @@ pub struct Svr {
 }
 
 impl Svr {
-    /// Trains on row-major features `xs` and targets `ys`.
+    /// Trains on row-major features `xs` and targets `ys`, reporting
+    /// whether the SMO pass loop converged and how many passes it spent.
+    ///
+    /// The pass loop is watched by an optional running [`BudgetClock`]; a
+    /// breach stops the loop cleanly and surfaces via
+    /// [`SvrFitReport::budget_breached`] — the partially trained model is
+    /// still returned (unconverged) so the caller can decide whether to
+    /// fall back. Pass `None` to leave `max_passes` in charge.
     ///
     /// # Errors
     ///
     /// Returns [`TrainSvrError`] on empty/ragged/non-finite data or invalid
     /// hyperparameters.
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &SvrParams) -> Result<Self, TrainSvrError> {
-        Self::fit_with_report(xs, ys, params).map(|(model, _)| model)
-    }
-
-    /// Like [`Svr::fit`], but also reports whether the SMO pass loop
-    /// converged and how many passes it spent.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Svr::fit`].
-    pub fn fit_with_report(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        params: &SvrParams,
-    ) -> Result<(Self, SvrFitReport), TrainSvrError> {
-        Self::fit_with_report_budgeted(xs, ys, params, None)
-    }
-
-    /// Like [`Svr::fit_with_report`], but the SMO pass loop is watched by
-    /// an optional running [`BudgetClock`]; a breach stops the loop cleanly
-    /// and surfaces via [`SvrFitReport::budget_breached`] — the partially
-    /// trained model is still returned (unconverged) so the caller can
-    /// decide whether to fall back.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Svr::fit`].
-    pub fn fit_with_report_budgeted(
+    pub fn fit(
         xs: &[Vec<f64>],
         ys: &[f64],
         params: &SvrParams,
@@ -315,31 +295,17 @@ impl Svr {
     /// (unconverged) model is returned with `converged: false` so callers
     /// can decide whether to fall back.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TrainSvrError::InvalidParams`] for an invalid policy, and
-    /// the same data/parameter errors as [`Svr::fit`].
-    pub fn fit_with_retry(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        params: &SvrParams,
-        policy: &RetryPolicy,
-    ) -> Result<(Self, SvrFitReport), TrainSvrError> {
-        Self::fit_with_retry_budgeted(xs, ys, params, policy, &SolveBudget::unlimited())
-    }
-
-    /// Like [`Svr::fit_with_retry`], but the whole retry sequence is
-    /// watched by a [`SolveBudget`]: the wall-clock deadline spans all
-    /// attempts, while the iteration cap bounds each attempt's passes. A
-    /// breach abandons remaining retries — the budget is already spent —
-    /// and returns the last (unconverged) model with
+    /// The whole retry sequence is watched by `budget`: the wall-clock
+    /// deadline spans all attempts, while the iteration cap bounds each
+    /// attempt's passes. A breach abandons remaining retries — the budget
+    /// is already spent — and returns the last (unconverged) model with
     /// [`SvrFitReport::budget_breached`] set.
     ///
     /// # Errors
     ///
     /// Returns [`TrainSvrError::InvalidParams`] for an invalid policy or
     /// budget, and the same data/parameter errors as [`Svr::fit`].
-    pub fn fit_with_retry_budgeted(
+    pub fn fit_with_retry(
         xs: &[Vec<f64>],
         ys: &[f64],
         params: &SvrParams,
@@ -359,7 +325,7 @@ impl Svr {
                 max_passes: policy.budget(params.max_passes, attempt),
                 ..*params
             };
-            let (model, mut report) = Self::fit_with_report_budgeted(xs, ys, &escalated, Some(&clock))?;
+            let (model, mut report) = Self::fit(xs, ys, &escalated, Some(&clock))?;
             report.attempts = attempt + 1;
             if report.converged {
                 return Ok((model, report));
@@ -492,6 +458,11 @@ mod tests {
     use super::*;
     use crate::rmse;
 
+
+    /// The model alone, trained with no watchdog.
+    fn fit(xs: &[Vec<f64>], ys: &[f64], params: &SvrParams) -> Result<Svr, TrainSvrError> {
+        Svr::fit(xs, ys, params, None).map(|(model, _)| model)
+    }
     fn linear_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / n as f64]).collect();
         let ys = xs.iter().map(|x| 3.0 * x[0] + 0.5).collect();
@@ -506,7 +477,7 @@ mod tests {
             epsilon: 0.001,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&xs, &ys, &params).unwrap();
+        let model = fit(&xs, &ys, &params).unwrap();
         let preds = model.predict_all(&xs);
         assert!(rmse(&preds, &ys) < 0.05, "rmse {}", rmse(&preds, &ys));
     }
@@ -522,7 +493,7 @@ mod tests {
             max_passes: 120,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&xs, &ys, &params).unwrap();
+        let model = fit(&xs, &ys, &params).unwrap();
         let preds = model.predict_all(&xs);
         assert!(rmse(&preds, &ys) < 0.08, "rmse {}", rmse(&preds, &ys));
         // Interpolates between training points too.
@@ -533,7 +504,7 @@ mod tests {
     #[test]
     fn epsilon_tube_sparsifies() {
         let (xs, ys) = linear_data(40);
-        let tight = Svr::fit(
+        let tight = fit(
             &xs,
             &ys,
             &SvrParams {
@@ -543,7 +514,7 @@ mod tests {
             },
         )
         .unwrap();
-        let loose = Svr::fit(
+        let loose = fit(
             &xs,
             &ys,
             &SvrParams {
@@ -561,7 +532,7 @@ mod tests {
     fn constant_target_learned_via_bias() {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let ys = vec![4.2; 10];
-        let model = Svr::fit(&xs, &ys, &SvrParams::default()).unwrap();
+        let model = fit(&xs, &ys, &SvrParams::default()).unwrap();
         assert!((model.predict(&[3.0]) - 4.2).abs() < 0.05);
     }
 
@@ -569,11 +540,11 @@ mod tests {
     fn rejects_invalid_inputs() {
         let (xs, ys) = linear_data(5);
         assert!(matches!(
-            Svr::fit(&[], &[], &SvrParams::default()),
+            fit(&[], &[], &SvrParams::default()),
             Err(TrainSvrError::EmptyTrainingSet)
         ));
         assert!(matches!(
-            Svr::fit(&xs, &ys[..3], &SvrParams::default()),
+            fit(&xs, &ys[..3], &SvrParams::default()),
             Err(TrainSvrError::ShapeMismatch { .. })
         ));
         let bad_c = SvrParams {
@@ -581,22 +552,22 @@ mod tests {
             ..SvrParams::default()
         };
         assert!(matches!(
-            Svr::fit(&xs, &ys, &bad_c),
+            fit(&xs, &ys, &bad_c),
             Err(TrainSvrError::InvalidParams { .. })
         ));
         let bad_eps = SvrParams {
             epsilon: -1.0,
             ..SvrParams::default()
         };
-        assert!(Svr::fit(&xs, &ys, &bad_eps).is_err());
+        assert!(fit(&xs, &ys, &bad_eps).is_err());
         let mut xs_nan = xs.clone();
         xs_nan[0][0] = f64::NAN;
         assert!(matches!(
-            Svr::fit(&xs_nan, &ys, &SvrParams::default()),
+            fit(&xs_nan, &ys, &SvrParams::default()),
             Err(TrainSvrError::NonFiniteData)
         ));
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
-        assert!(Svr::fit(&ragged, &[1.0, 2.0], &SvrParams::default()).is_err());
+        assert!(fit(&ragged, &[1.0, 2.0], &SvrParams::default()).is_err());
     }
 
     #[test]
@@ -612,13 +583,13 @@ mod tests {
             epsilon: 0.01,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&xs, &ys, &params).unwrap();
+        let model = fit(&xs, &ys, &params).unwrap();
         assert!((model.predict(&[3.0, 4.0]) - 11.0).abs() < 0.3);
     }
 
     #[test]
     fn single_sample_degenerates_to_bias() {
-        let model = Svr::fit(&[vec![1.0]], &[5.0], &SvrParams::default()).unwrap();
+        let model = fit(&[vec![1.0]], &[5.0], &SvrParams::default()).unwrap();
         assert!((model.predict(&[1.0]) - 5.0).abs() < 1e-9);
     }
 
@@ -629,7 +600,7 @@ mod tests {
             kernel: Kernel::Linear,
             ..SvrParams::default()
         };
-        let (_, report) = Svr::fit_with_report(&xs, &ys, &params).unwrap();
+        let (_, report) = Svr::fit(&xs, &ys, &params, None).unwrap();
         assert!(report.converged);
         assert!(report.passes <= params.max_passes);
         assert_eq!(report.attempts, 1);
@@ -640,7 +611,7 @@ mod tests {
             tolerance: 0.0,
             ..params
         };
-        let (_, report) = Svr::fit_with_report(&xs, &ys, &strangled).unwrap();
+        let (_, report) = Svr::fit(&xs, &ys, &strangled, None).unwrap();
         assert!(!report.converged);
         assert_eq!(report.passes, 1);
     }
@@ -659,9 +630,9 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 8,
             iteration_growth: 2.0,
-            reseed_stride: 1,
         };
-        let (model, report) = Svr::fit_with_retry(&xs, &ys, &params, &policy).unwrap();
+        let (model, report) =
+            Svr::fit_with_retry(&xs, &ys, &params, &policy, &SolveBudget::unlimited()).unwrap();
         assert!(report.converged, "report {report:?}");
         assert!(report.attempts > 1, "report {report:?}");
         let preds = model.predict_all(&xs);
@@ -680,9 +651,9 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 2,
             iteration_growth: 1.0,
-            reseed_stride: 1,
         };
-        let (_, report) = Svr::fit_with_retry(&xs, &ys, &params, &policy).unwrap();
+        let (_, report) =
+            Svr::fit_with_retry(&xs, &ys, &params, &policy, &SolveBudget::unlimited()).unwrap();
         assert!(!report.converged);
         assert_eq!(report.attempts, 2);
 
@@ -691,7 +662,7 @@ mod tests {
             ..policy
         };
         assert!(matches!(
-            Svr::fit_with_retry(&xs, &ys, &params, &bad_policy),
+            Svr::fit_with_retry(&xs, &ys, &params, &bad_policy, &SolveBudget::unlimited()),
             Err(TrainSvrError::InvalidParams { .. })
         ));
     }
@@ -708,14 +679,13 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 4,
             iteration_growth: 2.0,
-            reseed_stride: 1,
         };
         let budget = SolveBudget {
             max_iterations: Some(2),
             max_wall_secs: None,
         };
         let (model, report) =
-            Svr::fit_with_retry_budgeted(&xs, &ys, &params, &policy, &budget).unwrap();
+            Svr::fit_with_retry(&xs, &ys, &params, &policy, &budget).unwrap();
         assert!(report.budget_breached, "report {report:?}");
         assert!(!report.converged);
         assert_eq!(report.attempts, 1, "breach must stop further attempts");
@@ -729,7 +699,7 @@ mod tests {
             max_wall_secs: Some(-1.0),
         };
         assert!(matches!(
-            Svr::fit_with_retry_budgeted(&xs, &ys, &params, &policy, &bad),
+            Svr::fit_with_retry(&xs, &ys, &params, &policy, &bad),
             Err(TrainSvrError::InvalidParams { .. })
         ));
     }
@@ -744,7 +714,7 @@ mod tests {
             c: 100.0,
             ..SvrParams::default()
         };
-        let model = Svr::fit(&xs, &ys, &params).unwrap();
+        let model = fit(&xs, &ys, &params).unwrap();
         let preds = model.predict_all(&xs);
         assert!(rmse(&preds, &ys) < 1.0, "rmse {}", rmse(&preds, &ys));
     }

@@ -1,16 +1,16 @@
 //! Deterministic parallel execution layer (DESIGN.md §9).
 //!
 //! Every hot loop in this workspace — Jacobi game rounds, parameter
-//! sweeps, calibration backtests, cross-entropy sample evaluation — is a
-//! map over independent items whose per-item randomness is derived from a
-//! `(seed, index)` pair *before* the map runs. That makes the map's output
-//! a pure function of its inputs, so running it on N worker threads must
-//! produce bit-identical results to running it on one. This crate provides
+//! sweeps, calibration backtests, fleet shards — is a map over independent
+//! items whose per-item randomness is derived from a `(seed, index)` pair
+//! *before* the map runs. That makes the map's output a pure function of
+//! its inputs, so running it on N worker threads must produce bit-identical
+//! results to running it on one. This crate provides
 //! exactly that contract:
 //!
-//! - **ordered results** — `par_map(threads, items, f)` returns
-//!   `f(0, &items[0]) … f(n-1, &items[n-1])` in input order, however the
-//!   items were scheduled across workers;
+//! - **ordered results** — [`par_map`] returns `f(0, &items[0]) …
+//!   f(n-1, &items[n-1])` in input order, however the items were scheduled
+//!   across workers;
 //! - **first-error propagation** — a fallible `f` fails the whole map with
 //!   the error of the *lowest-index* failing item, which is the same error
 //!   the sequential loop would have returned (items before it succeed in
@@ -22,7 +22,7 @@
 //! - **sequential degradation** — `threads <= 1` runs the plain loop on
 //!   the calling thread: no spawns, errors short-circuit immediately, and
 //!   a panic surfaces with the same item-index context as the parallel
-//!   path (every entry point shares one panic-capture code path);
+//!   path (both entry points share one panic-capture code path);
 //! - **failure containment** — [`par_map_outcomes`] is the supervision
 //!   surface: instead of propagating the lowest-index failure it runs
 //!   *every* item to completion and returns a per-item [`Outcome`]
@@ -39,10 +39,10 @@
 //! context-switch and cache-thrash overhead while the bit-identity
 //! contract already makes the thread count observationally irrelevant.
 //! On a 1-core host every `par_map` therefore degrades to the sequential
-//! loop, which is exactly the fastest correct schedule there. For maps
-//! over many cheap items, [`auto_chunk`] sizes chunks so per-item dispatch
-//! cost (one `SeqCst` fetch-add per pull) is amortized; maps over few
-//! heavy items should keep chunk 1 for load balance.
+//! loop, which is exactly the fastest correct schedule there. Workers pull
+//! one item at a time: every map in the workspace is over few heavy items
+//! (customers, sweep points, backtest days, shards), where load balance
+//! matters more than the one `SeqCst` fetch-add per pull.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 /// The workspace-wide parallelism knob: how many worker threads a
@@ -105,18 +105,6 @@ pub fn host_threads() -> usize {
     })
 }
 
-/// The chunk size that amortizes per-item dispatch cost for a map of `n`
-/// items over `workers` threads: roughly four pulls per worker, so dynamic
-/// load balancing still has slack while the shared-counter traffic drops by
-/// the chunk factor. Always at least 1.
-///
-/// Use this for many-cheap-item maps (e.g. objective evaluations inside an
-/// optimizer iteration); keep chunk 1 for few-heavy-item maps (e.g. sweep
-/// points), where balance matters more than dispatch cost.
-pub fn auto_chunk(n: usize, workers: usize) -> usize {
-    (n / (workers.max(1) * 4)).max(1)
-}
-
 /// The worker count actually used for a map of `n` items requested at
 /// `threads`: never more workers than items, never more than the host has
 /// logical cores.
@@ -163,9 +151,20 @@ impl<R, E> Outcome<R, E> {
 /// contract; `f` must be a pure function of `(index, item)` for the
 /// bit-identity guarantee to mean anything.
 ///
-/// Equivalent to [`par_map_chunked`] with a chunk size of 1 — the right
-/// default when per-item cost dominates scheduling cost, which is true for
-/// every solver-shaped workload in this workspace.
+/// `scratch()` is called once per worker (once total on the sequential
+/// path) and the resulting value is threaded mutably through every item
+/// that worker processes. This is the persistent-workspace hook solvers use
+/// to keep their hot paths allocation-free across items (DESIGN.md §11):
+/// the scratch is reused, never shared, and must be fully overwritten by
+/// `f` for the bit-identity contract to hold — `f`'s result must be a pure
+/// function of `(index, item)` regardless of what earlier items left in the
+/// scratch. Maps without per-worker state pass `|| ()`.
+///
+/// Worker telemetry — `par_maps` / `par_items` counters and per-worker
+/// `par_worker_items` / `par_worker_busy_seconds` histograms — is gathered
+/// locally on each worker and recorded into `rec` by the calling thread
+/// after the join, so the recorder never sits on the worker hot path and
+/// results are the same under any recorder.
 ///
 /// # Errors
 ///
@@ -175,126 +174,7 @@ impl<R, E> Outcome<R, E> {
 ///
 /// Re-raises the lowest-index worker panic on the calling thread, with the
 /// item index and original message in the payload.
-pub fn par_map<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_chunked_recorded(threads, 1, items, &NoopRecorder, f)
-}
-
-/// [`par_map`] with worker telemetry: records `par_maps` / `par_items`
-/// counters and per-worker `par_worker_items` / `par_worker_busy_seconds`
-/// histograms into `rec`. Telemetry is gathered locally on each worker and
-/// recorded by the calling thread after the join, so the recorder never
-/// sits on the worker hot path and results stay bit-identical to
-/// [`par_map`].
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing item.
-///
-/// # Panics
-///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
-/// item index and original message in the payload.
-pub fn par_map_recorded<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    rec: &dyn Recorder,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_chunked_recorded(threads, 1, items, rec, f)
-}
-
-/// Like [`par_map`], but workers pull `chunk`-sized runs of consecutive
-/// indices off the shared counter — amortizing scheduling overhead when
-/// individual items are cheap (e.g. objective evaluations inside an
-/// optimizer iteration).
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing item.
-///
-/// # Panics
-///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
-/// item index and original message in the payload.
-pub fn par_map_chunked<T, R, E, F>(
-    threads: usize,
-    chunk: usize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_chunked_recorded(threads, chunk, items, &NoopRecorder, f)
-}
-
-/// [`par_map_chunked`] with the worker telemetry of [`par_map_recorded`].
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing item.
-///
-/// # Panics
-///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
-/// item index and original message in the payload.
-pub fn par_map_chunked_recorded<T, R, E, F>(
-    threads: usize,
-    chunk: usize,
-    items: &[T],
-    rec: &dyn Recorder,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_core(
-        resolve_workers(threads, items.len()),
-        chunk,
-        items,
-        rec,
-        || (),
-        |(), index, item| f(index, item),
-    )
-}
-
-/// [`par_map_recorded`] with per-worker scratch state: `scratch()` is
-/// called once per worker (once total on the sequential path) and the
-/// resulting value is threaded mutably through every item that worker
-/// processes. This is the persistent-workspace hook solvers use to keep
-/// their hot paths allocation-free across items (DESIGN.md §11): the
-/// scratch is reused, never shared, and must be fully overwritten by `f`
-/// for the bit-identity contract to hold — `f`'s result must be a pure
-/// function of `(index, item)` regardless of what earlier items left in
-/// the scratch.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing item.
-///
-/// # Panics
-///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
-/// item index and original message in the payload.
-pub fn par_map_scratch_recorded<T, R, E, W, S, F>(
+pub fn par_map<T, R, E, W, S, F>(
     threads: usize,
     items: &[T],
     rec: &dyn Recorder,
@@ -305,13 +185,11 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    W: Send,
     S: Fn() -> W + Sync,
     F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
 {
     par_map_core(
         resolve_workers(threads, items.len()),
-        1,
         items,
         rec,
         scratch,
@@ -324,23 +202,13 @@ where
 /// returns `Err` or panics yields `Outcome::Err` / `Outcome::Panicked` for
 /// that slot while every other item still runs to completion — no early
 /// abort, no rethrow. This is the isolation surface supervisors build on:
-/// one shard's panic must not take down its siblings.
+/// one shard's panic must not take down its siblings. Records the worker
+/// telemetry of [`par_map`] into `rec`.
 ///
 /// The `threads <= 1` path still degrades to a loop on the calling thread,
 /// but (unlike [`par_map`]) it catches panics per item, so the containment
 /// contract is thread-count independent.
-pub fn par_map_outcomes<T, R, E, F>(threads: usize, items: &[T], f: F) -> Vec<Outcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_outcomes_recorded(threads, items, &NoopRecorder, f)
-}
-
-/// [`par_map_outcomes`] with the worker telemetry of [`par_map_recorded`].
-pub fn par_map_outcomes_recorded<T, R, E, F>(
+pub fn par_map_outcomes<T, R, E, F>(
     threads: usize,
     items: &[T],
     rec: &dyn Recorder,
@@ -354,7 +222,6 @@ where
 {
     let slots = outcomes_core(
         resolve_workers(threads, items.len()),
-        1,
         items,
         rec,
         || (),
@@ -379,7 +246,6 @@ where
 /// loop would have surfaced it.
 fn par_map_core<T, R, E, W, S, F>(
     workers: usize,
-    chunk: usize,
     items: &[T],
     rec: &dyn Recorder,
     scratch: S,
@@ -389,13 +255,12 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    W: Send,
     S: Fn() -> W + Sync,
     F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(workers, chunk, items, rec, scratch, f, true);
-    // The counter hands indices out in increasing order and a pulled chunk
-    // runs to its first failure, so every index below the lowest failure is
+    let slots = outcomes_core(workers, items, rec, scratch, f, true);
+    // The counter hands indices out in increasing order and a worker stops
+    // at its first failure, so every index below the lowest failure is
     // guaranteed Some(Ok) — the ascending scan below therefore reports
     // exactly the failure the sequential loop would have hit first.
     let mut results = Vec::with_capacity(items.len());
@@ -420,7 +285,6 @@ where
 /// `catch_unwind`, so payload handling cannot drift between surfaces.
 fn outcomes_core<T, R, E, W, S, F>(
     workers: usize,
-    chunk: usize,
     items: &[T],
     rec: &dyn Recorder,
     scratch: S,
@@ -431,12 +295,10 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    W: Send,
     S: Fn() -> W + Sync,
     F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
-    let chunk = chunk.max(1);
     rec.add("par_maps", 1);
     rec.add("par_items", n as u64);
     if workers <= 1 {
@@ -479,19 +341,17 @@ where
                     let busy = Instant::now();
                     let mut ws = scratch();
                     let mut local: Vec<(usize, Outcome<R, E>)> = Vec::new();
-                    'pull: while !abort.load(Ordering::SeqCst) {
-                        let start = next.fetch_add(chunk, Ordering::SeqCst);
-                        if start >= n {
+                    while !abort.load(Ordering::SeqCst) {
+                        let index = next.fetch_add(1, Ordering::SeqCst);
+                        if index >= n {
                             break;
                         }
-                        for index in start..(start + chunk).min(n) {
-                            let outcome = run_item(&mut ws, index, &items[index], f);
-                            let failed = !outcome.is_ok();
-                            local.push((index, outcome));
-                            if failed && abort_on_failure {
-                                abort.store(true, Ordering::SeqCst);
-                                break 'pull;
-                            }
+                        let outcome = run_item(&mut ws, index, &items[index], f);
+                        let failed = !outcome.is_ok();
+                        local.push((index, outcome));
+                        if failed && abort_on_failure {
+                            abort.store(true, Ordering::SeqCst);
+                            break;
                         }
                     }
                     (local, busy.elapsed().as_secs_f64())
@@ -554,6 +414,7 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use proptest::prelude::*;
 
     fn square(index: usize, item: &u64) -> Result<u64, String> {
@@ -561,18 +422,40 @@ mod tests {
         Ok(item * item)
     }
 
+    /// The stateless, unrecorded map most tests exercise.
+    fn map<T: Sync, R: Send, E: Send>(
+        threads: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, E> {
+        par_map(
+            threads,
+            items,
+            &NoopRecorder,
+            || (),
+            |(), index, item| f(index, item),
+        )
+    }
+
+    /// The isolating map without telemetry.
+    fn contained<T: Sync, R: Send, E: Send>(
+        threads: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> Result<R, E> + Sync,
+    ) -> Vec<Outcome<R, E>> {
+        par_map_outcomes(threads, items, &NoopRecorder, f)
+    }
+
     /// Runs the map engine with an explicit worker count, bypassing the
     /// host-core clamp so the genuinely-parallel path is exercised even on
     /// small CI hosts.
     fn forced<T: Sync, R: Send, E: Send>(
         workers: usize,
-        chunk: usize,
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
         par_map_core(
             workers.min(items.len()),
-            chunk,
             items,
             &NoopRecorder,
             || (),
@@ -591,36 +474,30 @@ mod tests {
     #[test]
     fn results_preserve_input_order() {
         let items: Vec<u64> = (0..97).collect();
-        let out = forced(4, 1, &items, square).unwrap();
+        let out = forced(4, &items, square).unwrap();
         let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
         assert_eq!(out, expected);
         // The public entry point (possibly core-clamped) agrees.
-        assert_eq!(par_map(4, &items, square).unwrap(), expected);
+        assert_eq!(map(4, &items, square).unwrap(), expected);
     }
 
     #[test]
     fn parallel_is_bit_identical_to_sequential() {
         let items: Vec<u64> = (0..64).collect();
-        let seq = par_map(1, &items, square).unwrap();
+        let seq = map(1, &items, square).unwrap();
         for threads in [2, 3, 4, 8] {
-            assert_eq!(forced(threads, 1, &items, square).unwrap(), seq);
-            assert_eq!(forced(threads, 5, &items, square).unwrap(), seq);
-            assert_eq!(par_map(threads, &items, square).unwrap(), seq);
-            assert_eq!(par_map_chunked(threads, 5, &items, square).unwrap(), seq);
+            assert_eq!(forced(threads, &items, square).unwrap(), seq);
+            assert_eq!(map(threads, &items, square).unwrap(), seq);
         }
     }
 
     #[test]
-    fn worker_clamp_and_auto_chunk_heuristics() {
+    fn worker_count_is_clamped() {
         let cores = host_threads();
         assert!(cores >= 1);
         assert_eq!(resolve_workers(8, 3), 3.min(cores));
         assert_eq!(resolve_workers(2, 100), 2.min(cores));
         assert_eq!(resolve_workers(1, 100), 1);
-        assert_eq!(auto_chunk(0, 4), 1);
-        assert_eq!(auto_chunk(32, 4), 2);
-        assert_eq!(auto_chunk(256, 4), 16);
-        assert_eq!(auto_chunk(7, 0), 1, "zero workers must not divide by zero");
     }
 
     #[test]
@@ -631,7 +508,6 @@ mod tests {
         let run = |workers: usize| {
             par_map_core(
                 workers,
-                1,
                 &items,
                 &NoopRecorder,
                 Vec::<u64>::new,
@@ -651,7 +527,7 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
         assert_eq!(seq, expected);
         // Public entry point with scratch.
-        let public = par_map_scratch_recorded(
+        let public = par_map(
             4,
             &items,
             &NoopRecorder,
@@ -669,8 +545,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u64> = Vec::new();
-        assert_eq!(par_map(4, &empty, square).unwrap(), Vec::<u64>::new());
-        assert_eq!(par_map(4, &[3u64], square).unwrap(), vec![9]);
+        assert_eq!(map(4, &empty, square).unwrap(), Vec::<u64>::new());
+        assert_eq!(map(4, &[3u64], square).unwrap(), vec![9]);
     }
 
     #[test]
@@ -683,10 +559,10 @@ mod tests {
                 Ok(*item)
             }
         };
-        let seq_err = par_map(1, &items, f).unwrap_err();
+        let seq_err = map(1, &items, f).unwrap_err();
         for threads in [2, 4, 8] {
-            assert_eq!(forced(threads, 1, &items, f).unwrap_err(), seq_err);
-            assert_eq!(par_map(threads, &items, f).unwrap_err(), seq_err);
+            assert_eq!(forced(threads, &items, f).unwrap_err(), seq_err);
+            assert_eq!(map(threads, &items, f).unwrap_err(), seq_err);
         }
         assert_eq!(seq_err, "item 7 failed");
     }
@@ -695,7 +571,7 @@ mod tests {
     fn worker_panic_rethrows_with_item_context() {
         let items: Vec<u64> = (0..16).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            forced(4, 1, &items, |_i, item: &u64| -> Result<u64, String> {
+            forced(4, &items, |_i, item: &u64| -> Result<u64, String> {
                 if *item == 5 {
                     panic!("boom at five");
                 }
@@ -713,7 +589,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let calls = AtomicUsize::new(0);
         let items: Vec<u64> = (0..10).collect();
-        let err = par_map(1, &items, |_i, item: &u64| -> Result<u64, String> {
+        let err = map(1, &items, |_i, item: &u64| -> Result<u64, String> {
             calls.fetch_add(1, Ordering::SeqCst);
             if *item == 2 {
                 Err("stop".into())
@@ -730,8 +606,8 @@ mod tests {
     fn recorded_map_tallies_workers_without_changing_results() {
         let items: Vec<u64> = (0..32).collect();
         let metrics = nms_obs::MetricsRegistry::new();
-        let out = par_map_recorded(4, &items, &metrics, square).unwrap();
-        assert_eq!(out, par_map(1, &items, square).unwrap());
+        let out = par_map(4, &items, &metrics, || (), |(), i, item| square(i, item)).unwrap();
+        assert_eq!(out, map(1, &items, square).unwrap());
         assert_eq!(metrics.counter("par_maps"), 1);
         assert_eq!(metrics.counter("par_items"), 32);
         let per_worker = metrics.histogram("par_worker_items").unwrap();
@@ -742,7 +618,7 @@ mod tests {
     #[test]
     fn more_threads_than_items_is_fine() {
         let items: Vec<u64> = (0..3).collect();
-        assert_eq!(par_map(16, &items, square).unwrap(), vec![0, 1, 4]);
+        assert_eq!(map(16, &items, square).unwrap(), vec![0, 1, 4]);
     }
 
     #[test]
@@ -756,7 +632,7 @@ mod tests {
             }
         };
         for threads in [1, 2, 4, 8] {
-            let outcomes = par_map_outcomes(threads, &items, f);
+            let outcomes = contained(threads, &items, f);
             assert_eq!(outcomes.len(), items.len(), "no item may be skipped");
             for (index, (outcome, item)) in outcomes.iter().zip(&items).enumerate() {
                 match *item % 5 {
@@ -785,7 +661,7 @@ mod tests {
         // threads=1 must not rethrow: the containment contract is
         // thread-count independent.
         let items: Vec<u64> = (0..4).collect();
-        let outcomes = par_map_outcomes(1, &items, |_i, item: &u64| -> Result<u64, String> {
+        let outcomes = contained(1, &items, |_i, item: &u64| -> Result<u64, String> {
             if *item == 0 {
                 panic!("first item dies");
             }
@@ -798,7 +674,7 @@ mod tests {
     #[test]
     fn outcomes_accessors_and_order() {
         let items: Vec<u64> = (0..12).collect();
-        let outcomes = par_map_outcomes(4, &items, square);
+        let outcomes = contained(4, &items, square);
         assert!(outcomes.iter().all(Outcome::is_ok));
         let values: Vec<u64> = outcomes.into_iter().filter_map(Outcome::ok).collect();
         let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
@@ -808,7 +684,7 @@ mod tests {
     #[test]
     fn non_string_panic_payloads_fall_back_with_item_index() {
         let items: Vec<u64> = (0..3).collect();
-        let outcomes = par_map_outcomes(2, &items, |_i, item: &u64| -> Result<u64, String> {
+        let outcomes = contained(2, &items, |_i, item: &u64| -> Result<u64, String> {
             if *item == 1 {
                 std::panic::panic_any(1234u64);
             }
@@ -826,7 +702,7 @@ mod tests {
         // stable fallback marker.
         #[derive(Debug)]
         struct Opaque;
-        let outcomes = par_map_outcomes(1, &[0u64], |_i, _item| -> Result<u64, String> {
+        let outcomes = contained(1, &[0u64], |_i, _item| -> Result<u64, String> {
             std::panic::panic_any(Opaque);
         });
         match &outcomes[0] {
@@ -849,9 +725,9 @@ mod tests {
             }
             Ok(*item)
         };
-        let rethrown = catch_unwind(AssertUnwindSafe(|| par_map(1, &items, boom))).unwrap_err();
+        let rethrown = catch_unwind(AssertUnwindSafe(|| map(1, &items, boom))).unwrap_err();
         let rethrown = payload_message(rethrown.as_ref());
-        let contained = match &par_map_outcomes(1, &items, boom)[5] {
+        let contained = match &contained(1, &items, boom)[5] {
             Outcome::Panicked(message) => message.clone(),
             other => panic!("expected Panicked, got {other:?}"),
         };
@@ -863,7 +739,7 @@ mod tests {
         let items: Vec<u64> = (0..16).collect();
         let metrics = nms_obs::MetricsRegistry::new();
         let outcomes =
-            par_map_outcomes_recorded(2, &items, &metrics, |_i, item: &u64| -> Result<u64, String> {
+            par_map_outcomes(2, &items, &metrics, |_i, item: &u64| -> Result<u64, String> {
                 if *item == 9 {
                     panic!("one bad shard");
                 }
@@ -881,15 +757,14 @@ mod tests {
         fn prop_parallel_matches_sequential(
             len in 0usize..50,
             threads in 1usize..9,
-            chunk in 1usize..7,
             salt in 0u64..1000,
         ) {
             let items: Vec<u64> = (0..len as u64).map(|v| v.wrapping_mul(salt + 1)).collect();
             let f = |i: usize, item: &u64| -> Result<u64, String> {
                 Ok(item.wrapping_add(i as u64))
             };
-            let seq = par_map(1, &items, f).unwrap();
-            let par = par_map_chunked(threads, chunk, &items, f).unwrap();
+            let seq = map(1, &items, f).unwrap();
+            let par = forced(threads, &items, f).unwrap();
             prop_assert_eq!(seq, par);
         }
     }

@@ -137,6 +137,9 @@ impl<'a> CostModel<'a> {
     /// Hoists the per-slot billing terms into a dense [`HoistedCostTable`]
     /// so inner-loop solvers can evaluate [`CostModel::slot_cost`] as an
     /// array lookup + multiply instead of a billing-engine call.
+    /// `others_trading` is the per-slot aggregate trading of the other
+    /// customers as a raw slice, so both `TimeSeries` storage and the
+    /// game's flat structure-of-arrays lanes hoist without a copy.
     ///
     /// The table is rebuilt in place (no allocation once `table`'s buffers
     /// have reached the horizon length) and is **exact**: for every slot and
@@ -149,21 +152,7 @@ impl<'a> CostModel<'a> {
     ///
     /// Panics if `others_trading` has a different slot count than the price
     /// signal.
-    pub fn hoist_into(&self, others_trading: &TimeSeries<f64>, table: &mut HoistedCostTable) {
-        self.hoist_slice_into(others_trading.as_slice(), table);
-    }
-
-    /// [`CostModel::hoist_into`] over a raw slice of per-slot others-trading
-    /// values — the batch variant used by the structure-of-arrays game
-    /// kernels, which keep every customer's series as a contiguous `f64`
-    /// lane rather than a `TimeSeries`. Exactness is unchanged: the hoisted
-    /// terms are the exact `f64`s the cost model would have read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `others_trading` has a different slot count than the price
-    /// signal.
-    pub fn hoist_slice_into(&self, others_trading: &[f64], table: &mut HoistedCostTable) {
+    pub fn hoist_into(&self, others_trading: &[f64], table: &mut HoistedCostTable) {
         assert_eq!(
             others_trading.len(),
             self.prices.len(),
@@ -176,14 +165,6 @@ impl<'a> CostModel<'a> {
         table.others.clear();
         table.others.extend_from_slice(others_trading);
         table.sell_fraction = self.tariff.sell_fraction();
-    }
-
-    /// Convenience wrapper around [`CostModel::hoist_into`] that allocates a
-    /// fresh table.
-    pub fn hoist(&self, others_trading: &TimeSeries<f64>) -> HoistedCostTable {
-        let mut table = HoistedCostTable::default();
-        self.hoist_into(others_trading, &mut table);
-        table
     }
 
     /// The community-level procurement cost `Σ_h p_h (Σ_n y_n^h)²` the
@@ -369,7 +350,9 @@ mod tests {
         let prices = PriceSignal::new(series).unwrap();
         let model = model_fixture(&prices);
         let others = TimeSeries::from_fn(day(), |h| (h as f64) * 0.7 - 5.0);
-        let table = model.hoist(&others);
+        let mut table = HoistedCostTable::default();
+        assert!(table.is_empty());
+        model.hoist_into(others.as_slice(), &mut table);
         assert_eq!(table.len(), 24);
         assert!(!table.is_empty());
         for slot in 0..24 {
@@ -391,9 +374,10 @@ mod tests {
         let prices = PriceSignal::flat(day(), 0.1).unwrap();
         let model = model_fixture(&prices);
         let others = TimeSeries::filled(day(), 2.0);
-        let mut table = model.hoist(&others);
+        let mut table = HoistedCostTable::default();
+        model.hoist_into(others.as_slice(), &mut table);
         let others2 = TimeSeries::filled(day(), -3.0);
-        model.hoist_into(&others2, &mut table);
+        model.hoist_into(others2.as_slice(), &mut table);
         assert_eq!(table.others(0), -3.0);
         assert_eq!(
             table.slot_cost(5, 1.0).to_bits(),
@@ -412,7 +396,8 @@ mod tests {
             let prices = PriceSignal::flat(day(), price).unwrap();
             let model = CostModel::new(&prices, NetMeteringTariff::new(w).unwrap());
             let others_series = TimeSeries::filled(day(), others);
-            let table = model.hoist(&others_series);
+            let mut table = HoistedCostTable::default();
+            model.hoist_into(others_series.as_slice(), &mut table);
             let reference = model.slot_cost(0, others, own).value();
             let hoisted = table.slot_cost(0, own);
             prop_assert_eq!(reference.to_bits(), hoisted.to_bits());

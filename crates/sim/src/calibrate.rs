@@ -20,7 +20,7 @@
 //! model is biased (ignoring net metering) calibrates against its *own*
 //! bias, exactly as the prior art would have.
 
-use nms_obs::{Recorder, Stopwatch, TraceEvent};
+use nms_obs::{NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -116,17 +116,18 @@ pub(crate) fn calibrate_detector(
     let day_seeds: Vec<(u64, u64)> = (0..backtest_days).map(|_| (rng.gen(), rng.gen())).collect();
     let mut health = RunHealth::new();
 
-    let backtests = nms_par::par_map_recorded(
+    let backtests = nms_par::par_map(
         parallelism.threads,
         &day_seeds,
         rec,
-        |back, &(clear_seed, seed)| -> Result<(Vec<f64>, RunHealth), SimError> {
+        || (),
+        |_, back, &(clear_seed, seed)| -> Result<(Vec<f64>, RunHealth), SimError> {
             let day = scenario.training_days - 1 - back;
             let community = generator.community_for_day(day, weather[day]);
             // Workers deliberately use the unrecorded clear: the game layer
             // emits trace *events*, which the nms-obs contract keeps out of
             // parallel regions (worker telemetry flows through
-            // `par_map_recorded`'s commutative metrics instead).
+            // `par_map`'s commutative metrics instead).
             let outcome = market.clear_day_seeded(&community, 2, clear_seed)?;
             let manipulated = timeline.attack().apply(&outcome.price);
 
@@ -151,16 +152,22 @@ pub(crate) fn calibrate_detector(
                 generation_forecast,
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(seed);
-            let predicted = framework
-                .load
-                .predict(&community, &backtest_price, &mut predicted_rng)?;
+            let predicted = framework.load.predict(
+                &community,
+                &backtest_price,
+                &mut predicted_rng,
+                &NoopRecorder,
+            )?;
 
             // The detector's world-model view of the clean day, used to
             // isolate the attack delta.
             let mut honest_rng = ChaCha8Rng::seed_from_u64(seed);
-            let honest = framework
-                .load
-                .predict(&community, &outcome.price, &mut honest_rng)?;
+            let honest = framework.load.predict(
+                &community,
+                &outcome.price,
+                &mut honest_rng,
+                &NoopRecorder,
+            )?;
 
             let mut day_stats = Vec::with_capacity(buckets);
             for bucket in 0..buckets {
@@ -178,6 +185,7 @@ pub(crate) fn calibrate_detector(
                         &manipulated,
                         &meters,
                         &mut mixed_rng,
+                        &NoopRecorder,
                     )?;
                     // Superimpose the world-model attack delta on the
                     // observed clean demand.

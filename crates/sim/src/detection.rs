@@ -95,7 +95,7 @@ pub struct LongTermRunConfig {
     /// Retry schedule for the trainers behind calibration.
     #[serde(default)]
     pub retry: RetryPolicy,
-    /// Watchdog budget for iterative solves/training (default unlimited).
+    /// Watchdog budget for SVR training (default unlimited).
     #[serde(default)]
     pub budget: SolveBudget,
     /// Per-meter quarantine breaker thresholds (active only with fault
@@ -443,7 +443,7 @@ fn realize_day(
     }
     let meters: Vec<MeterId> = compromised.iter().collect();
     let mut child = ChaCha8Rng::seed_from_u64(realization_seed);
-    Ok(setup.market.truth_model().respond_unilaterally_recorded(
+    Ok(setup.market.truth_model().respond_unilaterally(
         community,
         &clean.response,
         manipulated,
@@ -663,7 +663,7 @@ fn simulate_day(
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
             let predicted =
-                load.predict_recorded(community_ref, &predicted_price, &mut predicted_rng, rec)?;
+                load.predict(community_ref, &predicted_price, &mut predicted_rng, rec)?;
             Ok((predicted, prediction_watch.secs()))
         }
     });
@@ -1477,7 +1477,7 @@ mod tests {
         // verdict must carry the prediction's payload, not the scope's
         // generic "a scoped thread panicked".
         for fork in [Fork::Overlapped, Fork::JoinedFirst] {
-            let outcomes = nms_par::par_map_outcomes(1, &[()], |_, _| {
+            let outcomes = nms_par::par_map_outcomes(1, &[()], &NoopRecorder, |_, _| {
                 let prediction: Prediction = |_| panic!("prediction exploded");
                 fork_day(|| Ok::<_, String>(1), Some(prediction), fork, &NoopRecorder)
             });

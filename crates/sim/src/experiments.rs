@@ -6,6 +6,7 @@
 //! (who wins, direction and rough magnitude of the gaps) reproduces the
 //! paper — see EXPERIMENTS.md for the side-by-side record.
 
+use nms_obs::NoopRecorder;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -94,9 +95,10 @@ fn run_prediction(
         .then_some(&theta);
     let predicted_price = price_predictor.predict_day(&history, community.horizon(), forecast)?;
 
-    let predicted = framework
-        .load
-        .predict(&community, &predicted_price, &mut rng)?;
+    let predicted =
+        framework
+            .load
+            .predict(&community, &predicted_price, &mut rng, &NoopRecorder)?;
 
     let price_rmse = predicted_price
         .rmse(&clean.price)
@@ -182,9 +184,10 @@ pub fn run_fig5(scenario: &PaperScenario) -> Result<AttackExperiment, SimError> 
     // Every meter receives the manipulated signal (the paper's Fig 5
     // studies the full-impact case).
     let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac4);
-    let attacked = market
-        .truth_model()
-        .predict(&community, &manipulated, &mut attacked_rng)?;
+    let attacked =
+        market
+            .truth_model()
+            .predict(&community, &manipulated, &mut attacked_rng, &NoopRecorder)?;
 
     Ok(AttackExperiment {
         manipulated_price: manipulated.as_series().iter().copied().collect(),

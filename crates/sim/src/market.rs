@@ -80,7 +80,7 @@ impl Market {
     }
 
     /// [`Market::clear_day`] with solver telemetry routed into `rec` (see
-    /// [`GameEngine::solve_recorded`](nms_solver::GameEngine::solve_recorded)).
+    /// [`GameEngine::solve`](nms_solver::GameEngine::solve)).
     ///
     /// # Errors
     ///
@@ -133,7 +133,7 @@ impl Market {
         let mut response = None;
         for _ in 0..iterations.max(1) {
             let mut child = ChaCha8Rng::seed_from_u64(seed);
-            let r = self.truth.predict_recorded(community, &price, &mut child, rec)?;
+            let r = self.truth.predict(community, &price, &mut child, rec)?;
             price = self.utility.design_price(&r.grid_demand);
             response = Some(r);
         }
@@ -141,7 +141,7 @@ impl Market {
         let mut child = ChaCha8Rng::seed_from_u64(seed);
         let response = match iterations {
             0 => response.expect("at least one iteration ran"),
-            _ => self.truth.predict_recorded(community, &price, &mut child, rec)?,
+            _ => self.truth.predict(community, &price, &mut child, rec)?,
         };
         Ok(DayOutcome { price, response })
     }

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use nms_attack::PriceAttack;
 use nms_core::{DetectorMode, FrameworkConfig, QuarantineConfig, SanitizeConfig};
-use nms_par::{par_map_recorded, Parallelism};
+use nms_par::{par_map, Parallelism};
 use nms_pricing::NetMeteringTariff;
 use nms_types::{RetryPolicy, SolveBudget};
 
@@ -63,7 +63,7 @@ pub fn sweep_tariff(
 }
 
 /// [`sweep_tariff`] with worker telemetry routed into `rec` (see
-/// [`par_map_recorded`]). The sweep's results are unaffected.
+/// [`par_map`]). The sweep's results are unaffected.
 ///
 /// # Errors
 ///
@@ -78,11 +78,17 @@ pub fn sweep_tariff_recorded(
     // independent and the parallel sweep is bit-identical to sequential.
     // Workers clear unrecorded: the game layer emits trace events, which
     // the nms-obs contract keeps out of parallel regions.
-    par_map_recorded(parallelism.threads, w_values, rec, |_, &w| {
-        let mut swept = scenario.clone();
-        swept.tariff = NetMeteringTariff::new(w)?;
-        clear_point(&swept, w)
-    })
+    par_map(
+        parallelism.threads,
+        w_values,
+        rec,
+        || (),
+        |_, _, &w| {
+            let mut swept = scenario.clone();
+            swept.tariff = NetMeteringTariff::new(w)?;
+            clear_point(&swept, w)
+        },
+    )
 }
 
 /// Sweeps the PV ownership fraction.
@@ -110,11 +116,12 @@ pub fn sweep_pv_ownership_recorded(
     parallelism: &Parallelism,
     rec: &dyn Recorder,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    par_map_recorded(
+    par_map(
         parallelism.threads,
         ownership_values,
         rec,
-        |_, &ownership| {
+        || (),
+        |_, _, &ownership| {
             let mut swept = scenario.clone();
             swept.pv_ownership = ownership;
             swept.validate()?;
@@ -195,20 +202,29 @@ pub fn sweep_attack_window_recorded(
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
     let clean = market.clear_day_recorded(&community, 2, &mut rng, rec)?;
 
-    par_map_recorded(parallelism.threads, start_hours, rec, |_, &from_hour| {
-        let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
-        let manipulated = attack.apply(&clean.price);
-        let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-        let attacked = market
-            .truth_model()
-            .predict(&community, &manipulated, &mut attacked_rng)?;
-        Ok(AttackWindowPoint {
-            from_hour,
-            attacked_par: attacked.par,
-            peak_slot: attacked.grid_demand.peak_slot(),
-            solver_rounds: attacked.rounds,
-        })
-    })
+    par_map(
+        parallelism.threads,
+        start_hours,
+        rec,
+        || (),
+        |_, _, &from_hour| {
+            let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
+            let manipulated = attack.apply(&clean.price);
+            let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
+            let attacked = market.truth_model().predict(
+                &community,
+                &manipulated,
+                &mut attacked_rng,
+                &NoopRecorder,
+            )?;
+            Ok(AttackWindowPoint {
+                from_hour,
+                attacked_par: attacked.par,
+                peak_slot: attacked.grid_demand.peak_slot(),
+                solver_rounds: attacked.rounds,
+            })
+        },
+    )
 }
 
 /// One row of the fault-tolerance sweep: detection quality for both
@@ -260,41 +276,47 @@ pub fn sweep_fault_tolerance_recorded(
     parallelism: &Parallelism,
     rec: &dyn Recorder,
 ) -> Result<Vec<FaultTolerancePoint>, SimError> {
-    par_map_recorded(parallelism.threads, fault_rates, rec, |_, &rate| {
-        let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
-        let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
-            let config = LongTermRunConfig {
-                detection_days: 2,
-                detector: Some(FrameworkConfig::new(mode, 24)),
-                timeline: paper_timeline(scenario.customers),
-                buckets: 6,
-                bucket_fraction_step: 0.1,
-                labor_per_fix: 10.0,
-                labor_per_meter: 1.0,
-                faults: plan,
-                sanitize: SanitizeConfig::default(),
-                retry: RetryPolicy::default(),
-                budget: SolveBudget::unlimited(),
-                quarantine: QuarantineConfig::default(),
-                parallelism: Default::default(),
-                clearing_iterations: 2,
+    par_map(
+        parallelism.threads,
+        fault_rates,
+        rec,
+        || (),
+        |_, _, &rate| {
+            let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
+            let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
+                let config = LongTermRunConfig {
+                    detection_days: 2,
+                    detector: Some(FrameworkConfig::new(mode, 24)),
+                    timeline: paper_timeline(scenario.customers),
+                    buckets: 6,
+                    bucket_fraction_step: 0.1,
+                    labor_per_fix: 10.0,
+                    labor_per_meter: 1.0,
+                    faults: plan,
+                    sanitize: SanitizeConfig::default(),
+                    retry: RetryPolicy::default(),
+                    budget: SolveBudget::unlimited(),
+                    quarantine: QuarantineConfig::default(),
+                    parallelism: Default::default(),
+                    clearing_iterations: 2,
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xfa_417);
+                run_long_term_detection(scenario, &config, &mut rng)
             };
-            let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xfa_417);
-            run_long_term_detection(scenario, &config, &mut rng)
-        };
-        let aware = run(DetectorMode::NetMeteringAware)?;
-        let naive = run(DetectorMode::IgnoreNetMetering)?;
-        Ok(FaultTolerancePoint {
-            fault_rate: rate,
-            aware_accuracy: aware.accuracy.accuracy().unwrap_or(0.0),
-            naive_accuracy: naive.accuracy.accuracy().unwrap_or(0.0),
-            aware_par: aware.par,
-            naive_par: naive.par,
-            slots_imputed: aware.health.slots_imputed + naive.health.slots_imputed,
-            faults_injected: aware.health.faults_injected.total()
-                + naive.health.faults_injected.total(),
-        })
-    })
+            let aware = run(DetectorMode::NetMeteringAware)?;
+            let naive = run(DetectorMode::IgnoreNetMetering)?;
+            Ok(FaultTolerancePoint {
+                fault_rate: rate,
+                aware_accuracy: aware.accuracy.accuracy().unwrap_or(0.0),
+                naive_accuracy: naive.accuracy.accuracy().unwrap_or(0.0),
+                aware_par: aware.par,
+                naive_par: naive.par,
+                slots_imputed: aware.health.slots_imputed + naive.health.slots_imputed,
+                faults_injected: aware.health.faults_injected.total()
+                    + naive.health.faults_injected.total(),
+            })
+        },
+    )
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 
 use nms_pricing::CostModel;
 use nms_smarthome::Battery;
-use nms_types::{BudgetClock, Horizon, Kwh, TimeSeries};
+use nms_types::{Horizon, Kwh, TimeSeries};
 use rand::Rng;
 
-use crate::{CeSolution, CrossEntropyOptimizer, SolverError};
+use crate::{CeSolution, CeWorkspace, CrossEntropyOptimizer, SolverError};
 
 /// Penalty weight for violating the optional per-slot throughput limit;
 /// the box `[0, B]` handles the state bounds exactly, the penalty handles
@@ -165,115 +165,20 @@ impl<'a> BatteryProblem<'a> {
 /// both seeds the sampling distribution and acts as a floor: the result is
 /// never worse than the warm start or the idle trajectory. For an unusable
 /// (zero-capacity) battery this degenerates to the idle trajectory without
-/// sampling.
-///
-/// # Panics
-///
-/// Panics if `warm_start` is provided with the wrong dimension, or if the
-/// objective turns numerically hostile (NaN); use
-/// [`try_optimize_battery`] for a typed error instead.
-pub fn optimize_battery(
-    problem: &BatteryProblem<'_>,
-    optimizer: &CrossEntropyOptimizer,
-    warm_start: Option<&[f64]>,
-    rng: &mut impl Rng,
-) -> (Vec<Kwh>, CeSolution) {
-    try_optimize_battery(problem, optimizer, warm_start, rng)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Fallible variant of [`optimize_battery`]: NaN objectives and
-/// mis-dimensioned warm starts become [`SolverError::Numeric`] so callers
-/// can retry or fall back.
+/// sampling. The CE population/elite buffers live in `ws` and are reused
+/// across solves — the best-response inner loop runs one battery step per
+/// alternation and reuses one workspace for all of them.
 ///
 /// # Errors
 ///
 /// Returns [`SolverError::Numeric`] when `warm_start` has the wrong
 /// dimension or the cost model produces NaN for a feasible trajectory.
-pub fn try_optimize_battery(
+pub fn optimize_battery(
     problem: &BatteryProblem<'_>,
     optimizer: &CrossEntropyOptimizer,
     warm_start: Option<&[f64]>,
     rng: &mut impl Rng,
-) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
-    try_optimize_battery_budgeted(problem, optimizer, warm_start, rng, None)
-}
-
-/// Like [`try_optimize_battery`], but the cross-entropy loop is watched by
-/// an optional running [`BudgetClock`]; a breach surfaces via
-/// [`CeSolution::budget_breached`] with the best point sampled so far.
-///
-/// # Errors
-///
-/// Same as [`try_optimize_battery`].
-pub fn try_optimize_battery_budgeted(
-    problem: &BatteryProblem<'_>,
-    optimizer: &CrossEntropyOptimizer,
-    warm_start: Option<&[f64]>,
-    rng: &mut impl Rng,
-    clock: Option<&BudgetClock>,
-) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
-    optimize_battery_with(problem, warm_start, |bounds, init| {
-        optimizer.try_minimize_budgeted(|x| problem.objective(x), bounds, init, rng, clock)
-    })
-}
-
-/// Like [`try_optimize_battery_budgeted`], but the cross-entropy
-/// population/elite buffers live in a caller-provided [`CeWorkspace`] and
-/// are reused across solves — the best-response inner loop runs one battery
-/// step per alternation and reuses one workspace for all of them.
-/// Bit-identical to [`try_optimize_battery_budgeted`] under the same seed.
-///
-/// # Errors
-///
-/// Same as [`try_optimize_battery`].
-pub fn try_optimize_battery_budgeted_in(
-    problem: &BatteryProblem<'_>,
-    optimizer: &CrossEntropyOptimizer,
-    warm_start: Option<&[f64]>,
-    rng: &mut impl Rng,
-    clock: Option<&BudgetClock>,
-    ws: &mut crate::CeWorkspace,
-) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
-    optimize_battery_with(problem, warm_start, |bounds, init| {
-        optimizer.try_minimize_budgeted_in(|x| problem.objective(x), bounds, init, rng, clock, ws)
-    })
-}
-
-/// Like [`try_optimize_battery_budgeted`], but the cross-entropy sample
-/// evaluations fan out over `parallelism` worker threads via
-/// [`CrossEntropyOptimizer::try_minimize_budgeted_par`] — bit-identical to
-/// the sequential variant under the same seed at any thread count.
-///
-/// # Errors
-///
-/// Same as [`try_optimize_battery`].
-pub fn try_optimize_battery_budgeted_par(
-    problem: &BatteryProblem<'_>,
-    optimizer: &CrossEntropyOptimizer,
-    warm_start: Option<&[f64]>,
-    rng: &mut impl Rng,
-    clock: Option<&BudgetClock>,
-    parallelism: &nms_par::Parallelism,
-) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
-    optimize_battery_with(problem, warm_start, |bounds, init| {
-        optimizer.try_minimize_budgeted_par(
-            |x: &[f64]| problem.objective(x),
-            bounds,
-            init,
-            rng,
-            clock,
-            parallelism,
-        )
-    })
-}
-
-/// The shared shell around the CE step: the unusable-battery degenerate
-/// case, warm-start validation, and the never-worse-than-warm/idle floor.
-fn optimize_battery_with(
-    problem: &BatteryProblem<'_>,
-    warm_start: Option<&[f64]>,
-    solve: impl FnOnce(&[(f64, f64)], &[f64]) -> Result<CeSolution, SolverError>,
+    ws: &mut CeWorkspace,
 ) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
     if !problem.battery().is_usable() {
         let interior = problem.idle_interior();
@@ -282,7 +187,6 @@ fn optimize_battery_with(
             point: interior.clone(),
             iterations: 0,
             converged: true,
-            budget_breached: false,
             std_history: Vec::new(),
         };
         return Ok((problem.full_trajectory(&interior), solution));
@@ -304,7 +208,7 @@ fn optimize_battery_with(
         }
         None => problem.idle_interior(),
     };
-    let mut solution = solve(&bounds, &init)?;
+    let mut solution = optimizer.minimize(|x| problem.objective(x), &bounds, &init, rng, ws)?;
     // Never return something worse than the warm start or doing nothing.
     for candidate in [
         Some(init),
@@ -394,6 +298,17 @@ mod tests {
         Horizon::hourly_day()
     }
 
+    /// One cold-started CE solve from a fresh workspace.
+    fn ce_solve(
+        problem: &BatteryProblem<'_>,
+        optimizer: &CrossEntropyOptimizer,
+        seed: u64,
+    ) -> (Vec<Kwh>, CeSolution) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut ws = CeWorkspace::default();
+        optimize_battery(problem, optimizer, None, &mut rng, &mut ws).unwrap()
+    }
+
     struct Fixture {
         prices: PriceSignal,
         load: TimeSeries<f64>,
@@ -450,8 +365,7 @@ mod tests {
         let fixture = Fixture::arbitrage();
         let problem = fixture.problem();
         let optimizer = CrossEntropyOptimizer::new(CeConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (trajectory, solution) = optimize_battery(&problem, &optimizer, None, &mut rng);
+        let (trajectory, solution) = ce_solve(&problem, &optimizer, 2);
         let idle_cost = problem.objective(&problem.idle_interior());
         assert!(
             solution.objective < idle_cost - 1e-6,
@@ -473,8 +387,7 @@ mod tests {
             max_iters: 1,
             ..CeConfig::default()
         });
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (_, solution) = optimize_battery(&problem, &optimizer, None, &mut rng);
+        let (_, solution) = ce_solve(&problem, &optimizer, 3);
         let idle_cost = problem.objective(&problem.idle_interior());
         assert!(solution.objective <= idle_cost + 1e-12);
     }
@@ -487,8 +400,7 @@ mod tests {
         };
         let problem = fixture.problem();
         let optimizer = CrossEntropyOptimizer::default();
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let (trajectory, solution) = optimize_battery(&problem, &optimizer, None, &mut rng);
+        let (trajectory, solution) = ce_solve(&problem, &optimizer, 4);
         assert_eq!(solution.iterations, 0);
         assert!(trajectory.iter().all(|&b| b == Kwh::ZERO));
     }
@@ -513,8 +425,7 @@ mod tests {
             max_iters: 80,
             ..CeConfig::default()
         });
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (trajectory, _) = optimize_battery(&problem, &optimizer, None, &mut rng);
+        let (trajectory, _) = ce_solve(&problem, &optimizer, 5);
         // State of charge at 06:00 should exceed state at 22:00: energy is
         // banked overnight and spent through the evening peak.
         assert!(
@@ -589,8 +500,7 @@ mod tests {
             CostModel::new(&prices, NetMeteringTariff::default()),
         );
         let optimizer = CrossEntropyOptimizer::default();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let (_, solution) = optimize_battery(&problem, &optimizer, None, &mut rng);
+        let (_, solution) = ce_solve(&problem, &optimizer, 6);
         let sell_now_cost = problem.objective(&problem.idle_interior());
         assert!(solution.objective <= sell_now_cost + 1e-9);
         // Selling yields a credit, so the objective is negative.

@@ -11,14 +11,12 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use nms_par::Parallelism;
-use nms_types::{BudgetClock, ValidateError};
+use nms_types::ValidateError;
 
 use crate::SolverError;
 
 /// The error produced when the objective evaluates to NaN on a sampled
-/// point — shared by the sequential and parallel evaluators so both paths
-/// fail identically.
+/// point.
 fn nan_sample_error() -> SolverError {
     SolverError::Numeric {
         detail: "objective returned NaN for a sampled point".into(),
@@ -44,9 +42,9 @@ fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
 /// population, its objective values, and the distribution vectors fresh per
 /// solve dominates small problems (the per-customer battery step runs
 /// thousands of times per sweep). Callers hold one workspace and pass it to
-/// the `*_in` methods; steady-state reuse then allocates nothing per
-/// iteration. Every solve fully reinitializes the prefix it reads, so reuse
-/// is bit-identical to fresh allocation.
+/// [`CrossEntropyOptimizer::minimize`]; steady-state reuse then allocates
+/// nothing per iteration. Every solve fully reinitializes the prefix it
+/// reads, so reuse is bit-identical to fresh allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CeWorkspace {
     /// Sample points of the current iteration (`K` reusable vectors).
@@ -152,10 +150,6 @@ pub struct CeSolution {
     /// `true` when the std-collapse criterion triggered before
     /// `max_iters`.
     pub converged: bool,
-    /// `true` when a watchdog [`SolveBudget`](nms_types::SolveBudget)
-    /// stopped the run before its own limits did. The solution still holds
-    /// the best point sampled so far.
-    pub budget_breached: bool,
     /// Sampling-distribution spread after each iteration's refit (the mean
     /// std across dimensions) — the variance trajectory observability
     /// consumes. One entry per executed iteration; empty for
@@ -194,174 +188,23 @@ impl CrossEntropyOptimizer {
     /// dimension), starting the sampling distribution at `init_mean`.
     ///
     /// Returns the best point ever sampled (not merely the final mean), so
-    /// the result can only improve with more iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bounds` and `init_mean` disagree in length, when a bound
-    /// has `lo > hi`, or when the objective returns NaN for a feasible
-    /// point. Use [`CrossEntropyOptimizer::try_minimize`] to get a typed
-    /// error instead.
-    pub fn minimize(
-        &self,
-        objective: impl FnMut(&[f64]) -> f64,
-        bounds: &[(f64, f64)],
-        init_mean: &[f64],
-        rng: &mut impl Rng,
-    ) -> CeSolution {
-        self.try_minimize(objective, bounds, init_mean, rng)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible variant of [`CrossEntropyOptimizer::minimize`]: dimension
-    /// mismatches, invalid bounds, and NaN objective values become
-    /// [`SolverError::Numeric`] instead of panics, so callers can retry or
-    /// fall back (see [`solve_battery_robust`](crate::solve_battery_robust)).
+    /// the result can only improve with more iterations. The sample points,
+    /// objective values, and distribution vectors live in `ws` and are
+    /// reused across solves, so a warm workspace makes the per-iteration
+    /// loop allocation-free; reuse is bit-identical to a fresh
+    /// [`CeWorkspace`] under the same seed.
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::Numeric`] when `bounds` and `init_mean`
     /// disagree in length, a bound has `lo > hi` or is non-finite, or the
     /// objective returns NaN for a feasible point.
-    pub fn try_minimize(
-        &self,
-        objective: impl FnMut(&[f64]) -> f64,
-        bounds: &[(f64, f64)],
-        init_mean: &[f64],
-        rng: &mut impl Rng,
-    ) -> Result<CeSolution, SolverError> {
-        self.try_minimize_budgeted(objective, bounds, init_mean, rng, None)
-    }
-
-    /// Like [`CrossEntropyOptimizer::try_minimize`], but additionally
-    /// checked against a running watchdog [`BudgetClock`] at every
-    /// iteration boundary. A breach stops the run cleanly: the best point
-    /// sampled so far is returned with
-    /// [`CeSolution::budget_breached`] set, so the caller can record the
-    /// breach and descend its fallback chain without losing progress.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossEntropyOptimizer::try_minimize`]; a budget breach is
-    /// not an error.
-    pub fn try_minimize_budgeted(
-        &self,
-        objective: impl FnMut(&[f64]) -> f64,
-        bounds: &[(f64, f64)],
-        init_mean: &[f64],
-        rng: &mut impl Rng,
-        clock: Option<&BudgetClock>,
-    ) -> Result<CeSolution, SolverError> {
-        self.try_minimize_budgeted_in(
-            objective,
-            bounds,
-            init_mean,
-            rng,
-            clock,
-            &mut CeWorkspace::default(),
-        )
-    }
-
-    /// [`CrossEntropyOptimizer::try_minimize_budgeted`] with caller-provided
-    /// population/elite buffers: the sample points, objective values, and
-    /// distribution vectors live in `ws` and are reused across solves, so a
-    /// warm workspace makes the per-iteration loop allocation-free.
-    /// Bit-identical to the allocating variant under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossEntropyOptimizer::try_minimize_budgeted`].
-    pub fn try_minimize_budgeted_in(
+    pub fn minimize(
         &self,
         mut objective: impl FnMut(&[f64]) -> f64,
         bounds: &[(f64, f64)],
         init_mean: &[f64],
         rng: &mut impl Rng,
-        clock: Option<&BudgetClock>,
-        ws: &mut CeWorkspace,
-    ) -> Result<CeSolution, SolverError> {
-        // Evaluate in input order and short-circuit on the first NaN —
-        // exactly what the pre-batch interleaved loop did.
-        self.minimize_core(
-            &mut |points, values| {
-                for point in points {
-                    let value = objective(point);
-                    if value.is_nan() {
-                        return Err(nan_sample_error());
-                    }
-                    values.push(value);
-                }
-                Ok(())
-            },
-            bounds,
-            init_mean,
-            rng,
-            clock,
-            ws,
-        )
-    }
-
-    /// Like [`CrossEntropyOptimizer::try_minimize_budgeted`], but each
-    /// iteration's `K` sample evaluations fan out over
-    /// [`nms_par::par_map_chunked`]. Sample *generation* still happens
-    /// sequentially on the calling thread in the same RNG order, and the
-    /// objective consumes no randomness, so the result is bit-identical to
-    /// the sequential method under the same seed — at any thread count.
-    ///
-    /// The objective must be `Fn + Sync` (workers share it); keep using the
-    /// sequential method for stateful `FnMut` objectives.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossEntropyOptimizer::try_minimize_budgeted`]; a NaN on
-    /// any sampled point surfaces as the lowest-index failure, matching the
-    /// sequential first-error behavior.
-    pub fn try_minimize_budgeted_par(
-        &self,
-        objective: impl Fn(&[f64]) -> f64 + Sync,
-        bounds: &[(f64, f64)],
-        init_mean: &[f64],
-        rng: &mut impl Rng,
-        clock: Option<&BudgetClock>,
-        parallelism: &Parallelism,
-    ) -> Result<CeSolution, SolverError> {
-        let threads = parallelism.threads;
-        // Individual objective evaluations are cheap relative to thread
-        // scheduling; chunking amortizes the pull cost.
-        let chunk = nms_par::auto_chunk(self.config.samples, threads);
-        self.minimize_core(
-            &mut |points, values| {
-                let batch = nms_par::par_map_chunked(threads, chunk, points, |_, point: &Vec<f64>| {
-                    let value = objective(point);
-                    if value.is_nan() {
-                        Err(nan_sample_error())
-                    } else {
-                        Ok(value)
-                    }
-                })?;
-                values.extend(batch);
-                Ok(())
-            },
-            bounds,
-            init_mean,
-            rng,
-            clock,
-            &mut CeWorkspace::default(),
-        )
-    }
-
-    /// The shared CE loop: per iteration, draw all `K` sample points from
-    /// `rng`, hand them to `eval_batch` (which appends their objective
-    /// values in order to the output buffer, or returns the lowest-index
-    /// evaluation failure), then refit the sampling distribution on the
-    /// elites. All steady-state buffers live in `ws`.
-    fn minimize_core(
-        &self,
-        eval_batch: &mut dyn FnMut(&[Vec<f64>], &mut Vec<f64>) -> Result<(), SolverError>,
-        bounds: &[(f64, f64)],
-        init_mean: &[f64],
-        rng: &mut impl Rng,
-        clock: Option<&BudgetClock>,
         ws: &mut CeWorkspace,
     ) -> Result<CeSolution, SolverError> {
         if bounds.len() != init_mean.len() {
@@ -375,14 +218,15 @@ impl CrossEntropyOptimizer {
         }
         let dim = bounds.len();
         if dim == 0 {
-            ws.values.clear();
-            eval_batch(&[Vec::new()], &mut ws.values)?;
+            let value = objective(&[]);
+            if value.is_nan() {
+                return Err(nan_sample_error());
+            }
             return Ok(CeSolution {
                 point: Vec::new(),
-                objective: ws.values[0],
+                objective: value,
                 iterations: 0,
                 converged: true,
-                budget_breached: false,
                 std_history: Vec::new(),
             });
         }
@@ -422,34 +266,25 @@ impl CrossEntropyOptimizer {
 
         best_point.clear();
         best_point.extend_from_slice(mean);
-        values.clear();
-        eval_batch(std::slice::from_ref(best_point), values).map_err(|_| {
-            SolverError::Numeric {
+        let mut best_value = objective(best_point);
+        if best_value.is_nan() {
+            return Err(SolverError::Numeric {
                 detail: "objective returned NaN at the initial mean".into(),
-            }
-        })?;
-        let mut best_value = values[0];
+            });
+        }
 
         while points.len() < samples {
             points.push(Vec::new());
         }
         let mut iterations = 0;
         let mut converged = false;
-        let mut budget_breached = false;
         let mut std_history: Vec<f64> = Vec::new();
 
         for _ in 0..self.config.max_iters {
-            if let Some(clock) = clock {
-                if clock.breach(iterations).is_some() {
-                    budget_breached = true;
-                    break;
-                }
-            }
             iterations += 1;
-            // Draw every sample point before evaluating any of them: the
-            // objective consumes no randomness, so this keeps the RNG
-            // stream identical to the old interleaved loop while letting
-            // the evaluation batch fan out across workers.
+            // Draw every sample point before evaluating any of them (the
+            // objective consumes no randomness, so the RNG stream is the
+            // same as drawing and evaluating one sample at a time).
             for x in points[..samples].iter_mut() {
                 x.clear();
                 for d in 0..dim {
@@ -458,7 +293,13 @@ impl CrossEntropyOptimizer {
                 }
             }
             values.clear();
-            eval_batch(&points[..samples], values)?;
+            for point in &points[..samples] {
+                let value = objective(point);
+                if value.is_nan() {
+                    return Err(nan_sample_error());
+                }
+                values.push(value);
+            }
             // Stable index sort by value — the same permutation the old
             // pair sort produced, without moving the points.
             order.clear();
@@ -510,7 +351,6 @@ impl CrossEntropyOptimizer {
             objective: best_value,
             iterations,
             converged,
-            budget_breached,
             std_history,
         })
     }
@@ -531,6 +371,18 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// One solve from a fresh workspace.
+    fn minimize(
+        optimizer: &CrossEntropyOptimizer,
+        objective: impl FnMut(&[f64]) -> f64,
+        bounds: &[(f64, f64)],
+        init_mean: &[f64],
+        seed: u64,
+    ) -> Result<CeSolution, SolverError> {
+        let mut ws = CeWorkspace::default();
+        optimizer.minimize(objective, bounds, init_mean, &mut rng(seed), &mut ws)
     }
 
     #[test]
@@ -566,12 +418,14 @@ mod tests {
     #[test]
     fn finds_quadratic_minimum() {
         let optimizer = CrossEntropyOptimizer::default();
-        let solution = optimizer.minimize(
+        let solution = minimize(
+            &optimizer,
             |x| x.iter().map(|v| (v - 0.7).powi(2)).sum(),
             &[(0.0, 2.0); 6],
             &[1.8; 6],
-            &mut rng(3),
-        );
+            3,
+        )
+        .unwrap();
         for v in &solution.point {
             assert!((v - 0.7).abs() < 0.05, "point {v}");
         }
@@ -585,8 +439,14 @@ mod tests {
     #[test]
     fn respects_box_when_minimum_outside() {
         let optimizer = CrossEntropyOptimizer::default();
-        let solution =
-            optimizer.minimize(|x| (x[0] + 5.0).powi(2), &[(0.0, 1.0)], &[0.5], &mut rng(4));
+        let solution = minimize(
+            &optimizer,
+            |x| (x[0] + 5.0).powi(2),
+            &[(0.0, 1.0)],
+            &[0.5],
+            4,
+        )
+        .unwrap();
         // Unconstrained minimum at −5 is outside; the box edge wins.
         assert!(solution.point[0] >= 0.0);
         assert!(solution.point[0] < 0.05);
@@ -600,19 +460,21 @@ mod tests {
             max_iters: 80,
             ..CeConfig::default()
         });
-        let solution = optimizer.minimize(
+        let solution = minimize(
+            &optimizer,
             |x| x[0] * x[0] + 2.0 * (1.0 - (4.0 * std::f64::consts::PI * x[0]).cos()),
             &[(-3.0, 3.0)],
             &[2.5],
-            &mut rng(5),
-        );
+            5,
+        )
+        .unwrap();
         assert!(solution.point[0].abs() < 0.1, "got {}", solution.point[0]);
     }
 
     #[test]
     fn zero_dimensional_problem() {
         let optimizer = CrossEntropyOptimizer::default();
-        let solution = optimizer.minimize(|_| 42.0, &[], &[], &mut rng(6));
+        let solution = minimize(&optimizer, |_| 42.0, &[], &[], 6).unwrap();
         assert_eq!(solution.objective, 42.0);
         assert!(solution.converged);
     }
@@ -621,12 +483,14 @@ mod tests {
     fn deterministic_under_seed() {
         let optimizer = CrossEntropyOptimizer::default();
         let run = |seed| {
-            optimizer.minimize(
+            minimize(
+                &optimizer,
                 |x| (x[0] - 0.2).powi(2) + (x[1] - 0.9).powi(2),
                 &[(0.0, 1.0); 2],
                 &[0.5; 2],
-                &mut rng(seed),
+                seed,
             )
+            .unwrap()
         };
         assert_eq!(run(9), run(9));
     }
@@ -644,11 +508,9 @@ mod tests {
             let init = vec![0.0; dim];
             let objective = |x: &[f64]| x.iter().map(|v| (v - target).powi(2)).sum::<f64>();
             let reused = optimizer
-                .try_minimize_budgeted_in(objective, &bounds, &init, &mut rng(seed), None, &mut ws)
+                .minimize(objective, &bounds, &init, &mut rng(seed), &mut ws)
                 .unwrap();
-            let fresh = optimizer
-                .try_minimize_budgeted(objective, &bounds, &init, &mut rng(seed), None)
-                .unwrap();
+            let fresh = minimize(&optimizer, objective, &bounds, &init, seed).unwrap();
             assert_eq!(reused, fresh, "round {round}");
         }
     }
@@ -667,159 +529,28 @@ mod tests {
         });
         let objective = |x: &[f64]| (x[0] - 0.31).powi(2);
         let bounds = [(0.0, 1.0)];
-        let a = few.minimize(objective, &bounds, &[0.9], &mut rng(11));
-        let b = many.minimize(objective, &bounds, &[0.9], &mut rng(11));
+        let a = minimize(&few, objective, &bounds, &[0.9], 11).unwrap();
+        let b = minimize(&many, objective, &bounds, &[0.9], 11).unwrap();
         assert!(b.objective <= a.objective + 1e-15);
     }
 
     #[test]
-    fn budget_clock_stops_iterations_cleanly() {
-        use nms_types::SolveBudget;
-        let optimizer = CrossEntropyOptimizer::new(CeConfig {
-            max_iters: 50,
-            std_tol_fraction: 0.0,
-            ..CeConfig::default()
-        });
-        let clock = SolveBudget {
-            max_iterations: Some(3),
-            max_wall_secs: None,
-        }
-        .start();
-        let solution = optimizer
-            .try_minimize_budgeted(
-                |x| (x[0] - 0.5).powi(2),
-                &[(0.0, 1.0)],
-                &[0.9],
-                &mut rng(7),
-                Some(&clock),
-            )
-            .unwrap();
-        assert!(solution.budget_breached);
-        assert!(!solution.converged);
-        assert_eq!(solution.iterations, 3);
-        // The best-so-far point is still inside the box and usable.
-        assert!((0.0..=1.0).contains(&solution.point[0]));
-
-        // An expired wall clock stops before the first iteration. The
-        // elapsed time is injected rather than slept, so the test cannot
-        // flake under scheduler load.
-        let clock = BudgetClock::with_elapsed(
-            SolveBudget {
-                max_iterations: None,
-                max_wall_secs: Some(0.5),
-            },
-            1.0,
-        );
-        let solution = optimizer
-            .try_minimize_budgeted(
-                |x| (x[0] - 0.5).powi(2),
-                &[(0.0, 1.0)],
-                &[0.9],
-                &mut rng(7),
-                Some(&clock),
-            )
-            .unwrap();
-        assert!(solution.budget_breached);
-        assert_eq!(solution.iterations, 0);
-        assert_eq!(solution.point, vec![0.9]);
-    }
-
-    #[test]
-    fn parallel_evaluation_is_bit_identical_to_sequential() {
-        let optimizer = CrossEntropyOptimizer::new(CeConfig {
-            samples: 48,
-            max_iters: 20,
-            ..CeConfig::default()
-        });
-        let objective =
-            |x: &[f64]| (x[0] - 0.3).powi(2) + (x[1] + 0.4).powi(2) + (x[0] * x[1]).sin();
-        let bounds = [(-1.0, 1.0); 2];
-        let init = [0.5; 2];
-        let sequential = optimizer
-            .try_minimize_budgeted(objective, &bounds, &init, &mut rng(31), None)
-            .unwrap();
-        for threads in [1, 2, 4] {
-            let parallel = optimizer
-                .try_minimize_budgeted_par(
-                    objective,
-                    &bounds,
-                    &init,
-                    &mut rng(31),
-                    None,
-                    &Parallelism::new(threads),
-                )
-                .unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_respects_budget_clock() {
-        use nms_types::SolveBudget;
-        let optimizer = CrossEntropyOptimizer::new(CeConfig {
-            max_iters: 50,
-            std_tol_fraction: 0.0,
-            ..CeConfig::default()
-        });
-        let clock = SolveBudget {
-            max_iterations: Some(2),
-            max_wall_secs: None,
-        }
-        .start();
-        let solution = optimizer
-            .try_minimize_budgeted_par(
-                |x: &[f64]| (x[0] - 0.5).powi(2),
-                &[(0.0, 1.0)],
-                &[0.9],
-                &mut rng(7),
-                Some(&clock),
-                &Parallelism::new(4),
-            )
-            .unwrap();
-        assert!(solution.budget_breached);
-        assert_eq!(solution.iterations, 2);
-    }
-
-    #[test]
-    fn parallel_evaluation_reports_nan_as_error() {
+    fn nan_objective_is_an_error() {
         let optimizer = CrossEntropyOptimizer::default();
-        let err = optimizer
-            .try_minimize_budgeted_par(
-                |_: &[f64]| f64::NAN,
-                &[(0.0, 1.0)],
-                &[0.5],
-                &mut rng(0),
-                None,
-                &Parallelism::new(4),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("NaN"), "{err}");
-    }
-
-    #[test]
-    fn try_minimize_reports_nan_objective_as_error() {
-        let optimizer = CrossEntropyOptimizer::default();
-        let err = optimizer
-            .try_minimize(|_| f64::NAN, &[(0.0, 1.0)], &[0.5], &mut rng(0))
-            .unwrap_err();
+        let err = minimize(&optimizer, |_| f64::NAN, &[(0.0, 1.0)], &[0.5], 0).unwrap_err();
         assert!(err.to_string().contains("NaN"), "{err}");
         // A well-posed problem succeeds through the same path.
-        let ok = optimizer
-            .try_minimize(|x| x[0] * x[0], &[(-1.0, 1.0)], &[0.9], &mut rng(1))
-            .unwrap();
+        let ok = minimize(&optimizer, |x| x[0] * x[0], &[(-1.0, 1.0)], &[0.9], 1).unwrap();
         assert!(ok.point[0].abs() < 0.05);
     }
 
     #[test]
-    #[should_panic(expected = "bounds/init_mean")]
-    fn mismatched_dimensions_panic() {
-        CrossEntropyOptimizer::default().minimize(|_| 0.0, &[(0.0, 1.0)], &[], &mut rng(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid bounds")]
-    fn inverted_bounds_panic() {
-        CrossEntropyOptimizer::default().minimize(|_| 0.0, &[(1.0, 0.0)], &[0.5], &mut rng(0));
+    fn malformed_boxes_are_errors() {
+        let optimizer = CrossEntropyOptimizer::default();
+        let err = minimize(&optimizer, |_| 0.0, &[(0.0, 1.0)], &[], 0).unwrap_err();
+        assert!(err.to_string().contains("bounds/init_mean"), "{err}");
+        let err = minimize(&optimizer, |_| 0.0, &[(1.0, 0.0)], &[0.5], 0).unwrap_err();
+        assert!(err.to_string().contains("invalid bounds"), "{err}");
     }
 
     proptest! {
@@ -833,12 +564,14 @@ mod tests {
         ) {
             let hi = lo + width;
             let optimizer = CrossEntropyOptimizer::new(CeConfig::fast());
-            let solution = optimizer.minimize(
+            let solution = minimize(
+                &optimizer,
                 |x| (x[0] - target).powi(2),
                 &[(lo, hi)],
                 &[(lo + hi) / 2.0],
-                &mut rng(seed),
-            );
+                seed,
+            )
+            .unwrap();
             prop_assert!(solution.point[0] >= lo - 1e-12);
             prop_assert!(solution.point[0] <= hi + 1e-12);
             // And it should do at least as well as the box-projected target.

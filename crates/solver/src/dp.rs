@@ -21,7 +21,7 @@ use crate::SolverError;
 /// the window slot list, and the back-pointer table. Allocating them fresh
 /// per solve dominates the cost of small instances, so callers that solve
 /// many appliances (the best-response inner loop) hold one workspace and
-/// pass it to [`DpScheduler::schedule_in`]; steady-state reuse then
+/// pass it to every [`DpScheduler::schedule`]; steady-state reuse then
 /// allocates nothing. The buffers carry no state between solves — every
 /// solve fully reinitializes the prefix it reads — so reuse is always
 /// bit-identical to fresh allocation (see `tests/solver_workspace.rs`).
@@ -49,7 +49,7 @@ pub struct DpWorkspace {
 ///
 /// ```
 /// use nms_smarthome::{Appliance, ApplianceKind, PowerLevels, TaskSpec};
-/// use nms_solver::DpScheduler;
+/// use nms_solver::{DpScheduler, DpWorkspace};
 /// use nms_types::{ApplianceId, Horizon, Kw, Kwh};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,7 +61,8 @@ pub struct DpWorkspace {
 ///     TaskSpec::new(Kwh::new(6.0), 0, 7)?,
 /// );
 /// // Cheap power before 04:00.
-/// let schedule = DpScheduler::default().schedule(&ev, horizon, |slot, energy| {
+/// let mut ws = DpWorkspace::default();
+/// let schedule = DpScheduler::default().schedule(&ev, horizon, &mut ws, |slot, energy| {
 ///     let price = if slot < 4 { 0.05 } else { 0.25 };
 ///     price * energy
 /// })?;
@@ -100,7 +101,9 @@ impl DpScheduler {
     /// The cost closure receives the slot index and the energy (kWh)
     /// tentatively allocated to that slot, and must return the *customer
     /// cost* of that allocation; it is evaluated `O(H·J)` times per quantum
-    /// level.
+    /// level. The DP tables live in `ws` and are reused across solves, so a
+    /// warm workspace makes the solve allocation-free up to the returned
+    /// schedule; reuse is bit-identical to a fresh [`DpWorkspace`].
     ///
     /// # Errors
     ///
@@ -109,23 +112,6 @@ impl DpScheduler {
     /// [`SolverError::Schedule`] if the reconstructed plan fails validation
     /// (a solver bug or NaN costs).
     pub fn schedule(
-        &self,
-        appliance: &Appliance,
-        horizon: Horizon,
-        slot_cost: impl FnMut(usize, f64) -> f64,
-    ) -> Result<ApplianceSchedule, SolverError> {
-        self.schedule_in(appliance, horizon, &mut DpWorkspace::default(), slot_cost)
-    }
-
-    /// [`DpScheduler::schedule`] with caller-provided scratch buffers: the
-    /// DP tables live in `ws` and are reused across solves, so a warm
-    /// workspace makes the solve allocation-free up to the returned
-    /// schedule. Bit-identical to [`DpScheduler::schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DpScheduler::schedule`].
-    pub fn schedule_in(
         &self,
         appliance: &Appliance,
         horizon: Horizon,
@@ -294,7 +280,7 @@ mod tests {
     fn fills_cheapest_slots_first() {
         let a = appliance(4.0, 0, 23, 2.0);
         let schedule = DpScheduler::default()
-            .schedule(&a, day(), |slot, e| {
+            .schedule(&a, day(), &mut DpWorkspace::default(), |slot, e| {
                 let price = if (10..14).contains(&slot) { 0.01 } else { 1.0 };
                 price * e
             })
@@ -307,7 +293,7 @@ mod tests {
     fn respects_window() {
         let a = appliance(2.0, 5, 8, 2.0);
         let schedule = DpScheduler::default()
-            .schedule(&a, day(), |_, e| e) // flat price
+            .schedule(&a, day(), &mut DpWorkspace::default(), |_, e| e) // flat price
             .unwrap();
         for h in 0..24 {
             if !(5..=8).contains(&h) {
@@ -324,7 +310,7 @@ mod tests {
         // evenly across the window.
         let a = appliance(4.0, 0, 3, 2.0);
         let schedule = DpScheduler::new(8)
-            .schedule(&a, day(), |_, e| e * e)
+            .schedule(&a, day(), &mut DpWorkspace::default(), |_, e| e * e)
             .unwrap();
         for h in 0..4 {
             assert!(
@@ -339,7 +325,7 @@ mod tests {
     fn zero_energy_task_yields_zero_schedule() {
         let a = appliance(0.0, 0, 23, 2.0);
         let schedule = DpScheduler::default()
-            .schedule(&a, day(), |_, e| e)
+            .schedule(&a, day(), &mut DpWorkspace::default(), |_, e| e)
             .unwrap();
         assert!((0..24).all(|h| schedule.at(h) == Kwh::ZERO));
     }
@@ -349,7 +335,7 @@ mod tests {
         // 4 kWh in exactly 2 slots at 2 kW: both slots at capacity.
         let a = appliance(4.0, 10, 11, 2.0);
         let schedule = DpScheduler::default()
-            .schedule(&a, day(), |_, e| e * 100.0)
+            .schedule(&a, day(), &mut DpWorkspace::default(), |_, e| e * 100.0)
             .unwrap();
         assert!((schedule.at(10).value() - 2.0).abs() < 1e-9);
         assert!((schedule.at(11).value() - 2.0).abs() < 1e-9);
@@ -359,8 +345,13 @@ mod tests {
     fn higher_resolution_never_hurts() {
         let a = appliance(3.0, 0, 5, 2.0);
         let cost = |slot: usize, e: f64| (1.0 + slot as f64 * 0.1) * e * e;
-        let coarse = DpScheduler::new(2).schedule(&a, day(), cost).unwrap();
-        let fine = DpScheduler::new(16).schedule(&a, day(), cost).unwrap();
+        let mut ws = DpWorkspace::default();
+        let coarse = DpScheduler::new(2)
+            .schedule(&a, day(), &mut ws, cost)
+            .unwrap();
+        let fine = DpScheduler::new(16)
+            .schedule(&a, day(), &mut ws, cost)
+            .unwrap();
         let total =
             |s: &ApplianceSchedule| -> f64 { (0..24).map(|h| cost(h, s.at(h).value())).sum() };
         assert!(total(&fine) <= total(&coarse) + 1e-9);
@@ -372,7 +363,7 @@ mod tests {
         // 16:00–17:00 suck in all flexible load.
         let a = appliance(4.0, 8, 20, 2.0);
         let schedule = DpScheduler::default()
-            .schedule(&a, day(), |slot, e| {
+            .schedule(&a, day(), &mut DpWorkspace::default(), |slot, e| {
                 let price = if slot == 16 || slot == 17 { 0.0 } else { 0.2 };
                 price * e
             })
@@ -404,8 +395,10 @@ mod tests {
         let cost = |slot: usize, e: f64| (0.05 + 0.01 * slot as f64) * e + 0.3 * e * e;
         for &(energy, start, deadline, max_kw) in &shapes {
             let a = appliance(energy, start, deadline, max_kw);
-            let reused = dp.schedule_in(&a, day(), &mut ws, cost).unwrap();
-            let fresh = dp.schedule(&a, day(), cost).unwrap();
+            let reused = dp.schedule(&a, day(), &mut ws, cost).unwrap();
+            let fresh = dp
+                .schedule(&a, day(), &mut DpWorkspace::default(), cost)
+                .unwrap();
             for h in 0..24 {
                 assert_eq!(
                     reused.at(h).value().to_bits(),
@@ -474,7 +467,7 @@ mod tests {
                 TaskSpec::new(Kwh::new(energy), start, deadline).unwrap(),
             );
             let schedule = DpScheduler::new(resolution)
-                .schedule(&appliance, day(), cost)
+                .schedule(&appliance, day(), &mut DpWorkspace::default(), cost)
                 .unwrap();
             let dp_cost: f64 = (0..24).map(|h| cost(h, schedule.at(h).value())).sum();
 
@@ -509,7 +502,7 @@ mod tests {
                 0.01 + (x % 100) as f64 / 100.0
             };
             let schedule = DpScheduler::default()
-                .schedule(&a, day(), |slot, e| price(slot) * e)
+                .schedule(&a, day(), &mut DpWorkspace::default(), |slot, e| price(slot) * e)
                 .unwrap();
             // ApplianceSchedule::new inside schedule() already validated
             // feasibility; check totals here as a belt-and-braces.

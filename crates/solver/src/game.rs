@@ -6,7 +6,7 @@
 //! (Gauss–Seidel), or for a fixed number of Jacobi rounds when running the
 //! parallel variant.
 
-use nms_obs::{span, NoopRecorder, Recorder, TraceEvent};
+use nms_obs::{span, Recorder, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,7 @@ use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule};
 use nms_types::ValidateError;
 
 use crate::batch::BatchResponseWorkspace;
-use crate::{best_response_slice_in, ResponseConfig, ResponseWorkspace, SolverError};
+use crate::{best_response, ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Configuration for [`GameEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,60 +89,6 @@ pub struct GameOutcome {
     pub history: Vec<f64>,
 }
 
-/// Which guideline price each customer's smart controller sees.
-///
-/// Under a pricing cyberattack, hacked meters receive a *manipulated*
-/// signal while healthy meters see the broadcast one — the game must let
-/// customers optimize against their own believed prices.
-#[derive(Debug, Clone, Copy)]
-pub enum PriceAssignment<'a> {
-    /// Every customer sees the same signal (the no-attack case).
-    Uniform(&'a PriceSignal),
-    /// `signals[i]` is what customer `i`'s meter reports.
-    PerCustomer(&'a [PriceSignal]),
-}
-
-impl<'a> PriceAssignment<'a> {
-    /// The signal customer `index` optimizes against.
-    #[inline]
-    pub fn for_customer(&self, index: usize) -> &'a PriceSignal {
-        match self {
-            Self::Uniform(signal) => signal,
-            Self::PerCustomer(signals) => &signals[index],
-        }
-    }
-
-    fn validate(&self, customers: usize, slots: usize) -> Result<(), ValidateError> {
-        match self {
-            Self::Uniform(signal) => {
-                if signal.len() != slots {
-                    return Err(ValidateError::new(format!(
-                        "price signal covers {} slots, community horizon {slots}",
-                        signal.len()
-                    )));
-                }
-            }
-            Self::PerCustomer(signals) => {
-                if signals.len() != customers {
-                    return Err(ValidateError::new(format!(
-                        "{} price signals for {customers} customers",
-                        signals.len()
-                    )));
-                }
-                for (i, signal) in signals.iter().enumerate() {
-                    if signal.len() != slots {
-                        return Err(ValidateError::new(format!(
-                            "price signal for customer {i} covers {} slots, horizon {slots}",
-                            signal.len()
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Solves the Net Metering Aware Energy Consumption Scheduling Game for a
 /// community under a guideline price (paper §3.1).
 ///
@@ -153,7 +99,7 @@ impl<'a> PriceAssignment<'a> {
 #[derive(Debug)]
 pub struct GameEngine<'a> {
     community: &'a Community,
-    prices: PriceAssignment<'a>,
+    prices: &'a PriceSignal,
     tariff: NetMeteringTariff,
     config: GameConfig,
 }
@@ -171,25 +117,14 @@ impl<'a> GameEngine<'a> {
         tariff: NetMeteringTariff,
         config: GameConfig,
     ) -> Result<Self, ValidateError> {
-        Self::with_price_assignment(community, PriceAssignment::Uniform(prices), tariff, config)
-    }
-
-    /// Like [`GameEngine::new`] but with per-customer price signals (e.g.
-    /// hacked meters seeing a manipulated price).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] when any signal's horizon disagrees with
-    /// the community's, the signal count is wrong, or the configuration is
-    /// invalid.
-    pub fn with_price_assignment(
-        community: &'a Community,
-        prices: PriceAssignment<'a>,
-        tariff: NetMeteringTariff,
-        config: GameConfig,
-    ) -> Result<Self, ValidateError> {
         config.validate()?;
-        prices.validate(community.len(), community.horizon().slots())?;
+        let slots = community.horizon().slots();
+        if prices.len() != slots {
+            return Err(ValidateError::new(format!(
+                "price signal covers {} slots, community horizon {slots}",
+                prices.len()
+            )));
+        }
         Ok(Self {
             community,
             prices,
@@ -211,27 +146,19 @@ impl<'a> GameEngine<'a> {
     /// the draw order (and therefore any downstream consumer of `rng`) is
     /// identical across thread counts.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve(&self, rng: &mut impl Rng) -> Result<GameOutcome, SolverError> {
-        self.solve_recorded(rng, &NoopRecorder)
-    }
-
-    /// [`GameEngine::solve`] with solver telemetry: per-round `game_round`
-    /// events (Jacobi/Gauss–Seidel residuals), a closing `game_solved`
-    /// event, `solver_round_delta` observations, and
-    /// `solver_games` / `solver_rounds` / `solver_games_converged` counters into
-    /// `rec` — plus everything [`best_response_recorded`] tallies per
-    /// customer. Recording only reads values the solve already produced
-    /// (see the crate-level RNG-neutrality contract in `nms-obs`), so the
-    /// outcome is bit-identical to [`GameEngine::solve`] under the same
-    /// seed.
+    /// Solver telemetry goes to `rec`: per-round `game_round` events
+    /// (Jacobi/Gauss–Seidel residuals), a closing `game_solved` event,
+    /// `solver_round_delta` observations, and `solver_games` /
+    /// `solver_rounds` / `solver_games_converged` counters — plus everything
+    /// [`best_response`] tallies per customer. Recording only reads values
+    /// the solve already produced (see the crate-level RNG-neutrality
+    /// contract in `nms-obs`), so the outcome is the same under any
+    /// recorder.
     ///
     /// # Errors
     ///
     /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_recorded(
+    pub fn solve(
         &self,
         rng: &mut impl Rng,
         rec: &dyn Recorder,
@@ -267,8 +194,8 @@ impl<'a> GameEngine<'a> {
                 for (index, customer) in self.community.iter().enumerate() {
                     batch.fill_others(index);
                     let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                    let cost_model = CostModel::new(self.prices.for_customer(index), self.tariff);
-                    let response = best_response_slice_in(
+                    let cost_model = CostModel::new(self.prices, self.tariff);
+                    let response = best_response(
                         customer,
                         batch.others(),
                         cost_model,
@@ -360,11 +287,10 @@ impl<'a> GameEngine<'a> {
         rec: &dyn Recorder,
     ) -> Result<Vec<CustomerSchedule>, SolverError> {
         // Workers record only the commutative metric methods (via
-        // best_response_slice_in), so totals stay reproducible at any
-        // thread count. Each worker owns one scratch arena plus an others
-        // buffer for its whole run, so steady-state rounds allocate nothing
-        // per response.
-        nms_par::par_map_scratch_recorded(
+        // best_response), so totals stay reproducible at any thread count.
+        // Each worker owns one scratch arena plus an others buffer for its
+        // whole run, so steady-state rounds allocate nothing per response.
+        nms_par::par_map(
             self.config.parallelism.threads,
             self.community.customers(),
             rec,
@@ -372,8 +298,8 @@ impl<'a> GameEngine<'a> {
             |(ws, others), index, customer| {
                 batch.fill_others_into(index, others);
                 let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                let cost_model = CostModel::new(self.prices.for_customer(index), self.tariff);
-                best_response_slice_in(
+                let cost_model = CostModel::new(self.prices, self.tariff);
+                best_response(
                     customer,
                     others,
                     cost_model,
@@ -391,6 +317,7 @@ impl<'a> GameEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use nms_smarthome::{
         clear_sky_profile, Appliance, ApplianceKind, Battery, Customer, PowerLevels, PvPanel,
         TaskSpec,
@@ -483,7 +410,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let outcome = engine.solve(&mut rng).unwrap();
+        let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
         assert!(outcome.converged, "history: {:?}", outcome.history);
         // Flexible load avoids the on-peak windows.
         let schedule = &outcome.schedule;
@@ -504,7 +431,7 @@ mod tests {
             GameConfig::fast(),
         )
         .unwrap();
-        let base = engine.solve(&mut rng).unwrap();
+        let base = engine.solve(&mut rng, &NoopRecorder).unwrap();
 
         let der = small_community(3, true);
         let engine = GameEngine::new(
@@ -515,7 +442,7 @@ mod tests {
         )
         .unwrap();
         let mut rng2 = ChaCha8Rng::seed_from_u64(11);
-        let with_der = engine.solve(&mut rng2).unwrap();
+        let with_der = engine.solve(&mut rng2, &NoopRecorder).unwrap();
 
         let total = |o: &GameOutcome| -> f64 { o.schedule.grid_demand_clamped().total() };
         assert!(
@@ -538,7 +465,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let outcome = engine.solve(&mut rng).unwrap();
+        let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
         assert_eq!(outcome.history.len(), outcome.rounds);
         // The last round's delta is within tolerance iff converged.
         let last = *outcome.history.last().unwrap();
@@ -559,7 +486,7 @@ mod tests {
         )
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let sequential = engine.solve(&mut rng).unwrap();
+        let sequential = engine.solve(&mut rng, &NoopRecorder).unwrap();
 
         let mut parallel_config = sequential_config;
         parallel_config.parallelism = Parallelism::new(4);
@@ -571,7 +498,7 @@ mod tests {
         )
         .unwrap();
         let mut rng2 = ChaCha8Rng::seed_from_u64(13);
-        let parallel = engine.solve(&mut rng2).unwrap();
+        let parallel = engine.solve(&mut rng2, &NoopRecorder).unwrap();
 
         // Jacobi and Gauss–Seidel won't agree exactly, but total consumed
         // energy must (it is constraint-pinned), and demand shapes should
@@ -594,7 +521,7 @@ mod tests {
             let engine =
                 GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(21);
-            engine.solve(&mut rng).unwrap()
+            engine.solve(&mut rng, &NoopRecorder).unwrap()
         };
         let two = run(2);
         let four = run(4);

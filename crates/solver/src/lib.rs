@@ -19,9 +19,10 @@
 //! # Examples
 //!
 //! ```
-//! use nms_solver::{CeConfig, CrossEntropyOptimizer};
+//! use nms_solver::{CeConfig, CeWorkspace, CrossEntropyOptimizer};
 //! use rand::SeedableRng;
 //!
+//! # fn main() -> Result<(), nms_solver::SolverError> {
 //! // Minimize a shifted quadratic over a box.
 //! let optimizer = CrossEntropyOptimizer::new(CeConfig::default());
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
@@ -30,9 +31,12 @@
 //!     &[(-1.0, 1.0), (-1.0, 1.0)],
 //!     &[0.0, 0.0],
 //!     &mut rng,
-//! );
+//!     &mut CeWorkspace::default(),
+//! )?;
 //! assert!((solution.point[0] - 0.3).abs() < 0.05);
 //! assert!((solution.point[1] + 0.5).abs() < 0.05);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,24 +50,15 @@ mod error;
 mod game;
 mod nash;
 mod response;
-mod retry;
 mod workspace;
 
 pub use batch::BatchResponseWorkspace;
-pub use battery::{
-    coordinate_descent_battery, optimize_battery, try_optimize_battery,
-    try_optimize_battery_budgeted, try_optimize_battery_budgeted_in,
-    try_optimize_battery_budgeted_par, BatteryProblem,
-};
+pub use battery::{coordinate_descent_battery, optimize_battery, BatteryProblem};
 pub use ce::{CeConfig, CeSolution, CeWorkspace, CrossEntropyOptimizer};
 pub use dp::{DpScheduler, DpWorkspace};
 pub use error::SolverError;
-pub use game::{GameConfig, GameEngine, GameOutcome, PriceAssignment};
+pub use game::{GameConfig, GameEngine, GameOutcome};
 pub use nash::{nash_gap, NashGap};
 pub use nms_par::Parallelism;
-pub use response::{
-    best_response, best_response_in, best_response_recorded, best_response_reference,
-    best_response_slice_in, ResponseConfig,
-};
-pub use retry::{solve_battery_robust, BatterySolveStage, RobustBatteryOutcome};
+pub use response::{best_response, best_response_reference, ResponseConfig};
 pub use workspace::ResponseWorkspace;

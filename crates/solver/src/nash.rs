@@ -6,6 +6,7 @@
 //! dollars could each customer still save by re-optimizing? A schedule
 //! with (near-)zero gap is a (near-)equilibrium of the scheduling game.
 
+use nms_obs::NoopRecorder;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -14,7 +15,7 @@ use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule};
 use nms_types::{Dollars, TimeSeries};
 
-use crate::{best_response, PriceAssignment, ResponseConfig, SolverError};
+use crate::{best_response, ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Per-customer and aggregate exploitability of a schedule.
 #[derive(Debug, Clone)]
@@ -34,7 +35,7 @@ impl NashGap {
     }
 }
 
-/// Measures the Nash gap of `schedule` under the given price assignment.
+/// Measures the Nash gap of `schedule` under the broadcast price `prices`.
 ///
 /// For each customer, the current cost is compared against the cost of a
 /// freshly computed best response to the *other* customers' scheduled
@@ -51,7 +52,7 @@ impl NashGap {
 pub fn nash_gap(
     community: &Community,
     schedule: &CommunitySchedule,
-    prices: PriceAssignment<'_>,
+    prices: &PriceSignal,
     tariff: NetMeteringTariff,
     config: &ResponseConfig,
     rng: &mut impl Rng,
@@ -70,16 +71,25 @@ pub fn nash_gap(
             .sum()
     });
 
+    let cost_model = CostModel::new(prices, tariff);
+    let mut ws = ResponseWorkspace::default();
     let mut per_customer = Vec::with_capacity(community.len());
     for (index, customer) in community.iter().enumerate() {
         let own = &schedule.customer_schedules()[index];
         let others = total.sub(own.trading()).expect("aligned horizons");
-        let price: &PriceSignal = prices.for_customer(index);
-        let cost_model = CostModel::new(price, tariff);
         let current_cost = cost_model.customer_cost(&others, own.trading());
 
         let mut child = ChaCha8Rng::seed_from_u64(rng.gen());
-        let response = best_response(customer, &others, cost_model, config, Some(own), &mut child)?;
+        let response = best_response(
+            customer,
+            others.as_slice(),
+            cost_model,
+            config,
+            Some(own),
+            &mut child,
+            &NoopRecorder,
+            &mut ws,
+        )?;
         let improved_cost = cost_model.customer_cost(&others, response.trading());
         // The warm-started response can only match or beat the current
         // plan; clamp tiny negative noise.
@@ -135,12 +145,12 @@ mod tests {
         let tariff = NetMeteringTariff::default();
         let engine = GameEngine::new(&community, &prices, tariff, GameConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let outcome = engine.solve(&mut rng).unwrap();
+        let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
 
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &ResponseConfig::default(),
             &mut rng,
@@ -171,12 +181,12 @@ mod tests {
         weak.max_rounds = 1;
         let weak_outcome = GameEngine::new(&community, &prices, tariff, weak)
             .unwrap()
-            .solve(&mut rng)
+            .solve(&mut rng, &NoopRecorder)
             .unwrap();
         // Strong equilibrium for comparison.
         let strong_outcome = GameEngine::new(&community, &prices, tariff, GameConfig::default())
             .unwrap()
-            .solve(&mut rng)
+            .solve(&mut rng, &NoopRecorder)
             .unwrap();
 
         let probe = ResponseConfig::default();
@@ -184,7 +194,7 @@ mod tests {
         let weak_gap = nash_gap(
             &community,
             &weak_outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &probe,
             &mut rng_gap,
@@ -194,7 +204,7 @@ mod tests {
         let strong_gap = nash_gap(
             &community,
             &strong_outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &probe,
             &mut rng_gap,

@@ -4,7 +4,7 @@
 
 use std::cell::Cell;
 
-use nms_obs::{span, NoopRecorder, Recorder};
+use nms_obs::{span, Recorder};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -14,8 +14,8 @@ use nms_types::{TimeSeries, ValidateError};
 
 use crate::workspace::{series_for, ResponseWorkspace};
 use crate::{
-    coordinate_descent_battery, try_optimize_battery_budgeted_in, BatteryProblem, CeConfig,
-    CrossEntropyOptimizer, DpScheduler, SolverError,
+    coordinate_descent_battery, optimize_battery, BatteryProblem, CeConfig, CrossEntropyOptimizer,
+    DpScheduler, SolverError,
 };
 
 /// Configuration for [`best_response`].
@@ -72,114 +72,31 @@ impl Default for ResponseConfig {
 }
 
 /// Computes the customer's best response to the other customers' aggregate
-/// trading `others_trading` (`Σ_{i≠n} y_i^h`, kWh per slot).
+/// trading `others_trading` (`Σ_{i≠n} y_i^h`, kWh per slot, as a raw
+/// per-slot slice: a `TimeSeries`' storage or one of the game engine's flat
+/// structure-of-arrays lanes).
 ///
 /// `previous` warm-starts the appliance allocation and battery trajectory
-/// when available.
+/// when available. All DP tables, CE population buffers, and
+/// response-level series live in `ws` and are reused across solves, so a
+/// warm workspace makes the steady-state inner loop allocation-free (see
+/// DESIGN.md §11); reuse is bit-identical to a fresh [`ResponseWorkspace`]
+/// under the same seed.
+///
+/// Solver telemetry goes to `rec`: DP cost-cell evaluations
+/// (`solver_dp_cells`), cross-entropy solves / iterations / convergences
+/// (`solver_ce_*`), and the CE variance trajectory (`solver_ce_std`
+/// observations). Recording reads only values the solve already produced
+/// and draws nothing from `rng`, so the returned schedule is the same under
+/// any recorder.
 ///
 /// # Errors
 ///
-/// Returns [`SolverError`] when an appliance subproblem is infeasible or
-/// the assembled schedule fails validation.
+/// Returns [`SolverError`] when an appliance subproblem is infeasible, the
+/// battery step hits a NaN cost, or the assembled schedule fails
+/// validation.
+#[allow(clippy::too_many_arguments)]
 pub fn best_response(
-    customer: &Customer,
-    others_trading: &TimeSeries<f64>,
-    cost_model: CostModel<'_>,
-    config: &ResponseConfig,
-    previous: Option<&CustomerSchedule>,
-    rng: &mut impl Rng,
-) -> Result<CustomerSchedule, SolverError> {
-    best_response_recorded(
-        customer,
-        others_trading,
-        cost_model,
-        config,
-        previous,
-        rng,
-        &NoopRecorder,
-    )
-}
-
-/// [`best_response`] with solver telemetry: tallies DP cost-cell
-/// evaluations (`solver_dp_cells`), cross-entropy solves / iterations /
-/// convergences (`solver_ce_*`), and the CE variance trajectory
-/// (`solver_ce_std` observations) into `rec`. Recording reads only values
-/// the solve already produced and draws nothing from `rng`, so the
-/// returned schedule is bit-identical to [`best_response`] under the same
-/// seed.
-///
-/// # Errors
-///
-/// Same as [`best_response`].
-#[allow(clippy::too_many_arguments)]
-pub fn best_response_recorded(
-    customer: &Customer,
-    others_trading: &TimeSeries<f64>,
-    cost_model: CostModel<'_>,
-    config: &ResponseConfig,
-    previous: Option<&CustomerSchedule>,
-    rng: &mut impl Rng,
-    rec: &dyn Recorder,
-) -> Result<CustomerSchedule, SolverError> {
-    best_response_core(
-        customer,
-        others_trading.as_slice(),
-        cost_model,
-        config,
-        previous,
-        rng,
-        rec,
-        &mut ResponseWorkspace::default(),
-        true,
-    )
-}
-
-/// [`best_response_recorded`] with a caller-provided scratch arena: all DP
-/// tables, CE population buffers, and response-level series live in `ws`
-/// and are reused across solves, so a warm workspace makes the steady-state
-/// inner loop allocation-free (see DESIGN.md §11). Bit-identical to
-/// [`best_response_recorded`] under the same seed.
-///
-/// # Errors
-///
-/// Same as [`best_response`].
-#[allow(clippy::too_many_arguments)]
-pub fn best_response_in(
-    customer: &Customer,
-    others_trading: &TimeSeries<f64>,
-    cost_model: CostModel<'_>,
-    config: &ResponseConfig,
-    previous: Option<&CustomerSchedule>,
-    rng: &mut impl Rng,
-    rec: &dyn Recorder,
-    ws: &mut ResponseWorkspace,
-) -> Result<CustomerSchedule, SolverError> {
-    best_response_core(
-        customer,
-        others_trading.as_slice(),
-        cost_model,
-        config,
-        previous,
-        rng,
-        rec,
-        ws,
-        true,
-    )
-}
-
-/// [`best_response_in`] with the others-trading series supplied as a raw
-/// per-slot slice instead of a [`TimeSeries`] — the structure-of-arrays
-/// entry point the game engine's batched round kernels use: one Jacobi or
-/// Gauss–Seidel round walks flat `f64` lanes and hands each customer's
-/// others-lane straight to the solve with no series materialization.
-/// Bit-identical to [`best_response_in`] over a series holding the same
-/// values (the slice *is* the series' storage).
-///
-/// # Errors
-///
-/// Same as [`best_response`].
-#[allow(clippy::too_many_arguments)]
-pub fn best_response_slice_in(
     customer: &Customer,
     others_trading: &[f64],
     cost_model: CostModel<'_>,
@@ -202,19 +119,18 @@ pub fn best_response_slice_in(
     )
 }
 
-/// The exact-equality reference path: identical to
-/// [`best_response_recorded`] except the DP cost comes from the
-/// [`CostModel::slot_cost`] closure per cell instead of the hoisted
-/// per-slot table. [`HoistedCostTable`](nms_pricing::HoistedCostTable)
+/// The exact-equality reference path: identical to [`best_response`]
+/// except the DP cost comes from the [`CostModel::slot_cost`] closure per
+/// cell instead of the hoisted per-slot table, and every buffer is freshly
+/// allocated. [`HoistedCostTable`](nms_pricing::HoistedCostTable)
 /// replicates that closure operation-for-operation, so the two paths are
-/// byte-identical (pinned by `tests/solver_workspace.rs`); this variant
-/// stays as the fallback shape for arbitrary cost closures and as the
-/// before-side of the `solver_kernels` bench.
+/// byte-identical. Kept only as the oracle that `tests/solver_workspace.rs`
+/// and the before-side of the `solver_kernels` bench compare against.
 ///
 /// # Errors
 ///
 /// Same as [`best_response`].
-#[allow(clippy::too_many_arguments)]
+#[doc(hidden)]
 pub fn best_response_reference(
     customer: &Customer,
     others_trading: &TimeSeries<f64>,
@@ -319,7 +235,7 @@ fn best_response_core(
     // the (fixed) aggregate trading of the others — hoist them once per
     // response instead of re-deriving them per DP cell.
     if hoist {
-        cost_model.hoist_slice_into(others_trading, table);
+        cost_model.hoist_into(others_trading, table);
     }
 
     // Tallied locally (the DP cost closure is not `Sync`-friendly to hand
@@ -389,9 +305,7 @@ fn best_response_core(
             } else {
                 warm_prev
             };
-            let (trajectory, solution) =
-                try_optimize_battery_budgeted_in(&problem, &ce, Some(warm), rng, None, ce_ws)
-                    .unwrap_or_else(|err| panic!("{err}"));
+            let (trajectory, solution) = optimize_battery(&problem, &ce, Some(warm), rng, ce_ws)?;
             rec.add("solver_ce_solves", 1);
             rec.add("solver_ce_iterations", solution.iterations as u64);
             if solution.converged {
@@ -419,6 +333,7 @@ fn best_response_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use nms_pricing::{NetMeteringTariff, PriceSignal};
     use nms_smarthome::{
         clear_sky_profile, Appliance, ApplianceKind, Battery, PowerLevels, PvPanel, TaskSpec,
@@ -429,6 +344,28 @@ mod tests {
 
     fn day() -> Horizon {
         Horizon::hourly_day()
+    }
+
+    /// One unrecorded response from a fresh workspace.
+    fn respond(
+        customer: &Customer,
+        others: &TimeSeries<f64>,
+        cost_model: CostModel<'_>,
+        config: &ResponseConfig,
+        previous: Option<&CustomerSchedule>,
+        rng: &mut impl Rng,
+    ) -> Result<CustomerSchedule, SolverError> {
+        let mut ws = ResponseWorkspace::default();
+        best_response(
+            customer,
+            others.as_slice(),
+            cost_model,
+            config,
+            previous,
+            rng,
+            &NoopRecorder,
+            &mut ws,
+        )
     }
 
     fn evening_peak_prices() -> PriceSignal {
@@ -487,7 +424,7 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let schedule = best_response(
+        let schedule = respond(
             &customer,
             &others,
             cost_model,
@@ -516,7 +453,7 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let with_battery = best_response(
+        let with_battery = respond(
             &customer,
             &others,
             cost_model,
@@ -530,7 +467,7 @@ mod tests {
             ..ResponseConfig::default()
         };
         let mut rng2 = ChaCha8Rng::seed_from_u64(2);
-        let without_battery = best_response(
+        let without_battery = respond(
             &customer,
             &others,
             cost_model,
@@ -550,7 +487,7 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let first = best_response(
+        let first = respond(
             &customer,
             &others,
             cost_model,
@@ -559,7 +496,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let second = best_response(
+        let second = respond(
             &customer,
             &others,
             cost_model,
@@ -584,8 +521,7 @@ mod tests {
             ..ResponseConfig::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let schedule =
-            best_response(&customer, &others, cost_model, &config, None, &mut rng).unwrap();
+        let schedule = respond(&customer, &others, cost_model, &config, None, &mut rng).unwrap();
         let initial = customer.battery().initial_charge();
         assert!(schedule.battery().iter().all(|&b| b == initial));
     }
@@ -597,7 +533,7 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let schedule = best_response(
+        let schedule = respond(
             &customer,
             &others,
             cost_model,

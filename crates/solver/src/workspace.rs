@@ -11,10 +11,10 @@
 //! # Lifecycle
 //!
 //! Hold one workspace per thread of execution and pass it to
-//! [`best_response_in`](crate::best_response_in) for every solve: the
+//! [`best_response`](crate::best_response) for every solve: the
 //! sequential Gauss–Seidel game loop keeps a single workspace across all
 //! customers and rounds; parallel Jacobi rounds give each worker its own via
-//! [`nms_par::par_map_scratch_recorded`]. Buffers carry no state between
+//! the scratch factory of [`nms_par::par_map`]. Buffers carry no state between
 //! solves — every solve fully reinitializes the prefix it reads — so reuse
 //! is bit-identical to fresh allocation (`tests/solver_workspace.rs` pins
 //! this byte-for-byte).
@@ -25,7 +25,7 @@ use nms_types::{Horizon, Kwh, TimeSeries};
 use crate::ce::CeWorkspace;
 use crate::dp::DpWorkspace;
 
-/// Reusable scratch arena for [`best_response_in`](crate::best_response_in).
+/// Reusable scratch arena for [`best_response`](crate::best_response).
 ///
 /// See the [module docs](self) for the lifecycle contract. A default-built
 /// workspace is empty; buffers grow to the largest customer seen and stay

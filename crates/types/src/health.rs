@@ -78,11 +78,11 @@ impl FaultCounts {
 /// A component switching to a simpler backend after its primary failed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FallbackRecord {
-    /// The component that degraded (e.g. `"battery-optimizer"`).
+    /// The component that degraded (e.g. `"price-predictor"`).
     pub component: String,
-    /// The backend given up on (e.g. `"cross-entropy"`).
+    /// The backend given up on (e.g. `"svr"`).
     pub from: String,
-    /// The backend switched to (e.g. `"coordinate-descent"`).
+    /// The backend switched to (e.g. `"seasonal-baseline"`).
     pub to: String,
     /// Why the primary was abandoned.
     pub reason: String,
@@ -105,20 +105,17 @@ impl FallbackRecord {
     }
 }
 
-/// Deterministic retry schedule for stochastic or iterative subroutines.
+/// Deterministic retry schedule for iterative subroutines (SMO/SVR
+/// training).
 ///
 /// Attempt `k` (zero-based) runs with an iteration budget of
-/// `base · iteration_growth^k` and — for seeded solvers — an RNG reseeded
-/// to `seed + k · reseed_stride`, so a retried run is reproducible from the
-/// original seed alone.
+/// `base · iteration_growth^k`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Total attempts allowed (≥ 1; 1 means no retries).
     pub max_attempts: usize,
     /// Multiplier applied to the iteration budget per retry (≥ 1).
     pub iteration_growth: f64,
-    /// Seed offset per retry (any odd constant decorrelates the streams).
-    pub reseed_stride: u64,
 }
 
 impl RetryPolicy {
@@ -143,7 +140,6 @@ impl RetryPolicy {
         Self {
             max_attempts: 1,
             iteration_growth: 1.0,
-            reseed_stride: 0,
         }
     }
 
@@ -152,12 +148,6 @@ impl RetryPolicy {
         let grown = base as f64 * self.iteration_growth.powi(attempt as i32);
         (grown.ceil() as usize).max(1)
     }
-
-    /// The RNG seed for zero-based attempt `attempt` (attempt 0 keeps the
-    /// caller's seed).
-    pub fn reseed(&self, seed: u64, attempt: usize) -> u64 {
-        seed.wrapping_add((attempt as u64).wrapping_mul(self.reseed_stride))
-    }
 }
 
 impl Default for RetryPolicy {
@@ -165,7 +155,6 @@ impl Default for RetryPolicy {
         Self {
             max_attempts: 3,
             iteration_growth: 2.0,
-            reseed_stride: 0x9e37_79b9_7f4a_7c15,
         }
     }
 }
@@ -180,8 +169,8 @@ impl Default for RetryPolicy {
 /// bit-identically should prefer `max_iterations`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SolveBudget {
-    /// Hard cap on iterations (CE iterations, SMO passes) across one
-    /// attempt; `None` leaves the component's own limit in charge.
+    /// Hard cap on iterations (SMO passes) across one attempt; `None`
+    /// leaves the component's own limit in charge.
     pub max_iterations: Option<usize>,
     /// Wall-clock deadline in seconds for the whole solve (all retry
     /// attempts together); `None` disables the deadline.
@@ -580,24 +569,12 @@ mod tests {
         let policy = RetryPolicy {
             max_attempts: 3,
             iteration_growth: 2.0,
-            reseed_stride: 1,
         };
         assert_eq!(policy.budget(10, 0), 10);
         assert_eq!(policy.budget(10, 1), 20);
         assert_eq!(policy.budget(10, 2), 40);
         // A zero base still yields a usable budget.
         assert_eq!(policy.budget(0, 0), 1);
-    }
-
-    #[test]
-    fn retry_policy_reseed_is_deterministic_and_distinct() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.reseed(42, 0), 42);
-        let first = policy.reseed(42, 1);
-        let second = policy.reseed(42, 2);
-        assert_ne!(first, 42);
-        assert_ne!(first, second);
-        assert_eq!(first, policy.reseed(42, 1));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackImpact, CompromiseSet, PriceAttack};
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::BillingEngine;
 use netmeter_sentinel::sim::{render_table, Market, PaperScenario};
 
@@ -66,9 +67,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         let manipulated = attack.apply(&clean.price);
         // The whole community believes the manipulated price…
         let mut attacked_rng = ChaCha8Rng::seed_from_u64(seed);
-        let attacked = market
-            .truth_model()
-            .predict(&community, &manipulated, &mut attacked_rng)?;
+        let attacked = market.truth_model().predict(
+            &community,
+            &manipulated,
+            &mut attacked_rng,
+            &NoopRecorder,
+        )?;
         // …but is billed at the real one.
         let impact = AttackImpact::assess(
             &clean.response.schedule,

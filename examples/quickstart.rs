@@ -10,6 +10,7 @@ use std::error::Error;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::{BillingEngine, NetMeteringTariff, PriceSignal};
 use netmeter_sentinel::smarthome::{
     clear_sky_profile, Appliance, ApplianceKind, Battery, Community, Customer, PowerLevels,
@@ -88,7 +89,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let tariff = NetMeteringTariff::default();
     let engine = GameEngine::new(&community, &prices, tariff, GameConfig::default())?;
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let outcome = engine.solve(&mut rng)?;
+    let outcome = engine.solve(&mut rng, &NoopRecorder)?;
     println!(
         "game: {} rounds, converged = {}",
         outcome.rounds, outcome.converged

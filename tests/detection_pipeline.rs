@@ -6,6 +6,7 @@ use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, SingleEventDetector};
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::sim::{run_long_term_detection, LongTermRunConfig, Market, PaperScenario};
 use netmeter_sentinel::types::MeterId;
 
@@ -72,6 +73,7 @@ fn unilateral_deviation_scales_with_hacked_count() {
                 &manipulated,
                 &meters,
                 &mut child,
+                &NoopRecorder,
             )
             .unwrap();
         let excess: f64 = (0..24)
@@ -111,6 +113,7 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
             &manipulated,
             &meters,
             &mut child,
+            &NoopRecorder,
         )
         .unwrap();
     for index in 2..community.len() {

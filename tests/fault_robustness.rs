@@ -132,75 +132,6 @@ fn unreported_fleet_forces_imputation() {
     );
 }
 
-/// The solver chain's acceptance shape, end to end through the public API:
-/// a strangled CE optimizer must fall back to coordinate descent with the
-/// fallback recorded, and never return a schedule costlier than the CE
-/// iterate it abandoned. (Unit-level variants live in `nms-solver`.)
-#[test]
-fn battery_fallback_chain_is_recorded_and_no_worse() {
-    use netmeter_sentinel::pricing::{CostModel, NetMeteringTariff, PriceSignal};
-    use netmeter_sentinel::smarthome::Battery;
-    use netmeter_sentinel::solver::{
-        solve_battery_robust, try_optimize_battery, BatteryProblem, BatterySolveStage, CeConfig,
-        CrossEntropyOptimizer,
-    };
-    use netmeter_sentinel::types::{Horizon, Kwh, TimeSeries};
-
-    let day = Horizon::hourly_day();
-    let prices = PriceSignal::new(TimeSeries::from_fn(day, |h| {
-        if (18..22).contains(&h) {
-            0.5
-        } else {
-            0.05
-        }
-    }))
-    .unwrap();
-    let load = TimeSeries::filled(day, 1.0);
-    let generation = TimeSeries::filled(day, 0.0);
-    let others = TimeSeries::filled(day, 20.0);
-    let battery = Battery::new(Kwh::new(5.0), Kwh::ZERO).unwrap();
-    let problem = BatteryProblem::new(
-        &battery,
-        &load,
-        &generation,
-        &others,
-        CostModel::new(&prices, NetMeteringTariff::default()),
-    );
-
-    let strangled = CeConfig {
-        max_iters: 1,
-        std_tol_fraction: 0.0,
-        ..CeConfig::default()
-    };
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        iteration_growth: 1.0,
-        reseed_stride: 1,
-    };
-    let outcome = solve_battery_robust(
-        &problem,
-        &strangled,
-        &policy,
-        &netmeter_sentinel::types::SolveBudget::unlimited(),
-        None,
-        77,
-    )
-    .unwrap();
-    assert_eq!(outcome.stage, BatterySolveStage::CoordinateDescent);
-    assert_eq!(outcome.retries, 1);
-    let record = outcome.fallback.as_ref().expect("fallback recorded");
-    assert_eq!(
-        (record.from.as_str(), record.to.as_str()),
-        ("cross-entropy", "coordinate-descent")
-    );
-
-    // No worse than the non-converged CE iterate it replaced.
-    let optimizer = CrossEntropyOptimizer::new(strangled);
-    let mut rng = ChaCha8Rng::seed_from_u64(policy.reseed(77, 0));
-    let (_, ce_iterate) = try_optimize_battery(&problem, &optimizer, None, &mut rng).unwrap();
-    assert!(outcome.objective <= ce_iterate.objective + 1e-12);
-}
-
 /// The predictor-side fallback shape: an SMO budget that can never satisfy
 /// its tolerance must drop to the seasonal baseline, recorded in the train
 /// report, and still predict a full day.
@@ -208,7 +139,7 @@ fn battery_fallback_chain_is_recorded_and_no_worse() {
 fn smo_exhaustion_falls_back_to_seasonal_baseline() {
     use netmeter_sentinel::core::PricePredictor;
     use netmeter_sentinel::forecast::{FeatureConfig, PriceHistory, SvrParams};
-    use netmeter_sentinel::types::Horizon;
+    use netmeter_sentinel::types::{Horizon, SolveBudget};
 
     let spd = 24;
     let mut prices = Vec::new();
@@ -233,9 +164,10 @@ fn smo_exhaustion_falls_back_to_seasonal_baseline() {
     let policy = RetryPolicy {
         max_attempts: 3,
         iteration_growth: 2.0,
-        reseed_stride: 1,
     };
-    let report = predictor.train_robust(&history, &policy).unwrap();
+    let report = predictor
+        .train_robust_budgeted(&history, &policy, &SolveBudget::unlimited())
+        .unwrap();
     assert!(!report.converged);
     assert_eq!(report.retries, 2);
     let record = report.fallback.expect("fallback recorded");

@@ -4,6 +4,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::{BillingEngine, PriceSignal};
 use netmeter_sentinel::sim::{Market, PaperScenario};
 use netmeter_sentinel::solver::{GameConfig, GameEngine};
@@ -110,7 +111,7 @@ fn cheaper_prices_attract_load_in_equilibrium() {
     .unwrap();
     let engine = GameEngine::new(&community, &price, s.tariff, GameConfig::fast()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let outcome = engine.solve(&mut rng).unwrap();
+    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
     let schedule = outcome.schedule;
 
     // Flexible "anytime" load should concentrate before 06:00 (windows

@@ -113,6 +113,45 @@ fn parallelism_roundtrips_and_defaults_sequential() {
     assert_eq!(loaded, scenario);
 }
 
+/// A `LongTermRunConfig` file written while `RetryPolicy` still carried
+/// `reseed_stride` (the CE battery chain's reseed offset) loads: the key is
+/// ignored and everything else lands on the same values.
+#[test]
+fn parent_run_config_with_reseed_stride_loads() {
+    use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
+    use netmeter_sentinel::sim::experiments::paper_timeline;
+    use netmeter_sentinel::sim::{FaultPlan, LongTermRunConfig};
+    use netmeter_sentinel::types::{RetryPolicy, SolveBudget};
+
+    let config = LongTermRunConfig {
+        detection_days: 3,
+        detector: Some(FrameworkConfig::new(DetectorMode::NetMeteringAware, 24)),
+        timeline: paper_timeline(12),
+        buckets: 6,
+        bucket_fraction_step: 0.1,
+        labor_per_fix: 10.0,
+        labor_per_meter: 1.0,
+        faults: Some(FaultPlan::degraded(5, 0.05)),
+        sanitize: Default::default(),
+        retry: RetryPolicy::default(),
+        budget: SolveBudget::unlimited(),
+        quarantine: Default::default(),
+        parallelism: Default::default(),
+        clearing_iterations: 2,
+    };
+    let today = serde_json::to_string(&config).expect("serialize");
+    // The parent's default stride, 0x9e37_79b9_7f4a_7c15, right after the
+    // growth factor as the parent's field order wrote it.
+    let growth = "\"iteration_growth\":2.0";
+    let stride = "\"reseed_stride\":11400714819323198485";
+    let parent = today.replace(growth, &format!("{growth},{stride}"));
+    assert!(parent.contains("reseed_stride"), "{parent}");
+
+    let loaded: LongTermRunConfig = serde_json::from_str(&parent).expect("parent config loads");
+    assert_eq!(loaded.retry, RetryPolicy::default());
+    assert_eq!(serde_json::to_string(&loaded).expect("serialize"), today);
+}
+
 #[test]
 fn robustness_types_roundtrip() {
     use netmeter_sentinel::sim::FaultPlan;

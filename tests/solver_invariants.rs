@@ -4,11 +4,10 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::{NetMeteringTariff, PriceSignal};
 use netmeter_sentinel::sim::PaperScenario;
-use netmeter_sentinel::solver::{
-    nash_gap, GameConfig, GameEngine, Parallelism, PriceAssignment, ResponseConfig,
-};
+use netmeter_sentinel::solver::{nash_gap, GameConfig, GameEngine, Parallelism, ResponseConfig};
 use netmeter_sentinel::types::TimeSeries;
 
 fn community(seed: u64) -> netmeter_sentinel::smarthome::Community {
@@ -57,7 +56,7 @@ fn consumption_is_conserved_across_prices_and_seeds() {
                 )
                 .unwrap();
                 let mut rng = ChaCha8Rng::seed_from_u64(solver_seed);
-                let outcome = engine.solve(&mut rng).unwrap();
+                let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
                 let total = outcome.schedule.load().total().value();
                 assert!(
                     (total - expected).abs() < 1e-6,
@@ -82,7 +81,7 @@ fn per_customer_energy_balance_holds() {
     )
     .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let outcome = engine.solve(&mut rng).unwrap();
+    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
     for (customer, plan) in community
         .iter()
         .zip(outcome.schedule.customer_schedules())
@@ -112,7 +111,7 @@ fn parallel_and_sequential_engines_agree_on_conserved_quantities() {
         let engine =
             GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        engine.solve(&mut rng).unwrap()
+        engine.solve(&mut rng, &NoopRecorder).unwrap()
     };
     let sequential = run(1);
     let parallel = run(4);
@@ -141,7 +140,7 @@ fn parallel_and_sequential_engines_agree_on_conserved_quantities() {
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             NetMeteringTariff::default(),
             &ResponseConfig::fast(),
             &mut rng,

@@ -10,20 +10,25 @@
 //!    the per-cell [`CostModel::slot_cost`] closure.
 //! 3. Full Gauss–Seidel game rounds through [`GameEngine`] (hoisted +
 //!    workspace path) match a replica driven by the closure reference path.
+//!
+//! A fourth test pins the absolute solver tallies a fixed battery game and
+//! one unilateral deviation record, so a recorder dropped on the way into
+//! the kernels shows up as a count change.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use netmeter_sentinel::obs::NoopRecorder;
+use netmeter_sentinel::core::LoadPredictor;
+use netmeter_sentinel::obs::{MetricsRegistry, NoopRecorder};
 use netmeter_sentinel::pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use netmeter_sentinel::sim::PaperScenario;
 use netmeter_sentinel::smarthome::{Community, CustomerSchedule};
 use netmeter_sentinel::solver::{
-    best_response_in, best_response_recorded, best_response_reference, GameConfig, GameEngine,
-    ResponseConfig, ResponseWorkspace,
+    best_response, best_response_reference, GameConfig, GameEngine, ResponseConfig,
+    ResponseWorkspace,
 };
-use netmeter_sentinel::types::TimeSeries;
+use netmeter_sentinel::types::{MeterId, TimeSeries};
 
 fn community(n: usize, seed: u64) -> Community {
     let scenario = PaperScenario::small(n, seed);
@@ -81,14 +86,15 @@ fn hoisted_table_matches_closure_reference() {
         for (index, customer) in community.iter().enumerate() {
             let cost_model = CostModel::new(&prices, tariff);
             let seed = 40 + round * 100 + index as u64;
-            let hoisted = best_response_recorded(
+            let hoisted = best_response(
                 customer,
-                &others,
+                others.as_slice(),
                 cost_model,
                 &config,
                 warm[index].as_ref(),
                 &mut ChaCha8Rng::seed_from_u64(seed),
                 &NoopRecorder,
+                &mut ResponseWorkspace::new(),
             )
             .unwrap();
             let reference = best_response_reference(
@@ -121,10 +127,10 @@ fn game_rounds_bit_identical_to_closure_reference() {
 
     let engine = GameEngine::new(&community, &prices, tariff, config).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let outcome = engine.solve(&mut rng).unwrap();
+    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
 
-    // Replica of the sequential loop in GameEngine::solve_recorded, using
-    // the reference path.
+    // Replica of the sequential loop in GameEngine::solve, using the
+    // reference path.
     let horizon = community.horizon();
     let n = community.len();
     let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
@@ -185,6 +191,67 @@ fn game_rounds_bit_identical_to_closure_reference() {
     }
 }
 
+/// Absolute solver tallies of a small battery game (Gauss–Seidel, three
+/// rounds) and of one unilateral deviation by every meter. The counts are
+/// those of the code before the solver entry points were merged; a
+/// recorder not threaded through to the DP or CE step changes them.
+#[test]
+fn solver_tallies_of_a_fixed_battery_game_are_pinned() {
+    const TALLIES: [&str; 5] = [
+        "solver_games",
+        "solver_rounds",
+        "solver_dp_cells",
+        "solver_ce_solves",
+        "solver_ce_iterations",
+    ];
+    let community = community(5, 7);
+    assert!(
+        community.iter().any(|c| c.battery().is_usable()),
+        "the pin needs a battery customer"
+    );
+    let prices = PriceSignal::time_of_use(community.horizon(), 0.05, 0.25).unwrap();
+    let tariff = NetMeteringTariff::default();
+    let mut config = GameConfig::fast();
+    config.max_rounds = 3;
+
+    let metrics = MetricsRegistry::new();
+    GameEngine::new(&community, &prices, tariff, config)
+        .unwrap()
+        .solve(&mut ChaCha8Rng::seed_from_u64(23), &metrics)
+        .unwrap();
+    let game: Vec<u64> = TALLIES.iter().map(|name| metrics.counter(name)).collect();
+    assert_eq!(game, [1, 3, 1818, 3, 75], "game tallies {TALLIES:?}");
+
+    let predictor = LoadPredictor::net_metering_aware(tariff, config);
+    let committed = predictor
+        .predict(
+            &community,
+            &prices,
+            &mut ChaCha8Rng::seed_from_u64(5),
+            &NoopRecorder,
+        )
+        .unwrap();
+    let manipulated = PriceSignal::flat(community.horizon(), 0.02).unwrap();
+    let meters: Vec<MeterId> = (0..community.len()).map(MeterId::new).collect();
+    let metrics = MetricsRegistry::new();
+    predictor
+        .respond_unilaterally(
+            &community,
+            &committed,
+            &manipulated,
+            &meters,
+            &mut ChaCha8Rng::seed_from_u64(9),
+            &metrics,
+        )
+        .unwrap();
+    let unilateral: Vec<u64> = TALLIES.iter().map(|name| metrics.counter(name)).collect();
+    assert_eq!(
+        unilateral,
+        [0, 0, 606, 1, 25],
+        "unilateral tallies {TALLIES:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -211,9 +278,9 @@ proptest! {
             for (index, customer) in community.iter().enumerate() {
                 let cost_model = CostModel::new(&prices, tariff);
                 let response_seed = seed ^ (round * 31 + index as u64);
-                let reused = best_response_in(
+                let reused = best_response(
                     customer,
-                    &others,
+                    others.as_slice(),
                     cost_model,
                     &config,
                     warm[index].as_ref(),
@@ -222,14 +289,15 @@ proptest! {
                     &mut ws,
                 )
                 .unwrap();
-                let fresh = best_response_recorded(
+                let fresh = best_response(
                     customer,
-                    &others,
+                    others.as_slice(),
                     cost_model,
                     &config,
                     warm[index].as_ref(),
                     &mut ChaCha8Rng::seed_from_u64(response_seed),
                     &NoopRecorder,
+                    &mut ResponseWorkspace::new(),
                 )
                 .unwrap();
                 assert_bit_identical(
