@@ -7,7 +7,7 @@
 //! * the `W` (net-metering reward) sweep's effect on grid PAR.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nms_bench::bench_scenario;
@@ -159,7 +159,9 @@ fn ablation_tariff_sweep(c: &mut Criterion) {
         let weather = scenario.weather_factors(1);
         let community = generator.community_for_day(0, weather[0]);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let outcome = market.clear_day(&community, 2, &mut rng).expect("clears");
+        let outcome = market
+            .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+            .expect("clears");
         println!("W = {w}: PAR {:.4}", outcome.response.par);
     }
 
@@ -172,7 +174,11 @@ fn ablation_tariff_sweep(c: &mut Criterion) {
         let community = generator.community_for_day(0, weather[0]);
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(5),
-            |mut rng| market.clear_day(&community, 2, &mut rng).expect("clears"),
+            |mut rng| {
+                market
+                    .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+                    .expect("clears")
+            },
             BatchSize::SmallInput,
         )
     });

@@ -1,20 +1,13 @@
-//! Regenerates **Fig 3**: guideline-price prediction and load PAR
+//! Times the **Fig 3** runner: guideline-price prediction and load PAR
 //! *without* considering net metering (the SVR-only baseline of \[8\]).
-//!
-//! The paper reports a predicted-load PAR of 1.4700 and a predicted price
-//! that misses the received price's midday gap.
+//! `examples/paper_experiments.rs` regenerates the figure itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nms_bench::{bench_scenario, timing_scenario};
+use nms_bench::timing_scenario;
 use nms_sim::experiments::run_fig3;
 
 fn bench(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    // Regenerate the paper artifact once, with the paper-style rendering.
-    let result = run_fig3(&scenario).expect("fig3 runs");
-    println!("\n=== Fig 3 (paper: PAR 1.4700) ===\n{}", result.render());
-
     let timing = timing_scenario();
     let mut group = c.benchmark_group("fig3");
     group.sample_size(10);

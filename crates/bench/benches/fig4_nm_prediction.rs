@@ -1,31 +1,13 @@
-//! Regenerates **Fig 4**: guideline-price prediction and load PAR *with*
-//! net metering considered (the paper's method).
-//!
-//! The paper reports a predicted-load PAR of 1.3986 — 5.11% below Fig 3's
-//! — and a predicted price that tracks the received one.
+//! Times the **Fig 4** runner: guideline-price prediction and load PAR
+//! *with* net metering considered (the paper's method).
+//! `examples/paper_experiments.rs` regenerates the figure itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nms_bench::{bench_scenario, timing_scenario};
-use nms_sim::experiments::{run_fig3, run_fig4};
+use nms_bench::timing_scenario;
+use nms_sim::experiments::run_fig4;
 
 fn bench(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    let fig4 = run_fig4(&scenario).expect("fig4 runs");
-    println!("\n=== Fig 4 (paper: PAR 1.3986) ===\n{}", fig4.render());
-    // The paper's headline comparison against Fig 3.
-    let fig3 = run_fig3(&scenario).expect("fig3 runs");
-    println!(
-        "PAR gap (paper: naive 5.11% higher): naive {:.4} vs aware {:.4} ({:+.2}%)",
-        fig3.par,
-        fig4.par,
-        100.0 * (fig3.par - fig4.par) / fig4.par
-    );
-    println!(
-        "price RMSE (paper: aware matches better): naive {:.5} vs aware {:.5}",
-        fig3.price_rmse, fig4.price_rmse
-    );
-
     let timing = timing_scenario();
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);

@@ -1,23 +1,13 @@
-//! Regenerates **Fig 5**: the impact of the zero-price cyberattack on the
-//! energy load.
-//!
-//! The paper reports PAR 1.9037 under attack — 29.50% above Fig 3's
-//! predicted load and 36.11% above Fig 4's — with the load peaking in the
-//! manipulated 16:00–17:00 window.
+//! Times the **Fig 5** runner: the impact of the zero-price cyberattack on
+//! the energy load. `examples/paper_experiments.rs` regenerates the figure
+//! itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nms_bench::{bench_scenario, timing_scenario};
+use nms_bench::timing_scenario;
 use nms_sim::experiments::run_fig5;
 
 fn bench(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    let result = run_fig5(&scenario).expect("fig5 runs");
-    println!(
-        "\n=== Fig 5 (paper: PAR 1.9037, +29.5%/+36.1%) ===\n{}",
-        result.render()
-    );
-
     let timing = timing_scenario();
     let mut group = c.benchmark_group("fig5");
     group.sample_size(10);

@@ -1,26 +1,17 @@
-//! Regenerates **Fig 6**: POMDP observation accuracy over 48 hours with
-//! and without net metering considered.
+//! Times the **Fig 6** runner: POMDP observation accuracy over 48 hours
+//! with and without net metering considered.
+//! `examples/paper_experiments.rs` regenerates the figure itself.
 //!
-//! The paper reports 95.14% average observation accuracy for the
-//! net-metering-aware detector against 65.95% for the state of the art.
-//!
-//! This is the heaviest artifact (two full 48-hour detection simulations
+//! This is the heaviest runner (two full 48-hour detection simulations
 //! including training, calibration, and per-slot game realizations), so
 //! the Criterion measurement uses the minimum sample count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nms_bench::{bench_scenario, timing_scenario};
+use nms_bench::timing_scenario;
 use nms_sim::experiments::run_fig6;
 
 fn bench(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    let result = run_fig6(&scenario).expect("fig6 runs");
-    println!(
-        "\n=== Fig 6 (paper: 95.14% vs 65.95%) ===\n{}",
-        result.render()
-    );
-
     let timing = timing_scenario();
     let mut group = c.benchmark_group("fig6");
     group.sample_size(10);

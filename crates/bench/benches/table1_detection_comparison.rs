@@ -1,23 +1,14 @@
-//! Regenerates **Table 1**: PAR and normalized labor cost for no
+//! Times the **Table 1** runner: PAR and normalized labor cost for no
 //! detection, detection without net metering, and detection with net
 //! metering, over the 48-hour attack scenario.
-//!
-//! The paper reports PAR 1.6509 / 1.5422 / 1.4112 and a normalized labor
-//! cost of 1.0067 for the net-metering-aware detector.
+//! `examples/paper_experiments.rs` regenerates the table itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nms_bench::{bench_scenario, timing_scenario};
+use nms_bench::timing_scenario;
 use nms_sim::experiments::run_table1;
 
 fn bench(c: &mut Criterion) {
-    let scenario = bench_scenario();
-    let result = run_table1(&scenario).expect("table1 runs");
-    println!(
-        "\n=== Table 1 (paper: 1.6509 / 1.5422 / 1.4112, labor 1.0067) ===\n{}",
-        result.render()
-    );
-
     let timing = timing_scenario();
     let mut group = c.benchmark_group("table1");
     group.sample_size(10);

@@ -128,7 +128,7 @@ pub(crate) fn calibrate_detector(
             // emits trace *events*, which the nms-obs contract keeps out of
             // parallel regions (worker telemetry flows through
             // `par_map`'s commutative metrics instead).
-            let outcome = market.clear_day_seeded(&community, 2, clear_seed)?;
+            let outcome = market.clear_day(&community, 2, clear_seed, &NoopRecorder)?;
             let manipulated = timeline.attack().apply(&outcome.price);
 
             // The detector's day-ahead view of this (past) day.

@@ -18,14 +18,12 @@
 //! re-optimizes alone against the committed aggregate. The realization is
 //! recomputed whenever the compromise set changes.
 //!
-//! Two drivers share the same per-day stepper:
-//!
-//! - [`run_long_term_detection`] — the original single-RNG run, kept
-//!   bit-identical with its pre-supervision behavior;
-//! - [`SupervisedRun`] / [`run_long_term_supervised`] — the crash-safe
-//!   variant: every day draws from its own `(seed, day)`-derived stream
-//!   and is journaled on completion, so a killed run resumes
-//!   bit-identically from the journal (see `journal` and DESIGN.md §8).
+//! [`SupervisedRun`] is the one runner: training draws from a seeded
+//! stream, every day draws from its own `(seed, day)`-derived stream and is
+//! journaled on completion, so a killed run resumes bit-identically from
+//! the journal (see `journal` and DESIGN.md §8). Runs that need no
+//! durable checkpoint journal to memory through
+//! [`SupervisedOptions::in_memory`].
 
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
@@ -52,7 +50,7 @@ use nms_types::{
     StorageFaultLedger, TimeSeries,
     ValidateError,
 };
-use nms_vfs::{StdVfs, StoragePolicy, Vfs};
+use nms_vfs::{FaultVfs, IoFaultPlan, StdVfs, StoragePolicy, Vfs};
 
 use crate::calibrate::{calibrate_detector, peak_deviation};
 use crate::faults::{corrupt_day_meters, FaultPlan};
@@ -64,7 +62,7 @@ use crate::{CommunityGenerator, DayOutcome, Market, PaperScenario, SimError};
 /// Slots per simulated day (the paper's hourly horizon).
 const SLOTS_PER_DAY: usize = 24;
 
-/// Configuration for [`run_long_term_detection`].
+/// Configuration for a [`SupervisedRun`].
 ///
 /// Serializable; the robustness knobs (`sanitize`, `retry`, `budget`,
 /// `quarantine`) all default, so configurations serialized before they
@@ -585,12 +583,10 @@ where
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
-/// journalable transcript. Both run drivers call exactly this, so a
-/// supervised run and the legacy run behave identically given identical
-/// RNG draws.
+/// journalable transcript.
 ///
-/// The day draws two values from `rng`, in this order: the clearing seed,
-/// then the realization seed (which also seeds the detector's load
+/// The day draws two values from its `rng`, in this order: the clearing
+/// seed, then the realization seed (which also seeds the detector's load
 /// prediction). Nothing else in the day touches `rng`.
 #[allow(clippy::too_many_arguments)]
 fn simulate_day(
@@ -621,12 +617,9 @@ fn simulate_day(
         let clearing_watch = Stopwatch::start();
         let clean = {
             let _span = span(rec, "clearing");
-            setup.market.clear_day_seeded_recorded(
-                &community,
-                config.clearing_iterations,
-                clearing_seed,
-                rec,
-            )?
+            setup
+                .market
+                .clear_day(&community, config.clearing_iterations, clearing_seed, rec)?
         };
         let clearing_secs = clearing_watch.secs();
         let manipulated = config.timeline.attack().apply(&clean.price);
@@ -952,55 +945,27 @@ fn finalize(state: RunState) -> Result<LongTermRunResult, SimError> {
     })
 }
 
-/// Runs the long-term attack/detection simulation.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on invalid configurations or solver failures.
-pub fn run_long_term_detection(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    rng: &mut impl Rng,
-) -> Result<LongTermRunResult, SimError> {
-    run_long_term_detection_recorded(scenario, config, rng, &NoopRecorder)
-}
-
-/// [`run_long_term_detection`] with observability routed into `rec`.
-///
-/// The recorder sees per-day phase timings, solver convergence telemetry,
-/// sanitize/quarantine events, and belief entropy; it never feeds anything
-/// back, so results are bit-identical to the unrecorded run
-/// (`tests/obs_determinism.rs` asserts this).
-///
-/// # Errors
-///
-/// Same as [`run_long_term_detection`].
-pub fn run_long_term_detection_recorded(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    rng: &mut impl Rng,
-    rec: &dyn Recorder,
-) -> Result<LongTermRunResult, SimError> {
-    let setup = prepare(scenario, config)?;
-    let mut state = train(scenario, config, &setup, rng, rec)?;
-    for day_offset in 0..config.detection_days {
-        simulate_day(
-            scenario,
-            config,
-            &setup,
-            &mut state,
-            day_offset,
-            rng,
-            Fork::Overlapped,
-            rec,
-        )?;
-    }
-    finalize(state)
-}
-
 // ---------------------------------------------------------------------------
 // Supervised (crash-safe) runner
 // ---------------------------------------------------------------------------
+
+/// Runs a whole [`SupervisedRun`] from `seed` with its journal in memory:
+/// the experiment and sweep runners need the result, not a checkpoint.
+pub(crate) fn run_in_memory(
+    scenario: &PaperScenario,
+    config: &LongTermRunConfig,
+    seed: u64,
+) -> Result<LongTermRunResult, SimError> {
+    let path = Path::new("journal.jsonl");
+    SupervisedRun::with_options(
+        scenario,
+        config,
+        seed,
+        path,
+        SupervisedOptions::in_memory(),
+    )?
+    .run()
+}
 
 /// Stream tag decorrelating the training epoch from the day streams.
 const TRAINING_STREAM: u64 = 0x7472_6169_6e69_6e67; // "training"
@@ -1017,17 +982,25 @@ fn fingerprint(debug: impl std::fmt::Debug) -> u64 {
     crate::journal::fnv1a64(format!("{debug:?}").as_bytes())
 }
 
-/// A crash-safe long-horizon detection run: training replays from a seeded
-/// stream, each detection day draws from its own `(seed, day)` stream and
-/// is journaled on completion, and [`SupervisedRun::new`] resumes from
-/// whatever complete prefix of days the journal holds.
+/// The journal's configuration fingerprint. `parallelism` is left out
+/// (reset to its default): results are bit-identical at every thread
+/// count, so a journal may resume under a different one.
+fn config_fingerprint(config: &LongTermRunConfig) -> u64 {
+    fingerprint(LongTermRunConfig {
+        parallelism: Parallelism::default(),
+        ..config.clone()
+    })
+}
+
+/// A crash-safe long-horizon detection run, and the one long-term runner:
+/// training replays from a seeded stream, each detection day draws from
+/// its own `(seed, day)` stream and is journaled on completion, and
+/// [`SupervisedRun::with_options`] resumes from whatever complete prefix
+/// of days the journal holds.
 ///
-/// A supervised run with seed `s` is **not** sample-identical to
-/// `run_long_term_detection` with an RNG seeded to `s` — the legacy run
-/// threads one RNG through everything, which cannot be checkpointed
-/// without serializing RNG state. It *is* bit-identical to itself across
-/// kill/resume at any day boundary, which is the property the journal
-/// guarantees (and `tests/fault_robustness.rs` asserts).
+/// Because no RNG state outlives a day, the run is bit-identical to itself
+/// across kill/resume at any day boundary, which is the property the
+/// journal guarantees (and `tests/fault_robustness.rs` asserts).
 pub struct SupervisedRun {
     scenario: PaperScenario,
     config: LongTermRunConfig,
@@ -1081,6 +1054,18 @@ impl Default for SupervisedOptions {
     }
 }
 
+impl SupervisedOptions {
+    /// Default plumbing with the journal on a fresh in-memory disk: for
+    /// runs that need the result but no durable checkpoint. Every call
+    /// gets its own disk, so any journal path will do.
+    pub fn in_memory() -> Self {
+        Self {
+            vfs: Arc::new(FaultVfs::new(IoFaultPlan::none())),
+            ..Self::default()
+        }
+    }
+}
+
 impl std::fmt::Debug for SupervisedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisedOptions")
@@ -1090,63 +1075,22 @@ impl std::fmt::Debug for SupervisedOptions {
 }
 
 impl SupervisedRun {
-    /// Starts (or resumes) a supervised run journaled at `journal_path`.
+    /// Starts (or resumes) a run journaled at `journal_path` on
+    /// `options.vfs`. Injecting the [`Vfs`] is how the crash-point sweep
+    /// (`tests/crash_sweep.rs`) kills a run at an arbitrary I/O operation
+    /// and resumes it from the surviving bytes.
     ///
     /// When the journal already holds complete days for the same
     /// `(seed, scenario, config)` triple, they are replayed instead of
     /// re-simulated; a torn final record is dropped and its day re-runs.
+    /// The recorder is telemetry-only: an active recorder produces a run
+    /// bit-identical to one with the no-op recorder.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Journal`] for a journal that is interior-corrupt
-    /// or belongs to a different run, and any error
-    /// [`run_long_term_detection`] could produce.
-    pub fn new(
-        scenario: &PaperScenario,
-        config: &LongTermRunConfig,
-        seed: u64,
-        journal_path: impl AsRef<Path>,
-    ) -> Result<Self, SimError> {
-        Self::new_recorded(scenario, config, seed, journal_path, Arc::new(NoopRecorder))
-    }
-
-    /// [`SupervisedRun::new`] with observability routed into `recorder` for
-    /// the training epoch and every subsequent [`SupervisedRun::step_day`].
-    ///
-    /// The recorder is telemetry-only: an active recorder produces a run
-    /// bit-identical to a [`SupervisedRun::new`] run with the same
-    /// `(seed, scenario, config)` triple.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SupervisedRun::new`].
-    pub fn new_recorded(
-        scenario: &PaperScenario,
-        config: &LongTermRunConfig,
-        seed: u64,
-        journal_path: impl AsRef<Path>,
-        recorder: Arc<dyn Recorder>,
-    ) -> Result<Self, SimError> {
-        Self::with_options(
-            scenario,
-            config,
-            seed,
-            journal_path.as_ref(),
-            SupervisedOptions {
-                recorder,
-                ..SupervisedOptions::default()
-            },
-        )
-    }
-
-    /// [`SupervisedRun::new_recorded`] with every piece of plumbing
-    /// injectable — notably the [`Vfs`] the journal lives on, which is how
-    /// the crash-point sweep (`tests/crash_sweep.rs`) kills a run at an
-    /// arbitrary I/O operation and resumes it from the surviving bytes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SupervisedRun::new`].
+    /// or belongs to a different run, and [`SimError`] on invalid
+    /// configurations or solver failures.
     pub fn with_options(
         scenario: &PaperScenario,
         config: &LongTermRunConfig,
@@ -1170,7 +1114,7 @@ impl SupervisedRun {
             detection_days: config.detection_days,
             fleet: setup.fleet,
             scenario_fingerprint: fingerprint(scenario),
-            config_fingerprint: fingerprint(config),
+            config_fingerprint: config_fingerprint(config),
         };
         let loaded = RunJournal::load_on(vfs.as_ref(), journal_path)?;
         let (journal, next_day) = match loaded.header {
@@ -1335,36 +1279,6 @@ impl SupervisedRun {
         }
         self.finish()
     }
-}
-
-/// Convenience wrapper: start-or-resume a supervised run at `journal_path`
-/// and drive it to completion.
-///
-/// # Errors
-///
-/// Same as [`SupervisedRun::new`] and [`SupervisedRun::run`].
-pub fn run_long_term_supervised(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    seed: u64,
-    journal_path: impl AsRef<Path>,
-) -> Result<LongTermRunResult, SimError> {
-    SupervisedRun::new(scenario, config, seed, journal_path)?.run()
-}
-
-/// [`run_long_term_supervised`] with observability routed into `recorder`.
-///
-/// # Errors
-///
-/// Same as [`run_long_term_supervised`].
-pub fn run_long_term_supervised_recorded(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    seed: u64,
-    journal_path: impl AsRef<Path>,
-    recorder: Arc<dyn Recorder>,
-) -> Result<LongTermRunResult, SimError> {
-    SupervisedRun::new_recorded(scenario, config, seed, journal_path, recorder)?.run()
 }
 
 #[cfg(test)]
@@ -1572,8 +1486,7 @@ mod tests {
         let mut scenario = PaperScenario::small(10, 31);
         scenario.training_days = 3;
         let config = run_config(None);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+        let result = run_in_memory(&scenario, &config, 1).unwrap();
         assert_eq!(result.realized_demand.len(), 24);
         assert!(result.accuracy.accuracy().is_none());
         assert_eq!(result.labor.fixes(), 0);
@@ -1595,8 +1508,7 @@ mod tests {
         scenario.training_days = 4;
         let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
         let config = run_config(Some(detector));
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+        let result = run_in_memory(&scenario, &config, 2).unwrap();
         assert_eq!(result.observed_buckets.len(), 24);
         // A 10-home fleet is far below the paper's scale, so the absolute
         // accuracy is noisy; this is a smoke test that the full pipeline
@@ -1616,14 +1528,11 @@ mod tests {
         let mut scenario = PaperScenario::small(8, 41);
         scenario.training_days = 3;
         let config = run_config(None);
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "nms-supervised-smoke-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
+        let options = SupervisedOptions::in_memory();
+        let path = Path::new("smoke.jsonl");
 
-        let mut run = SupervisedRun::new(&scenario, &config, 5, &path).unwrap();
+        let mut run =
+            SupervisedRun::with_options(&scenario, &config, 5, path, options.clone()).unwrap();
         assert_eq!(run.completed_days(), 0);
         run.step_day().unwrap();
         assert!(run.is_finished());
@@ -1632,12 +1541,11 @@ mod tests {
         assert_eq!(result.day_health.len(), 1);
 
         // Re-opening the finished journal replays rather than re-simulates.
-        let resumed = SupervisedRun::new(&scenario, &config, 5, &path).unwrap();
+        let resumed = SupervisedRun::with_options(&scenario, &config, 5, path, options).unwrap();
         assert!(resumed.is_finished());
         let replayed = resumed.finish().unwrap();
         assert_eq!(replayed.realized_demand, result.realized_demand);
         assert_eq!(replayed.true_buckets, result.true_buckets);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1645,21 +1553,20 @@ mod tests {
         let mut scenario = PaperScenario::small(8, 41);
         scenario.training_days = 3;
         let config = run_config(None);
-        let mut path = std::env::temp_dir();
-        path.push(format!("nms-supervised-foreign-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let options = SupervisedOptions::in_memory();
+        let path = Path::new("foreign.jsonl");
 
-        let mut run = SupervisedRun::new(&scenario, &config, 5, &path).unwrap();
+        let mut run =
+            SupervisedRun::with_options(&scenario, &config, 5, path, options.clone()).unwrap();
         run.step_day().unwrap();
         // A different seed must refuse the same journal.
-        match SupervisedRun::new(&scenario, &config, 6, &path) {
+        match SupervisedRun::with_options(&scenario, &config, 6, path, options) {
             Err(SimError::Journal(JournalError::HeaderMismatch { detail })) => {
                 assert!(detail.contains("seed"), "{detail}");
             }
             Err(other) => panic!("expected HeaderMismatch, got {other:?}"),
             Ok(_) => panic!("expected HeaderMismatch, got a resumed run"),
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1667,11 +1574,10 @@ mod tests {
         // Header-drift negative path: a shard restarted under a changed
         // `LongTermRunConfig` must refuse its journal with a typed error,
         // not silently diverge from the journaled run.
-        use nms_vfs::FaultVfs;
         let mut scenario = PaperScenario::small(8, 41);
         scenario.training_days = 3;
         let config = run_config(None);
-        let vfs = FaultVfs::new(nms_vfs::IoFaultPlan::none());
+        let vfs = FaultVfs::new(IoFaultPlan::none());
         let path = Path::new("/drift/journal.jsonl");
         let options = |vfs: &FaultVfs| SupervisedOptions {
             vfs: Arc::new(vfs.clone()),
@@ -1718,7 +1624,6 @@ mod tests {
         // (a) a supervisor that rebuilds a failed run from its journal with
         // cloned options keeps the earlier incarnation's tally, and (b) a
         // second run built from independent options never sees it.
-        use nms_vfs::{FaultVfs, IoFaultPlan};
         let mut scenario = PaperScenario::small(8, 41);
         scenario.training_days = 3;
         let config = run_config(None);

@@ -24,8 +24,8 @@ pub enum SimError {
         /// Human-readable detail.
         detail: String,
     },
-    /// The checkpoint journal failed (only reachable from the supervised
-    /// runner; `run_long_term_detection` never touches a journal).
+    /// The run's checkpoint journal failed: storage I/O, interior
+    /// corruption, or a journal that belongs to a different run.
     Journal(JournalError),
 }
 

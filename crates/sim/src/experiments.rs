@@ -7,17 +7,15 @@
 //! paper — see EXPERIMENTS.md for the side-by-side record.
 
 use nms_obs::NoopRecorder;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nms_attack::{AttackTimeline, PriceAttack};
 use nms_core::{DetectionReport, DetectorMode, FrameworkConfig, QuarantineConfig, SanitizeConfig};
 use nms_types::{RetryPolicy, SolveBudget};
 
-use crate::{
-    render_series, render_table, run_long_term_detection, LongTermRunConfig, Market, PaperScenario,
-    SimError,
-};
+use crate::detection::run_in_memory;
+use crate::{render_series, render_table, LongTermRunConfig, Market, PaperScenario, SimError};
 
 /// The paper's Fig 5 attack: the guideline price is "manipulated to be
 /// zero between 16:00 and 17:00".
@@ -83,7 +81,7 @@ fn run_prediction(
     let eval_day = scenario.training_days;
     let weather = scenario.weather_factors(eval_day + 1);
     let community = generator.community_for_day(eval_day, weather[eval_day]);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
 
     let framework = FrameworkConfig::new(mode, 24);
     let mut price_predictor = framework.price_predictor();
@@ -178,7 +176,7 @@ pub fn run_fig5(scenario: &PaperScenario) -> Result<AttackExperiment, SimError> 
     let eval_day = scenario.training_days;
     let weather = scenario.weather_factors(eval_day + 1);
     let community = generator.community_for_day(eval_day, weather[eval_day]);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
     let manipulated = paper_attack().apply(&clean.price);
 
     // Every meter receives the manipulated signal (the paper's Fig 5
@@ -264,17 +262,16 @@ pub fn run_fig6(scenario: &PaperScenario) -> Result<AccuracyExperiment, SimError
     let aware_framework = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
     let naive_framework = FrameworkConfig::new(DetectorMode::IgnoreNetMetering, 24);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xf1906);
-    let aware = run_long_term_detection(
+    let seed = scenario.seed ^ 0xf1906;
+    let aware = run_in_memory(
         scenario,
         &long_term_config(scenario, Some(aware_framework)),
-        &mut rng,
+        seed,
     )?;
-    let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xf1906);
-    let naive = run_long_term_detection(
+    let naive = run_in_memory(
         scenario,
         &long_term_config(scenario, Some(naive_framework)),
-        &mut rng,
+        seed,
     )?;
 
     Ok(AccuracyExperiment {
@@ -362,27 +359,22 @@ impl Table1Experiment {
 /// Returns [`SimError`] on configuration or solver failures.
 pub fn run_table1(scenario: &PaperScenario) -> Result<Table1Experiment, SimError> {
     let seed = scenario.seed ^ 0x7ab1e1;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let none = run_long_term_detection(scenario, &long_term_config(scenario, None), &mut rng)?;
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let naive = run_long_term_detection(
+    let none = run_in_memory(scenario, &long_term_config(scenario, None), seed)?;
+    let naive = run_in_memory(
         scenario,
         &long_term_config(
             scenario,
             Some(FrameworkConfig::new(DetectorMode::IgnoreNetMetering, 24)),
         ),
-        &mut rng,
+        seed,
     )?;
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let aware = run_long_term_detection(
+    let aware = run_in_memory(
         scenario,
         &long_term_config(
             scenario,
             Some(FrameworkConfig::new(DetectorMode::NetMeteringAware, 24)),
         ),
-        &mut rng,
+        seed,
     )?;
 
     Ok(Table1Experiment {

@@ -472,8 +472,8 @@ mod tests {
     #[test]
     fn long_term_export_includes_fixes_column() {
         use crate::experiments::paper_timeline;
-        use crate::{run_long_term_detection, LongTermRunConfig};
-        use rand::SeedableRng;
+        use crate::detection::run_in_memory;
+        use crate::LongTermRunConfig;
 
         let mut scenario = PaperScenario::small(8, 5);
         scenario.training_days = 3;
@@ -493,8 +493,7 @@ mod tests {
             parallelism: Default::default(),
             clearing_iterations: 2,
         };
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+        let result = run_in_memory(&scenario, &config, 1).unwrap();
         let mut buffer = Vec::new();
         export_long_term(&mut buffer, &result).unwrap();
         let text = String::from_utf8(buffer).unwrap();

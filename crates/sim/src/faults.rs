@@ -376,6 +376,7 @@ pub fn corrupt_day(plan: &FaultPlan, day: usize, schedule: &CommunitySchedule) -
 mod tests {
     use super::*;
     use crate::{Market, PaperScenario};
+    use nms_obs::NoopRecorder;
 
     fn realized_schedule() -> CommunitySchedule {
         let scenario = PaperScenario::small(6, 17);
@@ -384,7 +385,7 @@ mod tests {
         let community = generator.community_for_day(0, 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         market
-            .clear_day(&community, 2, &mut rng)
+            .clear_day(&community, 2, rng.gen(), &NoopRecorder)
             .unwrap()
             .response
             .schedule

@@ -48,11 +48,7 @@ pub mod sweeps;
 mod weather;
 
 pub use calibrate::DetectorCalibration;
-pub use detection::{
-    run_long_term_detection, run_long_term_detection_recorded, run_long_term_supervised,
-    run_long_term_supervised_recorded, LongTermRunConfig, LongTermRunResult,
-    SupervisedOptions, SupervisedRun,
-};
+pub use detection::{LongTermRunConfig, LongTermRunResult, SupervisedOptions, SupervisedRun};
 pub use error::SimError;
 pub use faults::{
     corrupt_day, corrupt_day_meters, CorruptedDay, CorruptedMeters, FaultPlan, MeterOutage,

@@ -65,61 +65,18 @@ impl Market {
 
     /// Clears one day: fixed-point iterate price ← design(demand(price))
     /// starting from a flat base-price signal, for `iterations` rounds
-    /// (two rounds reach a stable shape in practice).
+    /// (two rounds reach a stable shape in practice). Every round solves
+    /// the game from `seed`; solver telemetry goes to `rec` (see
+    /// [`GameEngine::solve`](nms_solver::GameEngine::solve)).
+    ///
+    /// Callers that hold an RNG pass `rng.gen()`, one draw per day; callers
+    /// that clear days in parallel pre-draw the seeds in sequential order,
+    /// which keeps the parallel run on the same RNG stream.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when scheduling fails.
     pub fn clear_day(
-        &self,
-        community: &Community,
-        iterations: usize,
-        rng: &mut impl Rng,
-    ) -> Result<DayOutcome, SimError> {
-        self.clear_day_recorded(community, iterations, rng, &NoopRecorder)
-    }
-
-    /// [`Market::clear_day`] with solver telemetry routed into `rec` (see
-    /// [`GameEngine::solve`](nms_solver::GameEngine::solve)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_recorded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
-        // One draw per day: callers that clear days in parallel pre-draw
-        // these seeds in sequential order and use `clear_day_seeded`
-        // directly, which keeps the parallel run on the same RNG stream.
-        let seed: u64 = rng.gen();
-        self.clear_day_seeded_recorded(community, iterations, seed, rec)
-    }
-
-    /// [`Market::clear_day`] with the day's solver seed supplied explicitly
-    /// instead of drawn from a shared RNG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_seeded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        seed: u64,
-    ) -> Result<DayOutcome, SimError> {
-        self.clear_day_seeded_recorded(community, iterations, seed, &NoopRecorder)
-    }
-
-    /// [`Market::clear_day_seeded`] with solver telemetry routed into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_seeded_recorded(
         &self,
         community: &Community,
         iterations: usize,
@@ -181,7 +138,7 @@ impl Market {
         let mut demand = Vec::new();
         for (day, &clearness) in weather.iter().enumerate() {
             let community = generator.community_for_day(day, clearness);
-            let outcome = self.clear_day_recorded(&community, 2, rng, rec)?;
+            let outcome = self.clear_day(&community, 2, rng.gen(), rec)?;
             let theta = community.total_generation();
             for h in 0..community.horizon().slots() {
                 prices.push(outcome.price.at(h).value());
@@ -208,7 +165,9 @@ mod tests {
         let generator = s.generator();
         let community = generator.community_for_day(0, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+        let outcome = market
+            .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+            .unwrap();
         // Prices exceed the base price wherever demand is positive.
         let base = s.utility.base_price;
         assert!(outcome.price.as_series().iter().any(|&p| p > base));
@@ -229,9 +188,13 @@ mod tests {
         let sunny = generator.community_for_day(0, 1.0);
         let cloudy = generator.community_for_day(0, 0.2);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let sunny_out = market.clear_day(&sunny, 2, &mut rng).unwrap();
+        let sunny_out = market
+            .clear_day(&sunny, 2, rng.gen(), &NoopRecorder)
+            .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let cloudy_out = market.clear_day(&cloudy, 2, &mut rng).unwrap();
+        let cloudy_out = market
+            .clear_day(&cloudy, 2, rng.gen(), &NoopRecorder)
+            .unwrap();
         let midday = |o: &DayOutcome| (11..14).map(|h| o.price.at(h).value()).sum::<f64>();
         assert!(midday(&sunny_out) < midday(&cloudy_out));
     }

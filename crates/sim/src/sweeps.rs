@@ -5,8 +5,8 @@
 //! PV penetration, and the attack window shape the grid's load and the
 //! attack surface.
 
-use nms_obs::{NoopRecorder, Recorder};
-use rand::SeedableRng;
+use nms_obs::NoopRecorder;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -16,11 +16,9 @@ use nms_par::{par_map, Parallelism};
 use nms_pricing::NetMeteringTariff;
 use nms_types::{RetryPolicy, SolveBudget};
 
+use crate::detection::run_in_memory;
 use crate::experiments::paper_timeline;
-use crate::{
-    run_long_term_detection, FaultPlan, LongTermRunConfig, LongTermRunResult, Market,
-    PaperScenario, SimError,
-};
+use crate::{FaultPlan, LongTermRunConfig, LongTermRunResult, Market, PaperScenario, SimError};
 
 /// One row of a sweep result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,21 +57,6 @@ pub fn sweep_tariff(
     w_values: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_tariff_recorded(scenario, w_values, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_tariff`] with worker telemetry routed into `rec` (see
-/// [`par_map`]). The sweep's results are unaffected.
-///
-/// # Errors
-///
-/// Same as [`sweep_tariff`].
-pub fn sweep_tariff_recorded(
-    scenario: &PaperScenario,
-    w_values: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<SweepPoint>, SimError> {
     // Every point seeds its own RNG from the scenario, so points are
     // independent and the parallel sweep is bit-identical to sequential.
     // Workers clear unrecorded: the game layer emits trace events, which
@@ -81,7 +64,7 @@ pub fn sweep_tariff_recorded(
     par_map(
         parallelism.threads,
         w_values,
-        rec,
+        &NoopRecorder,
         || (),
         |_, _, &w| {
             let mut swept = scenario.clone();
@@ -102,24 +85,10 @@ pub fn sweep_pv_ownership(
     ownership_values: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_pv_ownership_recorded(scenario, ownership_values, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_pv_ownership`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_pv_ownership`].
-pub fn sweep_pv_ownership_recorded(
-    scenario: &PaperScenario,
-    ownership_values: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<SweepPoint>, SimError> {
     par_map(
         parallelism.threads,
         ownership_values,
-        rec,
+        &NoopRecorder,
         || (),
         |_, _, &ownership| {
             let mut swept = scenario.clone();
@@ -136,7 +105,7 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
     let weather = scenario.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x5eeb);
-    let outcome = market.clear_day(&community, 2, &mut rng)?;
+    let outcome = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
     let energy_sold = outcome
         .response
         .schedule
@@ -181,31 +150,17 @@ pub fn sweep_attack_window(
     start_hours: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<AttackWindowPoint>, SimError> {
-    sweep_attack_window_recorded(scenario, start_hours, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_attack_window`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_attack_window`].
-pub fn sweep_attack_window_recorded(
-    scenario: &PaperScenario,
-    start_hours: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<AttackWindowPoint>, SimError> {
     let market = Market::new(scenario)?;
     let generator = scenario.generator();
     let weather = scenario.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-    let clean = market.clear_day_recorded(&community, 2, &mut rng, rec)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
 
     par_map(
         parallelism.threads,
         start_hours,
-        rec,
+        &NoopRecorder,
         || (),
         |_, _, &from_hour| {
             let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
@@ -262,24 +217,10 @@ pub fn sweep_fault_tolerance(
     fault_rates: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<FaultTolerancePoint>, SimError> {
-    sweep_fault_tolerance_recorded(scenario, fault_rates, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_fault_tolerance`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_fault_tolerance`].
-pub fn sweep_fault_tolerance_recorded(
-    scenario: &PaperScenario,
-    fault_rates: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<FaultTolerancePoint>, SimError> {
     par_map(
         parallelism.threads,
         fault_rates,
-        rec,
+        &NoopRecorder,
         || (),
         |_, _, &rate| {
             let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
@@ -300,8 +241,7 @@ pub fn sweep_fault_tolerance_recorded(
                     parallelism: Default::default(),
                     clearing_iterations: 2,
                 };
-                let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xfa_417);
-                run_long_term_detection(scenario, &config, &mut rng)
+                run_in_memory(scenario, &config, scenario.seed ^ 0xfa_417)
             };
             let aware = run(DetectorMode::NetMeteringAware)?;
             let naive = run(DetectorMode::IgnoreNetMetering)?;

@@ -7,7 +7,7 @@
 
 use std::error::Error;
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackImpact, CompromiseSet, PriceAttack};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let community = generator.community_for_day(0, weather[0]);
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
     let billing = BillingEngine::new(clean.price.clone(), scenario.tariff);
     let clean_bill = billing.total_revenue(&clean.response.schedule)?;
     println!(

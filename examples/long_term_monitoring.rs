@@ -10,11 +10,11 @@
 //! workers (clamped to the host's cores; results are bit-identical to the
 //! sequential default).
 //!
-//! With `--journal <path>` the run goes through the crash-safe supervised
-//! runner: each completed day is checkpointed to the journal, and a rerun
-//! with the same journal resumes instead of recomputing. `--kill-after <k>`
-//! simulates a crash by stopping after `k` days — rerun with the same
-//! `--journal` to watch it resume from the checkpoint:
+//! Each detector's run journals every completed day. Without `--journal`
+//! the journal lives in memory; with `--journal <path>` it goes to disk,
+//! and a rerun with the same journal resumes instead of recomputing.
+//! `--kill-after <k>` simulates a crash by stopping after `k` days — rerun
+//! with the same `--journal` to watch it resume from the checkpoint:
 //!
 //! ```sh
 //! cargo run --release --example long_term_monitoring -- \
@@ -46,9 +46,6 @@ use std::error::Error;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
 use netmeter_sentinel::obs::{
     JsonlTrace, MetricsRegistry, NoopRecorder, Recorder, SpanRecorder, Tee,
@@ -56,8 +53,7 @@ use netmeter_sentinel::obs::{
 use netmeter_sentinel::serve::{TelemetryServer, TraceTail};
 use netmeter_sentinel::sim::experiments::paper_timeline;
 use netmeter_sentinel::sim::{
-    run_long_term_detection_recorded, LongTermRunConfig, LongTermRunResult, PaperScenario,
-    Parallelism, SupervisedRun,
+    LongTermRunConfig, PaperScenario, Parallelism, SupervisedOptions, SupervisedRun,
 };
 use netmeter_sentinel::types::{FleetHealth, StorageFaultCounts};
 
@@ -166,55 +162,58 @@ fn main() -> Result<(), Box<dyn Error>> {
             parallelism: Parallelism::new(threads),
             clearing_iterations: 2,
         };
-        let result: LongTermRunResult = match &journal {
-            None => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xf1906);
-                run_long_term_detection_recorded(&scenario, &config, &mut rng, recorder.as_ref())?
-            }
-            Some(base) => {
-                // One journal per detector mode, derived from the flag.
-                let tag = match mode {
-                    DetectorMode::NetMeteringAware => "aware",
-                    DetectorMode::IgnoreNetMetering => "naive",
-                };
-                let path = base.with_extension(format!("{tag}.jsonl"));
-                let mut run = SupervisedRun::new_recorded(
-                    &scenario,
-                    &config,
-                    seed ^ 0xf1906,
-                    &path,
-                    Arc::clone(&recorder),
-                )?;
-                if run.completed_days() > 0 {
-                    println!(
-                        "[{}] resumed from {} ({} day(s) checkpointed)",
-                        mode.label(),
-                        path.display(),
-                        run.completed_days()
-                    );
-                }
-                while !run.is_finished() {
-                    if kill_after.is_some_and(|k| run.completed_days() >= k) {
-                        println!(
-                            "[{}] simulated crash after day {} — rerun with the same \
-                             --journal to resume",
-                            mode.label(),
-                            run.completed_days()
-                        );
-                        return Ok(());
-                    }
-                    run.step_day()?;
-                    publish(Some(run.completed_days()));
-                    println!(
-                        "[{}] day {} checkpointed to {}",
-                        mode.label(),
-                        run.completed_days(),
-                        path.display()
-                    );
-                }
-                run.finish()?
-            }
+        // One journal per detector mode: on disk, derived from the flag,
+        // or in memory without it.
+        let tag = match mode {
+            DetectorMode::NetMeteringAware => "aware",
+            DetectorMode::IgnoreNetMetering => "naive",
         };
+        let (path, options) = match &journal {
+            Some(base) => (
+                base.with_extension(format!("{tag}.jsonl")),
+                SupervisedOptions::default(),
+            ),
+            None => (
+                PathBuf::from(format!("{tag}.jsonl")),
+                SupervisedOptions::in_memory(),
+            ),
+        };
+        let options = SupervisedOptions {
+            recorder: Arc::clone(&recorder),
+            ..options
+        };
+        let mut run =
+            SupervisedRun::with_options(&scenario, &config, seed ^ 0xf1906, &path, options)?;
+        if run.completed_days() > 0 {
+            println!(
+                "[{}] resumed from {} ({} day(s) checkpointed)",
+                mode.label(),
+                path.display(),
+                run.completed_days()
+            );
+        }
+        while !run.is_finished() {
+            if kill_after.is_some_and(|k| run.completed_days() >= k) {
+                println!(
+                    "[{}] simulated crash after day {} — rerun with the same \
+                     --journal to resume",
+                    mode.label(),
+                    run.completed_days()
+                );
+                return Ok(());
+            }
+            run.step_day()?;
+            publish(Some(run.completed_days()));
+            if journal.is_some() {
+                println!(
+                    "[{}] day {} checkpointed to {}",
+                    mode.label(),
+                    run.completed_days(),
+                    path.display()
+                );
+            }
+        }
+        let result = run.finish()?;
         println!(
             "{}: accuracy {:.1}%, {} fixes (slots {:?}), labor {:.0}, 48h PAR {:.4}",
             mode.label(),

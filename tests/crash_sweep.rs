@@ -291,9 +291,6 @@ fn rate_faults_never_panic_and_absorbed_faults_never_change_results() {
 #[test]
 fn trace_drop_counts_match_injected_failures() {
     use netmeter_sentinel::obs::{read_trace_on, JsonlTrace};
-    use netmeter_sentinel::sim::run_long_term_detection_recorded;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     let scenario = sweep_scenario(6, 47);
     let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
@@ -310,12 +307,21 @@ fn trace_drop_counts_match_injected_failures() {
         ..IoFaultPlan::none()
     };
     let vfs = FaultVfs::new(plan);
-    let trace = JsonlTrace::create_on(Arc::new(vfs.clone()), Path::new("run.trace.jsonl"))
-        .expect("shielded header creation");
+    let trace = Arc::new(
+        JsonlTrace::create_on(Arc::new(vfs.clone()), Path::new("run.trace.jsonl"))
+            .expect("shielded header creation"),
+    );
 
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let recorded = run_long_term_detection_recorded(&scenario, &config, &mut rng, &trace)
-        .expect("telemetry loss must not fail the run");
+    // The journal lives on its own clean disk, so the trace plan's op
+    // indices count trace writes only.
+    let run = |options: SupervisedOptions| {
+        SupervisedRun::with_options(&scenario, &config, 9, Path::new(JOURNAL), options)?.run()
+    };
+    let recorded = run(SupervisedOptions {
+        recorder: trace.clone(),
+        ..SupervisedOptions::in_memory()
+    })
+    .expect("telemetry loss must not fail the run");
 
     let injected = vfs.injected();
     assert!(injected.enospc > 0, "plan injected nothing; raise the rate");
@@ -331,9 +337,7 @@ fn trace_drop_counts_match_injected_failures() {
     assert!(!events.is_empty());
 
     // And the result is bit-identical to the no-op recorder's run.
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let baseline =
-        netmeter_sentinel::sim::run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+    let baseline = run(SupervisedOptions::in_memory()).unwrap();
     assert_eq!(format!("{recorded:?}"), format!("{baseline:?}"));
 }
 

@@ -1,14 +1,34 @@
 //! End-to-end tests of the detection framework: single-event detection,
 //! unilateral attack realizations, and the long-term POMDP loop.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, SingleEventDetector};
 use netmeter_sentinel::obs::NoopRecorder;
-use netmeter_sentinel::sim::{run_long_term_detection, LongTermRunConfig, Market, PaperScenario};
+use netmeter_sentinel::sim::{
+    LongTermRunConfig, LongTermRunResult, Market, PaperScenario, SimError, SupervisedOptions,
+    SupervisedRun,
+};
 use netmeter_sentinel::types::MeterId;
+
+/// One long-term run from `seed`, journaled in memory.
+fn run_long_term(
+    scenario: &PaperScenario,
+    config: &LongTermRunConfig,
+    seed: u64,
+) -> Result<LongTermRunResult, SimError> {
+    let journal = std::path::Path::new("journal.jsonl");
+    SupervisedRun::with_options(
+        scenario,
+        config,
+        seed,
+        journal,
+        SupervisedOptions::in_memory(),
+    )?
+    .run()
+}
 
 fn scenario() -> PaperScenario {
     PaperScenario::small(12, 1234)
@@ -26,7 +46,9 @@ fn single_event_detector_flags_real_attack_not_clean_day() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let framework = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
@@ -58,7 +80,9 @@ fn unilateral_deviation_scales_with_hacked_count() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let mut last_excess = 0.0;
@@ -100,7 +124,9 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let meters = vec![MeterId::new(0), MeterId::new(1)];
@@ -143,10 +169,7 @@ fn long_term_run_is_deterministic_under_seed() {
         parallelism: Default::default(),
         clearing_iterations: 2,
     };
-    let run = |seed: u64| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        run_long_term_detection(&s, &config, &mut rng).unwrap()
-    };
+    let run = |seed: u64| run_long_term(&s, &config, seed).unwrap();
     let a = run(11);
     let b = run(11);
     assert_eq!(a.observed_buckets, b.observed_buckets);
@@ -175,8 +198,7 @@ fn no_detection_run_never_repairs() {
         parallelism: Default::default(),
         clearing_iterations: 2,
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(12);
-    let result = run_long_term_detection(&s, &config, &mut rng).unwrap();
+    let result = run_long_term(&s, &config, 12).unwrap();
     assert_eq!(result.labor.fixes(), 0);
     assert!(result.fixes_at.is_empty());
     // Compromise persists to the end of the run.
@@ -203,7 +225,6 @@ fn detector_with_long_lag_requires_enough_training_days() {
         parallelism: Default::default(),
         clearing_iterations: 2,
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let err = run_long_term_detection(&s, &config, &mut rng).unwrap_err();
+    let err = run_long_term(&s, &config, 13).unwrap_err();
     assert!(err.to_string().contains("training days"));
 }

@@ -7,18 +7,16 @@
 //! along the way.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, QuarantineConfig, QuarantineTransition};
 use netmeter_sentinel::sim::journal::JournalError;
 use netmeter_sentinel::sim::{
-    run_long_term_detection, run_long_term_supervised, FaultPlan, LongTermRunConfig, MeterOutage,
-    PaperScenario, SimError, SupervisedRun,
+    FaultPlan, LongTermRunConfig, LongTermRunResult, MeterOutage, PaperScenario, Parallelism,
+    SimError, SupervisedOptions, SupervisedRun,
 };
 use netmeter_sentinel::types::RetryPolicy;
 
@@ -33,6 +31,23 @@ fn journal_path(name: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// One long-term run from `seed`, journaled in memory.
+fn run_long_term(
+    scenario: &PaperScenario,
+    config: &LongTermRunConfig,
+    seed: u64,
+) -> Result<LongTermRunResult, SimError> {
+    let journal = Path::new("journal.jsonl");
+    SupervisedRun::with_options(
+        scenario,
+        config,
+        seed,
+        journal,
+        SupervisedOptions::in_memory(),
+    )?
+    .run()
 }
 
 fn timeline(fleet: usize) -> AttackTimeline {
@@ -75,9 +90,8 @@ fn degraded_48h_run_returns_a_verdict_every_slot() {
     plan.nan_rate = 0.01;
     let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
     let config = config(Some(detector), 2, Some(plan));
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
 
-    let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+    let result = run_long_term(&scenario, &config, 9).unwrap();
 
     // Verdict every slot of the 48-hour window.
     assert_eq!(result.observed_buckets.len(), 48);
@@ -104,8 +118,7 @@ fn pristine_run_reports_a_clean_ledger() {
     scenario.training_days = 4;
     let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
     let config = config(Some(detector), 1, Some(FaultPlan::none(17)));
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+    let result = run_long_term(&scenario, &config, 9).unwrap();
     assert_eq!(result.health.faults_injected.total(), 0);
     assert_eq!(result.health.slots_imputed, 0);
     assert_eq!(result.observed_buckets.len(), 24);
@@ -121,8 +134,7 @@ fn unreported_fleet_forces_imputation() {
     plan.report_rate = 0.0; // nobody reports: every slot needs imputing
     let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
     let config = config(Some(detector), 1, Some(plan));
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let result = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+    let result = run_long_term(&scenario, &config, 3).unwrap();
     assert_eq!(result.observed_buckets.len(), 24);
     assert_eq!(result.health.faults_injected.unreported, 6);
     assert_eq!(
@@ -213,8 +225,7 @@ proptest! {
         scenario.training_days = 4;
         let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
         let config = config(Some(detector), 1, Some(plan));
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match run_long_term_detection(&scenario, &config, &mut rng) {
+        match run_long_term(&scenario, &config, seed) {
             Ok(result) => {
                 prop_assert_eq!(result.observed_buckets.len(), 24);
                 prop_assert_eq!(result.health.slots_observed, 24);
@@ -235,6 +246,38 @@ proptest! {
 // Crash-safe supervision: checkpoint/resume, journal damage, quarantine
 // ---------------------------------------------------------------------------
 
+/// Every field a resumed run must reproduce bit for bit.
+fn assert_same_run(resumed: &LongTermRunResult, fresh: &LongTermRunResult) {
+    assert_eq!(resumed.true_buckets, fresh.true_buckets);
+    assert_eq!(resumed.observed_buckets, fresh.observed_buckets);
+    assert_eq!(resumed.realized_demand, fresh.realized_demand);
+    assert_eq!(resumed.fixes_at, fresh.fixes_at);
+    assert_eq!(resumed.final_belief, fresh.final_belief);
+    assert_eq!(resumed.health, fresh.health);
+    assert_eq!(resumed.day_health, fresh.day_health);
+    assert_eq!(resumed.quarantine_events, fresh.quarantine_events);
+    assert_eq!(resumed.quarantine, fresh.quarantine);
+    assert_eq!(resumed.labor.fixes(), fresh.labor.fixes());
+    assert_eq!(resumed.par, fresh.par);
+}
+
+/// "Kills" a run after one completed day: steps once, then drops the run
+/// on the floor. The journal on `options.vfs` holds the header plus
+/// exactly one day record.
+fn kill_after_day_one(
+    scenario: &PaperScenario,
+    cfg: &LongTermRunConfig,
+    seed: u64,
+    options: &SupervisedOptions,
+) {
+    let journal = Path::new("killed.jsonl");
+    let mut run =
+        SupervisedRun::with_options(scenario, cfg, seed, journal, options.clone()).unwrap();
+    run.step_day().unwrap();
+    assert_eq!(run.completed_days(), 1);
+    assert!(!run.is_finished());
+}
+
 /// The tentpole's acceptance shape: a supervised run killed after day 1
 /// and resumed from its journal finishes with *exactly* the state a never-
 /// killed run reaches — belief, per-slot decisions, fixes, and the health
@@ -248,36 +291,43 @@ fn killed_and_resumed_run_matches_uninterrupted_run() {
     let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
     let cfg = config(Some(detector), 2, Some(plan));
 
-    let fresh_path = journal_path("fresh");
-    let fresh = run_long_term_supervised(&scenario, &cfg, 7, &fresh_path).unwrap();
+    let fresh = run_long_term(&scenario, &cfg, 7).unwrap();
 
-    // "Kill" after one completed day: step once, then drop the run on the
-    // floor. The journal holds the header plus exactly one day record.
-    let killed_path = journal_path("killed");
-    {
-        let mut run = SupervisedRun::new(&scenario, &cfg, 7, &killed_path).unwrap();
-        run.step_day().unwrap();
-        assert_eq!(run.completed_days(), 1);
-        assert!(!run.is_finished());
-    }
-    let resumed_run = SupervisedRun::new(&scenario, &cfg, 7, &killed_path).unwrap();
+    let options = SupervisedOptions::in_memory();
+    kill_after_day_one(&scenario, &cfg, 7, &options);
+    let resumed_run =
+        SupervisedRun::with_options(&scenario, &cfg, 7, Path::new("killed.jsonl"), options)
+            .unwrap();
     assert_eq!(resumed_run.completed_days(), 1, "day 0 replays from the journal");
-    let resumed = resumed_run.run().unwrap();
+    assert_same_run(&resumed_run.run().unwrap(), &fresh);
+}
 
-    assert_eq!(resumed.true_buckets, fresh.true_buckets);
-    assert_eq!(resumed.observed_buckets, fresh.observed_buckets);
-    assert_eq!(resumed.realized_demand, fresh.realized_demand);
-    assert_eq!(resumed.fixes_at, fresh.fixes_at);
-    assert_eq!(resumed.final_belief, fresh.final_belief);
-    assert_eq!(resumed.health, fresh.health);
-    assert_eq!(resumed.day_health, fresh.day_health);
-    assert_eq!(resumed.quarantine_events, fresh.quarantine_events);
-    assert_eq!(resumed.quarantine, fresh.quarantine);
-    assert_eq!(resumed.labor.fixes(), fresh.labor.fixes());
-    assert_eq!(resumed.par, fresh.par);
+/// The thread count is not part of a run's identity: results are
+/// bit-identical at every `parallelism`, so a journal written at one
+/// thread resumes at two and finishes exactly as the uninterrupted run.
+#[test]
+fn journal_resumes_under_a_different_thread_count() {
+    let mut scenario = PaperScenario::small(8, 47);
+    scenario.training_days = 4;
+    let detector = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
+    let one_thread = config(Some(detector), 2, None);
+    let mut two_threads = one_thread.clone();
+    two_threads.parallelism = Parallelism::new(2);
 
-    let _ = std::fs::remove_file(&fresh_path);
-    let _ = std::fs::remove_file(&killed_path);
+    let fresh = run_long_term(&scenario, &one_thread, 7).unwrap();
+
+    let options = SupervisedOptions::in_memory();
+    kill_after_day_one(&scenario, &one_thread, 7, &options);
+    let resumed_run = SupervisedRun::with_options(
+        &scenario,
+        &two_threads,
+        7,
+        Path::new("killed.jsonl"),
+        options,
+    )
+    .expect("a journal resumes under a different thread count");
+    assert_eq!(resumed_run.completed_days(), 1, "day 0 replays from the journal");
+    assert_same_run(&resumed_run.run().unwrap(), &fresh);
 }
 
 /// Journal damage, end to end through the supervised runner: a torn final
@@ -290,14 +340,15 @@ fn damaged_journals_recover_or_fail_typed() {
     scenario.training_days = 4;
     let cfg = config(None, 2, None);
     let path = journal_path("damage");
+    let open = || SupervisedRun::with_options(&scenario, &cfg, 11, &path, Default::default());
 
-    let fresh = run_long_term_supervised(&scenario, &cfg, 11, &path).unwrap();
+    let fresh = open().unwrap().run().unwrap();
     let intact = std::fs::read_to_string(&path).unwrap();
     assert_eq!(intact.lines().count(), 3, "header + two day records");
 
     // Tear the final record mid-line, as a kill mid-write would.
     std::fs::write(&path, &intact[..intact.len() - 25]).unwrap();
-    let resumed_run = SupervisedRun::new(&scenario, &cfg, 11, &path).unwrap();
+    let resumed_run = open().unwrap();
     assert_eq!(
         resumed_run.completed_days(),
         1,
@@ -314,7 +365,7 @@ fn damaged_journals_recover_or_fail_typed() {
     let vandalized = lines[1].replace("true_buckets", "drue_buckets");
     let content = format!("{}\n{}\n{}\n", lines[0], vandalized, lines[2]);
     std::fs::write(&path, content).unwrap();
-    match SupervisedRun::new(&scenario, &cfg, 11, &path) {
+    match open() {
         Err(SimError::Journal(JournalError::Corrupt { line, .. })) => assert_eq!(line, 2),
         Err(other) => panic!("expected JournalError::Corrupt, got {other}"),
         Ok(_) => panic!("expected JournalError::Corrupt, got a resumed run"),
@@ -349,8 +400,7 @@ fn quarantine_trips_probes_and_recovers() {
         close_after: 1,
         ..QuarantineConfig::default()
     };
-    let path = journal_path("quarantine");
-    let result = run_long_term_supervised(&scenario, &cfg, 5, &path).unwrap();
+    let result = run_long_term(&scenario, &cfg, 5).unwrap();
 
     let transitions: Vec<(usize, usize, QuarantineTransition)> = result
         .quarantine_events
@@ -385,8 +435,6 @@ fn quarantine_trips_probes_and_recovers() {
     // Clean telemetry closed every breaker by the end of the run.
     let quarantine = result.quarantine.expect("fault plan arms quarantine");
     assert_eq!(quarantine.open_count(), 0);
-
-    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {

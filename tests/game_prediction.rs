@@ -1,7 +1,7 @@
 //! End-to-end tests of the scheduling game and the utility-in-the-loop
 //! market: community generation → price design → game equilibrium.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::obs::NoopRecorder;
@@ -21,7 +21,9 @@ fn market_clears_and_prices_follow_demand() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+    let outcome = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
 
     // The price is above base wherever the community imports.
     let base = s.utility.base_price;
@@ -47,7 +49,9 @@ fn equilibrium_conserves_task_energy() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+    let outcome = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
 
     // Total consumption equals base load plus all task energies.
     let base_total: f64 = community.iter().map(|c| c.base_load().total()).sum();
@@ -67,7 +71,9 @@ fn every_customer_schedule_is_feasible_at_equilibrium() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+    let outcome = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
 
     for (customer, plan) in community
         .iter()
@@ -136,7 +142,9 @@ fn billing_consistent_with_equilibrium() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+    let outcome = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
+        .unwrap();
     let engine = BillingEngine::new(outcome.price.clone(), s.tariff);
     let bills = engine.bill(&outcome.response.schedule).unwrap();
     assert_eq!(bills.len(), community.len());

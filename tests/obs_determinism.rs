@@ -3,23 +3,36 @@
 //! with JSONL tracing and a metrics registry must be bit-identical to the
 //! same run with the no-op recorder — telemetry flows out, never back in.
 
+use std::path::Path;
 use std::sync::Arc;
-
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, QuarantineConfig};
 use netmeter_sentinel::obs::{
-    read_trace, JsonlTrace, MetricsRegistry, Recorder, Tee, TraceEvent,
+    read_trace, JsonlTrace, MetricsRegistry, NoopRecorder, Recorder, Tee, TraceEvent,
 };
 use netmeter_sentinel::sim::export::export_long_term;
 use netmeter_sentinel::sim::{
-    run_long_term_detection, run_long_term_detection_recorded, FaultPlan, LongTermRunConfig,
-    LongTermRunResult, MeterOutage, PaperScenario, SupervisedRun,
+    FaultPlan, LongTermRunConfig, LongTermRunResult, MeterOutage, PaperScenario, SupervisedOptions,
+    SupervisedRun,
 };
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("nms-obs-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// A run from `seed` with its journal in memory and `recorder` watching.
+fn start(
+    scenario: &PaperScenario,
+    config: &LongTermRunConfig,
+    seed: u64,
+    recorder: Arc<dyn Recorder>,
+) -> SupervisedRun {
+    let options = SupervisedOptions {
+        recorder,
+        ..SupervisedOptions::in_memory()
+    };
+    SupervisedRun::with_options(scenario, config, seed, Path::new("journal.jsonl"), options)
+        .unwrap()
 }
 
 fn assert_identical(noop: &LongTermRunResult, recorded: &LongTermRunResult) {
@@ -64,16 +77,17 @@ fn detection_config(customers: usize) -> LongTermRunConfig {
     }
 }
 
-/// The legacy single-RNG driver at the paper-shapes pin seed: tracing +
-/// metrics attached vs the no-op recorder, bit-identical results.
+/// A detector-on run at seed 23: tracing + metrics attached vs the no-op
+/// recorder, bit-identical results.
 #[test]
 fn recorded_legacy_run_matches_noop() {
     let mut scenario = PaperScenario::small(10, 23);
     scenario.training_days = 4;
     let config = detection_config(scenario.customers);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let noop = run_long_term_detection(&scenario, &config, &mut rng).unwrap();
+    let noop = start(&scenario, &config, 23, Arc::new(NoopRecorder))
+        .run()
+        .unwrap();
 
     let trace_path = temp_path("legacy");
     let _ = std::fs::remove_file(&trace_path);
@@ -82,8 +96,7 @@ fn recorded_legacy_run_matches_noop() {
         Arc::new(JsonlTrace::create(&trace_path).unwrap()) as Arc<dyn Recorder>,
         Arc::new(metrics.clone()),
     ]);
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let recorded = run_long_term_detection_recorded(&scenario, &config, &mut rng, &tee).unwrap();
+    let recorded = start(&scenario, &config, 23, Arc::new(tee)).run().unwrap();
 
     assert_identical(&noop, &recorded);
 
@@ -158,24 +171,15 @@ fn recorded_supervised_run_matches_noop_and_traces_quarantine() {
         ..Default::default()
     };
 
-    let noop_journal = temp_path("sup-noop");
-    let recorded_journal = temp_path("sup-rec");
     let trace_path = temp_path("sup-trace");
-    for path in [&noop_journal, &recorded_journal, &trace_path] {
-        let _ = std::fs::remove_file(path);
-    }
+    let _ = std::fs::remove_file(&trace_path);
 
-    let noop = SupervisedRun::new(&scenario, &config, 43, &noop_journal)
-        .unwrap()
+    let noop = start(&scenario, &config, 43, Arc::new(NoopRecorder))
         .run()
         .unwrap();
 
     let trace = Arc::new(JsonlTrace::create(&trace_path).unwrap());
-    let recorded =
-        SupervisedRun::new_recorded(&scenario, &config, 43, &recorded_journal, trace.clone())
-            .unwrap()
-            .run()
-            .unwrap();
+    let recorded = start(&scenario, &config, 43, trace.clone()).run().unwrap();
     assert_eq!(trace.dropped(), 0, "no trace line may be dropped");
 
     assert_identical(&noop, &recorded);
@@ -194,9 +198,7 @@ fn recorded_supervised_run_matches_noop_and_traces_quarantine() {
     let quarantine = events.iter().find(|e| e.kind == "quarantine").unwrap();
     assert!(quarantine.label_value("transition").is_some());
 
-    for path in [&noop_journal, &recorded_journal, &trace_path] {
-        let _ = std::fs::remove_file(path);
-    }
+    let _ = std::fs::remove_file(&trace_path);
 }
 
 /// A trace event with its wall-clock fields removed: what must repeat
@@ -244,19 +246,15 @@ fn forked_detection_days_keep_the_sequential_trace() {
     let seed = 29;
 
     let traced = |tag: &str, config: &LongTermRunConfig, prediction_first: bool| {
-        let journal = temp_path(&format!("fork-{tag}-journal"));
         let trace_path = temp_path(&format!("fork-{tag}-trace"));
-        for path in [&journal, &trace_path] {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&trace_path);
         let trace = Arc::new(JsonlTrace::create(&trace_path).unwrap());
         let metrics = MetricsRegistry::new();
         let tee = Tee::new(vec![
             trace.clone() as Arc<dyn Recorder>,
             Arc::new(metrics.clone()),
         ]);
-        let mut run =
-            SupervisedRun::new_recorded(&scenario, config, seed, &journal, Arc::new(tee)).unwrap();
+        let mut run = start(&scenario, config, seed, Arc::new(tee));
         while !run.is_finished() {
             if prediction_first {
                 run.step_day_prediction_first().unwrap();
@@ -271,9 +269,7 @@ fn forked_detection_days_keep_the_sequential_trace() {
             .iter()
             .map(untimed)
             .collect();
-        for path in [&journal, &trace_path] {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&trace_path);
         (result, events, metrics)
     };
 

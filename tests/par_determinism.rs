@@ -3,13 +3,12 @@
 //! thread count, because per-item randomness is derived from `(seed,
 //! index)` pairs before the fan-out.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use std::path::Path;
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
 use netmeter_sentinel::sim::sweeps::{sweep_attack_window, sweep_pv_ownership, sweep_tariff};
 use netmeter_sentinel::sim::{
-    run_long_term_detection, LongTermRunConfig, PaperScenario, Parallelism,
+    LongTermRunConfig, PaperScenario, Parallelism, SupervisedOptions, SupervisedRun,
 };
 
 fn scenario() -> PaperScenario {
@@ -59,8 +58,17 @@ fn long_term_detection_is_bit_identical_across_thread_counts() {
             parallelism: Parallelism::new(threads),
             clearing_iterations: 2,
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        run_long_term_detection(&scenario, &config, &mut rng).unwrap()
+        let journal = Path::new("journal.jsonl");
+        SupervisedRun::with_options(
+            &scenario,
+            &config,
+            9,
+            journal,
+            SupervisedOptions::in_memory(),
+        )
+        .unwrap()
+        .run()
+        .unwrap()
     };
     let sequential = run(1);
     let parallel = run(4);
