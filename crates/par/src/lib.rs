@@ -1,9 +1,9 @@
 //! Deterministic parallel execution layer (DESIGN.md §9).
 //!
-//! Every hot loop in this workspace — Jacobi game rounds, parameter
-//! sweeps, calibration backtests, fleet shards — is a map over independent
-//! items whose per-item randomness is derived from a `(seed, index)` pair
-//! *before* the map runs. That makes the map's output a pure function of
+//! Every parallel loop in this workspace — parameter sweeps, calibration
+//! backtests, fleet shards — is a map over independent items whose
+//! per-item randomness is derived from a `(seed, index)` pair *before* the
+//! map runs. That makes the map's output a pure function of
 //! its inputs, so running it on N worker threads must produce bit-identical
 //! results to running it on one. This crate provides
 //! exactly that contract:
@@ -41,7 +41,7 @@
 //! On a 1-core host every `par_map` therefore degrades to the sequential
 //! loop, which is exactly the fastest correct schedule there. Workers pull
 //! one item at a time: every map in the workspace is over few heavy items
-//! (customers, sweep points, backtest days, shards), where load balance
+//! (sweep points, backtest days, shards), where load balance
 //! matters more than the one `SeqCst` fetch-add per pull.
 
 #![forbid(unsafe_code)]
@@ -153,12 +153,11 @@ impl<R, E> Outcome<R, E> {
 ///
 /// `scratch()` is called once per worker (once total on the sequential
 /// path) and the resulting value is threaded mutably through every item
-/// that worker processes. This is the persistent-workspace hook solvers use
-/// to keep their hot paths allocation-free across items (DESIGN.md §11):
-/// the scratch is reused, never shared, and must be fully overwritten by
-/// `f` for the bit-identity contract to hold — `f`'s result must be a pure
-/// function of `(index, item)` regardless of what earlier items left in the
-/// scratch. Maps without per-worker state pass `|| ()`.
+/// that worker processes, so a hot path can stay allocation-free across
+/// items (DESIGN.md §11): the scratch is reused, never shared, and must be
+/// fully overwritten by `f` for the bit-identity contract to hold — `f`'s
+/// result must be a pure function of `(index, item)` regardless of what
+/// earlier items left in the scratch. Maps without per-worker state pass `|| ()`.
 ///
 /// Worker telemetry — `par_maps` / `par_items` counters and per-worker
 /// `par_worker_items` / `par_worker_busy_seconds` histograms — is gathered

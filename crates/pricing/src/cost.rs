@@ -186,7 +186,7 @@ impl<'a> CostModel<'a> {
 
 /// Dense per-slot billing terms hoisted out of [`CostModel`] (one guideline
 /// price, one aggregate-others trading value per slot, plus the tariff's
-/// sell fraction), built once per best-response/Jacobi round by
+/// sell fraction), built once per best response by
 /// [`CostModel::hoist_into`].
 ///
 /// The inner loops of the DP appliance scheduler evaluate

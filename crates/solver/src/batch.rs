@@ -1,7 +1,7 @@
 //! Structure-of-arrays slabs for batched best-response rounds
 //! (DESIGN.md §15).
 //!
-//! At paper scale (N = 500) one Jacobi/Gauss–Seidel round touches every
+//! At paper scale (N = 500) one Gauss–Seidel round touches every
 //! customer's trading series, the running community total, and a fresh
 //! "aggregate of the others" per customer. The `TimeSeries`-per-customer
 //! representation scatters those across N separate heap allocations and
@@ -115,20 +115,6 @@ impl BatchResponseWorkspace {
         &self.others
     }
 
-    /// Writes `total − lane(index)` into `out` without touching the shared
-    /// scratch lane — the form parallel Jacobi workers use against the
-    /// immutable snapshot (`&self`), each into its own per-worker buffer.
-    pub fn fill_others_into(&self, index: usize, out: &mut Vec<f64>) {
-        let lane = &self.tradings[index * self.slots..(index + 1) * self.slots];
-        out.clear();
-        out.extend(
-            self.total
-                .iter()
-                .zip(lane)
-                .map(|(&total, &own)| total - own),
-        );
-    }
-
     /// Largest absolute per-slot difference between `response` and customer
     /// `index`'s current lane — the same `fold(0.0, f64::max)` the series
     /// residual used.
@@ -165,19 +151,6 @@ impl BatchResponseWorkspace {
         }
     }
 
-    /// Jacobi commit: overwrites customer `index`'s lane without touching
-    /// the total (every customer in the round responded to the same
-    /// snapshot; rebuild the total once afterwards with
-    /// [`BatchResponseWorkspace::rebuild_total`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `response` has the wrong slot count.
-    pub fn set_lane(&mut self, index: usize, response: &[f64]) {
-        assert_eq!(response.len(), self.slots, "response/slots");
-        self.tradings[index * self.slots..(index + 1) * self.slots].copy_from_slice(response);
-    }
-
     /// Rebuilds the total from the lanes, accumulating customers in index
     /// order per slot — the exact fold order of
     /// `TimeSeries::from_fn(h, |h| lanes.map(|l| l[h]).sum())`, evaluated
@@ -198,10 +171,16 @@ mod tests {
     use super::*;
     use nms_types::{Horizon, TimeSeries};
 
+    /// Overwrites customer `index`'s lane without touching the total.
+    fn set_lane(workspace: &mut BatchResponseWorkspace, index: usize, lane: &[f64]) {
+        let slots = workspace.slots;
+        workspace.tradings[index * slots..(index + 1) * slots].copy_from_slice(lane);
+    }
+
     fn filled(workspace: &mut BatchResponseWorkspace, lanes: &[Vec<f64>]) {
         workspace.begin(lanes.len(), lanes[0].len());
         for (index, lane) in lanes.iter().enumerate() {
-            workspace.set_lane(index, lane);
+            set_lane(workspace, index, lane);
         }
         workspace.rebuild_total();
     }
@@ -229,9 +208,6 @@ mod tests {
                     "lane {index} slot {h}"
                 );
             }
-            let mut buffer = Vec::new();
-            ws.fill_others_into(index, &mut buffer);
-            assert_eq!(buffer, got);
         }
     }
 
@@ -284,7 +260,7 @@ mod tests {
     fn begin_reuses_buffers_and_rezeroes() {
         let mut ws = BatchResponseWorkspace::new();
         ws.begin(2, 3);
-        ws.set_lane(1, &[1.0, 2.0, 3.0]);
+        set_lane(&mut ws, 1, &[1.0, 2.0, 3.0]);
         ws.rebuild_total();
         assert!(ws.total().iter().any(|&v| v != 0.0));
         ws.begin(2, 3);

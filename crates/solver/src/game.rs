@@ -1,17 +1,15 @@
 //! The community-level best-response iteration (Algorithm 1's outer loop).
 //!
 //! Customers share their trading amounts `y_n^h`; each in turn re-solves
-//! Problem P1 against the aggregate of the others, until the largest
-//! per-slot trading change across a full round falls under a tolerance
-//! (Gauss–Seidel), or for a fixed number of Jacobi rounds when running the
-//! parallel variant.
+//! Problem P1 against the aggregate of the others (Gauss–Seidel), until the
+//! largest per-slot trading change across a full round falls under a
+//! tolerance.
 
 use nms_obs::{span, Recorder, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use nms_par::Parallelism;
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule};
 use nms_types::ValidateError;
@@ -28,12 +26,6 @@ pub struct GameConfig {
     pub tolerance: f64,
     /// Per-customer best-response settings.
     pub response: ResponseConfig,
-    /// Worker threads for parallel Jacobi rounds; `threads == 1` selects
-    /// the sequential Gauss–Seidel iteration (better convergence, the
-    /// paper's formulation). Configurations serialized before this knob
-    /// existed load as sequential.
-    #[serde(default)]
-    pub parallelism: Parallelism,
 }
 
 impl GameConfig {
@@ -41,7 +33,7 @@ impl GameConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ValidateError`] on zero rounds/threads, a non-positive
+    /// Returns [`ValidateError`] on zero rounds, a non-positive
     /// tolerance, or an invalid response configuration.
     pub fn validate(&self) -> Result<(), ValidateError> {
         if self.max_rounds == 0 {
@@ -50,7 +42,6 @@ impl GameConfig {
         if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
             return Err(ValidateError::new("tolerance must be positive"));
         }
-        self.parallelism.validate().map_err(ValidateError::new)?;
         self.response.validate()
     }
 
@@ -60,7 +51,6 @@ impl GameConfig {
             max_rounds: 6,
             tolerance: 0.05,
             response: ResponseConfig::fast(),
-            parallelism: Parallelism::SEQUENTIAL,
         }
     }
 }
@@ -71,7 +61,6 @@ impl Default for GameConfig {
             max_rounds: 12,
             tolerance: 0.01,
             response: ResponseConfig::default(),
-            parallelism: Parallelism::SEQUENTIAL,
         }
     }
 }
@@ -142,12 +131,12 @@ impl<'a> GameEngine<'a> {
     /// Runs the iterative best-response loop, deterministically seeded from
     /// `rng`.
     ///
-    /// Per-customer seeds for every round are drawn from `rng` up front, so
-    /// the draw order (and therefore any downstream consumer of `rng`) is
-    /// identical across thread counts.
+    /// Each round draws one seed per customer from `rng` before any
+    /// customer responds, so `rng` advances by exactly `n` draws per round
+    /// whatever the responses consume.
     ///
     /// Solver telemetry goes to `rec`: per-round `game_round` events
-    /// (Jacobi/Gauss–Seidel residuals), a closing `game_solved` event,
+    /// (Gauss–Seidel residuals), a closing `game_solved` event,
     /// `solver_round_delta` observations, and `solver_games` /
     /// `solver_rounds` / `solver_games_converged` counters — plus everything
     /// [`best_response`] tallies per customer. Recording only reads values
@@ -175,64 +164,49 @@ impl<'a> GameEngine<'a> {
         let mut history = Vec::new();
         let mut converged = false;
         let mut rounds = 0;
-        // One scratch arena reused across every sequential best response;
-        // parallel rounds hold one per worker instead (DESIGN.md §11).
+        // One scratch arena reused across every best response (DESIGN.md
+        // §11).
         let mut ws = ResponseWorkspace::default();
 
         for _round in 0..self.config.max_rounds {
             rounds += 1;
-            // Seeds drawn up front so sequential and parallel rounds use the
-            // same per-customer randomness.
+            // Seeds drawn up front: each customer's response runs on its own
+            // child stream.
             let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             let mut round_delta = 0.0_f64;
 
-            if self.config.parallelism.threads <= 1 {
-                // Gauss–Seidel over the flat lanes: others = total − lane,
-                // solve, then total = others + response — the exact per-slot
-                // operations the series path performed, each a tight loop
-                // over contiguous f64 slices.
-                for (index, customer) in self.community.iter().enumerate() {
-                    batch.fill_others(index);
-                    let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                    let cost_model = CostModel::new(self.prices, self.tariff);
-                    let response = best_response(
-                        customer,
-                        batch.others(),
-                        cost_model,
-                        &self.config.response,
-                        schedules[index].as_ref(),
-                        &mut child,
-                        rec,
-                        &mut ws,
-                    )?;
-                    let delta = batch.max_abs_delta(index, response.trading().as_slice());
-                    round_delta = round_delta.max(delta);
-                    batch.commit_gauss_seidel(index, response.trading().as_slice());
-                    schedules[index] = Some(response);
-                }
-                // Round boundary: rebuild `total` from the lanes, exactly as
-                // the Jacobi branch does. The incremental per-commit update
-                // (`total = others + response`) accumulates a different
-                // floating-point rounding history every round; re-accumulating
-                // from the lanes makes the round-boundary state a pure
-                // function of the lanes, the same fold the Jacobi path and
-                // the `tests/solver_workspace.rs` replica perform, bit for
-                // bit. Dropping this call changes results (and the
-                // benchmark's seed-1 digests).
-                batch.rebuild_total();
-            } else {
-                // Jacobi: all respond to the same snapshot of the lanes, in
-                // parallel. The lanes stay untouched until the commit loop
-                // below, so the whole round reads one consistent snapshot.
-                let responses = self.parallel_round(&batch, &schedules, &seeds, rec)?;
-                for (index, response) in responses.into_iter().enumerate() {
-                    let delta = batch.max_abs_delta(index, response.trading().as_slice());
-                    round_delta = round_delta.max(delta);
-                    batch.set_lane(index, response.trading().as_slice());
-                    schedules[index] = Some(response);
-                }
-                batch.rebuild_total();
+            // Gauss–Seidel over the flat lanes: others = total − lane,
+            // solve, then total = others + response — the exact per-slot
+            // operations the series path performed, each a tight loop over
+            // contiguous f64 slices.
+            for (index, customer) in self.community.iter().enumerate() {
+                batch.fill_others(index);
+                let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
+                let cost_model = CostModel::new(self.prices, self.tariff);
+                let response = best_response(
+                    customer,
+                    batch.others(),
+                    cost_model,
+                    &self.config.response,
+                    schedules[index].as_ref(),
+                    &mut child,
+                    rec,
+                    &mut ws,
+                )?;
+                let delta = batch.max_abs_delta(index, response.trading().as_slice());
+                round_delta = round_delta.max(delta);
+                batch.commit_gauss_seidel(index, response.trading().as_slice());
+                schedules[index] = Some(response);
             }
+            // Round boundary: rebuild `total` from the lanes. The
+            // incremental per-commit update (`total = others + response`)
+            // accumulates a different floating-point rounding history every
+            // round; re-accumulating from the lanes makes the round-boundary
+            // state a pure function of the lanes, the same fold the
+            // `tests/solver_workspace.rs` replica performs, bit for bit.
+            // Dropping this call changes results (and the benchmark's
+            // digests).
+            batch.rebuild_total();
 
             history.push(round_delta);
             rec.observe("solver_round_delta", round_delta);
@@ -274,43 +248,6 @@ impl<'a> GameEngine<'a> {
             converged,
             history,
         })
-    }
-
-    /// One parallel Jacobi round over every customer, via the ordered
-    /// deterministic [`nms_par::par_map`]. Workers read the immutable lane
-    /// snapshot and fill others into a per-worker scratch buffer.
-    fn parallel_round(
-        &self,
-        batch: &BatchResponseWorkspace,
-        schedules: &[Option<CustomerSchedule>],
-        seeds: &[u64],
-        rec: &dyn Recorder,
-    ) -> Result<Vec<CustomerSchedule>, SolverError> {
-        // Workers record only the commutative metric methods (via
-        // best_response), so totals stay reproducible at any thread count.
-        // Each worker owns one scratch arena plus an others buffer for its
-        // whole run, so steady-state rounds allocate nothing per response.
-        nms_par::par_map(
-            self.config.parallelism.threads,
-            self.community.customers(),
-            rec,
-            || (ResponseWorkspace::default(), Vec::new()),
-            |(ws, others), index, customer| {
-                batch.fill_others_into(index, others);
-                let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                let cost_model = CostModel::new(self.prices, self.tariff);
-                best_response(
-                    customer,
-                    others,
-                    cost_model,
-                    &self.config.response,
-                    schedules[index].as_ref(),
-                    &mut child,
-                    rec,
-                    ws,
-                )
-            },
-        )
     }
 }
 
@@ -373,12 +310,6 @@ mod tests {
         .is_err());
         assert!(GameConfig {
             tolerance: 0.0,
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(GameConfig {
-            parallelism: Parallelism::new(0),
             ..GameConfig::default()
         }
         .validate()
@@ -470,71 +401,5 @@ mod tests {
         // The last round's delta is within tolerance iff converged.
         let last = *outcome.history.last().unwrap();
         assert_eq!(outcome.converged, last <= engine.config().tolerance);
-    }
-
-    #[test]
-    fn parallel_matches_shape_of_sequential() {
-        let community = small_community(4, true);
-        let prices = tou_prices();
-        let mut sequential_config = GameConfig::fast();
-        sequential_config.max_rounds = 4;
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            sequential_config,
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let sequential = engine.solve(&mut rng, &NoopRecorder).unwrap();
-
-        let mut parallel_config = sequential_config;
-        parallel_config.parallelism = Parallelism::new(4);
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            parallel_config,
-        )
-        .unwrap();
-        let mut rng2 = ChaCha8Rng::seed_from_u64(13);
-        let parallel = engine.solve(&mut rng2, &NoopRecorder).unwrap();
-
-        // Jacobi and Gauss–Seidel won't agree exactly, but total consumed
-        // energy must (it is constraint-pinned), and demand shapes should
-        // correlate.
-        let seq_total = sequential.schedule.load().total().value();
-        let par_total = parallel.schedule.load().total().value();
-        assert!((seq_total - par_total).abs() < 1e-6);
-    }
-
-    #[test]
-    fn jacobi_rounds_are_thread_count_invariant() {
-        // Jacobi customers respond to a per-round snapshot with pre-drawn
-        // per-customer seeds, so the worker count cannot affect the result.
-        let community = small_community(5, true);
-        let prices = tou_prices();
-        let run = |threads: usize| {
-            let mut config = GameConfig::fast();
-            config.max_rounds = 3;
-            config.parallelism = Parallelism::new(threads);
-            let engine =
-                GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(21);
-            engine.solve(&mut rng, &NoopRecorder).unwrap()
-        };
-        let two = run(2);
-        let four = run(4);
-        assert_eq!(two.history, four.history);
-        assert_eq!(two.rounds, four.rounds);
-        for (a, b) in two
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(four.schedule.customer_schedules())
-        {
-            assert_eq!(a.trading(), b.trading());
-            assert_eq!(a.battery(), b.battery());
-        }
     }
 }

@@ -125,7 +125,8 @@ pub fn best_response(
 /// allocated. [`HoistedCostTable`](nms_pricing::HoistedCostTable)
 /// replicates that closure operation-for-operation, so the two paths are
 /// byte-identical. Kept only as the oracle that `tests/solver_workspace.rs`
-/// and the before-side of the `solver_kernels` bench compare against.
+/// compares against; the `solver_kernels` bench times it as the
+/// before-side.
 ///
 /// # Errors
 ///

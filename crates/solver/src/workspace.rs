@@ -1,7 +1,7 @@
 //! The per-worker scratch arena for best-response solves (DESIGN.md §11).
 //!
 //! One best response alternates DP appliance scheduling with a CE battery
-//! step, `inner_iters` times, inside Jacobi rounds × customers × days ×
+//! step, `inner_iters` times, inside game rounds × customers × days ×
 //! sweep points. Every buffer those kernels touch per iteration lives here,
 //! so a warm [`ResponseWorkspace`] makes the steady-state hot path
 //! allocation-free: the DP value/back-pointer tables ([`DpWorkspace`]), the
@@ -12,12 +12,10 @@
 //!
 //! Hold one workspace per thread of execution and pass it to
 //! [`best_response`](crate::best_response) for every solve: the
-//! sequential Gauss–Seidel game loop keeps a single workspace across all
-//! customers and rounds; parallel Jacobi rounds give each worker its own via
-//! the scratch factory of [`nms_par::par_map`]. Buffers carry no state between
-//! solves — every solve fully reinitializes the prefix it reads — so reuse
-//! is bit-identical to fresh allocation (`tests/solver_workspace.rs` pins
-//! this byte-for-byte).
+//! Gauss–Seidel game loop keeps a single workspace across all customers and
+//! rounds. Buffers carry no state between solves — every solve fully
+//! reinitializes the prefix it reads — so reuse is bit-identical to fresh
+//! allocation (`tests/solver_workspace.rs` pins this byte-for-byte).
 
 use nms_pricing::HoistedCostTable;
 use nms_types::{Horizon, Kwh, TimeSeries};

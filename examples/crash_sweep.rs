@@ -5,8 +5,7 @@
 //! operations, then replays it once per operation index with a kill
 //! injected there: the in-flight write is torn, the run aborts, the VFS is
 //! revived, and the resumed pipeline must converge to bit-identical
-//! results and on-disk bytes. The sweep's wall time is merged into
-//! `BENCH_results.json` under `crash_sweep/sweep`.
+//! results and on-disk bytes.
 //!
 //! ```sh
 //! cargo run --release --example crash_sweep -- --customers 6 --days 3
@@ -26,7 +25,6 @@ use netmeter_sentinel::sim::{
 };
 use netmeter_sentinel::types::RetryPolicy;
 use netmeter_sentinel::vfs::{FaultVfs, IoFaultPlan, StoragePolicy};
-use nms_bench::{host_cores, record_bench_results, BenchRecord};
 
 const JOURNAL: &str = "sweep/run.jsonl";
 const LONG_TERM_CSV: &str = "sweep/long_term.csv";
@@ -128,18 +126,5 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "all {operations} kill points resumed bit-identically in {wall_secs:.2}s"
     );
-
-    record_bench_results(&[BenchRecord {
-        target: "crash_sweep/sweep".into(),
-        wall_secs,
-        customers,
-        seed,
-        threads: 1,
-        host_cores: host_cores(),
-        solver_rounds: 0,
-        note: format!("{operations} kill points x 2 pipeline runs each, plus 1 golden run"),
-        speedup: 0.0,
-    }])?;
-    println!("recorded crash_sweep/sweep into BENCH_results.json");
     Ok(())
 }

@@ -6,9 +6,10 @@
 //! cargo run --release --example long_term_monitoring -- --customers 60
 //! ```
 //!
-//! `--threads <n>` runs the per-day equilibrium solves with `n` Jacobi
+//! `--threads <n>` fans the detector's calibration backtest out over `n`
 //! workers (clamped to the host's cores; results are bit-identical to the
-//! sequential default).
+//! sequential default). The per-day equilibrium solves always run
+//! sequentially.
 //!
 //! Each detector's run journals every completed day. Without `--journal`
 //! the journal lives in memory; with `--journal <path>` it goes to disk,

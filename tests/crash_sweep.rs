@@ -367,53 +367,3 @@ fn torn_trace_lines_are_typed_errors() {
         Err(other) => panic!("expected Corrupt, got {other:?}"),
     }
 }
-
-/// Satellite: the bench merge-writer survives injected faults with its
-/// bounded retries, and a hard failure is a typed error that leaves the
-/// destination untouched.
-#[test]
-fn bench_merge_writer_retries_and_fails_typed() {
-    use netmeter_sentinel::vfs::injected_fault;
-    use nms_bench::{record_bench_results_on, BenchRecord};
-
-    let record = BenchRecord {
-        target: "crash_sweep/smoke".into(),
-        wall_secs: 0.5,
-        customers: 6,
-        seed: 23,
-        threads: 1,
-        host_cores: 1,
-        solver_rounds: 0,
-        note: "storage-fault smoke".into(),
-        speedup: 0.0,
-    };
-
-    // Transient faults: the default 3-attempt policy rides them out.
-    let plan = IoFaultPlan {
-        seed: 11,
-        enospc_rate: 0.4,
-        ..IoFaultPlan::none()
-    };
-    let vfs = FaultVfs::new(plan);
-    let mut wrote = false;
-    for _ in 0..8 {
-        if record_bench_results_on(&vfs, std::slice::from_ref(&record)).is_ok() {
-            wrote = true;
-            break;
-        }
-    }
-    assert!(wrote, "bounded retries never landed the record");
-
-    // Certain failure: typed io::Error classified as injected, and the
-    // destination path still holds the *previous* intact artifact.
-    let before = vfs.dump();
-    let always = FaultVfs::new(IoFaultPlan {
-        seed: 11,
-        enospc_rate: 1.0,
-        ..IoFaultPlan::none()
-    });
-    let err = record_bench_results_on(&always, std::slice::from_ref(&record))
-        .expect_err("all attempts fail");
-    assert!(injected_fault(&err).is_some(), "unclassified error: {err}");
-    drop(before);
-}

@@ -6,7 +6,9 @@
 use std::path::Path;
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
-use netmeter_sentinel::sim::sweeps::{sweep_attack_window, sweep_pv_ownership, sweep_tariff};
+use netmeter_sentinel::sim::sweeps::{
+    sweep_attack_window, sweep_fault_tolerance, sweep_pv_ownership, sweep_tariff,
+};
 use netmeter_sentinel::sim::{
     LongTermRunConfig, PaperScenario, Parallelism, SupervisedOptions, SupervisedRun,
 };
@@ -33,6 +35,11 @@ fn sweeps_are_bit_identical_across_thread_counts() {
     let windows = [3.0, 9.0, 16.0, 21.0];
     let seq = sweep_attack_window(&scenario, &windows, &Parallelism::SEQUENTIAL).unwrap();
     let par = sweep_attack_window(&scenario, &windows, &Parallelism::new(4)).unwrap();
+    assert_eq!(seq, par);
+
+    let rates = [0.0, 0.1];
+    let seq = sweep_fault_tolerance(&scenario, &rates, &Parallelism::SEQUENTIAL).unwrap();
+    let par = sweep_fault_tolerance(&scenario, &rates, &Parallelism::new(4)).unwrap();
     assert_eq!(seq, par);
 }
 

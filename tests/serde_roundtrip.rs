@@ -62,55 +62,48 @@ fn solver_and_scenario_configs_roundtrip() {
 
 #[test]
 fn parallelism_roundtrips_and_defaults_sequential() {
-    use netmeter_sentinel::solver::Parallelism;
+    use netmeter_sentinel::sim::Parallelism;
 
     roundtrip(&Parallelism::SEQUENTIAL);
     roundtrip(&Parallelism::new(8));
 
-    // A GameConfig serialized before the parallelism knob existed must
-    // still load, landing on the sequential default that keeps old runs
-    // bit-identical: strip the key from today's JSON to reconstruct a
-    // pre-knob config file.
-    let parallelism = "\"parallelism\":{\"threads\":1}";
-    let full = serde_json::to_string(&GameConfig::default()).expect("serialize");
-    let legacy = full
-        .replace(&format!(",{parallelism}"), "")
-        .replace(&format!("{parallelism},"), "");
-    assert!(
-        !legacy.contains("parallelism"),
-        "failed to strip the parallelism key from {legacy}"
-    );
-    let config: GameConfig = serde_json::from_str(&legacy).expect("legacy config loads");
-    assert_eq!(config, GameConfig::default());
+    // Files written while `GameConfig` carried the Jacobi knob hold
+    // `"parallelism":{"threads":N}` after `response`, and those written
+    // while the solver memo caches existed add `"cache_quantum":0.0` after
+    // it and `"price_quantum":0.0` after the UtilityConfig's price cap. The
+    // keys are ignored on load, so those files equal today's defaults and
+    // run Gauss–Seidel whatever thread count they name.
+    let game = serde_json::to_string(&GameConfig::default()).expect("serialize");
+    assert!(!game.contains("parallelism"), "{game}");
+    let scenario = PaperScenario::paper(7);
+    let scenario_game = serde_json::to_string(&scenario.game).expect("serialize game");
+    let scenario_json = serde_json::to_string(&scenario).expect("serialize scenario");
+    assert!(scenario_json.contains(&scenario_game), "{scenario_json}");
+    let with_parent_keys = |game: &str, threads: usize| {
+        let body = game.strip_suffix('}').expect("a JSON object");
+        format!("{body},\"parallelism\":{{\"threads\":{threads}}},\"cache_quantum\":0.0}}")
+    };
+    for threads in [1, 4] {
+        let parent_game = with_parent_keys(&game, threads);
+        let config: GameConfig = serde_json::from_str(&parent_game).expect("parent config loads");
+        assert_eq!(config, GameConfig::default(), "{parent_game}");
 
-    // Files written while the solver memo caches existed carry
-    // `"cache_quantum":0.0` after every GameConfig's parallelism and
-    // `"price_quantum":0.0` after the UtilityConfig's price cap. The keys
-    // are ignored on load, so those files equal today's defaults.
-    let with_cache_keys = |json: &str| {
-        let json = json.replace(parallelism, &format!("{parallelism},\"cache_quantum\":0.0"));
+        let json = scenario_json.replace(&scenario_game, &with_parent_keys(&scenario_game, threads));
         let cap = json.find("\"price_cap\":").map(|at| at + json[at..].find('}').unwrap());
-        match cap {
+        let parent_scenario = match cap {
             Some(end) => format!("{},\"price_quantum\":0.0{}", &json[..end], &json[end..]),
             None => json,
-        }
-    };
-    let parent_game = with_cache_keys(&full);
-    assert!(parent_game.contains("\"cache_quantum\":0.0"), "{parent_game}");
-    let config: GameConfig = serde_json::from_str(&parent_game).expect("parent config loads");
-    assert_eq!(config, GameConfig::default());
-
-    let scenario = PaperScenario::paper(7);
-    let parent_scenario =
-        with_cache_keys(&serde_json::to_string(&scenario).expect("serialize scenario"));
-    assert!(
-        parent_scenario.contains("\"cache_quantum\":0.0")
-            && parent_scenario.contains("\"price_quantum\":0.0}"),
-        "{parent_scenario}"
-    );
-    let loaded: PaperScenario =
-        serde_json::from_str(&parent_scenario).expect("parent scenario loads");
-    assert_eq!(loaded, scenario);
+        };
+        assert!(
+            parent_scenario.contains(&format!("\"parallelism\":{{\"threads\":{threads}}}"))
+                && parent_scenario.contains("\"cache_quantum\":0.0")
+                && parent_scenario.contains("\"price_quantum\":0.0}"),
+            "{parent_scenario}"
+        );
+        let loaded: PaperScenario =
+            serde_json::from_str(&parent_scenario).expect("parent scenario loads");
+        assert_eq!(loaded, scenario);
+    }
 }
 
 /// A `LongTermRunConfig` file written while `RetryPolicy` still carried

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::{NetMeteringTariff, PriceSignal};
 use netmeter_sentinel::sim::PaperScenario;
-use netmeter_sentinel::solver::{nash_gap, GameConfig, GameEngine, Parallelism, ResponseConfig};
+use netmeter_sentinel::solver::{nash_gap, GameConfig, GameEngine, ResponseConfig};
 use netmeter_sentinel::types::TimeSeries;
 
 fn community(seed: u64) -> netmeter_sentinel::smarthome::Community {
@@ -99,59 +99,47 @@ fn per_customer_energy_balance_holds() {
     }
 }
 
-/// The Jacobi (parallel) and Gauss–Seidel (sequential) engines conserve the
-/// same totals and land at comparable equilibria.
+/// The Gauss–Seidel engine lands at a near-equilibrium: no customer can
+/// cut their bill by more than a small share of the money at stake.
 #[test]
-fn parallel_and_sequential_engines_agree_on_conserved_quantities() {
+fn sequential_engine_lands_near_equilibrium() {
     let community = community(9);
     let prices = PriceSignal::time_of_use(community.horizon(), 0.05, 0.25).unwrap();
-    let run = |threads: usize| {
-        let mut config = GameConfig::fast();
-        config.parallelism = Parallelism::new(threads);
-        let engine =
-            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        engine.solve(&mut rng, &NoopRecorder).unwrap()
-    };
-    let sequential = run(1);
-    let parallel = run(4);
+    let engine = GameEngine::new(
+        &community,
+        &prices,
+        NetMeteringTariff::default(),
+        GameConfig::fast(),
+    )
+    .unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(6);
+    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
+    // With quadratic community pricing a customer's bill runs to tens of
+    // dollars, so the gap is judged against the total billed amount.
+    let total_cost = netmeter_sentinel::pricing::BillingEngine::new(
+        prices.clone(),
+        NetMeteringTariff::default(),
+    )
+    .total_revenue(&outcome.schedule)
+    .unwrap()
+    .value()
+    .abs()
+    .max(1.0);
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let gap = nash_gap(
+        &community,
+        &outcome.schedule,
+        &prices,
+        NetMeteringTariff::default(),
+        &ResponseConfig::fast(),
+        &mut rng,
+    )
+    .unwrap();
+    let relative = gap.max_improvement.value() / total_cost;
     assert!(
-        (sequential.schedule.load().total().value() - parallel.schedule.load().total().value())
-            .abs()
-            < 1e-6
+        relative < 0.05,
+        "max improvement {} is {:.1}% of the {total_cost:.0} community bill",
+        gap.max_improvement,
+        relative * 100.0
     );
-    // Both should be near-equilibria *relative to the money at stake*: with
-    // quadratic community pricing a customer's bill runs to tens of dollars,
-    // so the gap is judged against the total billed amount.
-    let total_cost = {
-        let engine = netmeter_sentinel::pricing::BillingEngine::new(
-            prices.clone(),
-            NetMeteringTariff::default(),
-        );
-        engine
-            .total_revenue(&sequential.schedule)
-            .unwrap()
-            .value()
-            .abs()
-            .max(1.0)
-    };
-    for (label, outcome) in [("sequential", &sequential), ("parallel", &parallel)] {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let gap = nash_gap(
-            &community,
-            &outcome.schedule,
-            &prices,
-            NetMeteringTariff::default(),
-            &ResponseConfig::fast(),
-            &mut rng,
-        )
-        .unwrap();
-        let relative = gap.max_improvement.value() / total_cost;
-        assert!(
-            relative < 0.05,
-            "{label}: max improvement {} is {:.1}% of the {total_cost:.0} community bill",
-            gap.max_improvement,
-            relative * 100.0
-        );
-    }
 }

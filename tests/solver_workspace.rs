@@ -115,79 +115,87 @@ fn hoisted_table_matches_closure_reference() {
 
 /// Full Gauss–Seidel rounds through the engine (workspace + hoisted table)
 /// against a replica of the same iteration driven by the closure reference
-/// path with fresh allocations per response.
+/// path with fresh allocations per response. Cases are `(customers, seed,
+/// rounds, use_battery)`: a small battery community over three rounds, and
+/// one battery-free round at the paper's scale (N = 500).
 #[test]
 fn game_rounds_bit_identical_to_closure_reference() {
-    let community = community(5, 7);
-    let prices = PriceSignal::time_of_use(community.horizon(), 0.05, 0.25).unwrap();
-    let tariff = NetMeteringTariff::default();
-    let mut config = GameConfig::fast();
-    config.max_rounds = 3;
-    config.tolerance = 1e-9;
+    for (customers, seed, rounds, use_battery) in [(5, 7, 3, true), (500, 2015, 1, false)] {
+        let label = format!("N={customers} seed {seed}");
+        let community = community(customers, seed);
+        let prices = PriceSignal::time_of_use(community.horizon(), 0.05, 0.25).unwrap();
+        let tariff = NetMeteringTariff::default();
+        let mut config = GameConfig::fast();
+        config.max_rounds = rounds;
+        config.tolerance = 1e-9;
+        config.response.use_battery = use_battery;
 
-    let engine = GameEngine::new(&community, &prices, tariff, config).unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
+        let engine = GameEngine::new(&community, &prices, tariff, config).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
 
-    // Replica of the sequential loop in GameEngine::solve, using the
-    // reference path.
-    let horizon = community.horizon();
-    let n = community.len();
-    let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
-    let mut tradings: Vec<TimeSeries<f64>> = vec![TimeSeries::filled(horizon, 0.0); n];
-    let mut total = TimeSeries::filled(horizon, 0.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    for _ in 0..config.max_rounds {
-        let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        let mut round_delta = 0.0_f64;
-        for (index, customer) in community.iter().enumerate() {
-            let others = total.sub(&tradings[index]).unwrap();
-            let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-            let response = best_response_reference(
-                customer,
-                &others,
-                CostModel::new(&prices, tariff),
-                &config.response,
-                schedules[index].as_ref(),
-                &mut child,
-                &NoopRecorder,
-            )
-            .unwrap();
-            let delta = response
-                .trading()
-                .iter()
-                .zip(tradings[index].iter())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-            round_delta = round_delta.max(delta);
-            total = others.add(response.trading()).unwrap();
-            tradings[index] = response.trading().clone();
-            schedules[index] = Some(response);
+        // Replica of the loop in GameEngine::solve, using the reference
+        // path.
+        let horizon = community.horizon();
+        let n = community.len();
+        let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
+        let mut tradings: Vec<TimeSeries<f64>> = vec![TimeSeries::filled(horizon, 0.0); n];
+        let mut total = TimeSeries::filled(horizon, 0.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for _ in 0..config.max_rounds {
+            let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            let mut round_delta = 0.0_f64;
+            for (index, customer) in community.iter().enumerate() {
+                let others = total.sub(&tradings[index]).unwrap();
+                let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
+                let response = best_response_reference(
+                    customer,
+                    &others,
+                    CostModel::new(&prices, tariff),
+                    &config.response,
+                    schedules[index].as_ref(),
+                    &mut child,
+                    &NoopRecorder,
+                )
+                .unwrap();
+                let delta = response
+                    .trading()
+                    .iter()
+                    .zip(tradings[index].iter())
+                    .map(|(x, y)| (x - y).abs())
+                    .fold(0.0, f64::max);
+                round_delta = round_delta.max(delta);
+                total = others.add(response.trading()).unwrap();
+                tradings[index] = response.trading().clone();
+                schedules[index] = Some(response);
+            }
+            // The engine rebuilds `total` from the lanes at every round
+            // boundary (so limit-cycle rounds repeat bitwise); the replica
+            // must re-accumulate in the same customer order to stay
+            // bit-identical.
+            total = TimeSeries::filled(horizon, 0.0);
+            for trading in &tradings {
+                total = total.add(trading).unwrap();
+            }
+            if round_delta <= config.tolerance {
+                break;
+            }
         }
-        // The engine rebuilds `total` from the lanes at every round
-        // boundary (so limit-cycle rounds repeat bitwise); the replica must
-        // re-accumulate in the same customer order to stay bit-identical.
-        total = TimeSeries::filled(horizon, 0.0);
-        for trading in &tradings {
-            total = total.add(trading).unwrap();
-        }
-        if round_delta <= config.tolerance {
-            break;
-        }
-    }
 
-    for (index, (a, b)) in outcome
-        .schedule
-        .customer_schedules()
-        .iter()
-        .zip(schedules.iter())
-        .enumerate()
-    {
-        assert_bit_identical(
-            &format!("customer {index}"),
-            a,
-            b.as_ref().expect("replica scheduled every customer"),
-        );
+        assert_eq!(outcome.schedule.customer_schedules().len(), n, "{label}");
+        for (index, (a, b)) in outcome
+            .schedule
+            .customer_schedules()
+            .iter()
+            .zip(schedules.iter())
+            .enumerate()
+        {
+            assert_bit_identical(
+                &format!("{label} customer {index}"),
+                a,
+                b.as_ref().expect("replica scheduled every customer"),
+            );
+        }
     }
 }
 
