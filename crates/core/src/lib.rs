@@ -45,7 +45,7 @@ mod single_event;
 
 pub use long_term::{
     analytic_observation_matrix, DetectorAction, InvalidActionIndex, LongTermConfig,
-    LongTermDetector, PomdpSolverKind,
+    LongTermDetector,
 };
 pub use metrics::{AccuracyTracker, DetectionReport, LaborTracker};
 pub use pipeline::{DetectorMode, FrameworkConfig};

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nms_pomdp::{Belief, PbviConfig, PbviPolicy, Policy, Pomdp, QmdpPolicy};
+use nms_pomdp::{Belief, Policy, Pomdp, QmdpPolicy};
 use nms_types::ValidateError;
 
 /// The two actions of the paper's POMDP.
@@ -69,15 +69,6 @@ impl TryFrom<usize> for DetectorAction {
     }
 }
 
-/// Which solver backs the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PomdpSolverKind {
-    /// Fast MDP-based approximation.
-    Qmdp,
-    /// Point-based value iteration (the faithful choice; see DESIGN.md).
-    Pbvi(PbviConfig),
-}
-
 /// Configuration of the long-term detector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LongTermConfig {
@@ -96,8 +87,6 @@ pub struct LongTermConfig {
     pub labor_cost: f64,
     /// Discount factor.
     pub discount: f64,
-    /// Solver choice.
-    pub solver: PomdpSolverKind,
 }
 
 impl LongTermConfig {
@@ -147,37 +136,15 @@ impl Default for LongTermConfig {
             damage_per_bucket: 4.0,
             labor_cost: 6.0,
             discount: 0.9,
-            solver: PomdpSolverKind::Qmdp,
         }
     }
 }
 
-enum PolicyImpl {
-    Qmdp(QmdpPolicy),
-    Pbvi(PbviPolicy),
-}
-
-impl PolicyImpl {
-    fn action(&self, belief: &Belief) -> usize {
-        match self {
-            Self::Qmdp(p) => p.action(belief),
-            Self::Pbvi(p) => p.action(belief),
-        }
-    }
-
-    fn value(&self, belief: &Belief) -> f64 {
-        match self {
-            Self::Qmdp(p) => p.value(belief),
-            Self::Pbvi(p) => p.value(belief),
-        }
-    }
-}
-
-/// The stateful long-term detector: POMDP model + solved policy + tracked
+/// The stateful long-term detector: POMDP model + QMDP policy + tracked
 /// belief.
 pub struct LongTermDetector {
     pomdp: Pomdp,
-    policy: PolicyImpl,
+    policy: QmdpPolicy,
     belief: Belief,
     config: LongTermConfig,
 }
@@ -237,12 +204,7 @@ impl LongTermDetector {
             .discount(config.discount)
             .build()
             .map_err(|e| ValidateError::new(e.to_string()))?;
-        let policy = match config.solver {
-            PomdpSolverKind::Qmdp => PolicyImpl::Qmdp(QmdpPolicy::solve(&pomdp, 1e-9, 5000)),
-            PomdpSolverKind::Pbvi(pbvi_config) => {
-                PolicyImpl::Pbvi(PbviPolicy::solve(&pomdp, &pbvi_config))
-            }
-        };
+        let policy = QmdpPolicy::solve(&pomdp, 1e-9, 5000);
         Ok(Self {
             belief: Belief::point(k, 0),
             pomdp,
@@ -497,29 +459,6 @@ mod tests {
             50
         };
         assert!(steps_to_fix(sharp_config) <= steps_to_fix(blurry_config));
-    }
-
-    #[test]
-    fn pbvi_solver_also_works() {
-        let config = LongTermConfig {
-            solver: PomdpSolverKind::Pbvi(PbviConfig {
-                iterations: 15,
-                belief_points: 24,
-                ..PbviConfig::default()
-            }),
-            ..LongTermConfig::default()
-        };
-        let mut detector = LongTermDetector::new(config).unwrap();
-        let top = detector.config().buckets - 1;
-        let mut fixed = false;
-        for _ in 0..10 {
-            if detector.observe_and_act(top) == DetectorAction::Fix {
-                fixed = true;
-                break;
-            }
-        }
-        assert!(fixed);
-        assert!(detector.current_value().is_finite());
     }
 
     #[test]

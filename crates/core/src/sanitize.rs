@@ -9,8 +9,8 @@
 //!    `seasonal_mean_forecast`): the detector always holds a predicted
 //!    series for the same horizon, which is the best available estimate of
 //!    what the corrupted slot *should* have read;
-//! 2. **Last-good fill** (the persistence role, cf. `persistence_forecast`)
-//!    when the reference slot is itself unusable;
+//! 2. **Last-good fill** (persistence: "this slot reads like the last
+//!    clean one") when the reference slot is itself unusable;
 //! 3. **Zero fill** when nothing earlier in the day survived either.
 //!
 //! The report says how many slots were touched so the caller's

@@ -1,36 +1,11 @@
-//! Non-learning forecasting baselines.
+//! Non-learning forecasting baseline.
 //!
-//! These anchor the SVR ablations: a learned model that cannot beat
-//! persistence ("tomorrow looks like today") or the seasonal mean
-//! ("tomorrow's 3 PM looks like the average 3 PM") is not earning its
-//! complexity.
+//! The seasonal mean ("tomorrow's 3 PM looks like the average 3 PM") is
+//! the price predictor's fallback when SVR training fails.
 
 use nms_types::ValidateError;
 
 use crate::PriceHistory;
-
-/// Persistence forecast: the next `steps` slots repeat the most recent
-/// `steps` recorded slots (for day-ahead work, "tomorrow equals today").
-///
-/// # Errors
-///
-/// Returns [`ValidateError`] when the history is shorter than `steps` or
-/// `steps` is zero.
-pub fn persistence_forecast(
-    history: &PriceHistory,
-    steps: usize,
-) -> Result<Vec<f64>, ValidateError> {
-    if steps == 0 {
-        return Err(ValidateError::new("forecast needs at least one step"));
-    }
-    if history.len() < steps {
-        return Err(ValidateError::new(format!(
-            "history of {} slots cannot seed a {steps}-step persistence forecast",
-            history.len()
-        )));
-    }
-    Ok(history.prices()[history.len() - steps..].to_vec())
-}
 
 /// Seasonal-mean forecast: each future slot takes the average recorded
 /// price of its slot-of-day. Non-finite recordings (corrupted telemetry
@@ -83,17 +58,6 @@ mod tests {
             .collect();
         let n = prices.len();
         PriceHistory::new(prices, vec![0.0; n], vec![1.0; n], spd).unwrap()
-    }
-
-    #[test]
-    fn persistence_repeats_last_window() {
-        let h = history(3);
-        let forecast = persistence_forecast(&h, 24).unwrap();
-        assert_eq!(forecast.len(), 24);
-        assert_eq!(forecast, h.prices()[48..].to_vec());
-        assert!(persistence_forecast(&h, 0).is_err());
-        let tiny = history(1);
-        assert!(persistence_forecast(&tiny, 48).is_err());
     }
 
     #[test]

@@ -13,13 +13,6 @@ pub enum Kernel {
         /// Bandwidth parameter `γ > 0`.
         gamma: f64,
     },
-    /// The inhomogeneous polynomial kernel `(⟨x, x'⟩ + coef0)^degree`.
-    Polynomial {
-        /// Polynomial degree (≥ 1).
-        degree: u32,
-        /// Additive constant.
-        coef0: f64,
-    },
 }
 
 impl Kernel {
@@ -44,7 +37,6 @@ impl Kernel {
                     .sum();
                 (-gamma * dist2).exp()
             }
-            Self::Polynomial { degree, coef0 } => (dot(a, b) + coef0).powi(degree as i32),
         }
     }
 
@@ -53,7 +45,6 @@ impl Kernel {
         match *self {
             Self::Linear => true,
             Self::Rbf { gamma } => gamma.is_finite() && gamma > 0.0,
-            Self::Polynomial { degree, coef0 } => degree >= 1 && coef0.is_finite() && coef0 >= 0.0,
         }
     }
 }
@@ -93,31 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_kernel() {
-        let k = Kernel::Polynomial {
-            degree: 2,
-            coef0: 1.0,
-        };
-        // (1·1 + 1)² = 4.
-        assert_eq!(k.evaluate(&[1.0], &[1.0]), 4.0);
-    }
-
-    #[test]
     fn validity() {
         assert!(Kernel::Linear.is_valid());
         assert!(Kernel::Rbf { gamma: 0.1 }.is_valid());
         assert!(!Kernel::Rbf { gamma: 0.0 }.is_valid());
         assert!(!Kernel::Rbf { gamma: f64::NAN }.is_valid());
-        assert!(Kernel::Polynomial {
-            degree: 3,
-            coef0: 0.0
-        }
-        .is_valid());
-        assert!(!Kernel::Polynomial {
-            degree: 0,
-            coef0: 0.0
-        }
-        .is_valid());
     }
 
     proptest! {
@@ -126,11 +97,7 @@ mod tests {
             a in proptest::collection::vec(-5.0_f64..5.0, 3),
             b in proptest::collection::vec(-5.0_f64..5.0, 3),
         ) {
-            for kernel in [
-                Kernel::Linear,
-                Kernel::Rbf { gamma: 0.7 },
-                Kernel::Polynomial { degree: 2, coef0: 1.0 },
-            ] {
+            for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.7 }] {
                 prop_assert!((kernel.evaluate(&a, &b) - kernel.evaluate(&b, &a)).abs() < 1e-10);
             }
         }

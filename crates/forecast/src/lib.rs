@@ -40,7 +40,7 @@ mod metrics;
 mod scaler;
 mod svr;
 
-pub use baseline::{persistence_forecast, seasonal_mean_forecast};
+pub use baseline::seasonal_mean_forecast;
 pub use features::{FeatureConfig, PriceHistory, SlidingWindowDataset};
 pub use kernel::Kernel;
 pub use metrics::{mae, mape, rmse};

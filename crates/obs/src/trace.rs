@@ -34,7 +34,8 @@ use crate::Recorder;
 /// Schema version stamped into every trace header.
 pub const TRACE_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit — the same line-seal hash the run journal uses.
+/// FNV-1a 64-bit — the line-seal hash of traces and run journals, and the
+/// hash behind a journal header's scenario and config fingerprints.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
@@ -575,8 +576,11 @@ mod tests {
 
     #[test]
     fn fnv_matches_the_journal_constants() {
-        // Known FNV-1a vector: the empty input hashes to the offset basis.
+        // Published FNV-1a test vectors; the empty input hashes to the
+        // offset basis.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
     }
 }

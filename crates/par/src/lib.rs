@@ -151,14 +151,6 @@ impl<R, E> Outcome<R, E> {
 /// contract; `f` must be a pure function of `(index, item)` for the
 /// bit-identity guarantee to mean anything.
 ///
-/// `scratch()` is called once per worker (once total on the sequential
-/// path) and the resulting value is threaded mutably through every item
-/// that worker processes, so a hot path can stay allocation-free across
-/// items (DESIGN.md §11): the scratch is reused, never shared, and must be
-/// fully overwritten by `f` for the bit-identity contract to hold — `f`'s
-/// result must be a pure function of `(index, item)` regardless of what
-/// earlier items left in the scratch. Maps without per-worker state pass `|| ()`.
-///
 /// Worker telemetry — `par_maps` / `par_items` counters and per-worker
 /// `par_worker_items` / `par_worker_busy_seconds` histograms — is gathered
 /// locally on each worker and recorded into `rec` by the calling thread
@@ -173,27 +165,19 @@ impl<R, E> Outcome<R, E> {
 ///
 /// Re-raises the lowest-index worker panic on the calling thread, with the
 /// item index and original message in the payload.
-pub fn par_map<T, R, E, W, S, F>(
+pub fn par_map<T, R, E, F>(
     threads: usize,
     items: &[T],
     rec: &dyn Recorder,
-    scratch: S,
     f: F,
 ) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    par_map_core(
-        resolve_workers(threads, items.len()),
-        items,
-        rec,
-        scratch,
-        f,
-    )
+    par_map_core(resolve_workers(threads, items.len()), items, rec, f)
 }
 
 /// Maps `f` over every item and returns one [`Outcome`] per item, in input
@@ -219,14 +203,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(
-        resolve_workers(threads, items.len()),
-        items,
-        rec,
-        || (),
-        |(), index, item| f(index, item),
-        false,
-    );
+    let slots = outcomes_core(resolve_workers(threads, items.len()), items, rec, f, false);
     slots
         .into_iter()
         .enumerate()
@@ -243,21 +220,19 @@ where
 /// The shared rethrowing consumer: runs the engine in abort-on-first-failure
 /// mode, then replays the lowest-index failure exactly as the sequential
 /// loop would have surfaced it.
-fn par_map_core<T, R, E, W, S, F>(
+fn par_map_core<T, R, E, F>(
     workers: usize,
     items: &[T],
     rec: &dyn Recorder,
-    scratch: S,
     f: F,
 ) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(workers, items, rec, scratch, f, true);
+    let slots = outcomes_core(workers, items, rec, f, true);
     // The counter hands indices out in increasing order and a worker stops
     // at its first failure, so every index below the lowest failure is
     // guaranteed Some(Ok) — the ascending scan below therefore reports
@@ -277,16 +252,14 @@ where
 }
 
 /// The one map engine behind every entry point. `workers` is already
-/// resolved (≤ items, ≤ host cores); `scratch` builds one per-worker state
-/// reused across that worker's items; `abort` selects fail-fast (the
+/// resolved (≤ items, ≤ host cores); `abort` selects fail-fast (the
 /// rethrowing surfaces) versus run-everything (the outcome surface). Every
 /// panic, on any path, is captured by exactly this function's
 /// `catch_unwind`, so payload handling cannot drift between surfaces.
-fn outcomes_core<T, R, E, W, S, F>(
+fn outcomes_core<T, R, E, F>(
     workers: usize,
     items: &[T],
     rec: &dyn Recorder,
-    scratch: S,
     f: F,
     abort_on_failure: bool,
 ) -> Vec<Option<Outcome<R, E>>>
@@ -294,8 +267,7 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
     rec.add("par_maps", 1);
@@ -304,11 +276,10 @@ where
         // Sequential path: the reference behavior. No spawns; in abort
         // mode the first failure short-circuits immediately.
         let busy = Instant::now();
-        let mut ws = scratch();
         let mut slots: Vec<Option<Outcome<R, E>>> = (0..n).map(|_| None).collect();
         let mut done = 0usize;
         for (index, item) in items.iter().enumerate() {
-            let outcome = run_item(&mut ws, index, item, &f);
+            let outcome = run_item(index, item, &f);
             let failed = !outcome.is_ok();
             slots[index] = Some(outcome);
             done += 1;
@@ -324,7 +295,6 @@ where
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let f = &f;
-    let scratch = &scratch;
     let next = &next;
     let abort = &abort;
 
@@ -338,14 +308,13 @@ where
             .map(|_| {
                 scope.spawn(move |_| {
                     let busy = Instant::now();
-                    let mut ws = scratch();
                     let mut local: Vec<(usize, Outcome<R, E>)> = Vec::new();
                     while !abort.load(Ordering::SeqCst) {
                         let index = next.fetch_add(1, Ordering::SeqCst);
                         if index >= n {
                             break;
                         }
-                        let outcome = run_item(&mut ws, index, &items[index], f);
+                        let outcome = run_item(index, &items[index], f);
                         let failed = !outcome.is_ok();
                         local.push((index, outcome));
                         if failed && abort_on_failure {
@@ -376,11 +345,11 @@ where
 }
 
 /// Runs one item under the engine's single `catch_unwind`.
-fn run_item<T, R, E, W, F>(ws: &mut W, index: usize, item: &T, f: &F) -> Outcome<R, E>
+fn run_item<T, R, E, F>(index: usize, item: &T, f: &F) -> Outcome<R, E>
 where
-    F: Fn(&mut W, usize, &T) -> Result<R, E>,
+    F: Fn(usize, &T) -> Result<R, E>,
 {
-    match catch_unwind(AssertUnwindSafe(|| f(ws, index, item))) {
+    match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
         Ok(Ok(value)) => Outcome::Ok(value),
         Ok(Err(err)) => Outcome::Err(err),
         Err(payload) => Outcome::Panicked(payload_message(payload.as_ref())),
@@ -427,13 +396,7 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
-        par_map(
-            threads,
-            items,
-            &NoopRecorder,
-            || (),
-            |(), index, item| f(index, item),
-        )
+        par_map(threads, items, &NoopRecorder, f)
     }
 
     /// The isolating map without telemetry.
@@ -453,13 +416,7 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
-        par_map_core(
-            workers.min(items.len()),
-            items,
-            &NoopRecorder,
-            || (),
-            |(), index, item| f(index, item),
-        )
+        par_map_core(workers.min(items.len()), items, &NoopRecorder, f)
     }
 
     #[test]
@@ -497,48 +454,6 @@ mod tests {
         assert_eq!(resolve_workers(8, 3), 3.min(cores));
         assert_eq!(resolve_workers(2, 100), 2.min(cores));
         assert_eq!(resolve_workers(1, 100), 1);
-    }
-
-    #[test]
-    fn scratch_state_is_per_worker_and_results_match_sequential() {
-        // The scratch is deliberately left dirty between items; f fully
-        // overwrites it, so results must match the stateless map.
-        let items: Vec<u64> = (0..50).collect();
-        let run = |workers: usize| {
-            par_map_core(
-                workers,
-                &items,
-                &NoopRecorder,
-                Vec::<u64>::new,
-                |ws, _index, item: &u64| -> Result<u64, String> {
-                    // Reuse the buffer without clearing first: stale length
-                    // from the previous item must not leak into the result.
-                    ws.clear();
-                    ws.extend(std::iter::repeat(*item).take((*item % 7) as usize + 1));
-                    Ok(ws.iter().sum::<u64>() / ws.len() as u64 * *item)
-                },
-            )
-        };
-        let seq = run(1).unwrap();
-        for workers in [2, 4] {
-            assert_eq!(run(workers).unwrap(), seq);
-        }
-        let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
-        assert_eq!(seq, expected);
-        // Public entry point with scratch.
-        let public = par_map(
-            4,
-            &items,
-            &NoopRecorder,
-            Vec::<u64>::new,
-            |ws, _i, item: &u64| -> Result<u64, String> {
-                ws.clear();
-                ws.push(*item);
-                Ok(ws[0] * ws[0])
-            },
-        )
-        .unwrap();
-        assert_eq!(public, expected);
     }
 
     #[test]
@@ -605,7 +520,7 @@ mod tests {
     fn recorded_map_tallies_workers_without_changing_results() {
         let items: Vec<u64> = (0..32).collect();
         let metrics = nms_obs::MetricsRegistry::new();
-        let out = par_map(4, &items, &metrics, || (), |(), i, item| square(i, item)).unwrap();
+        let out = par_map(4, &items, &metrics, square).unwrap();
         assert_eq!(out, map(1, &items, square).unwrap());
         assert_eq!(metrics.counter("par_maps"), 1);
         assert_eq!(metrics.counter("par_items"), 32);

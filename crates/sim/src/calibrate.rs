@@ -120,8 +120,7 @@ pub(crate) fn calibrate_detector(
         parallelism.threads,
         &day_seeds,
         rec,
-        || (),
-        |_, back, &(clear_seed, seed)| -> Result<(Vec<f64>, RunHealth), SimError> {
+        |back, &(clear_seed, seed)| -> Result<(Vec<f64>, RunHealth), SimError> {
             let day = scenario.training_days - 1 - back;
             let community = generator.community_for_day(day, weather[day]);
             // Workers deliberately use the unrecorded clear: the game layer

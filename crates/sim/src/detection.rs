@@ -979,7 +979,7 @@ fn day_stream_seed(seed: u64, day_offset: usize) -> u64 {
 /// enough to catch a journal being resumed with a different scenario or
 /// config, without requiring every nested type to serialize.
 fn fingerprint(debug: impl std::fmt::Debug) -> u64 {
-    crate::journal::fnv1a64(format!("{debug:?}").as_bytes())
+    nms_obs::trace::fnv1a64(format!("{debug:?}").as_bytes())
 }
 
 /// The journal's configuration fingerprint. `parallelism` is left out

@@ -48,8 +48,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use nms_core::{MeterQuarantine, QuarantineEvent};
+use nms_obs::trace::fnv1a64;
 use nms_types::{DayHealth, RunHealth};
-use nms_vfs::{tmp_sibling, StdVfs, StoragePolicy, StorageReport, Vfs, VfsFile};
+use nms_vfs::{write_atomic, StdVfs, StorageError, StoragePolicy, StorageReport, Vfs, VfsFile};
 
 /// Journal format version; bump on incompatible record changes.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -114,16 +115,14 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// FNV-1a 64-bit hash — small, dependency-free, and stable across
-/// platforms, which is all a torn-write detector needs (this is an
-/// integrity check, not an authenticity check).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// A failed atomic rewrite surfaces the last attempt's I/O error.
+impl From<StorageError> for JournalError {
+    fn from(err: StorageError) -> Self {
+        match err {
+            StorageError::Exhausted { last, .. } => Self::Io(last),
+            other => Self::Io(io::Error::other(other)),
+        }
     }
-    hash
 }
 
 /// One line on disk: the record JSON as an opaque string plus its hash.
@@ -330,9 +329,15 @@ impl RunJournal {
         let path = path.to_path_buf();
         let body = serde_json::to_string(header)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        let line = serde_json::to_string(&JournalLine::seal(body))
+        let mut line = serde_json::to_string(&JournalLine::seal(body))
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        atomic_rewrite(vfs.as_ref(), &path, &[line])?;
+        line.push('\n');
+        write_atomic(
+            vfs.as_ref(),
+            &path,
+            line.as_bytes(),
+            &StoragePolicy::no_retries(),
+        )?;
         let file = vfs.open_append(&path)?;
         Ok(Self {
             vfs,
@@ -387,7 +392,14 @@ impl RunJournal {
             }
         }
         if lines.len() != raw.len() {
-            atomic_rewrite(vfs.as_ref(), &path, &lines)?;
+            let mut content = lines.join("\n");
+            content.push('\n');
+            write_atomic(
+                vfs.as_ref(),
+                &path,
+                content.as_bytes(),
+                &StoragePolicy::no_retries(),
+            )?;
         }
         let file = vfs.open_append(&path)?;
         Ok(Self {
@@ -587,19 +599,6 @@ impl RunJournal {
     }
 }
 
-/// Atomic whole-file write: a `.tmp` sibling renamed over the journal, so
-/// a kill leaves either the old file or the new one. Used only where the
-/// file's prefix changes — header creation and torn-tail compaction —
-/// never on the per-day append path.
-fn atomic_rewrite(vfs: &dyn Vfs, path: &Path, lines: &[String]) -> Result<(), JournalError> {
-    let tmp = tmp_sibling(path);
-    let mut content = lines.join("\n");
-    content.push('\n');
-    vfs.write(&tmp, content.as_bytes())?;
-    vfs.rename(&tmp, path)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,14 +644,6 @@ mod tests {
         path.push(format!("nms-journal-test-{}-{name}.jsonl", std::process::id()));
         let _ = fs::remove_file(&path);
         path
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

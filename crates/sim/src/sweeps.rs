@@ -61,17 +61,11 @@ pub fn sweep_tariff(
     // independent and the parallel sweep is bit-identical to sequential.
     // Workers clear unrecorded: the game layer emits trace events, which
     // the nms-obs contract keeps out of parallel regions.
-    par_map(
-        parallelism.threads,
-        w_values,
-        &NoopRecorder,
-        || (),
-        |_, _, &w| {
-            let mut swept = scenario.clone();
-            swept.tariff = NetMeteringTariff::new(w)?;
-            clear_point(&swept, w)
-        },
-    )
+    par_map(parallelism.threads, w_values, &NoopRecorder, |_, &w| {
+        let mut swept = scenario.clone();
+        swept.tariff = NetMeteringTariff::new(w)?;
+        clear_point(&swept, w)
+    })
 }
 
 /// Sweeps the PV ownership fraction.
@@ -89,8 +83,7 @@ pub fn sweep_pv_ownership(
         parallelism.threads,
         ownership_values,
         &NoopRecorder,
-        || (),
-        |_, _, &ownership| {
+        |_, &ownership| {
             let mut swept = scenario.clone();
             swept.pv_ownership = ownership;
             swept.validate()?;
@@ -161,8 +154,7 @@ pub fn sweep_attack_window(
         parallelism.threads,
         start_hours,
         &NoopRecorder,
-        || (),
-        |_, _, &from_hour| {
+        |_, &from_hour| {
             let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
             let manipulated = attack.apply(&clean.price);
             let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
@@ -221,8 +213,7 @@ pub fn sweep_fault_tolerance(
         parallelism.threads,
         fault_rates,
         &NoopRecorder,
-        || (),
-        |_, _, &rate| {
+        |_, &rate| {
             let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
             let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
                 let config = LongTermRunConfig {

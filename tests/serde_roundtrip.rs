@@ -107,7 +107,8 @@ fn parallelism_roundtrips_and_defaults_sequential() {
 }
 
 /// A `LongTermRunConfig` file written while `RetryPolicy` still carried
-/// `reseed_stride` (the CE battery chain's reseed offset) loads: the key is
+/// `reseed_stride` (the CE battery chain's reseed offset), or while
+/// `LongTermConfig` still carried its `solver` choice, loads: the key is
 /// ignored and everything else lands on the same values.
 #[test]
 fn parent_run_config_with_reseed_stride_loads() {
@@ -137,12 +138,23 @@ fn parent_run_config_with_reseed_stride_loads() {
     // growth factor as the parent's field order wrote it.
     let growth = "\"iteration_growth\":2.0";
     let stride = "\"reseed_stride\":11400714819323198485";
-    let parent = today.replace(growth, &format!("{growth},{stride}"));
-    assert!(parent.contains("reseed_stride"), "{parent}");
+    let with_stride = today.replace(growth, &format!("{growth},{stride}"));
+    assert!(with_stride.contains("reseed_stride"), "{with_stride}");
+    // The detector's only solver choice, QMDP, as the last field of
+    // `long_term` where the parent's field order wrote it.
+    let long_term = today.find("\"long_term\":{").expect("long_term section");
+    let close = long_term + today[long_term..].find('}').expect("long_term closes");
+    let with_solver = format!("{},\"solver\":\"Qmdp\"{}", &today[..close], &today[close..]);
+    assert!(
+        with_solver.contains("\"discount\":0.9,\"solver\":\"Qmdp\"}"),
+        "{with_solver}"
+    );
 
-    let loaded: LongTermRunConfig = serde_json::from_str(&parent).expect("parent config loads");
-    assert_eq!(loaded.retry, RetryPolicy::default());
-    assert_eq!(serde_json::to_string(&loaded).expect("serialize"), today);
+    for parent in [with_stride, with_solver] {
+        let loaded: LongTermRunConfig = serde_json::from_str(&parent).expect("parent config loads");
+        assert_eq!(loaded.retry, RetryPolicy::default());
+        assert_eq!(serde_json::to_string(&loaded).expect("serialize"), today);
+    }
 }
 
 #[test]
