@@ -36,4 +36,4 @@ mod scenario;
 pub use compromise::CompromiseSet;
 pub use impact::AttackImpact;
 pub use price_attack::PriceAttack;
-pub use scenario::{AttackTimeline, AttackerConfig, StochasticAttacker};
+pub use scenario::AttackTimeline;

@@ -1,114 +1,10 @@
 //! Attacker behavior over time: who gets hacked, and when.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_types::{MeterId, ValidateError};
 
 use crate::{CompromiseSet, PriceAttack};
-
-/// Parameters of a stochastic attacker that compromises meters over a
-/// multi-slot simulation (the long-term-detection setting of §4.2/Fig 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttackerConfig {
-    /// Probability that a new intrusion campaign starts at any given slot.
-    pub intrusion_probability: f64,
-    /// Number of meters compromised per campaign (capped by the fleet).
-    pub meters_per_intrusion: usize,
-    /// Ceiling on simultaneously compromised meters.
-    pub max_compromised: usize,
-    /// The price manipulation installed on every compromised meter.
-    pub attack: PriceAttack,
-}
-
-impl AttackerConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] when the probability is outside `[0, 1]`
-    /// or the campaign size is zero.
-    pub fn validate(&self) -> Result<(), ValidateError> {
-        if !(0.0..=1.0).contains(&self.intrusion_probability)
-            || !self.intrusion_probability.is_finite()
-        {
-            return Err(ValidateError::new(
-                "intrusion probability must be in [0, 1]",
-            ));
-        }
-        if self.meters_per_intrusion == 0 {
-            return Err(ValidateError::new("campaign must hack at least one meter"));
-        }
-        Ok(())
-    }
-}
-
-impl Default for AttackerConfig {
-    fn default() -> Self {
-        Self {
-            intrusion_probability: 0.25,
-            meters_per_intrusion: 25,
-            max_compromised: 150,
-            attack: PriceAttack::ZeroWindow {
-                from_hour: 16.0,
-                to_hour: 18.0,
-            },
-        }
-    }
-}
-
-/// A stochastic attacker driven by an [`AttackerConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StochasticAttacker {
-    config: AttackerConfig,
-    fleet_size: usize,
-}
-
-impl StochasticAttacker {
-    /// Creates an attacker against a fleet of `fleet_size` meters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] on an invalid config or an empty fleet.
-    pub fn new(config: AttackerConfig, fleet_size: usize) -> Result<Self, ValidateError> {
-        config.validate()?;
-        if fleet_size == 0 {
-            return Err(ValidateError::new("fleet must have at least one meter"));
-        }
-        Ok(Self { config, fleet_size })
-    }
-
-    /// The attacker's configuration.
-    #[inline]
-    pub fn config(&self) -> &AttackerConfig {
-        &self.config
-    }
-
-    /// Advances one slot: possibly launches a campaign, mutating
-    /// `compromised` and returning the newly hacked meters.
-    pub fn step(&self, compromised: &mut CompromiseSet, rng: &mut impl Rng) -> Vec<MeterId> {
-        if compromised.count() >= self.config.max_compromised {
-            return Vec::new();
-        }
-        if !rng.gen_bool(self.config.intrusion_probability) {
-            return Vec::new();
-        }
-        let mut healthy: Vec<MeterId> = (0..self.fleet_size)
-            .map(MeterId::new)
-            .filter(|m| !compromised.is_hacked(*m))
-            .collect();
-        healthy.shuffle(rng);
-        let budget = self.config.meters_per_intrusion.min(
-            self.config
-                .max_compromised
-                .saturating_sub(compromised.count()),
-        );
-        let newly: Vec<MeterId> = healthy.into_iter().take(budget).collect();
-        compromised.extend(newly.iter().copied());
-        newly
-    }
-}
 
 /// A deterministic, scripted attack timeline: at each listed slot, the given
 /// number of additional meters is compromised. Used by reproducible
@@ -190,56 +86,6 @@ impl AttackTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn config_validation() {
-        assert!(AttackerConfig::default().validate().is_ok());
-        let bad = AttackerConfig {
-            intrusion_probability: 1.5,
-            ..AttackerConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = AttackerConfig {
-            meters_per_intrusion: 0,
-            ..AttackerConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(StochasticAttacker::new(AttackerConfig::default(), 0).is_err());
-    }
-
-    #[test]
-    fn stochastic_attacker_respects_cap() {
-        let config = AttackerConfig {
-            intrusion_probability: 1.0,
-            meters_per_intrusion: 40,
-            max_compromised: 60,
-            ..AttackerConfig::default()
-        };
-        let attacker = StochasticAttacker::new(config, 100).unwrap();
-        let mut compromised = CompromiseSet::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..10 {
-            attacker.step(&mut compromised, &mut rng);
-        }
-        assert!(compromised.count() <= 60);
-        assert_eq!(compromised.count(), 60);
-    }
-
-    #[test]
-    fn stochastic_attacker_is_deterministic_under_seed() {
-        let attacker = StochasticAttacker::new(AttackerConfig::default(), 50).unwrap();
-        let run = |seed| {
-            let mut compromised = CompromiseSet::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            for _ in 0..20 {
-                attacker.step(&mut compromised, &mut rng);
-            }
-            compromised
-        };
-        assert_eq!(run(7), run(7));
-    }
 
     #[test]
     fn timeline_hacks_scripted_counts() {

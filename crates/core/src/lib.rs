@@ -10,10 +10,9 @@
 //! 2. [`LoadPredictor`] — simulation of the community's scheduling response
 //!    to a price signal by solving the scheduling game (§3), either modeling
 //!    net metering (PV + battery + sell-back) or ignoring it;
-//! 3. [`SingleEventDetector`] — the PAR comparison of §4.1: simulate with
-//!    the predicted and the received price, flag when
-//!    `P_r − P_p > δ_P`, and map the excess into an *observed hacked-meter
-//!    bucket* via a calibration table;
+//! 3. [`ParObservationMap`] — the observation side of §4.1's PAR
+//!    comparison: the excess of the measured day over the predicted one is
+//!    mapped into an *observed hacked-meter bucket* via a calibration table;
 //! 4. [`LongTermDetector`] — the POMDP of §4.2 over hacked-meter buckets,
 //!    deciding each slot between continuing to monitor (`a_0`) and checking
 //!    & fixing the meters (`a_1`).
@@ -55,4 +54,4 @@ pub use sanitize::{
     meter_day_failed, sanitize_series, MeterHealth, MeterQuarantine, MeterState, QuarantineConfig,
     QuarantineEvent, QuarantineTransition, SanitizeConfig, SanitizeReport,
 };
-pub use single_event::{ParObservationMap, SingleEventDetector, SingleEventOutcome};
+pub use single_event::ParObservationMap;

@@ -1,11 +1,12 @@
 //! POMDP-based long-term detection (§4.2).
 //!
 //! States are hacked-meter *buckets* (`s_i` = "about `i/K` of the fleet is
-//! compromised"); observations are the single-event detector's bucket
-//! estimates; actions are `a_0` (keep monitoring) and `a_1` (check & fix).
+//! compromised"); observations are the PAR-excess buckets of
+//! [`ParObservationMap`](crate::ParObservationMap); actions are `a_0` (keep
+//! monitoring) and `a_1` (check & fix).
 //! The transition model is a drift-up random walk under monitoring and a
 //! reset under fixing; the observation model is either an analytic
-//! confusion matrix or one trained from calibration episodes.
+//! confusion matrix or one measured on calibration days.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,19 +29,6 @@ impl DetectorAction {
         match self {
             Self::Monitor => 0,
             Self::Fix => 1,
-        }
-    }
-
-    /// Decodes a POMDP action index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an index other than 0 or 1.
-    #[deprecated(note = "use `DetectorAction::try_from(index)` for a typed error instead")]
-    pub fn from_index(index: usize) -> Self {
-        match Self::try_from(index) {
-            Ok(action) => action,
-            Err(err) => panic!("{err}"),
         }
     }
 }
@@ -172,8 +160,8 @@ impl LongTermDetector {
     }
 
     /// Builds the detector with a trained observation matrix
-    /// `z[true_bucket][observed_bucket]` (e.g. from
-    /// [`nms_pomdp::estimate_from_histories`]).
+    /// `z[true_bucket][observed_bucket]` (e.g. the confusion matrix
+    /// measured during calibration).
     ///
     /// # Errors
     ///
@@ -301,11 +289,6 @@ impl LongTermDetector {
                 .predict(&self.pomdp, DetectorAction::Fix.index());
         }
         chosen
-    }
-
-    /// The policy's value estimate for the current belief (diagnostic).
-    pub fn current_value(&self) -> f64 {
-        self.policy.value(&self.belief)
     }
 }
 
@@ -492,13 +475,6 @@ mod tests {
         let err = DetectorAction::try_from(2).unwrap_err();
         assert_eq!(err, InvalidActionIndex(2));
         assert!(err.to_string().contains("two actions"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "two actions")]
-    fn deprecated_from_index_shim_still_panics() {
-        #[allow(deprecated)]
-        let _ = DetectorAction::from_index(2);
     }
 
     #[test]

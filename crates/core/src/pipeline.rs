@@ -6,7 +6,7 @@ use nms_pricing::NetMeteringTariff;
 use nms_solver::GameConfig;
 use nms_types::ValidateError;
 
-use crate::{LoadPredictor, LongTermConfig, PricePredictor, SingleEventDetector};
+use crate::{LoadPredictor, LongTermConfig, PricePredictor};
 
 /// Whether the framework models net metering (the paper's contribution) or
 /// ignores it (the state of the art of [7, 8]).
@@ -32,7 +32,7 @@ impl DetectorMode {
 
 /// Everything needed to instantiate one detection framework variant
 /// (Fig 2): the price predictor's features, the world model for load
-/// prediction, the single-event threshold, and the POMDP settings.
+/// prediction, and the POMDP settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrameworkConfig {
     /// Aware vs naive.
@@ -41,8 +41,6 @@ pub struct FrameworkConfig {
     pub slots_per_day: usize,
     /// World model for load prediction.
     pub load: LoadPredictor,
-    /// Single-event PAR threshold `δ_P`.
-    pub par_threshold: f64,
     /// Long-term POMDP settings.
     pub long_term: LongTermConfig,
 }
@@ -60,7 +58,6 @@ impl FrameworkConfig {
             mode,
             slots_per_day,
             load,
-            par_threshold: 0.05,
             long_term: LongTermConfig::default(),
         }
     }
@@ -81,9 +78,6 @@ impl FrameworkConfig {
                 "detector mode and load predictor disagree on net metering",
             ));
         }
-        if !self.par_threshold.is_finite() || self.par_threshold < 0.0 {
-            return Err(ValidateError::new("PAR threshold must be non-negative"));
-        }
         self.load.game.validate()?;
         self.long_term.validate()
     }
@@ -96,15 +90,6 @@ impl FrameworkConfig {
             }
             DetectorMode::IgnoreNetMetering => PricePredictor::naive(self.slots_per_day),
         }
-    }
-
-    /// Builds the single-event detector matching the mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] for an invalid threshold.
-    pub fn single_event_detector(&self) -> Result<SingleEventDetector, ValidateError> {
-        SingleEventDetector::new(self.load, self.par_threshold)
     }
 }
 
@@ -120,7 +105,6 @@ mod tests {
             assert!(config.validate().is_ok(), "{mode:?}");
             assert_eq!(config.load.net_metering, matches!(mode, NetMeteringAware));
             let _ = config.price_predictor();
-            assert!(config.single_event_detector().is_ok());
         }
     }
 
@@ -132,10 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_threshold_and_slots() {
-        let mut config = FrameworkConfig::new(NetMeteringAware, 24);
-        config.par_threshold = -1.0;
-        assert!(config.validate().is_err());
+    fn validation_catches_zero_slots() {
         let mut config = FrameworkConfig::new(NetMeteringAware, 24);
         config.slots_per_day = 0;
         assert!(config.validate().is_err());

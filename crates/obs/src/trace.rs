@@ -1,8 +1,8 @@
 //! The JSONL structured-event sink and its schema.
 //!
 //! One line per event, each line a hash-sealed envelope
-//! `{"hash":"<fnv1a64 of body>","body":"<event json>"}` — the same
-//! sealed-line discipline as the run journal (`nms-sim::journal`), so a
+//! `{"hash":"<fnv1a64 of body>","body":"<event json>"}` — the
+//! [`SealedLine`] the run journal (`nms-sim::journal`) writes too, so a
 //! torn tail or bit-rotted line is detectable instead of silently parsed.
 //! The first line is a sealed header identifying the stream and schema
 //! version.
@@ -136,21 +136,38 @@ impl TraceEvent {
     }
 }
 
-/// The sealed envelope around every line (header and events alike).
-#[derive(Debug, Serialize, Deserialize)]
-struct TraceLine {
+/// The hash-sealed envelope around every trace line and every run-journal
+/// line: the body JSON as an opaque string plus its [`fnv1a64`] hash.
+/// Keeping the body a string makes the hashed bytes exact and lets a reader
+/// tell "line is torn" from "record shape changed".
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SealedLine {
     hash: String,
     body: String,
 }
 
-impl TraceLine {
-    fn seal(body: String) -> Self {
+impl SealedLine {
+    /// Seals `body` under its hash.
+    pub fn seal(body: String) -> Self {
         let hash = format!("{:016x}", fnv1a64(body.as_bytes()));
         Self { hash, body }
     }
 
-    fn verify(&self) -> bool {
-        self.hash == format!("{:016x}", fnv1a64(self.body.as_bytes()))
+    /// The body, once its stored hash checks out.
+    ///
+    /// # Errors
+    ///
+    /// Describes the mismatch when the stored hash is not the body's.
+    pub fn verify(&self) -> Result<&str, String> {
+        let expected = format!("{:016x}", fnv1a64(self.body.as_bytes()));
+        if self.hash == expected {
+            Ok(&self.body)
+        } else {
+            Err(format!(
+                "seal mismatch: stored hash {} does not match body hash {expected}",
+                self.hash
+            ))
+        }
     }
 }
 
@@ -209,7 +226,7 @@ impl From<std::io::Error> for TraceError {
 /// byte-identical to the file's line.
 pub fn seal_event(event: &TraceEvent) -> Option<String> {
     serde_json::to_string(event)
-        .map(TraceLine::seal)
+        .map(SealedLine::seal)
         .and_then(|line| serde_json::to_string(&line))
         .ok()
 }
@@ -252,7 +269,7 @@ impl JsonlTrace {
         };
         let body = serde_json::to_string(&header)
             .map_err(|err| std::io::Error::other(err.to_string()))?;
-        let mut line = serde_json::to_string(&TraceLine::seal(body))
+        let mut line = serde_json::to_string(&SealedLine::seal(body))
             .map_err(|err| std::io::Error::other(err.to_string()))?;
         line.push('\n');
         write_atomic(vfs.as_ref(), &path, line.as_bytes(), &StoragePolicy::default())
@@ -363,14 +380,12 @@ pub fn read_trace_on(vfs: &dyn Vfs, path: &Path) -> Result<Vec<TraceEvent>, Trac
                 }
             }
         };
-        let sealed: TraceLine =
+        let sealed: SealedLine =
             serde_json::from_str(line).map_err(|err| corrupt(err.to_string()))?;
-        if !sealed.verify() {
-            return Err(corrupt("seal mismatch".to_string()));
-        }
+        let body = sealed.verify().map_err(corrupt)?;
         if number == 1 {
             let header: TraceHeader =
-                serde_json::from_str(&sealed.body).map_err(|err| corrupt(err.to_string()))?;
+                serde_json::from_str(body).map_err(|err| corrupt(err.to_string()))?;
             if header.version != TRACE_VERSION || header.stream != "nms-trace" {
                 return Err(corrupt(format!(
                     "unexpected header: version {} stream {:?}",
@@ -380,10 +395,7 @@ pub fn read_trace_on(vfs: &dyn Vfs, path: &Path) -> Result<Vec<TraceEvent>, Trac
             saw_header = true;
             continue;
         }
-        events.push(
-            serde_json::from_str(&sealed.body)
-                .map_err(|err| corrupt(err.to_string()))?,
-        );
+        events.push(serde_json::from_str(body).map_err(|err| corrupt(err.to_string()))?);
     }
     if !saw_header {
         return Err(TraceError::MissingHeader {
@@ -459,7 +471,7 @@ mod tests {
             &path,
             {
                 let body = "{\"version\":99,\"stream\":\"nms-trace\"}".to_string();
-                let line = TraceLine::seal(body);
+                let line = SealedLine::seal(body);
                 format!("{}\n", serde_json::to_string(&line).unwrap())
             },
         )

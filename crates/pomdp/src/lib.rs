@@ -2,8 +2,8 @@
 //! (paper §4.2, following Kaelbling–Littman–Cassandra \[4\]).
 //!
 //! The paper's long-term detector is a POMDP `⟨S, O, A, T, R, Ω⟩` whose
-//! states count hacked smart meters, whose observations come from the SVR
-//! single-event detector, and whose two actions are *continue monitoring*
+//! states count hacked smart meters, whose observations are buckets of the
+//! measured PAR excess, and whose two actions are *continue monitoring*
 //! and *check & fix*. This crate provides the general machinery:
 //!
 //! * [`Pomdp`] — validated model (transition, observation, reward tensors);
@@ -11,8 +11,6 @@
 //! * [`QmdpPolicy`] / [`PbviPolicy`] — two standard approximate solvers
 //!   (QMDP underestimates information value; point-based value iteration
 //!   handles it properly at higher cost);
-//! * [`estimate_from_histories`] — training `T` and `Ω` from logged
-//!   episodes ("trained based on the historical data", §4.2);
 //! * [`rollout`] — Monte-Carlo policy evaluation against the generative
 //!   model.
 //!
@@ -47,14 +45,12 @@
 #![warn(missing_docs)]
 
 mod belief;
-mod estimation;
 mod grid;
 mod model;
 mod rollout;
 mod solvers;
 
 pub use belief::Belief;
-pub use estimation::{estimate_from_histories, EpisodeStep};
 pub use grid::{GridConfig, GridPolicy};
 pub use model::{BuildPomdpError, Pomdp, PomdpBuilder};
 pub use rollout::{rollout, RolloutOutcome};

@@ -1245,13 +1245,6 @@ impl SupervisedRun {
         self.storage.snapshot()
     }
 
-    /// Ticks externally observed storage faults (e.g. a trace sink's
-    /// dropped-event count, or export retries made by the caller) into the
-    /// ledger this run will fold into its result.
-    pub fn note_storage_faults(&mut self, faults: StorageFaultCounts) {
-        self.storage.absorb(&faults);
-    }
-
     /// Consumes the run and produces the final result (valid at any point;
     /// covers the completed days).
     ///

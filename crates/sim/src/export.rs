@@ -4,13 +4,12 @@
 //! The writers take any `io::Write`, so callers decide whether the data
 //! lands in a file, a buffer, or stdout (C-RW-VALUE: pass `&mut file`).
 //!
-//! For durable files, every writer also has a `*_to_path` twin that
-//! renders the full artifact in memory and lands it through
-//! [`nms_vfs::write_atomic`] — staged in a `.tmp` sibling, renamed into
-//! place, retried under a bounded [`StoragePolicy`] — so a crash or an
-//! injected fault leaves either the old artifact or the new one, never a
-//! torn CSV. Exhausted retries surface as a typed
-//! [`StorageError`] the supervision layer ticks into
+//! For durable files, [`export_atomic`] renders any writer's artifact in
+//! memory and lands it through [`nms_vfs::write_atomic`] — staged in a
+//! `.tmp` sibling, renamed into place, retried under a bounded
+//! [`StoragePolicy`] — so a crash or an injected fault leaves either the
+//! old artifact or the new one, never a torn CSV. Exhausted retries surface
+//! as a typed [`StorageError`] the supervision layer ticks into
 //! `RunHealth::storage`.
 
 use std::io::{self, Write};
@@ -19,7 +18,7 @@ use std::path::Path;
 use nms_vfs::{write_atomic, StorageError, StoragePolicy, StorageReport, Vfs};
 
 use crate::experiments::{AccuracyExperiment, AttackExperiment, PredictionExperiment};
-use crate::sweeps::{AttackWindowPoint, FaultTolerancePoint, SweepPoint};
+use crate::sweeps::FaultTolerancePoint;
 use crate::LongTermRunResult;
 
 /// Escapes one CSV cell (quotes fields containing separators or quotes).
@@ -179,63 +178,6 @@ pub fn export_fault_tolerance<W: Write>(
     )
 }
 
-/// Exports a tariff or PV-ownership sweep: one row per swept value with the
-/// cleared grid shape plus the point's solver telemetry (rounds and
-/// convergence).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn export_sweep<W: Write>(writer: W, points: &[SweepPoint]) -> io::Result<()> {
-    write_csv(
-        writer,
-        &[
-            "parameter",
-            "par",
-            "energy_sold",
-            "midday_draw",
-            "solver_rounds",
-            "solver_converged",
-        ],
-        points.iter().map(|p| {
-            vec![
-                p.parameter,
-                p.par,
-                p.energy_sold,
-                p.midday_draw,
-                p.solver_rounds as f64,
-                f64::from(u8::from(p.solver_converged)),
-            ]
-        }),
-    )
-}
-
-/// Exports an attack-window sweep: one row per window start with the
-/// attacked PAR, peak slot, and solver rounds.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn export_attack_window<W: Write>(writer: W, points: &[AttackWindowPoint]) -> io::Result<()> {
-    write_csv(
-        writer,
-        &[
-            "from_hour",
-            "attacked_par",
-            "peak_slot",
-            "solver_rounds",
-        ],
-        points.iter().map(|p| {
-            vec![
-                p.from_hour,
-                p.attacked_par,
-                p.peak_slot as f64,
-                p.solver_rounds as f64,
-            ]
-        }),
-    )
-}
-
 /// Exports a long-term run's per-day fault/degradation timeline: a
 /// `training` row for the calibration epoch, then one row per detection
 /// day with that day's fault counts, imputations, retries, fallbacks,
@@ -299,8 +241,8 @@ pub fn export_quarantine_events<W: Write>(
     Ok(())
 }
 
-/// Renders an artifact in memory and lands it at `path` atomically: the
-/// shared file-level wrapper behind every `export_*_to_path` twin.
+/// Renders an artifact in memory and lands it at `path` atomically, e.g.
+/// `export_atomic(vfs, path, &policy, |buf| export_long_term(buf, &result))`.
 ///
 /// # Errors
 ///
@@ -321,52 +263,6 @@ where
     render(&mut buffer).map_err(StorageError::Render)?;
     write_atomic(vfs, path, &buffer, policy)
 }
-
-macro_rules! to_path_twin {
-    ($(#[$doc:meta])* $name:ident, $writer:ident, $data:ty) => {
-        $(#[$doc])*
-        ///
-        /// # Errors
-        ///
-        /// As [`export_atomic`].
-        pub fn $name(
-            vfs: &dyn Vfs,
-            path: &Path,
-            data: $data,
-            policy: &StoragePolicy,
-        ) -> Result<StorageReport, StorageError> {
-            export_atomic(vfs, path, policy, |buffer| $writer(buffer, data))
-        }
-    };
-}
-
-to_path_twin!(
-    /// Atomic file-level [`export_prediction`].
-    export_prediction_to_path, export_prediction, &PredictionExperiment);
-to_path_twin!(
-    /// Atomic file-level [`export_attack`].
-    export_attack_to_path, export_attack, &AttackExperiment);
-to_path_twin!(
-    /// Atomic file-level [`export_accuracy`].
-    export_accuracy_to_path, export_accuracy, &AccuracyExperiment);
-to_path_twin!(
-    /// Atomic file-level [`export_long_term`].
-    export_long_term_to_path, export_long_term, &LongTermRunResult);
-to_path_twin!(
-    /// Atomic file-level [`export_fault_tolerance`].
-    export_fault_tolerance_to_path, export_fault_tolerance, &[FaultTolerancePoint]);
-to_path_twin!(
-    /// Atomic file-level [`export_sweep`].
-    export_sweep_to_path, export_sweep, &[SweepPoint]);
-to_path_twin!(
-    /// Atomic file-level [`export_attack_window`].
-    export_attack_window_to_path, export_attack_window, &[AttackWindowPoint]);
-to_path_twin!(
-    /// Atomic file-level [`export_health_timeline`].
-    export_health_timeline_to_path, export_health_timeline, &LongTermRunResult);
-to_path_twin!(
-    /// Atomic file-level [`export_quarantine_events`].
-    export_quarantine_events_to_path, export_quarantine_events, &LongTermRunResult);
 
 #[cfg(test)]
 mod tests {
@@ -403,39 +299,6 @@ mod tests {
         export_attack(&mut buffer, &experiment).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         assert_eq!(text.lines().count(), 25);
-    }
-
-    #[test]
-    fn sweep_export_includes_solver_columns() {
-        let points = vec![SweepPoint {
-            parameter: 1.0,
-            par: 1.4,
-            energy_sold: 3.0,
-            midday_draw: 2.0,
-            solver_rounds: 5,
-            solver_converged: true,
-        }];
-        let mut buffer = Vec::new();
-        export_sweep(&mut buffer, &points).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].ends_with("solver_rounds,solver_converged"));
-        assert_eq!(lines[1], "1,1.4,3,2,5,1");
-
-        let windows = vec![AttackWindowPoint {
-            from_hour: 16.0,
-            attacked_par: 2.1,
-            peak_slot: 16,
-            solver_rounds: 4,
-        }];
-        let mut buffer = Vec::new();
-        export_attack_window(&mut buffer, &windows).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        assert_eq!(
-            text,
-            "from_hour,attacked_par,peak_slot,solver_rounds\n16,2.1,16,4\n"
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use nms_core::{MeterQuarantine, QuarantineEvent};
-use nms_obs::trace::fnv1a64;
+use nms_obs::trace::SealedLine;
 use nms_types::{DayHealth, RunHealth};
 use nms_vfs::{write_atomic, StdVfs, StorageError, StoragePolicy, StorageReport, Vfs, VfsFile};
 
@@ -121,36 +121,6 @@ impl From<StorageError> for JournalError {
         match err {
             StorageError::Exhausted { last, .. } => Self::Io(last),
             other => Self::Io(io::Error::other(other)),
-        }
-    }
-}
-
-/// One line on disk: the record JSON as an opaque string plus its hash.
-/// Keeping the body as a string makes the hashed bytes exact and lets the
-/// loader distinguish "line is torn" from "record shape changed".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct JournalLine {
-    hash: String,
-    body: String,
-}
-
-impl JournalLine {
-    fn seal(body: String) -> Self {
-        Self {
-            hash: format!("{:016x}", fnv1a64(body.as_bytes())),
-            body,
-        }
-    }
-
-    fn verify(&self) -> Result<&str, String> {
-        let expected = format!("{:016x}", fnv1a64(self.body.as_bytes()));
-        if self.hash == expected {
-            Ok(&self.body)
-        } else {
-            Err(format!(
-                "integrity hash {} does not match body hash {expected}",
-                self.hash
-            ))
         }
     }
 }
@@ -329,7 +299,7 @@ impl RunJournal {
         let path = path.to_path_buf();
         let body = serde_json::to_string(header)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        let mut line = serde_json::to_string(&JournalLine::seal(body))
+        let mut line = serde_json::to_string(&SealedLine::seal(body))
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
         line.push('\n');
         write_atomic(
@@ -421,7 +391,7 @@ impl RunJournal {
     }
 
     fn verify_line(raw: &str, index: usize) -> Result<String, String> {
-        let line: JournalLine =
+        let line: SealedLine =
             serde_json::from_str(raw).map_err(|err| format!("unparsable line: {err}"))?;
         let body = line.verify()?;
         // Shape-check the body so a sealed-but-wrong record is caught here.
@@ -542,7 +512,7 @@ impl RunJournal {
     pub fn append_day(&mut self, record: &DayRecord) -> Result<StorageReport, JournalError> {
         let body = serde_json::to_string(record)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        let mut line = serde_json::to_string(&JournalLine::seal(body))
+        let mut line = serde_json::to_string(&SealedLine::seal(body))
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
         line.push('\n');
 

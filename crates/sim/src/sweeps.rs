@@ -1,16 +1,15 @@
 //! Parameter sweeps: the "what if" studies around the paper's evaluation.
 //!
-//! These back the ablation benches and the `community_planning` example
-//! with typed, reusable runners: how the net-metering reward rate `W`, the
-//! PV penetration, and the attack window shape the grid's load and the
-//! attack surface.
+//! These back the `community_planning` and `fault_tolerance` examples with
+//! typed, reusable runners: how the net-metering reward rate `W` and the PV
+//! penetration shape the grid's load, and how telemetry faults wear down
+//! detection.
 
 use nms_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use nms_attack::PriceAttack;
 use nms_core::{DetectorMode, FrameworkConfig, QuarantineConfig, SanitizeConfig};
 use nms_par::{par_map, Parallelism};
 use nms_pricing::NetMeteringTariff;
@@ -115,63 +114,6 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
         solver_rounds: outcome.response.rounds,
         solver_converged: outcome.response.converged,
     })
-}
-
-/// One row of the attack-window sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttackWindowPoint {
-    /// Start hour of the zeroed window.
-    pub from_hour: f64,
-    /// PAR of the full-fleet attacked response.
-    pub attacked_par: f64,
-    /// Slot where the attacked demand peaks.
-    pub peak_slot: usize,
-    /// Best-response rounds of the attacked game (deterministic and
-    /// thread-invariant, like [`SweepPoint::solver_rounds`]).
-    #[serde(default)]
-    pub solver_rounds: usize,
-}
-
-/// Sweeps one-hour zero-price windows across the day: where does the
-/// attacker do the most damage?
-///
-/// # Errors
-///
-/// Returns [`SimError`] when a point fails to clear.
-pub fn sweep_attack_window(
-    scenario: &PaperScenario,
-    start_hours: &[f64],
-    parallelism: &Parallelism,
-) -> Result<Vec<AttackWindowPoint>, SimError> {
-    let market = Market::new(scenario)?;
-    let generator = scenario.generator();
-    let weather = scenario.weather_factors(1);
-    let community = generator.community_for_day(0, weather[0]);
-    let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
-
-    par_map(
-        parallelism.threads,
-        start_hours,
-        &NoopRecorder,
-        |_, &from_hour| {
-            let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
-            let manipulated = attack.apply(&clean.price);
-            let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-            let attacked = market.truth_model().predict(
-                &community,
-                &manipulated,
-                &mut attacked_rng,
-                &NoopRecorder,
-            )?;
-            Ok(AttackWindowPoint {
-                from_hour,
-                attacked_par: attacked.par,
-                peak_slot: attacked.grid_demand.peak_slot(),
-                solver_rounds: attacked.rounds,
-            })
-        },
-    )
 }
 
 /// One row of the fault-tolerance sweep: detection quality for both
@@ -308,17 +250,5 @@ mod tests {
         assert!(p.aware_par.is_finite() && p.naive_par.is_finite());
         // A quarter of all meter-slots dropping must actually register.
         assert!(p.faults_injected > 0, "no faults injected");
-    }
-
-    #[test]
-    fn attack_window_sweep_reports_each_window() {
-        let points = sweep_attack_window(&scenario(), &[3.0, 16.0], &Parallelism::new(2)).unwrap();
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.attacked_par >= 1.0);
-            assert!(p.peak_slot < 24);
-        }
-        // Zeroing 16:00 drags the peak into that slot.
-        assert_eq!(points[1].peak_slot, 16);
     }
 }

@@ -434,12 +434,6 @@ impl StorageFaultLedger {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Folds an already-aggregated tally into the ledger (e.g. faults a
-    /// helper counted privately before handing them over).
-    pub fn absorb(&self, counts: &StorageFaultCounts) {
-        self.record(|tally| tally.merge(counts));
-    }
 }
 
 /// Health ledger of one pipeline run: what was corrupted, what was
@@ -689,12 +683,6 @@ mod tests {
         assert_eq!(seen.trace_dropped, 1);
         assert_eq!(seen.journal_append_failures, 0, "independent ledger leaked in");
         assert_eq!(independent.snapshot().journal_append_failures, 5);
-
-        let mut carried = StorageFaultCounts::default();
-        carried.export_retries = 3;
-        ledger.absorb(&carried);
-        assert_eq!(ledger.snapshot().export_retries, 3);
-        assert_eq!(ledger.snapshot().total(), 6);
     }
 
     #[test]

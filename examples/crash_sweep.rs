@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::sim::export::{
-    export_health_timeline_to_path, export_long_term_to_path, export_quarantine_events_to_path,
+    export_atomic, export_health_timeline, export_long_term, export_quarantine_events,
 };
 use netmeter_sentinel::sim::{
     LongTermRunConfig, LongTermRunResult, PaperScenario, SupervisedOptions, SupervisedRun,
@@ -45,12 +45,18 @@ fn pipeline(
         .map_err(|err| format!("supervise: {err}"))?;
     let result = run.run().map_err(|err| format!("run: {err}"))?;
     let policy = StoragePolicy::no_retries();
-    export_long_term_to_path(vfs, Path::new(LONG_TERM_CSV), &result, &policy)
-        .map_err(|err| format!("export long_term: {err}"))?;
-    export_health_timeline_to_path(vfs, Path::new(HEALTH_CSV), &result, &policy)
-        .map_err(|err| format!("export health: {err}"))?;
-    export_quarantine_events_to_path(vfs, Path::new(QUARANTINE_CSV), &result, &policy)
-        .map_err(|err| format!("export quarantine: {err}"))?;
+    export_atomic(vfs, Path::new(LONG_TERM_CSV), &policy, |buf| {
+        export_long_term(buf, &result)
+    })
+    .map_err(|err| format!("export long_term: {err}"))?;
+    export_atomic(vfs, Path::new(HEALTH_CSV), &policy, |buf| {
+        export_health_timeline(buf, &result)
+    })
+    .map_err(|err| format!("export health: {err}"))?;
+    export_atomic(vfs, Path::new(QUARANTINE_CSV), &policy, |buf| {
+        export_quarantine_events(buf, &result)
+    })
+    .map_err(|err| format!("export quarantine: {err}"))?;
     Ok(result)
 }
 

@@ -1,11 +1,11 @@
-//! End-to-end tests of the detection framework: single-event detection,
-//! unilateral attack realizations, and the long-term POMDP loop.
+//! End-to-end tests of the detection framework: unilateral attack
+//! realizations and the long-term POMDP loop.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
-use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, SingleEventDetector};
+use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
 use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::sim::{
     LongTermRunConfig, LongTermRunResult, Market, PaperScenario, SimError, SupervisedOptions,
@@ -36,40 +36,6 @@ fn scenario() -> PaperScenario {
 
 fn attack() -> PriceAttack {
     PriceAttack::zero_window(16.0, 17.0).unwrap()
-}
-
-#[test]
-fn single_event_detector_flags_real_attack_not_clean_day() {
-    let s = scenario();
-    let market = Market::new(&s).unwrap();
-    let generator = s.generator();
-    let weather = s.weather_factors(1);
-    let community = generator.community_for_day(0, weather[0]);
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let clean = market
-        .clear_day(&community, 2, rng.gen(), &NoopRecorder)
-        .unwrap();
-    let manipulated = attack().apply(&clean.price);
-
-    let framework = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
-    let detector = SingleEventDetector::new(framework.load, 0.05).unwrap();
-
-    // Clean: price matches → no alarm.
-    let outcome = detector
-        .detect(&community, &clean.price, &clean.price, &mut rng)
-        .unwrap();
-    assert!(!outcome.attack_detected);
-    assert_eq!(outcome.par_excess, 0.0);
-
-    // Attacked: the zero window drags load in → alarm.
-    let outcome = detector
-        .detect(&community, &clean.price, &manipulated, &mut rng)
-        .unwrap();
-    assert!(
-        outcome.attack_detected,
-        "PAR excess {} under attack",
-        outcome.par_excess
-    );
 }
 
 #[test]

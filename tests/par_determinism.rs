@@ -6,9 +6,7 @@
 use std::path::Path;
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig};
-use netmeter_sentinel::sim::sweeps::{
-    sweep_attack_window, sweep_fault_tolerance, sweep_pv_ownership, sweep_tariff,
-};
+use netmeter_sentinel::sim::sweeps::{sweep_fault_tolerance, sweep_pv_ownership, sweep_tariff};
 use netmeter_sentinel::sim::{
     LongTermRunConfig, PaperScenario, Parallelism, SupervisedOptions, SupervisedRun,
 };
@@ -30,11 +28,6 @@ fn sweeps_are_bit_identical_across_thread_counts() {
     let ownership = [0.0, 0.5, 1.0];
     let seq = sweep_pv_ownership(&scenario, &ownership, &Parallelism::SEQUENTIAL).unwrap();
     let par = sweep_pv_ownership(&scenario, &ownership, &Parallelism::new(4)).unwrap();
-    assert_eq!(seq, par);
-
-    let windows = [3.0, 9.0, 16.0, 21.0];
-    let seq = sweep_attack_window(&scenario, &windows, &Parallelism::SEQUENTIAL).unwrap();
-    let par = sweep_attack_window(&scenario, &windows, &Parallelism::new(4)).unwrap();
     assert_eq!(seq, par);
 
     let rates = [0.0, 0.1];

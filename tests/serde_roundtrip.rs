@@ -1,7 +1,7 @@
 //! Serde round-trips for the workspace's data-structure types (C-SERDE):
 //! scenario files and experiment artifacts must survive serialization.
 
-use netmeter_sentinel::attack::{AttackerConfig, PriceAttack};
+use netmeter_sentinel::attack::PriceAttack;
 use netmeter_sentinel::pricing::{NetMeteringTariff, PriceSignal, UtilityConfig};
 use netmeter_sentinel::sim::PaperScenario;
 use netmeter_sentinel::smarthome::{Appliance, ApplianceKind, PowerLevels, TaskSpec};
@@ -49,7 +49,6 @@ fn pricing_types_roundtrip() {
 fn attack_types_roundtrip() {
     roundtrip(&PriceAttack::zero_window(16.0, 17.0).unwrap());
     roundtrip(&PriceAttack::InvertAroundMean);
-    roundtrip(&AttackerConfig::default());
 }
 
 #[test]
@@ -149,8 +148,15 @@ fn parent_run_config_with_reseed_stride_loads() {
         with_solver.contains("\"discount\":0.9,\"solver\":\"Qmdp\"}"),
         "{with_solver}"
     );
+    // The single-event PAR threshold `δ_P`, between `load` and
+    // `long_term` where the parent's field order wrote it.
+    let with_threshold = today.replace("\"long_term\":{", "\"par_threshold\":0.05,\"long_term\":{");
+    assert!(
+        with_threshold.contains("\"par_threshold\":0.05"),
+        "{with_threshold}"
+    );
 
-    for parent in [with_stride, with_solver] {
+    for parent in [with_stride, with_solver, with_threshold] {
         let loaded: LongTermRunConfig = serde_json::from_str(&parent).expect("parent config loads");
         assert_eq!(loaded.retry, RetryPolicy::default());
         assert_eq!(serde_json::to_string(&loaded).expect("serialize"), today);
