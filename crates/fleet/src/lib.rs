@@ -5,7 +5,7 @@
 //! service shards across many. That shape is only viable if one
 //! community's failure cannot take down the rest — so this crate drives K
 //! communities as independent **shards**, each with its own
-//! [`SupervisedRun`], journal path, per-`(community, seed, day)` ChaCha8
+//! [`SupervisedRun`](nms_sim::SupervisedRun), journal path, per-`(community, seed, day)` ChaCha8
 //! streams, and (via [`SupervisedOptions`]) its own storage and fault
 //! ledger. Shards advance in day lockstep through
 //! [`nms_par::par_map_outcomes`], the non-rethrowing map: a shard that
@@ -21,9 +21,9 @@
 //!    whatever result the journaled prefix supports.
 //!
 //! A per-shard day-close deadline ([`SolveBudget`] via the injectable
-//! [`BudgetClock`](nms_types::BudgetClock)) converts hangs into ladder
+//! [`BudgetClock`]) converts hangs into ladder
 //! steps. Everything supervision does is tallied in a
-//! [`FleetHealth`](nms_types::FleetHealth) ledger and mirrored to
+//! [`FleetHealth`] ledger and mirrored to
 //! [`nms_obs::names::fleet`] metrics.
 //!
 //! ## Determinism contract

@@ -88,7 +88,7 @@ pub trait Recorder: Send + Sync {
     /// Enters a named profiling span. Spans nest: a recorder that builds a
     /// span tree (see [`SpanRecorder`]) pushes `name` onto its stack. Like
     /// every other method this is a provided no-op, so pre-existing
-    /// recorders are unaffected. Prefer the RAII [`span`] helper over
+    /// recorders are unaffected. Prefer the RAII [`span()`] helper over
     /// calling enter/exit by hand — it exits on every early-return path.
     fn span_enter(&self, name: &'static str) {
         let _ = name;
@@ -101,7 +101,7 @@ pub trait Recorder: Send + Sync {
     }
 }
 
-/// RAII guard returned by [`span`]: exits its span on drop, so `?` and
+/// RAII guard returned by [`span()`]: exits its span on drop, so `?` and
 /// early returns cannot leave the profiler's stack unbalanced.
 pub struct SpanGuard<'a> {
     rec: &'a dyn Recorder,

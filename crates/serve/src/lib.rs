@@ -25,7 +25,7 @@
 //! preserves it structurally:
 //!
 //! 1. Workers never touch the server. Only the supervisor's sequential
-//!    section calls [`SnapshotPublisher::publish`]*, at day-close
+//!    section calls [`SnapshotPublisher`]'s `publish_*` methods, at day-close
 //!    quiescence points where no shard worker is running.
 //! 2. The server never touches the registries. Scrape handlers read
 //!    pre-rendered strings from the published snapshot; no request can

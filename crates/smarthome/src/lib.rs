@@ -46,4 +46,7 @@ pub use community::Community;
 pub use customer::{Customer, CustomerBuilder};
 pub use load::LoadProfile;
 pub use pv::{clear_sky_profile, PvPanel};
-pub use schedule::{ApplianceSchedule, CommunitySchedule, CustomerSchedule, ScheduleError};
+pub use schedule::{
+    check_plan, plan_load, plan_trading, ApplianceSchedule, CommunitySchedule, CustomerSchedule,
+    ScheduleError,
+};

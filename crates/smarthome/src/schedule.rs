@@ -161,45 +161,7 @@ impl ApplianceSchedule {
         horizon: Horizon,
         energy: TimeSeries<f64>,
     ) -> Result<Self, ScheduleError> {
-        if energy.len() != horizon.slots() {
-            return Err(ScheduleError::HorizonMismatch {
-                expected: horizon.slots(),
-                actual: energy.len(),
-            });
-        }
-        let cap = appliance.max_slot_energy(horizon);
-        let mut total = 0.0;
-        for (slot, &e) in energy.iter().enumerate() {
-            if !e.is_finite() || e < -FEASIBILITY_TOL {
-                return Err(ScheduleError::InvalidEnergy {
-                    appliance: appliance.id(),
-                    slot,
-                });
-            }
-            if e > FEASIBILITY_TOL && !appliance.task().allows_slot(slot) {
-                return Err(ScheduleError::OutsideWindow {
-                    appliance: appliance.id(),
-                    slot,
-                });
-            }
-            if e > cap.value() + FEASIBILITY_TOL {
-                return Err(ScheduleError::ExceedsSlotCap {
-                    appliance: appliance.id(),
-                    slot,
-                    requested: Kwh::new(e),
-                    cap,
-                });
-            }
-            total += e;
-        }
-        let required = appliance.task().energy().value();
-        if (total - required).abs() > FEASIBILITY_TOL.max(required * 1e-6) {
-            return Err(ScheduleError::EnergyMismatch {
-                appliance: appliance.id(),
-                required: Kwh::new(required),
-                scheduled: Kwh::new(total),
-            });
-        }
+        check_energy(appliance, horizon, energy.as_slice())?;
         Ok(Self {
             appliance: appliance.id(),
             energy,
@@ -254,53 +216,23 @@ impl CustomerSchedule {
         appliance_schedules: Vec<ApplianceSchedule>,
         battery_trajectory: Vec<Kwh>,
     ) -> Result<Self, ScheduleError> {
+        check_plan(
+            customer,
+            appliance_schedules
+                .iter()
+                .map(|s| (s.appliance(), s.energy().as_slice())),
+            &battery_trajectory,
+        )?;
         let horizon = customer.horizon();
-        // The schedules must cover exactly the customer's appliances.
-        if appliance_schedules.len() != customer.appliances().len() {
-            return Err(ScheduleError::ApplianceSetMismatch {
-                customer: customer.id(),
-            });
-        }
-        for schedule in &appliance_schedules {
-            let appliance = customer.appliance(schedule.appliance()).ok_or(
-                ScheduleError::ApplianceSetMismatch {
-                    customer: customer.id(),
-                },
-            )?;
-            // Revalidate: the schedule may have been built against another
-            // appliance carrying the same id.
-            ApplianceSchedule::new(appliance, horizon, schedule.energy().clone())?;
-        }
-        let mut ids: Vec<ApplianceId> = appliance_schedules.iter().map(|s| s.appliance()).collect();
-        ids.sort();
-        if ids.windows(2).any(|w| w[0] == w[1]) {
-            return Err(ScheduleError::ApplianceSetMismatch {
-                customer: customer.id(),
-            });
-        }
-
-        if battery_trajectory.len() != horizon.slots() + 1 {
-            return Err(ScheduleError::HorizonMismatch {
-                expected: horizon.slots() + 1,
-                actual: battery_trajectory.len(),
-            });
-        }
-        customer
-            .battery()
-            .validate_trajectory(&battery_trajectory)?;
-
         let load = LoadProfile::new(TimeSeries::from_fn(horizon, |slot| {
-            customer.base_load()[slot]
-                + appliance_schedules
-                    .iter()
-                    .map(|s| s.at(slot).value())
-                    .sum::<f64>()
+            plan_load(
+                customer,
+                appliance_schedules.iter().map(|s| s.energy().as_slice()),
+                slot,
+            )
         }));
         let trading = TimeSeries::from_fn(horizon, |slot| {
-            // y^h = l^h + b^{h+1} − b^h − θ^h  (Eqn 1 rearranged)
-            load.at(slot).value() + battery_trajectory[slot + 1].value()
-                - battery_trajectory[slot].value()
-                - customer.generation(slot).value()
+            plan_trading(customer, load.at(slot).value(), &battery_trajectory, slot)
         });
 
         Ok(Self {
@@ -366,6 +298,123 @@ impl CustomerSchedule {
     pub fn total_sold(&self) -> Kwh {
         Kwh::new(-self.trading.iter().filter(|&&y| y < 0.0).sum::<f64>())
     }
+}
+
+/// Checks one appliance's per-slot energies (kWh) against its task and
+/// power levels on `horizon`, naming the first violated constraint.
+fn check_energy(
+    appliance: &Appliance,
+    horizon: Horizon,
+    energy: &[f64],
+) -> Result<(), ScheduleError> {
+    if energy.len() != horizon.slots() {
+        return Err(ScheduleError::HorizonMismatch {
+            expected: horizon.slots(),
+            actual: energy.len(),
+        });
+    }
+    let cap = appliance.max_slot_energy(horizon);
+    let mut total = 0.0;
+    for (slot, &e) in energy.iter().enumerate() {
+        if !e.is_finite() || e < -FEASIBILITY_TOL {
+            return Err(ScheduleError::InvalidEnergy {
+                appliance: appliance.id(),
+                slot,
+            });
+        }
+        if e > FEASIBILITY_TOL && !appliance.task().allows_slot(slot) {
+            return Err(ScheduleError::OutsideWindow {
+                appliance: appliance.id(),
+                slot,
+            });
+        }
+        if e > cap.value() + FEASIBILITY_TOL {
+            return Err(ScheduleError::ExceedsSlotCap {
+                appliance: appliance.id(),
+                slot,
+                requested: Kwh::new(e),
+                cap,
+            });
+        }
+        total += e;
+    }
+    let required = appliance.task().energy().value();
+    if (total - required).abs() > FEASIBILITY_TOL.max(required * 1e-6) {
+        return Err(ScheduleError::EnergyMismatch {
+            appliance: appliance.id(),
+            required: Kwh::new(required),
+            scheduled: Kwh::new(total),
+        });
+    }
+    Ok(())
+}
+
+/// Checks a customer's plan held in borrowed slices: `appliances` yields
+/// each planned appliance's id with its per-slot energies (kWh), and
+/// `battery` is the trajectory `b^0..b^H`.
+///
+/// These are exactly the checks [`CustomerSchedule::new`] makes, in the
+/// same order, so a solver that keeps its plans in its own buffers can run
+/// them on every response without building a schedule.
+///
+/// # Errors
+///
+/// Returns a [`ScheduleError`] if the ids don't cover exactly the
+/// customer's appliance set, any appliance's energies are infeasible for
+/// the appliance carrying that id, or the battery trajectory has the wrong
+/// length or violates the battery's constraints.
+pub fn check_plan<'a, I>(
+    customer: &Customer,
+    appliances: I,
+    battery: &[Kwh],
+) -> Result<(), ScheduleError>
+where
+    I: IntoIterator<Item = (ApplianceId, &'a [f64])>,
+    I::IntoIter: Clone,
+{
+    let horizon = customer.horizon();
+    let appliances = appliances.into_iter();
+    let mismatch = || ScheduleError::ApplianceSetMismatch {
+        customer: customer.id(),
+    };
+    if appliances.clone().count() != customer.appliances().len() {
+        return Err(mismatch());
+    }
+    for (id, energy) in appliances.clone() {
+        // Look the appliance up by id: the energies may have been planned
+        // against another appliance carrying the same id.
+        let appliance = customer.appliance(id).ok_or_else(mismatch)?;
+        check_energy(appliance, horizon, energy)?;
+    }
+    for (index, (id, _)) in appliances.clone().enumerate() {
+        if appliances.clone().take(index).any(|(other, _)| other == id) {
+            return Err(mismatch());
+        }
+    }
+    if battery.len() != horizon.slots() + 1 {
+        return Err(ScheduleError::HorizonMismatch {
+            expected: horizon.slots() + 1,
+            actual: battery.len(),
+        });
+    }
+    customer.battery().validate_trajectory(battery)?;
+    Ok(())
+}
+
+/// The customer's load `l^h` at `slot`: the inflexible base load plus each
+/// appliance's draw, summed in the order `energies` yields them.
+pub fn plan_load<'a>(
+    customer: &Customer,
+    energies: impl Iterator<Item = &'a [f64]>,
+    slot: usize,
+) -> f64 {
+    customer.base_load()[slot] + energies.map(|energy| energy[slot]).sum::<f64>()
+}
+
+/// The trading amount `y^h = l^h + b^{h+1} − b^h − θ^h` at `slot` (Eqn 1
+/// rearranged), from the load `l^h` and the trajectory `b^0..b^H`.
+pub fn plan_trading(customer: &Customer, load: f64, battery: &[Kwh], slot: usize) -> f64 {
+    load + battery[slot + 1].value() - battery[slot].value() - customer.generation(slot).value()
 }
 
 /// The community's joint schedule: every customer's plan plus the aggregate
@@ -598,6 +647,108 @@ mod tests {
         trajectory[5] = Kwh::new(99.0);
         let err = CustomerSchedule::new(&customer, vec![schedule], trajectory).unwrap_err();
         assert!(matches!(err, ScheduleError::Battery(_)));
+    }
+
+    #[test]
+    fn check_plan_returns_the_constructors_errors() {
+        let appliance = simple_appliance(0);
+        let customer = simple_customer(0);
+        let idle = vec![Kwh::new(1.0); 25];
+        let with = |slots: &[(usize, f64)]| {
+            let mut energy = vec![0.0; 24];
+            for &(slot, value) in slots {
+                energy[slot] = value;
+            }
+            energy
+        };
+        type Variant = fn(&ScheduleError) -> bool;
+        let appliance_cases: [(&str, Vec<f64>, Variant); 6] = [
+            ("wrong length", vec![0.0; 10], |e| {
+                matches!(e, ScheduleError::HorizonMismatch { .. })
+            }),
+            ("negative energy", with(&[(8, -1.0), (9, 1.0)]), |e| {
+                matches!(e, ScheduleError::InvalidEnergy { .. })
+            }),
+            ("non-finite energy", with(&[(8, f64::NAN), (9, 1.0)]), |e| {
+                matches!(e, ScheduleError::InvalidEnergy { .. })
+            }),
+            ("outside window", with(&[(5, 1.0), (8, 1.0)]), |e| {
+                matches!(e, ScheduleError::OutsideWindow { .. })
+            }),
+            ("over cap", with(&[(8, 2.0)]), |e| {
+                matches!(e, ScheduleError::ExceedsSlotCap { .. })
+            }),
+            ("energy mismatch", with(&[(8, 1.0)]), |e| {
+                matches!(e, ScheduleError::EnergyMismatch { .. })
+            }),
+        ];
+        for (label, energy, variant) in appliance_cases {
+            let series =
+                TimeSeries::from_values(Horizon::hourly(energy.len()), energy.clone()).unwrap();
+            let expected = ApplianceSchedule::new(&appliance, day(), series).unwrap_err();
+            assert!(variant(&expected), "{label}: {expected:?}");
+            let got = check_plan(&customer, [(appliance.id(), energy.as_slice())], &idle);
+            assert_eq!(got, Err(expected), "{label}");
+        }
+
+        let feasible = ApplianceSchedule::new(&appliance, day(), feasible_energy()).unwrap();
+        let pair = Customer::builder(CustomerId::new(1), day())
+            .appliance(simple_appliance(0))
+            .appliance(simple_appliance(1))
+            .battery(Battery::new(Kwh::new(4.0), Kwh::new(1.0)).unwrap())
+            .build()
+            .unwrap();
+        let mut overfull = idle.clone();
+        overfull[5] = Kwh::new(99.0);
+        type CustomerCase<'a> = (
+            &'a str,
+            &'a Customer,
+            Vec<ApplianceSchedule>,
+            Vec<Kwh>,
+            Variant,
+        );
+        let customer_cases: [CustomerCase<'_>; 4] = [
+            (
+                "duplicate id",
+                &pair,
+                vec![feasible.clone(), feasible.clone()],
+                idle.clone(),
+                |e| matches!(e, ScheduleError::ApplianceSetMismatch { .. }),
+            ),
+            (
+                "missing appliance",
+                &pair,
+                vec![feasible.clone()],
+                idle.clone(),
+                |e| matches!(e, ScheduleError::ApplianceSetMismatch { .. }),
+            ),
+            (
+                "battery wrong length",
+                &customer,
+                vec![feasible.clone()],
+                vec![Kwh::new(1.0); 10],
+                |e| matches!(e, ScheduleError::HorizonMismatch { .. }),
+            ),
+            (
+                "invalid battery trajectory",
+                &customer,
+                vec![feasible],
+                overfull,
+                |e| matches!(e, ScheduleError::Battery(_)),
+            ),
+        ];
+        for (label, owner, schedules, battery, variant) in customer_cases {
+            let got = check_plan(
+                owner,
+                schedules
+                    .iter()
+                    .map(|s| (s.appliance(), s.energy().as_slice())),
+                &battery,
+            );
+            let expected = CustomerSchedule::new(owner, schedules, battery).unwrap_err();
+            assert!(variant(&expected), "{label}: {expected:?}");
+            assert_eq!(got, Err(expected), "{label}");
+        }
     }
 
     #[test]

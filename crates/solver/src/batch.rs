@@ -38,8 +38,10 @@
 
 /// Per-solve structure-of-arrays arena for the game engine's batched
 /// rounds: every customer's trading series as a contiguous `f64` lane,
-/// plus the community total and a per-customer others scratch lane. See the
-/// [module docs](self) for layout and the bit-identity contract.
+/// plus the community total and a per-customer others scratch lane. Every
+/// kernel performs the per-slot operations of the `TimeSeries` code it
+/// replaced, in the same order, so results are bit-identical
+/// (DESIGN.md §15).
 #[derive(Debug, Clone, Default)]
 pub struct BatchResponseWorkspace {
     customers: usize,

@@ -2,9 +2,9 @@
 //!
 //! Problem P1 is non-convex in the battery trajectory once the buy/sell
 //! branches of Eqn (2) interact with the aggregate trading, so the paper
-//! optimizes `b_n = {b¹, …, b^H}` with cross-entropy optimization. The
-//! deterministic [`coordinate_descent_battery`] solver is provided as the
-//! ablation baseline (see DESIGN.md).
+//! optimizes `b_n = {b¹, …, b^H}` with cross-entropy optimization. One
+//! sweep of the deterministic [`coordinate_descent_battery`] solver is a
+//! warm-start candidate the best response hands to CE.
 
 use nms_pricing::CostModel;
 use nms_smarthome::Battery;
@@ -209,15 +209,9 @@ pub fn optimize_battery(
         None => problem.idle_interior(),
     };
     let mut solution = optimizer.minimize(|x| problem.objective(x), &bounds, &init, rng, ws)?;
-    // Never return something worse than the warm start or doing nothing.
-    for candidate in [
-        Some(init),
-        warm_start.map(|p| p.to_vec()),
-        Some(problem.idle_interior()),
-    ]
-    .into_iter()
-    .flatten()
-    {
+    // Never return something worse than the warm start (which `init`
+    // holds) or doing nothing.
+    for candidate in [init, problem.idle_interior()] {
         let cost = problem.objective(&candidate);
         if cost < solution.objective {
             solution.point = candidate;
@@ -230,8 +224,9 @@ pub fn optimize_battery(
 /// Deterministic baseline: cyclic projected coordinate descent with a
 /// grid-plus-golden-section line search per coordinate.
 ///
-/// Returns the full `b⁰..b^H` trajectory. Used in the ablation bench
-/// comparing against [`optimize_battery`].
+/// Returns the full `b⁰..b^H` trajectory. The best response runs one
+/// sweep per battery step and warm-starts [`optimize_battery`] from the
+/// better of it and the previous trajectory.
 pub fn coordinate_descent_battery(problem: &BatteryProblem<'_>, sweeps: usize) -> Vec<Kwh> {
     if !problem.battery().is_usable() {
         return problem.full_trajectory(&problem.idle_interior());

@@ -127,7 +127,8 @@ impl DpScheduler {
     /// `out` (fully overwritten) instead of building an
     /// [`ApplianceSchedule`]. The allocation is feasible by construction
     /// (window, per-slot cap, and total energy at quantum granularity);
-    /// validation happens when the caller wraps it in a schedule.
+    /// the caller validates it, as the best response does on every solve
+    /// through [`nms_smarthome::check_plan`].
     ///
     /// # Errors
     ///

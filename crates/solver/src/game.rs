@@ -15,7 +15,8 @@ use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule};
 use nms_types::ValidateError;
 
 use crate::batch::BatchResponseWorkspace;
-use crate::{best_response, ResponseConfig, ResponseWorkspace, SolverError};
+use crate::response::{respond_in_place, Plan};
+use crate::{ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Configuration for [`GameEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,10 +140,10 @@ impl<'a> GameEngine<'a> {
     /// (Gauss–Seidel residuals), a closing `game_solved` event,
     /// `solver_round_delta` observations, and `solver_games` /
     /// `solver_rounds` / `solver_games_converged` counters — plus everything
-    /// [`best_response`] tallies per customer. Recording only reads values
-    /// the solve already produced (see the crate-level RNG-neutrality
-    /// contract in `nms-obs`), so the outcome is the same under any
-    /// recorder.
+    /// [`best_response`](crate::best_response) tallies per customer.
+    /// Recording only reads values the solve already produced (see the
+    /// crate-level RNG-neutrality contract in `nms-obs`), so the outcome is
+    /// the same under any recorder.
     ///
     /// # Errors
     ///
@@ -156,7 +157,12 @@ impl<'a> GameEngine<'a> {
         let horizon = self.community.horizon();
         let n = self.community.len();
 
-        let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
+        // Every customer's plan between rounds, allocated once per solve
+        // and updated in place by each response (DESIGN.md §15). With
+        // `use_battery` off no response moves a battery, so the
+        // trajectories stay at the initial charge `best_response` resets
+        // them to.
+        let mut plans: Vec<Plan> = self.community.iter().map(Plan::cold).collect();
         // SoA slabs for the round kernels: per-customer trading lanes plus
         // the running total, all flat `f64` (DESIGN.md §15).
         let mut batch = BatchResponseWorkspace::new();
@@ -167,12 +173,14 @@ impl<'a> GameEngine<'a> {
         // One scratch arena reused across every best response (DESIGN.md
         // §11).
         let mut ws = ResponseWorkspace::default();
+        let mut seeds: Vec<u64> = Vec::with_capacity(n);
 
         for _round in 0..self.config.max_rounds {
             rounds += 1;
             // Seeds drawn up front: each customer's response runs on its own
             // child stream.
-            let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            seeds.clear();
+            seeds.extend((0..n).map(|_| rng.gen::<u64>()));
             let mut round_delta = 0.0_f64;
 
             // Gauss–Seidel over the flat lanes: others = total − lane,
@@ -183,20 +191,20 @@ impl<'a> GameEngine<'a> {
                 batch.fill_others(index);
                 let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
                 let cost_model = CostModel::new(self.prices, self.tariff);
-                let response = best_response(
+                respond_in_place(
                     customer,
                     batch.others(),
                     cost_model,
                     &self.config.response,
-                    schedules[index].as_ref(),
+                    &mut plans[index],
                     &mut child,
                     rec,
                     &mut ws,
+                    true,
                 )?;
-                let delta = batch.max_abs_delta(index, response.trading().as_slice());
+                let delta = batch.max_abs_delta(index, &ws.trading);
                 round_delta = round_delta.max(delta);
-                batch.commit_gauss_seidel(index, response.trading().as_slice());
-                schedules[index] = Some(response);
+                batch.commit_gauss_seidel(index, &ws.trading);
             }
             // Round boundary: rebuild `total` from the lanes. The
             // incremental per-commit update (`total = others + response`)
@@ -237,10 +245,12 @@ impl<'a> GameEngine<'a> {
             );
         }
 
-        let schedules: Vec<CustomerSchedule> = schedules
-            .into_iter()
-            .map(|s| s.expect("every customer scheduled at least once"))
-            .collect();
+        let schedules: Vec<CustomerSchedule> = self
+            .community
+            .iter()
+            .zip(plans)
+            .map(|(customer, plan)| plan.into_schedule(customer))
+            .collect::<Result<_, _>>()?;
         let schedule = CommunitySchedule::new(horizon, schedules)?;
         Ok(GameOutcome {
             schedule,

@@ -13,8 +13,8 @@
 //!   sharing their trading amounts `y_n^h` until convergence.
 //!
 //! A deterministic projected-coordinate-descent battery solver
-//! ([`coordinate_descent_battery`]) is included as the ablation baseline for
-//! the cross-entropy choice.
+//! ([`coordinate_descent_battery`]) supplies the best response's battery
+//! warm start: one sweep, which cross-entropy then refines.
 //!
 //! # Examples
 //!

@@ -9,10 +9,12 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_pricing::CostModel;
-use nms_smarthome::{ApplianceSchedule, Customer, CustomerSchedule};
-use nms_types::{TimeSeries, ValidateError};
+use nms_smarthome::{
+    check_plan, plan_load, plan_trading, ApplianceSchedule, Customer, CustomerSchedule,
+};
+use nms_types::{Kwh, TimeSeries, ValidateError};
 
-use crate::workspace::{series_for, ResponseWorkspace};
+use crate::workspace::ResponseWorkspace;
 use crate::{
     coordinate_descent_battery, optimize_battery, BatteryProblem, CeConfig, CrossEntropyOptimizer,
     DpScheduler, SolverError,
@@ -78,10 +80,12 @@ impl Default for ResponseConfig {
 ///
 /// `previous` warm-starts the appliance allocation and battery trajectory
 /// when available. All DP tables, CE population buffers, and
-/// response-level series live in `ws` and are reused across solves, so a
-/// warm workspace makes the steady-state inner loop allocation-free (see
+/// response-level series live in `ws` and are reused across solves (see
 /// DESIGN.md §11); reuse is bit-identical to a fresh [`ResponseWorkspace`]
-/// under the same seed.
+/// under the same seed. This is the solve the game engine runs on every
+/// customer in every round, plus one schedule build; the engine itself
+/// keeps each plan in its own buffers and builds the schedules once, from
+/// the final round.
 ///
 /// Solver telemetry goes to `rec`: DP cost-cell evaluations
 /// (`solver_dp_cells`), cross-entropy solves / iterations / convergences
@@ -93,8 +97,7 @@ impl Default for ResponseConfig {
 /// # Errors
 ///
 /// Returns [`SolverError`] when an appliance subproblem is infeasible, the
-/// battery step hits a NaN cost, or the assembled schedule fails
-/// validation.
+/// battery step hits a NaN cost, or the plan fails the schedule checks.
 #[allow(clippy::too_many_arguments)]
 pub fn best_response(
     customer: &Customer,
@@ -106,7 +109,7 @@ pub fn best_response(
     rec: &dyn Recorder,
     ws: &mut ResponseWorkspace,
 ) -> Result<CustomerSchedule, SolverError> {
-    best_response_core(
+    respond_and_build(
         customer,
         others_trading,
         cost_model,
@@ -125,8 +128,7 @@ pub fn best_response(
 /// allocated. [`HoistedCostTable`](nms_pricing::HoistedCostTable)
 /// replicates that closure operation-for-operation, so the two paths are
 /// byte-identical. Kept only as the oracle that `tests/solver_workspace.rs`
-/// compares against; the `solver_kernels` bench times it as the
-/// before-side.
+/// compares against.
 ///
 /// # Errors
 ///
@@ -141,7 +143,7 @@ pub fn best_response_reference(
     rng: &mut impl Rng,
     rec: &dyn Recorder,
 ) -> Result<CustomerSchedule, SolverError> {
-    best_response_core(
+    respond_and_build(
         customer,
         others_trading.as_slice(),
         cost_model,
@@ -154,12 +156,10 @@ pub fn best_response_reference(
     )
 }
 
-/// The shared solve: alternate the DP appliance step with the CE battery
-/// step `inner_iters` times inside `ws`. `hoist` selects the dense
-/// per-slot cost table (the default) or the per-cell billing closure (the
-/// reference path — same arithmetic, evaluated per DP cell).
+/// Unpacks `previous` into a fresh [`Plan`], runs [`respond_in_place`],
+/// and builds the schedule.
 #[allow(clippy::too_many_arguments)]
-fn best_response_core(
+fn respond_and_build(
     customer: &Customer,
     others_trading: &[f64],
     cost_model: CostModel<'_>,
@@ -170,6 +170,103 @@ fn best_response_core(
     ws: &mut ResponseWorkspace,
     hoist: bool,
 ) -> Result<CustomerSchedule, SolverError> {
+    let mut plan = Plan::cold(customer);
+    if let Some(prev) = previous {
+        if prev.appliance_schedules().len() == plan.energies.len() {
+            for (series, schedule) in plan.energies.iter_mut().zip(prev.appliance_schedules()) {
+                for (dst, &src) in series.iter_mut().zip(schedule.energy().iter()) {
+                    *dst = src;
+                }
+            }
+        }
+        if config.use_battery {
+            plan.battery.clear();
+            plan.battery.extend_from_slice(prev.battery());
+        }
+    }
+    respond_in_place(
+        customer,
+        others_trading,
+        cost_model,
+        config,
+        &mut plan,
+        rng,
+        rec,
+        ws,
+        hoist,
+    )?;
+    plan.into_schedule(customer)
+}
+
+/// A customer's plan in the form [`respond_in_place`] updates: one energy
+/// series per appliance, in the customer's appliance order, and the
+/// battery trajectory `b⁰..b^H`. The game engine keeps one per customer
+/// across its rounds and turns each into a schedule once, at the end.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    energies: Vec<TimeSeries<f64>>,
+    battery: Vec<Kwh>,
+}
+
+impl Plan {
+    /// The cold start: zero energies and the battery flat at its initial
+    /// charge.
+    pub(crate) fn cold(customer: &Customer) -> Self {
+        let horizon = customer.horizon();
+        Self {
+            energies: vec![TimeSeries::filled(horizon, 0.0); customer.appliances().len()],
+            battery: vec![customer.battery().initial_charge(); horizon.slots() + 1],
+        }
+    }
+
+    /// Wraps the plan in a [`CustomerSchedule`], moving its series in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::Schedule`] if the plan fails the schedule
+    /// checks (never after a successful response, which runs the same
+    /// checks).
+    pub(crate) fn into_schedule(
+        self,
+        customer: &Customer,
+    ) -> Result<CustomerSchedule, SolverError> {
+        let horizon = customer.horizon();
+        let appliance_schedules: Vec<ApplianceSchedule> = customer
+            .appliances()
+            .iter()
+            .zip(self.energies)
+            .map(|(appliance, energy)| ApplianceSchedule::new(appliance, horizon, energy))
+            .collect::<Result<_, _>>()?;
+        CustomerSchedule::new(customer, appliance_schedules, self.battery).map_err(Into::into)
+    }
+}
+
+/// The best-response core: alternates the DP appliance step with the CE
+/// battery step `inner_iters` times on `plan`, which enters holding the
+/// warm start (the previous plan, or [`Plan::cold`]) and leaves holding the
+/// new plan. The new plan passes every check [`CustomerSchedule::new`]
+/// makes, and its trading lane `y^h` is left in `ws.trading`.
+///
+/// `hoist` selects the dense per-slot cost table (the default) or the
+/// per-cell billing closure (the reference path — same arithmetic,
+/// evaluated per DP cell). Outside the CE battery step a warm workspace
+/// makes the solve allocation-free.
+///
+/// # Errors
+///
+/// As [`best_response`]. On error `plan` holds a partial update.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn respond_in_place(
+    customer: &Customer,
+    others_trading: &[f64],
+    cost_model: CostModel<'_>,
+    config: &ResponseConfig,
+    plan: &mut Plan,
+    rng: &mut impl Rng,
+    rec: &dyn Recorder,
+    ws: &mut ResponseWorkspace,
+    hoist: bool,
+) -> Result<(), SolverError> {
     config.validate()?;
     let horizon = customer.horizon();
     let slots = horizon.slots();
@@ -184,53 +281,14 @@ fn best_response_core(
         battery_delta,
         generation,
         load,
-        energies,
-        battery,
+        trading,
         warm_prev,
         swept,
     } = ws;
+    let Plan { energies, battery } = plan;
 
-    // Working state: per-appliance energies and the battery trajectory,
-    // rebuilt in place from `previous` (warm start) or zeros.
-    let warm = match previous {
-        Some(prev) if prev.appliance_schedules().len() == customer.appliances().len() => {
-            Some(prev)
-        }
-        _ => None,
-    };
-    let appliance_count = customer.appliances().len();
-    energies.truncate(appliance_count);
-    while energies.len() < appliance_count {
-        energies.push(TimeSeries::filled(horizon, 0.0));
-    }
-    for (index, series) in energies.iter_mut().enumerate() {
-        if series.horizon() != horizon {
-            *series = TimeSeries::filled(horizon, 0.0);
-        }
-        match warm {
-            Some(prev) => {
-                let source = prev.appliance_schedules()[index].energy();
-                for (dst, &src) in series.iter_mut().zip(source.iter()) {
-                    *dst = src;
-                }
-            }
-            None => {
-                for dst in series.iter_mut() {
-                    *dst = 0.0;
-                }
-            }
-        }
-    }
-    battery.clear();
-    match previous {
-        Some(prev) if config.use_battery => battery.extend_from_slice(prev.battery()),
-        _ => battery.resize(slots + 1, customer.battery().initial_charge()),
-    }
-
-    let generation = series_for(generation, horizon);
-    for (h, value) in generation.iter_mut().enumerate() {
-        *value = customer.generation(h).value();
-    }
+    generation.clear();
+    generation.extend((0..slots).map(|h| customer.generation(h).value()));
 
     // The billing terms depend only on the guideline price, the tariff, and
     // the (fixed) aggregate trading of the others — hoist them once per
@@ -252,16 +310,10 @@ fn best_response_core(
         // descent over appliances).
         let dp_span = span(rec, "dp_appliances");
         for (index, appliance) in customer.appliances().iter().enumerate() {
-            base.clear();
-            base.extend((0..slots).map(|h| {
-                let other_appliances: f64 = energies
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != index)
-                    .map(|(_, e)| e[h])
-                    .sum();
-                customer.base_load()[h] + other_appliances + battery_delta[h] - generation[h]
-            }));
+            sum_other_appliances(energies, slots, index, base);
+            for (h, value) in base.iter_mut().enumerate() {
+                *value = customer.base_load()[h] + *value + battery_delta[h] - generation[h];
+            }
             let out = &mut energies[index];
             if hoist {
                 dp.schedule_into(appliance, horizon, dp_ws, out, |slot, energy| {
@@ -282,15 +334,13 @@ fn best_response_core(
         // Battery step (cross-entropy optimization of Algorithm 1, line 5).
         if config.use_battery && customer.battery().is_usable() {
             let _ce_span = span(rec, "ce_battery");
-            let load = series_for(load, horizon);
-            for (h, value) in load.iter_mut().enumerate() {
-                *value = customer.base_load()[h] + energies.iter().map(|e| e[h]).sum::<f64>();
-            }
+            load.clear();
+            load.extend((0..slots).map(|h| plan_load(customer, lanes(energies), h)));
             let problem = BatteryProblem::from_slices(
                 customer.battery(),
                 horizon,
-                load.as_slice(),
-                generation.as_slice(),
+                load,
+                generation,
                 others_trading,
                 cost_model,
             );
@@ -322,13 +372,47 @@ fn best_response_core(
 
     rec.add("solver_dp_cells", dp_cells.get());
 
-    let appliance_schedules: Vec<ApplianceSchedule> = customer
-        .appliances()
-        .iter()
-        .zip(energies.iter())
-        .map(|(appliance, energy)| ApplianceSchedule::new(appliance, horizon, energy.clone()))
-        .collect::<Result<_, _>>()?;
-    CustomerSchedule::new(customer, appliance_schedules, battery.clone()).map_err(Into::into)
+    check_plan(
+        customer,
+        customer
+            .appliances()
+            .iter()
+            .map(|appliance| appliance.id())
+            .zip(lanes(energies)),
+        battery,
+    )?;
+    load.clear();
+    load.extend((0..slots).map(|h| plan_load(customer, lanes(energies), h)));
+    trading.clear();
+    trading.extend((0..slots).map(|h| plan_trading(customer, load[h], battery, h)));
+    Ok(())
+}
+
+/// The per-appliance energy series as slices.
+fn lanes(energies: &[TimeSeries<f64>]) -> impl Iterator<Item = &[f64]> + Clone {
+    energies.iter().map(TimeSeries::as_slice)
+}
+
+/// Writes `Σ_{i ≠ skip} e_i^h` into `acc` for each of the `slots` slots.
+/// Appliances are added in index order onto `Iterator::sum`'s identity —
+/// the additions `(0..A).filter(|&i| i != skip).map(|i| e_i[h]).sum()`
+/// performs, in the same order, as a per-appliance loop the compiler
+/// vectorizes.
+fn sum_other_appliances(
+    energies: &[TimeSeries<f64>],
+    slots: usize,
+    skip: usize,
+    acc: &mut Vec<f64>,
+) {
+    acc.clear();
+    acc.resize(slots, std::iter::empty::<f64>().sum());
+    for (index, energy) in energies.iter().enumerate() {
+        if index != skip {
+            for (sum, &value) in acc.iter_mut().zip(energy.iter()) {
+                *sum += value;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +424,7 @@ mod tests {
         clear_sky_profile, Appliance, ApplianceKind, Battery, PowerLevels, PvPanel, TaskSpec,
     };
     use nms_types::{ApplianceId, CustomerId, Horizon, Kw, Kwh};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -398,6 +483,45 @@ mod tests {
             .pv(PvPanel::new(Kw::new(2.0), clear_sky_profile(day(), Kw::new(2.0))).unwrap())
             .build()
             .unwrap()
+    }
+
+    proptest! {
+        /// The per-lane fold of the other appliances equals the per-slot
+        /// `enumerate().filter().sum()` it replaced, bit for bit, for 0–10
+        /// appliances. Both signed zeros are over-represented among the
+        /// energies: a fold seeded at `+0.0` turns an all-`-0.0` (or
+        /// empty) sum positive.
+        #[test]
+        fn other_appliance_fold_matches_filtered_sum(
+            count in 0_usize..=10,
+            skip in 0_usize..=10,
+            slots in 1_usize..30,
+            kinds in proptest::collection::vec(0_u8..4, 10 * 30),
+            magnitudes in proptest::collection::vec(-1.0_f64..1.0, 10 * 30),
+        ) {
+            let value = |i: usize| match kinds[i] {
+                0 => -0.0,
+                1 => 0.0,
+                2 => magnitudes[i] * 1e3,
+                _ => magnitudes[i] * 1e16,
+            };
+            let horizon = Horizon::hourly(slots);
+            let energies: Vec<TimeSeries<f64>> = (0..count)
+                .map(|a| TimeSeries::from_fn(horizon, |h| value(a * slots + h)))
+                .collect();
+            let mut acc = Vec::new();
+            sum_other_appliances(&energies, slots, skip, &mut acc);
+            prop_assert_eq!(acc.len(), slots);
+            for (h, &folded) in acc.iter().enumerate() {
+                let summed: f64 = energies
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *i != skip)
+                    .map(|(_, e)| e[h])
+                    .sum();
+                prop_assert_eq!(folded.to_bits(), summed.to_bits());
+            }
+        }
     }
 
     #[test]

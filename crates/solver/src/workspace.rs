@@ -3,10 +3,13 @@
 //! One best response alternates DP appliance scheduling with a CE battery
 //! step, `inner_iters` times, inside game rounds × customers × days ×
 //! sweep points. Every buffer those kernels touch per iteration lives here,
-//! so a warm [`ResponseWorkspace`] makes the steady-state hot path
-//! allocation-free: the DP value/back-pointer tables ([`DpWorkspace`]), the
-//! CE population ([`CeWorkspace`]), the hoisted per-slot billing table
-//! ([`HoistedCostTable`]), and the response-level series buffers.
+//! so outside the CE battery step a warm [`ResponseWorkspace`] makes the
+//! hot path allocation-free: the DP value/back-pointer tables
+//! ([`DpWorkspace`]), the CE population ([`CeWorkspace`]), the hoisted
+//! per-slot billing table ([`HoistedCostTable`]), and the response-level
+//! series buffers. The plan itself (per-appliance energies and battery
+//! trajectory) lives with the caller: the game engine keeps every
+//! customer's plan across its rounds.
 //!
 //! # Lifecycle
 //!
@@ -18,16 +21,16 @@
 //! allocation (`tests/solver_workspace.rs` pins this byte-for-byte).
 
 use nms_pricing::HoistedCostTable;
-use nms_types::{Horizon, Kwh, TimeSeries};
 
 use crate::ce::CeWorkspace;
 use crate::dp::DpWorkspace;
 
 /// Reusable scratch arena for [`best_response`](crate::best_response).
 ///
-/// See the [module docs](self) for the lifecycle contract. A default-built
-/// workspace is empty; buffers grow to the largest customer seen and stay
-/// warm from then on.
+/// Hold one per thread of execution and pass it to every solve. Buffers
+/// carry no state between solves, so reuse is bit-identical to fresh
+/// allocation. A default-built workspace is empty; buffers grow to the
+/// largest customer seen and stay warm from then on.
 #[derive(Debug, Clone, Default)]
 pub struct ResponseWorkspace {
     /// DP value/back-pointer tables.
@@ -41,13 +44,11 @@ pub struct ResponseWorkspace {
     /// Battery contribution to own trading (`b^{h+1} − b^h`).
     pub(crate) battery_delta: Vec<f64>,
     /// The customer's PV generation per slot.
-    pub(crate) generation: Option<TimeSeries<f64>>,
-    /// Total appliance + base load per slot (battery-step input).
-    pub(crate) load: Option<TimeSeries<f64>>,
-    /// Per-appliance energy series under coordinate descent.
-    pub(crate) energies: Vec<TimeSeries<f64>>,
-    /// The battery state-of-charge trajectory `b⁰..b^H`.
-    pub(crate) battery: Vec<Kwh>,
+    pub(crate) generation: Vec<f64>,
+    /// Total appliance + base load per slot.
+    pub(crate) load: Vec<f64>,
+    /// The trading lane `y^h` of the last response's plan.
+    pub(crate) trading: Vec<f64>,
     /// Previous-trajectory warm start (interior `b¹..b^H`).
     pub(crate) warm_prev: Vec<f64>,
     /// Coordinate-descent sweep candidate (interior `b¹..b^H`).
@@ -59,17 +60,4 @@ impl ResponseWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Reuses `slot`'s series when it already spans `horizon`, otherwise
-/// replaces it with a zero-filled one of the right length.
-pub(crate) fn series_for<'a>(
-    slot: &'a mut Option<TimeSeries<f64>>,
-    horizon: Horizon,
-) -> &'a mut TimeSeries<f64> {
-    match slot {
-        Some(series) if series.horizon() == horizon => {}
-        _ => *slot = Some(TimeSeries::filled(horizon, 0.0)),
-    }
-    slot.as_mut().expect("series populated above")
 }

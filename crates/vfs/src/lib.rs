@@ -11,9 +11,9 @@
 //!   `sync`/`set_len`, read-back);
 //! - [`StdVfs`] — the production implementation, a thin passthrough to
 //!   `std::fs`;
-//! - [`FaultVfs`](fault::FaultVfs) — a deterministic in-memory
+//! - [`FaultVfs`] — a deterministic in-memory
 //!   implementation that injects faults from a seeded
-//!   [`IoFaultPlan`](fault::IoFaultPlan): ENOSPC, short writes, fsync
+//!   [`IoFaultPlan`]: ENOSPC, short writes, fsync
 //!   failures, and a FoundationDB-style *kill at operation k* that tears
 //!   the in-flight write and fails everything after it, so a crash-point
 //!   sweep can enumerate every I/O operation of a run as a kill point;

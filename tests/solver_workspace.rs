@@ -117,11 +117,16 @@ fn hoisted_table_matches_closure_reference() {
 /// against a replica of the same iteration driven by the closure reference
 /// path with fresh allocations per response. Cases are `(customers, seed,
 /// rounds, use_battery)`: a small battery community over three rounds, and
-/// one battery-free round at the paper's scale (N = 500).
+/// battery-free games at the paper's scale (N = 500) of one round (cold
+/// starts only) and of three (warm starts from the engine's round state).
 #[test]
 fn game_rounds_bit_identical_to_closure_reference() {
-    for (customers, seed, rounds, use_battery) in [(5, 7, 3, true), (500, 2015, 1, false)] {
-        let label = format!("N={customers} seed {seed}");
+    for (customers, seed, rounds, use_battery) in [
+        (5, 7, 3, true),
+        (500, 2015, 1, false),
+        (500, 2015, 3, false),
+    ] {
+        let label = format!("N={customers} seed {seed} rounds {rounds}");
         let community = community(customers, seed);
         let prices = PriceSignal::time_of_use(community.horizon(), 0.05, 0.25).unwrap();
         let tariff = NetMeteringTariff::default();
