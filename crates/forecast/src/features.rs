@@ -203,6 +203,18 @@ impl PriceHistory {
         &self.prices
     }
 
+    /// The recorded community PV generation, aligned with the prices.
+    #[inline]
+    pub fn generation(&self) -> &[f64] {
+        &self.generation
+    }
+
+    /// The recorded community demand, aligned with the prices.
+    #[inline]
+    pub fn demand(&self) -> &[f64] {
+        &self.demand
+    }
+
     /// Slots per day the series was recorded at.
     #[inline]
     pub fn slots_per_day(&self) -> usize {

@@ -25,9 +25,8 @@
 //! durable checkpoint journal to memory through
 //! [`SupervisedOptions::in_memory`].
 
-use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use nms_obs::{span, NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
@@ -54,6 +53,7 @@ use nms_vfs::{FaultVfs, IoFaultPlan, StdVfs, StoragePolicy, Vfs};
 
 use crate::calibrate::{calibrate_detector, peak_deviation};
 use crate::faults::{corrupt_day_meters, FaultPlan};
+use crate::fork::{fork_day, Fork};
 use crate::journal::{
     DayRecord, FixRecord, HistoryRow, JournalError, JournalHeader, RunJournal, JOURNAL_VERSION,
 };
@@ -449,137 +449,6 @@ fn realize_day(
         &mut child,
         rec,
     )?)
-}
-
-/// The recorder the prediction helper sees while a day is forked
-/// (DESIGN.md §15). Commutative metrics (`add`, `observe`) go straight to
-/// the day's recorder; order-sensitive signals (events, gauges) are
-/// buffered and replayed on the calling thread after the join, so the
-/// trace keeps the sequential order and no event leaves a parallel region.
-/// Spans are dropped: the span tree profiles the calling thread only.
-struct Deferred<'a> {
-    rec: &'a dyn Recorder,
-    buffered: Mutex<Vec<DeferredSignal>>,
-}
-
-enum DeferredSignal {
-    Event(TraceEvent),
-    Gauge(String, f64),
-}
-
-impl<'a> Deferred<'a> {
-    fn new(rec: &'a dyn Recorder) -> Self {
-        Self {
-            rec,
-            buffered: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn push(&self, signal: DeferredSignal) {
-        self.buffered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(signal);
-    }
-
-    /// Emits the buffered signals on `rec`, in the order they were made.
-    fn replay(self) {
-        let buffered = self
-            .buffered
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        for signal in buffered {
-            match signal {
-                DeferredSignal::Event(event) => self.rec.event(&event),
-                DeferredSignal::Gauge(name, value) => self.rec.gauge(&name, value),
-            }
-        }
-    }
-}
-
-impl Recorder for Deferred<'_> {
-    fn enabled(&self) -> bool {
-        self.rec.enabled()
-    }
-
-    fn event(&self, event: &TraceEvent) {
-        self.push(DeferredSignal::Event(event.clone()));
-    }
-
-    fn add(&self, name: &str, by: u64) {
-        self.rec.add(name, by);
-    }
-
-    fn gauge(&self, name: &str, value: f64) {
-        self.push(DeferredSignal::Gauge(name.to_string(), value));
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.rec.observe(name, value);
-    }
-}
-
-/// Where a detection day runs the detector's day-ahead prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fork {
-    /// On one scoped helper thread, beside the clearing (every run).
-    Overlapped,
-    /// To completion on the calling thread before the clearing starts, its
-    /// outcome resolved as the overlapped day resolves it: the sequential
-    /// reference the overlapped day is checked against.
-    JoinedFirst,
-}
-
-/// Runs one detection day's two independent halves: `front` (clearing,
-/// attack, realization) on the calling thread with `rec`, and, when the
-/// run has a detector, `prediction` with a [`Deferred`] view of `rec`.
-/// Without a prediction no thread is spawned.
-///
-/// The outcome is the one running `front` and then `prediction` in
-/// sequence would give:
-///
-/// - `front`'s error wins (in sequence the prediction would not have run);
-/// - a prediction panic is re-raised with its original payload, so a fleet
-///   supervisor reports the prediction's own message;
-/// - then the prediction's error, after its buffered telemetry replays.
-///
-/// The `prediction` span wraps only the join, so it times the calling
-/// thread's wait for the helper.
-fn fork_day<A, B, E, F, P>(
-    front: F,
-    prediction: Option<P>,
-    fork: Fork,
-    rec: &dyn Recorder,
-) -> Result<(A, Option<B>), E>
-where
-    F: FnOnce() -> Result<A, E>,
-    P: FnOnce(&dyn Recorder) -> Result<B, E> + Send,
-    B: Send,
-    E: Send,
-{
-    let Some(prediction) = prediction else {
-        return Ok((front()?, None));
-    };
-    let deferred = Deferred::new(rec);
-    let (front, predicted) = match fork {
-        Fork::Overlapped => std::thread::scope(|scope| {
-            let helper = scope.spawn(|| prediction(&deferred));
-            let front = front();
-            let _wait = span(rec, "prediction");
-            (front, helper.join())
-        }),
-        Fork::JoinedFirst => {
-            let predicted = {
-                let _span = span(rec, "prediction");
-                std::panic::catch_unwind(AssertUnwindSafe(|| prediction(&deferred)))
-            };
-            (front(), predicted)
-        }
-    };
-    let front = front?;
-    let predicted = predicted.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    deferred.replay();
-    Ok((front, Some(predicted?)))
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
@@ -1356,113 +1225,6 @@ mod tests {
             "configs serialized before the knob existed must load as the \
              historical 2 clearing rounds, not usize::default()"
         );
-    }
-
-    /// Records event kinds and counter names in arrival order.
-    #[derive(Default)]
-    struct Log(Mutex<Vec<String>>);
-
-    impl Recorder for Log {
-        fn enabled(&self) -> bool {
-            true
-        }
-
-        fn event(&self, event: &TraceEvent) {
-            self.0.lock().unwrap().push(event.kind.clone());
-        }
-
-        fn add(&self, name: &str, _by: u64) {
-            self.0.lock().unwrap().push(name.to_string());
-        }
-    }
-
-    type Prediction = fn(&dyn Recorder) -> Result<u32, String>;
-
-    #[test]
-    fn fork_day_reraises_a_prediction_panic_with_its_own_message() {
-        // The fleet ladder isolates shards through `par_map_outcomes`; the
-        // verdict must carry the prediction's payload, not the scope's
-        // generic "a scoped thread panicked".
-        for fork in [Fork::Overlapped, Fork::JoinedFirst] {
-            let outcomes = nms_par::par_map_outcomes(1, &[()], &NoopRecorder, |_, _| {
-                let prediction: Prediction = |_| panic!("prediction exploded");
-                fork_day(|| Ok::<_, String>(1), Some(prediction), fork, &NoopRecorder)
-            });
-            match &outcomes[0] {
-                nms_par::Outcome::Panicked(message) => {
-                    assert!(
-                        message.contains("prediction exploded"),
-                        "{fork:?}: {message}"
-                    );
-                    assert!(!message.contains("scoped thread"), "{fork:?}: {message}");
-                }
-                other => panic!("{fork:?}: expected a panic verdict, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn fork_day_surfaces_errors_in_sequential_order() {
-        for fork in [Fork::Overlapped, Fork::JoinedFirst] {
-            let failing: Prediction = |_| Err("prediction".into());
-            let panicking: Prediction = |_| panic!("unreachable in sequence");
-            let front_fails = || Err::<u32, _>("clearing".to_string());
-            assert_eq!(
-                fork_day(front_fails, Some(failing), fork, &NoopRecorder),
-                Err("clearing".into()),
-                "{fork:?}: both fail, the clearing's error wins"
-            );
-            assert_eq!(
-                fork_day(front_fails, Some(panicking), fork, &NoopRecorder),
-                Err("clearing".into()),
-                "{fork:?}: in sequence the prediction never runs after a failed clearing"
-            );
-            assert_eq!(
-                fork_day(|| Ok::<_, String>(1), Some(failing), fork, &NoopRecorder),
-                Err("prediction".into())
-            );
-            let ok: Prediction = |_| Ok(2);
-            assert_eq!(
-                fork_day(|| Ok::<_, String>(1), Some(ok), fork, &NoopRecorder),
-                Ok((1, Some(2)))
-            );
-            assert_eq!(
-                fork_day(
-                    || Ok::<_, String>(1),
-                    None::<Prediction>,
-                    fork,
-                    &NoopRecorder
-                ),
-                Ok((1, None))
-            );
-        }
-    }
-
-    #[test]
-    fn fork_day_replays_prediction_events_after_the_front_half() {
-        let log = Log::default();
-        let caller = std::thread::current().id();
-        let (done, recorded) = std::sync::mpsc::channel();
-        let prediction = move |rec: &dyn Recorder| -> Result<bool, String> {
-            rec.event(&TraceEvent::new("predicted"));
-            rec.add("prediction_counter", 1);
-            done.send(()).unwrap();
-            Ok(std::thread::current().id() != caller)
-        };
-        let front = || -> Result<(), String> {
-            // The helper records first; its event must still come after.
-            recorded.recv().unwrap();
-            log.event(&TraceEvent::new("cleared"));
-            Ok(())
-        };
-        let (_, on_helper) = fork_day(front, Some(prediction), Fork::Overlapped, &log).unwrap();
-        assert_eq!(
-            on_helper,
-            Some(true),
-            "the prediction runs on a helper thread"
-        );
-        let seen = log.0.into_inner().unwrap();
-        assert_eq!(seen, ["prediction_counter", "cleared", "predicted"]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! metering changes the grid energy demand, which is considered by the
 //! utility when designing the guideline price").
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::{span, NoopRecorder, Recorder};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -13,6 +13,7 @@ use nms_forecast::PriceHistory;
 use nms_pricing::{PriceSignal, Utility};
 use nms_smarthome::Community;
 
+use crate::fork::fork_map;
 use crate::{CommunityGenerator, PaperScenario, SimError};
 
 /// One simulated market day: the cleared guideline price and the community's
@@ -69,9 +70,10 @@ impl Market {
     /// the game from `seed`; solver telemetry goes to `rec` (see
     /// [`GameEngine::solve`](nms_solver::GameEngine::solve)).
     ///
-    /// Callers that hold an RNG pass `rng.gen()`, one draw per day; callers
-    /// that clear days in parallel pre-draw the seeds in sequential order,
-    /// which keeps the parallel run on the same RNG stream.
+    /// Callers that hold an RNG pass `rng.gen()`, one draw per day. The
+    /// callers that clear several days at once (the calibration backtest,
+    /// [`Market::bootstrap_history`]) pre-draw one seed per day in day
+    /// order, which keeps them on the sequential loop's RNG stream.
     ///
     /// # Errors
     ///
@@ -87,19 +89,19 @@ impl Market {
         let mut price = PriceSignal::flat(horizon, self.utility.config().base_price)?;
         // Common random numbers across iterations keep the fixed point from
         // chasing solver noise.
-        let mut response = None;
         for _ in 0..iterations.max(1) {
             let mut child = ChaCha8Rng::seed_from_u64(seed);
-            let r = self.truth.predict(community, &price, &mut child, rec)?;
-            price = self.utility.design_price(&r.grid_demand);
-            response = Some(r);
+            let response = self.truth.predict(community, &price, &mut child, rec)?;
+            price = self.utility.design_price(&response.grid_demand);
+            if iterations == 0 {
+                return Ok(DayOutcome { price, response });
+            }
+            // Only the price carries over: the response, with its
+            // N-customer schedule, is freed before the next game solves.
         }
         // Final response to the final price.
         let mut child = ChaCha8Rng::seed_from_u64(seed);
-        let response = match iterations {
-            0 => response.expect("at least one iteration ran"),
-            _ => self.truth.predict(community, &price, &mut child, rec)?,
-        };
+        let response = self.truth.predict(community, &price, &mut child, rec)?;
         Ok(DayOutcome { price, response })
     }
 
@@ -122,9 +124,16 @@ impl Market {
     /// [`Market::bootstrap_history`] with solver telemetry routed into
     /// `rec`.
     ///
+    /// The days are independent given their seeds, so they clear on the
+    /// calling thread and one helper (DESIGN.md §15). One seed per day is
+    /// drawn from `rng` in day order first, so on success `rng` ends where
+    /// a loop drawing one seed per cleared day would leave it. The history,
+    /// the counters and the event sequence equal that loop's; the days'
+    /// solver spans are dropped, and a `bootstrap` span times the fork.
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when any day fails to clear.
+    /// Returns the error of the earliest day that fails to clear.
     pub fn bootstrap_history_recorded(
         &self,
         generator: &CommunityGenerator,
@@ -133,18 +142,31 @@ impl Market {
         rec: &dyn Recorder,
     ) -> Result<PriceHistory, SimError> {
         let weather = self.scenario.weather_factors(days);
-        let mut prices = Vec::new();
-        let mut generation = Vec::new();
-        let mut demand = Vec::new();
-        for (day, &clearness) in weather.iter().enumerate() {
-            let community = generator.community_for_day(day, clearness);
-            let outcome = self.clear_day(&community, 2, rng.gen(), rec)?;
+        let seeds: Vec<u64> = weather.iter().map(|_| rng.gen()).collect();
+        let _span = span(rec, "bootstrap");
+        // A day returns only its (price, generation, demand) per slot, so
+        // its N-customer schedule is freed on the thread that cleared it.
+        let cleared = fork_map(&seeds, rec, |day, &seed, rec| {
+            let community = generator.community_for_day(day, weather[day]);
+            let outcome = self.clear_day(&community, 2, seed, rec)?;
             let theta = community.total_generation();
-            for h in 0..community.horizon().slots() {
-                prices.push(outcome.price.at(h).value());
-                generation.push(theta[h]);
-                demand.push(outcome.response.load().at(h).value());
-            }
+            Ok::<_, SimError>(
+                (0..community.horizon().slots())
+                    .map(|h| {
+                        [
+                            outcome.price.at(h).value(),
+                            theta[h],
+                            outcome.response.load().at(h).value(),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        })?;
+        let (mut prices, mut generation, mut demand) = (Vec::new(), Vec::new(), Vec::new());
+        for [price, theta, load] in cleared.into_iter().flatten() {
+            prices.push(price);
+            generation.push(theta);
+            demand.push(load);
         }
         PriceHistory::new(prices, generation, demand, 24).map_err(Into::into)
     }

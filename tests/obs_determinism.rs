@@ -4,7 +4,7 @@
 //! same run with the no-op recorder — telemetry flows out, never back in.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, QuarantineConfig};
 use netmeter_sentinel::obs::{
@@ -12,9 +12,11 @@ use netmeter_sentinel::obs::{
 };
 use netmeter_sentinel::sim::export::export_long_term;
 use netmeter_sentinel::sim::{
-    FaultPlan, LongTermRunConfig, LongTermRunResult, MeterOutage, PaperScenario, SupervisedOptions,
-    SupervisedRun,
+    FaultPlan, LongTermRunConfig, LongTermRunResult, Market, MeterOutage, PaperScenario,
+    SupervisedOptions, SupervisedRun,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("nms-obs-{tag}-{}.jsonl", std::process::id()))
@@ -340,5 +342,107 @@ fn forked_detection_days_keep_the_sequential_trace() {
             Some("game_solved"),
             "day {day}: the prediction's game closes the day's front half"
         );
+    }
+}
+
+/// Keeps every event, without its wall-clock fields, in arrival order.
+#[derive(Default)]
+struct EventLog(Mutex<Vec<TraceEvent>>);
+
+impl Recorder for EventLog {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn event(&self, event: &TraceEvent) {
+        self.0.lock().unwrap().push(untimed(event));
+    }
+}
+
+/// The training epoch clears its bootstrap days on the calling thread and
+/// a helper. Against a plain loop that clears the days one after another,
+/// drawing each day's seed as it goes, the history, the RNG's position, the
+/// event sequence and the solver counters must be equal, for a PV-only
+/// community and a battery one (the CE path). Five days split unevenly
+/// between the two threads.
+#[test]
+fn forked_bootstrap_matches_the_sequential_loop() {
+    let days = 5;
+    for batteries in [false, true] {
+        for seed in [1, 2] {
+            let mut scenario = PaperScenario::small(10, seed);
+            scenario.training_days = days;
+            if !batteries {
+                scenario.battery_ownership = 0.0;
+            }
+            let market = Market::new(&scenario).unwrap();
+            let generator = scenario.generator();
+            let label = format!("batteries {batteries}, seed {seed}");
+            let recorder = || {
+                let events = Arc::new(EventLog::default());
+                let metrics = MetricsRegistry::new();
+                let tee = Tee::new(vec![
+                    events.clone() as Arc<dyn Recorder>,
+                    Arc::new(metrics.clone()),
+                ]);
+                (events, metrics, tee)
+            };
+
+            let (forked_events, forked_metrics, tee) = recorder();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let forked = market
+                .bootstrap_history_recorded(&generator, days, &mut rng, &tee)
+                .unwrap();
+            let forked_next: u64 = rng.gen();
+
+            let (loop_events, loop_metrics, tee) = recorder();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (mut prices, mut generation, mut demand) = (Vec::new(), Vec::new(), Vec::new());
+            for (day, &clearness) in scenario.weather_factors(days).iter().enumerate() {
+                let community = generator.community_for_day(day, clearness);
+                let outcome = market.clear_day(&community, 2, rng.gen(), &tee).unwrap();
+                let theta = community.total_generation();
+                for h in 0..community.horizon().slots() {
+                    prices.push(outcome.price.at(h).value());
+                    generation.push(theta[h]);
+                    demand.push(outcome.response.load().at(h).value());
+                }
+            }
+            let loop_next: u64 = rng.gen();
+
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(forked.len(), days * 24, "{label}");
+            assert_eq!(bits(forked.prices()), bits(&prices), "{label}");
+            assert_eq!(bits(forked.generation()), bits(&generation), "{label}");
+            assert_eq!(bits(forked.demand()), bits(&demand), "{label}");
+            assert_eq!(forked_next, loop_next, "{label}: the RNG must end in place");
+
+            let forked_events = forked_events.0.lock().unwrap().clone();
+            let loop_events = loop_events.0.lock().unwrap().clone();
+            let solved = loop_events
+                .iter()
+                .filter(|e| e.kind == "game_solved")
+                .count();
+            assert_eq!(solved, days * 3, "{label}: three games per day");
+            assert_eq!(forked_events, loop_events, "{label}");
+
+            for counter in [
+                "solver_games",
+                "solver_rounds",
+                "solver_dp_cells",
+                "solver_ce_solves",
+            ] {
+                assert_eq!(
+                    forked_metrics.counter(counter),
+                    loop_metrics.counter(counter),
+                    "{label}: {counter}"
+                );
+            }
+            assert_eq!(
+                loop_metrics.counter("solver_ce_solves") > 0,
+                batteries,
+                "{label}: CE runs exactly when homes have batteries"
+            );
+        }
     }
 }
