@@ -1,7 +1,7 @@
 //! Deterministic parallel execution layer (DESIGN.md §9).
 //!
-//! Every parallel loop in this workspace — parameter sweeps, calibration
-//! backtests, fleet shards — is a map over independent items whose
+//! Every parallel loop in this workspace — parameter sweeps and fleet
+//! shards — is a map over independent items whose
 //! per-item randomness is derived from a `(seed, index)` pair *before* the
 //! map runs. That makes the map's output a pure function of
 //! its inputs, so running it on N worker threads must produce bit-identical
@@ -41,12 +41,17 @@
 //! On a 1-core host every `par_map` therefore degrades to the sequential
 //! loop, which is exactly the fastest correct schedule there. Workers pull
 //! one item at a time: every map in the workspace is over few heavy items
-//! (sweep points, backtest days, shards), where load balance
+//! (sweep points, shards), where load balance
 //! matters more than the one `SeqCst` fetch-add per pull.
+//!
+//! A map whose workers fill the host marks them ([`worker_fills_host`]),
+//! so work nested inside an item can see that no core is left to fork
+//! onto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -103,6 +108,20 @@ pub fn host_threads() -> usize {
     *CORES.get_or_init(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     })
+}
+
+thread_local! {
+    /// Set at the start of a worker thread whose map runs one worker per
+    /// logical core.
+    static FILLS_HOST: Cell<bool> = const { Cell::new(false) };
+}
+
+/// `true` on a worker thread of a map that runs one worker per logical
+/// core of the host, so every core already has an item to work on.
+/// `false` on every other thread, including the caller of a map and a
+/// map's sequential path (which spawns no worker).
+pub fn worker_fills_host() -> bool {
+    FILLS_HOST.with(Cell::get)
 }
 
 /// The worker count actually used for a map of `n` items requested at
@@ -303,10 +322,12 @@ where
     // output independent of scheduling, and recording the tallies only
     // after the join keeps the recorder off the worker hot path.
     type WorkerYield<R, E> = (Vec<(usize, Outcome<R, E>)>, f64);
+    let fills_host = workers == host_threads();
     let gathered: Vec<WorkerYield<R, E>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move |_| {
+                    FILLS_HOST.with(|flag| flag.set(fills_host));
                     let busy = Instant::now();
                     let mut local: Vec<(usize, Outcome<R, E>)> = Vec::new();
                     while !abort.load(Ordering::SeqCst) {
@@ -454,6 +475,29 @@ mod tests {
         assert_eq!(resolve_workers(8, 3), 3.min(cores));
         assert_eq!(resolve_workers(2, 100), 2.min(cores));
         assert_eq!(resolve_workers(1, 100), 1);
+    }
+
+    #[test]
+    fn workers_are_marked_exactly_when_they_fill_the_host() {
+        let cores = host_threads();
+        let items: Vec<u64> = (0..cores.max(2) as u64).collect();
+        let marked = |_: usize, _: &u64| Ok::<_, String>(worker_fills_host());
+        assert!(!worker_fills_host(), "the caller is no worker");
+        assert!(
+            map(1, &items, marked).unwrap().iter().all(|&m| !m),
+            "the sequential path runs on the caller"
+        );
+        let filled = map(cores, &items, marked).unwrap();
+        assert!(
+            filled.iter().all(|&m| m == (cores > 1)),
+            "one worker per core on a multi-core host: {filled:?}"
+        );
+        let two = forced(2, &items, marked).unwrap();
+        assert!(
+            two.iter().all(|&m| m == (cores == 2)),
+            "two workers fill only a 2-core host: {two:?}"
+        );
+        assert!(!worker_fills_host(), "the mark stays on the workers");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use nms_types::{
 };
 use nms_vfs::{FaultVfs, IoFaultPlan, StdVfs, StoragePolicy, Vfs};
 
-use crate::calibrate::{calibrate_detector, peak_deviation};
+use crate::calibrate::{calibrate_detector, peak_deviation, Backtest};
 use crate::faults::{corrupt_day_meters, FaultPlan};
 use crate::fork::{fork_day, Fork};
 use crate::journal::{
@@ -100,8 +100,12 @@ pub struct LongTermRunConfig {
     /// injection, which is when per-meter telemetry exists).
     #[serde(default)]
     pub quarantine: QuarantineConfig,
-    /// Worker threads for the calibration backtest (defaults to
-    /// sequential, which is bit-identical to every parallel setting).
+    /// Read by nothing: the calibration backtest it used to fan out now
+    /// runs its days on the calling thread and one helper. It stays only
+    /// because `perfbench/src/inputs.rs` names it, and perfbench is edited
+    /// only by a benchmark change (ROADMAP direction 2 deletes the field).
+    /// It is still validated, and the journal's configuration fingerprint
+    /// still leaves it out, so a journal resumes under any value.
     #[serde(default)]
     pub parallelism: Parallelism,
     /// Fixed-point rounds of `price ← design(demand(price))` per cleared
@@ -283,21 +287,19 @@ fn train(
     let detector = match &config.detector {
         None => None,
         Some(framework) => {
-            let calibration = calibrate_detector(
+            let backtest = Backtest {
                 scenario,
                 framework,
-                &config.timeline,
-                config.buckets,
-                config.bucket_fraction_step,
-                &config.retry,
-                &config.budget,
-                &setup.market,
-                &setup.generator,
-                &history,
-                &config.parallelism,
-                rng,
-                rec,
-            )?;
+                timeline: &config.timeline,
+                buckets: config.buckets,
+                bucket_fraction_step: config.bucket_fraction_step,
+                retry: &config.retry,
+                budget: &config.budget,
+                market: &setup.market,
+                generator: &setup.generator,
+                history: &history,
+            };
+            let calibration = calibrate_detector(&backtest, rng, rec)?;
             health.merge(&calibration.health);
             let mut long_term_config = framework.long_term;
             long_term_config.buckets = config.buckets;

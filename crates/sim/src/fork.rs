@@ -1,9 +1,10 @@
 //! Forked regions that keep the sequential trace (DESIGN.md §15).
 //!
-//! Two places run independent work beside the calling thread: a detection
-//! day forks its detector prediction beside the market clearing
-//! ([`fork_day`]), and the training epoch clears its bootstrap days on the
-//! calling thread and one helper ([`fork_map`]). Both hand the forked work
+//! Two kinds of region run independent work beside the calling thread: a
+//! detection day forks its detector prediction beside the market clearing
+//! ([`fork_day`]), and the training epoch runs its bootstrap days and then
+//! its calibration backtest days on the calling thread and one helper
+//! ([`fork_map`]). Both hand the forked work
 //! a [`Deferred`] view of the run's recorder and settle errors and panics
 //! as the sequential order would, so a forked run's results, counters and
 //! event sequence equal the sequential run's.
@@ -167,8 +168,10 @@ type Finished<'a, R, E> = (usize, std::thread::Result<Result<R, E>>, Deferred<'a
 ///
 /// Items after the lowest failure that were already running finish, and
 /// their counters and observations have been recorded; their events are
-/// dropped. On a 1-core host ([`nms_par::host_threads`]) nothing is
-/// spawned and the calling thread runs every item.
+/// dropped. Nothing is spawned, and the calling thread runs every item,
+/// on a 1-core host ([`nms_par::host_threads`]) and on a worker of a map
+/// that already runs one worker per core ([`nms_par::worker_fills_host`]):
+/// there the helper would find no idle core.
 pub(crate) fn fork_map<T, R, E, F>(items: &[T], rec: &dyn Recorder, f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
@@ -194,7 +197,8 @@ where
         }
         finished
     };
-    let mut finished = if nms_par::host_threads() > 1 && items.len() > 1 {
+    let helper_has_a_core = nms_par::host_threads() > 1 && !nms_par::worker_fills_host();
+    let mut finished = if helper_has_a_core && items.len() > 1 {
         std::thread::scope(|scope| {
             let helper = scope.spawn(work);
             let mut finished = work();
@@ -370,6 +374,26 @@ mod tests {
         );
         let seen = log.0.into_inner().unwrap();
         assert_eq!(seen, ["item0", "item1", "item2"]);
+    }
+
+    #[test]
+    fn fork_map_runs_inline_on_a_worker_that_fills_the_host() {
+        let cores = nms_par::host_threads();
+        let shards: Vec<usize> = (0..cores.max(2)).collect();
+        let inline = nms_par::par_map(cores, &shards, &NoopRecorder, |_, _| {
+            let worker = std::thread::current().id();
+            // Each item takes long enough for a spawned helper to pull one.
+            let threads = fork_map(&[0, 1, 2], &NoopRecorder, |_, _, _| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Ok::<_, String>(std::thread::current().id())
+            })?;
+            Ok::<_, String>(threads.iter().all(|&thread| thread == worker))
+        })
+        .unwrap();
+        assert!(
+            inline.iter().all(|&inline| inline),
+            "every item runs on the worker's own thread"
+        );
     }
 
     #[test]

@@ -6,11 +6,6 @@
 //! cargo run --release --example long_term_monitoring -- --customers 60
 //! ```
 //!
-//! `--threads <n>` fans the detector's calibration backtest out over `n`
-//! workers (clamped to the host's cores; results are bit-identical to the
-//! sequential default). The per-day equilibrium solves always run
-//! sequentially.
-//!
 //! Each detector's run journals every completed day. Without `--journal`
 //! the journal lives in memory; with `--journal <path>` it goes to disk,
 //! and a rerun with the same journal resumes instead of recomputing.
@@ -53,15 +48,12 @@ use netmeter_sentinel::obs::{
 };
 use netmeter_sentinel::serve::{TelemetryServer, TraceTail};
 use netmeter_sentinel::sim::experiments::paper_timeline;
-use netmeter_sentinel::sim::{
-    LongTermRunConfig, PaperScenario, Parallelism, SupervisedOptions, SupervisedRun,
-};
+use netmeter_sentinel::sim::{LongTermRunConfig, PaperScenario, SupervisedOptions, SupervisedRun};
 use netmeter_sentinel::types::{FleetHealth, StorageFaultCounts};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut customers = 60usize;
     let mut seed = 7u64;
-    let mut threads = 1usize;
     let mut journal: Option<PathBuf> = None;
     let mut kill_after: Option<usize> = None;
     let mut trace_path: Option<PathBuf> = None;
@@ -73,7 +65,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         match arg.as_str() {
             "--customers" | "-n" => customers = args.next().ok_or("need value")?.parse()?,
             "--seed" | "-s" => seed = args.next().ok_or("need value")?.parse()?,
-            "--threads" | "-p" => threads = args.next().ok_or("need value")?.parse()?,
             "--journal" | "-j" => journal = Some(args.next().ok_or("need value")?.into()),
             "--kill-after" | "-k" => kill_after = Some(args.next().ok_or("need value")?.parse()?),
             "--trace" | "-t" => trace_path = Some(args.next().ok_or("need value")?.into()),
@@ -160,7 +151,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             retry: Default::default(),
             budget: Default::default(),
             quarantine: Default::default(),
-            parallelism: Parallelism::new(threads),
+            parallelism: Default::default(),
             clearing_iterations: 2,
         };
         // One journal per detector mode: on disk, derived from the flag,
