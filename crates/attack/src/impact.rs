@@ -95,12 +95,6 @@ impl AttackImpact {
     pub fn is_par_attack(&self, delta: f64) -> bool {
         self.par_increase > delta
     }
-
-    /// `true` when the attack succeeded as a bill attack: the compromised
-    /// homes' bills dropped while the honest homes picked up cost.
-    pub fn is_bill_attack(&self) -> bool {
-        self.hacked_bill_change.value() < 0.0 && self.honest_bill_change.value() > 0.0
-    }
 }
 
 impl std::fmt::Display for AttackImpact {
@@ -192,7 +186,9 @@ mod tests {
         // Piling both loads into one slot raises the quadratic unit price:
         // everyone pays more, so this is not a successful bill attack.
         assert!(impact.community_bill_change.value() > 0.0);
-        assert!(!impact.is_bill_attack());
+        assert!(
+            impact.hacked_bill_change.value() >= 0.0 || impact.honest_bill_change.value() <= 0.0
+        );
         assert!(
             (impact.community_bill_change
                 - (impact.hacked_bill_change + impact.honest_bill_change))

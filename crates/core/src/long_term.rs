@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use nms_pomdp::{Belief, Policy, Pomdp, QmdpPolicy};
+use nms_pomdp::{Belief, Pomdp, QmdpPolicy};
 use nms_types::ValidateError;
 
 /// The two actions of the paper's POMDP.
@@ -213,11 +213,6 @@ impl LongTermDetector {
         &self.belief
     }
 
-    /// The most likely bucket under the current belief.
-    pub fn estimated_bucket(&self) -> usize {
-        self.belief.argmax()
-    }
-
     /// Resets the belief to "everything healthy" (after an out-of-band
     /// full fleet audit).
     pub fn reset(&mut self) {
@@ -409,7 +404,7 @@ mod tests {
             "detector never fixed under max-severity observations"
         );
         // After the fix the belief should be concentrated low again.
-        assert_eq!(detector.estimated_bucket(), 0);
+        assert_eq!(detector.belief().argmax(), 0);
     }
 
     #[test]
@@ -418,7 +413,7 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(detector.observe_and_act(0), DetectorAction::Monitor);
         }
-        assert_eq!(detector.estimated_bucket(), 0);
+        assert_eq!(detector.belief().argmax(), 0);
     }
 
     #[test]
@@ -459,7 +454,7 @@ mod tests {
         let top = detector.config().buckets - 1;
         detector.observe_and_act(top);
         detector.reset();
-        assert_eq!(detector.estimated_bucket(), 0);
+        assert_eq!(detector.belief().argmax(), 0);
         assert!((detector.belief().prob(0) - 1.0).abs() < 1e-12);
     }
 
@@ -485,7 +480,7 @@ mod tests {
         probabilities[1] = 0.75;
         probabilities[0] = 0.25;
         detector.restore_belief(&probabilities).unwrap();
-        assert_eq!(detector.estimated_bucket(), 1);
+        assert_eq!(detector.belief().argmax(), 1);
         assert!((detector.belief().prob(1) - 0.75).abs() < 1e-12);
 
         // Wrong length, bad values, and a non-distribution all error.

@@ -138,13 +138,6 @@ impl PricePredictor {
         self.model.is_some() || self.baseline_fallback
     }
 
-    /// `true` when predictions come from the seasonal-mean baseline rather
-    /// than a fitted SVR.
-    #[inline]
-    pub fn is_baseline_fallback(&self) -> bool {
-        self.baseline_fallback
-    }
-
     /// Fits the SVR on the recorded history.
     ///
     /// # Errors
@@ -443,7 +436,7 @@ mod tests {
             .unwrap();
         assert!(report.converged);
         assert!(report.fallback.is_none());
-        assert!(!aware.is_baseline_fallback());
+        assert!(!aware.baseline_fallback);
         aware
             .predict_day(&history, Horizon::hourly_day(), Some(&forecast))
             .unwrap();
@@ -473,7 +466,7 @@ mod tests {
         assert_eq!(record.component, "price-predictor");
         assert_eq!(record.from, "svr");
         assert_eq!(record.to, "seasonal-baseline");
-        assert!(naive.is_trained() && naive.is_baseline_fallback());
+        assert!(naive.is_trained() && naive.baseline_fallback);
 
         // The degraded predictor still produces a full price signal — the
         // seasonal mean of the history.
@@ -514,7 +507,7 @@ mod tests {
             "reason: {}",
             record.reason
         );
-        assert!(naive.is_baseline_fallback());
+        assert!(naive.baseline_fallback);
         // The degraded predictor still produces a full finite signal.
         let predicted = naive
             .predict_day(&history, Horizon::hourly_day(), None)
@@ -535,7 +528,7 @@ mod tests {
             .unwrap();
         assert!(!report.converged);
         assert!(report.fallback.is_some());
-        assert!(naive.is_baseline_fallback());
+        assert!(naive.baseline_fallback);
         let predicted = naive
             .predict_day(&history, Horizon::hourly_day(), None)
             .unwrap();

@@ -435,17 +435,6 @@ impl Svr {
             + self.bias
     }
 
-    /// Predicts a batch of samples.
-    pub fn predict_all(&self, samples: &[Vec<f64>]) -> Vec<f64> {
-        samples.iter().map(|s| self.predict(s)).collect()
-    }
-
-    /// Number of support vectors retained.
-    #[inline]
-    pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
-    }
-
     /// The fitted bias term.
     #[inline]
     pub fn bias(&self) -> f64 {
@@ -478,7 +467,7 @@ mod tests {
             ..SvrParams::default()
         };
         let model = fit(&xs, &ys, &params).unwrap();
-        let preds = model.predict_all(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| model.predict(x)).collect();
         assert!(rmse(&preds, &ys) < 0.05, "rmse {}", rmse(&preds, &ys));
     }
 
@@ -494,7 +483,7 @@ mod tests {
             ..SvrParams::default()
         };
         let model = fit(&xs, &ys, &params).unwrap();
-        let preds = model.predict_all(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| model.predict(x)).collect();
         assert!(rmse(&preds, &ys) < 0.08, "rmse {}", rmse(&preds, &ys));
         // Interpolates between training points too.
         let mid = model.predict(&[1.05]);
@@ -525,7 +514,7 @@ mod tests {
         )
         .unwrap();
         // A wide tube swallows most points: fewer support vectors.
-        assert!(loose.support_vector_count() <= tight.support_vector_count());
+        assert!(loose.support_vectors.len() <= tight.support_vectors.len());
     }
 
     #[test]
@@ -635,7 +624,7 @@ mod tests {
             Svr::fit_with_retry(&xs, &ys, &params, &policy, &SolveBudget::unlimited()).unwrap();
         assert!(report.converged, "report {report:?}");
         assert!(report.attempts > 1, "report {report:?}");
-        let preds = model.predict_all(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| model.predict(x)).collect();
         assert!(rmse(&preds, &ys) < 0.05);
     }
 
@@ -715,7 +704,7 @@ mod tests {
             ..SvrParams::default()
         };
         let model = fit(&xs, &ys, &params).unwrap();
-        let preds = model.predict_all(&xs);
+        let preds: Vec<f64> = xs.iter().map(|x| model.predict(x)).collect();
         assert!(rmse(&preds, &ys) < 1.0, "rmse {}", rmse(&preds, &ys));
     }
 }

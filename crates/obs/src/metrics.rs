@@ -159,16 +159,6 @@ impl MetricsRegistry {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pre-registers `name` as a histogram with explicit bucket bounds.
-    /// Without this, the first [`MetricsRegistry::observe_value`] creates
-    /// the histogram with default bounds.
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds));
-    }
-
     /// Adds `by` to the counter `name` (created at zero on first use).
     pub fn add_counter(&self, name: &str, by: u64) {
         *self.lock().counters.entry(name.to_string()).or_insert(0) += by;
@@ -343,19 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_renders_zero() {
-        let registry = MetricsRegistry::new();
-        registry.register_histogram("idle_seconds", &[0.1, 1.0]);
-        let h = registry.histogram("idle_seconds").unwrap();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        assert_eq!(h.counts(), &[0, 0, 0]);
-        let exposition = registry.render_prometheus();
-        assert!(exposition.contains("nms_idle_seconds_count 0"));
-        assert!(exposition.contains("nms_idle_seconds_bucket{le=\"+Inf\"} 0"));
-    }
-
-    #[test]
     fn single_sample_lands_in_its_bucket() {
         let mut h = Histogram::new(&[1.0, 10.0]);
         h.observe(5.0);
@@ -387,7 +364,6 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_cumulative_and_sanitized() {
         let registry = MetricsRegistry::new();
-        registry.register_histogram("solve.secs", &[1.0, 10.0]);
         registry.observe_value("solve.secs", 0.5);
         registry.observe_value("solve.secs", 2.0);
         registry.observe_value("solve.secs", 100.0);
@@ -473,13 +449,13 @@ mod tests {
     #[test]
     fn exposition_includes_quantile_lines() {
         let registry = MetricsRegistry::new();
-        registry.register_histogram("lat", &[1.0, 2.0, 4.0]);
         for value in [0.5, 1.5, 2.0, 3.0] {
             registry.observe_value("lat", value);
         }
         let exposition = registry.render_prometheus();
-        assert!(exposition.contains("nms_lat{quantile=\"0.5\"} 1.5"), "{exposition}");
-        for (label, expected) in [("0.95", 3.6), ("0.99", 3.92)] {
+        // Default bounds: one sample in (0.1, 1], three in (1, 10], so
+        // rank r interpolates to 1 + 9·(r − 1)/3.
+        for (label, expected) in [("0.5", 4.0), ("0.95", 9.4), ("0.99", 9.88)] {
             let needle = format!("nms_lat{{quantile=\"{label}\"}} ");
             let line = exposition
                 .lines()
@@ -488,10 +464,6 @@ mod tests {
             let value: f64 = line[needle.len()..].parse().unwrap();
             assert!((value - expected).abs() < 1e-9, "{line}");
         }
-        // Empty histograms render no quantile lines at all.
-        let empty = MetricsRegistry::new();
-        empty.register_histogram("idle", &[1.0]);
-        assert!(!empty.render_prometheus().contains("quantile"));
     }
 
     #[test]

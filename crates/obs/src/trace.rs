@@ -26,7 +26,6 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use nms_types::StorageFaultLedger;
 use nms_vfs::{write_atomic, StdVfs, StoragePolicy, Vfs, VfsFile};
 
 use crate::Recorder;
@@ -236,7 +235,6 @@ pub struct JsonlTrace {
     path: PathBuf,
     writer: Mutex<Box<dyn VfsFile>>,
     dropped: AtomicU64,
-    ledger: Option<StorageFaultLedger>,
 }
 
 impl JsonlTrace {
@@ -283,21 +281,7 @@ impl JsonlTrace {
             path,
             writer: Mutex::new(writer),
             dropped: AtomicU64::new(0),
-            ledger: None,
         })
-    }
-
-    /// Mirrors every dropped event into `ledger` (as
-    /// `StorageFaultCounts::trace_dropped`), so drops that happen *after*
-    /// the header was written successfully still surface in
-    /// `RunHealth.storage` and any `/health` endpoint fed from the same
-    /// ledger — not just in this writer's local [`JsonlTrace::dropped`]
-    /// counter. Pass a clone of the run's `SupervisedOptions::storage`
-    /// ledger to get the merge for free at `finish()`.
-    #[must_use]
-    pub fn with_ledger(mut self, ledger: StorageFaultLedger) -> Self {
-        self.ledger = Some(ledger);
-        self
     }
 
     /// Where the trace lives.
@@ -313,9 +297,6 @@ impl JsonlTrace {
 
     fn count_drop(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
-        if let Some(ledger) = &self.ledger {
-            ledger.record(|counts| counts.trace_dropped += 1);
-        }
     }
 }
 
@@ -537,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn post_header_drops_surface_in_the_shared_ledger() {
+    fn post_header_drops_are_counted_and_never_parsed() {
         use nms_vfs::{FaultVfs, IoFaultPlan};
 
         // Probe how many VFS ops a clean creation consumes, then kill the
@@ -549,17 +530,13 @@ mod tests {
         let creation_ops = probe.ops();
 
         let vfs = FaultVfs::new(IoFaultPlan::kill_at(creation_ops));
-        let ledger = StorageFaultLedger::new();
-        let trace = JsonlTrace::create_on(Arc::new(vfs.clone()), &path)
-            .unwrap()
-            .with_ledger(ledger.clone());
+        let trace = JsonlTrace::create_on(Arc::new(vfs.clone()), &path).unwrap();
         trace.event(&TraceEvent::new("lost").day(0));
         trace.event(&TraceEvent::new("lost").day(1));
-        assert_eq!(trace.dropped(), 2, "local counter still works");
         assert_eq!(
-            ledger.snapshot().trace_dropped,
+            trace.dropped(),
             2,
-            "drops after a successful header must reach the shared ledger"
+            "drops after a successful header are counted"
         );
         // The header itself survived; the killed append may have left a
         // torn tail, which the seal must surface as a typed corruption —

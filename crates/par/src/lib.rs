@@ -151,11 +151,6 @@ impl<R, E> Outcome<R, E> {
         matches!(self, Self::Ok(_))
     }
 
-    /// `true` for [`Outcome::Panicked`].
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, Self::Panicked(_))
-    }
-
     /// The success value, if any.
     pub fn ok(self) -> Option<R> {
         match self {
@@ -625,7 +620,7 @@ mod tests {
             }
             Ok(*item)
         });
-        assert!(outcomes[0].is_panicked());
+        assert!(matches!(outcomes[0], Outcome::Panicked(_)));
         assert_eq!(outcomes[1..], [Outcome::Ok(1), Outcome::Ok(2), Outcome::Ok(3)]);
     }
 

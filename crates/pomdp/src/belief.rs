@@ -1,12 +1,10 @@
 //! Bayesian belief states over the POMDP's hidden state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Pomdp;
 
 /// A probability distribution over states ("the decision maker needs to
 /// estimate the state from the observation", §4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Belief {
     probabilities: Vec<f64>,
 }

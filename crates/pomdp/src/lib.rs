@@ -4,20 +4,21 @@
 //! The paper's long-term detector is a POMDP `⟨S, O, A, T, R, Ω⟩` whose
 //! states count hacked smart meters, whose observations are buckets of the
 //! measured PAR excess, and whose two actions are *continue monitoring*
-//! and *check & fix*. This crate provides the general machinery:
+//! and *check & fix*. This crate provides what that detector runs:
 //!
 //! * [`Pomdp`] — validated model (transition, observation, reward tensors);
 //! * [`Belief`] — Bayesian belief tracking over states;
-//! * [`QmdpPolicy`] / [`PbviPolicy`] — two standard approximate solvers
-//!   (QMDP underestimates information value; point-based value iteration
-//!   handles it properly at higher cost);
-//! * [`rollout`] — Monte-Carlo policy evaluation against the generative
-//!   model.
+//! * [`QmdpPolicy`] — the QMDP solver (value iteration on the underlying
+//!   MDP), whose value is an upper bound on the optimal one.
+//!
+//! `PbviPolicy` (point-based value iteration, a lower bound) is kept
+//! hidden from the docs as the independent oracle the cross-check tests
+//! bracket QMDP with; no run uses it.
 //!
 //! # Examples
 //!
 //! ```
-//! use nms_pomdp::{Belief, Pomdp, Policy, QmdpPolicy};
+//! use nms_pomdp::{Belief, Pomdp, QmdpPolicy};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // The classic 2-state tiger-style problem, reduced: state 0 = safe,
@@ -45,13 +46,11 @@
 #![warn(missing_docs)]
 
 mod belief;
-mod grid;
 mod model;
-mod rollout;
 mod solvers;
 
 pub use belief::Belief;
-pub use grid::{GridConfig, GridPolicy};
 pub use model::{BuildPomdpError, Pomdp, PomdpBuilder};
-pub use rollout::{rollout, RolloutOutcome};
-pub use solvers::{PbviConfig, PbviPolicy, Policy, QmdpPolicy};
+pub use solvers::QmdpPolicy;
+#[doc(hidden)]
+pub use solvers::{PbviConfig, PbviPolicy};

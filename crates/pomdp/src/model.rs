@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Why a [`PomdpBuilder`] rejected a model.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -53,7 +51,7 @@ impl Error for BuildPomdpError {}
 /// * `Ω(o | s', a)` — observation probability conditioned on the *arrival*
 ///   state (the convention of \[4\]);
 /// * `R(s, a, s')` — immediate reward.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pomdp {
     states: usize,
     actions: usize,
@@ -117,12 +115,6 @@ impl Pomdp {
         self.observation[action][next][observation]
     }
 
-    /// `R(s, a, s')`.
-    #[inline]
-    pub fn reward(&self, state: usize, action: usize, next: usize) -> f64 {
-        self.reward[action][state][next]
-    }
-
     /// Expected immediate reward `R̄(s, a) = Σ_{s'} T(s'|s,a) R(s,a,s')`.
     pub fn expected_reward(&self, state: usize, action: usize) -> f64 {
         (0..self.states)
@@ -134,12 +126,6 @@ impl Pomdp {
     #[inline]
     pub fn transition_row(&self, state: usize, action: usize) -> &[f64] {
         &self.transition[action][state]
-    }
-
-    /// The observation row `Ω(· | s', a)`.
-    #[inline]
-    pub fn observation_row(&self, next: usize, action: usize) -> &[f64] {
-        &self.observation[action][next]
     }
 }
 
@@ -306,7 +292,7 @@ mod tests {
         assert_eq!(p.observations(), 2);
         assert_eq!(p.transition_prob(0, 0, 1), 0.1);
         assert_eq!(p.observation_prob(1, 0, 1), 0.7);
-        assert_eq!(p.reward(1, 1, 0), -11.0);
+        assert_eq!(p.reward[1][1][0], -11.0);
         assert!((p.discount() - 0.9).abs() < 1e-12);
     }
 

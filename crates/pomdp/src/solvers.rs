@@ -1,17 +1,7 @@
-//! Approximate POMDP solvers: QMDP and point-based value iteration.
-
-use serde::{Deserialize, Serialize};
+//! Approximate POMDP solvers: QMDP, which the detector runs, and point-based
+//! value iteration, the oracle the cross-check tests bracket QMDP with.
 
 use crate::{Belief, Pomdp};
-
-/// Anything that maps a belief to an action.
-pub trait Policy {
-    /// The action to take under `belief`.
-    fn action(&self, belief: &Belief) -> usize;
-
-    /// The policy's estimate of the discounted value of `belief`.
-    fn value(&self, belief: &Belief) -> f64;
-}
 
 /// The QMDP approximation: solve the fully observable MDP, then score
 /// actions by `Σ_s b(s) Q*(s, a)`.
@@ -19,7 +9,7 @@ pub trait Policy {
 /// QMDP is exact when uncertainty disappears after one step; it
 /// under-values information-gathering actions but is fast and a standard
 /// baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QmdpPolicy {
     /// `q[s][a]` of the underlying MDP.
     q: Vec<Vec<f64>>,
@@ -78,10 +68,9 @@ impl QmdpPolicy {
     pub fn q(&self, state: usize, action: usize) -> f64 {
         self.q[state][action]
     }
-}
 
-impl Policy for QmdpPolicy {
-    fn action(&self, belief: &Belief) -> usize {
+    /// The action maximizing `Σ_s b(s) Q*(s, a)` under `belief`.
+    pub fn action(&self, belief: &Belief) -> usize {
         let actions = self.q[0].len();
         (0..actions)
             .max_by(|&a, &b| {
@@ -92,7 +81,9 @@ impl Policy for QmdpPolicy {
             .expect("at least one action")
     }
 
-    fn value(&self, belief: &Belief) -> f64 {
+    /// The QMDP value `max_a Σ_s b(s) Q*(s, a)`, an upper bound on the
+    /// optimal value of `belief`.
+    pub fn value(&self, belief: &Belief) -> f64 {
         let actions = self.q[0].len();
         (0..actions)
             .map(|a| belief.expectation(|s| self.q[s][a]))
@@ -101,7 +92,7 @@ impl Policy for QmdpPolicy {
 }
 
 /// Configuration for [`PbviPolicy::solve`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PbviConfig {
     /// Backup iterations (each improves the value function one step
     /// deeper).
@@ -128,7 +119,7 @@ impl Default for PbviConfig {
 /// Point-based value iteration (Pineau et al. style): maintains one alpha
 /// vector per belief point and performs exact Bellman backups at those
 /// points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PbviPolicy {
     /// Alpha vectors (`alpha[i][s]`).
     alphas: Vec<Vec<f64>>,
@@ -269,15 +260,8 @@ impl PbviPolicy {
         beliefs
     }
 
-    /// Number of alpha vectors retained.
-    #[inline]
-    pub fn alpha_count(&self) -> usize {
-        self.alphas.len()
-    }
-}
-
-impl Policy for PbviPolicy {
-    fn action(&self, belief: &Belief) -> usize {
+    /// The action of the alpha vector that scores `belief` highest.
+    pub fn action(&self, belief: &Belief) -> usize {
         let mut best_score = f64::NEG_INFINITY;
         let mut best_action = 0;
         for (alpha, &action) in self.alphas.iter().zip(&self.actions) {
@@ -295,7 +279,9 @@ impl Policy for PbviPolicy {
         best_action
     }
 
-    fn value(&self, belief: &Belief) -> f64 {
+    /// The PBVI value `max_α b · α`, a lower bound on the optimal value of
+    /// `belief`.
+    pub fn value(&self, belief: &Belief) -> f64 {
         self.alphas
             .iter()
             .map(|alpha| {
@@ -396,7 +382,7 @@ mod tests {
         let pbvi = PbviPolicy::solve(&pomdp, &PbviConfig::default());
         assert_eq!(pbvi.action(&Belief::point(3, 2)), 1);
         assert_eq!(pbvi.action(&Belief::point(3, 0)), 0);
-        assert!(pbvi.alpha_count() >= 1);
+        assert!(!pbvi.alphas.is_empty());
     }
 
     #[test]

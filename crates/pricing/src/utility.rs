@@ -130,19 +130,6 @@ impl Utility {
         PriceSignal::new(series)
             .expect("designed prices are non-negative and finite by construction")
     }
-
-    /// Inverse of [`design_price`](Self::design_price) below the cap:
-    /// recovers per-customer net demand from a price. Used by detectors to
-    /// reason about what demand a received price implies.
-    pub fn implied_demand_per_customer(&self, price: &PriceSignal) -> TimeSeries<f64> {
-        price.as_series().map(|&p| {
-            if self.config.sensitivity == 0.0 {
-                0.0
-            } else {
-                ((p - self.config.base_price) / self.config.sensitivity).max(0.0)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -205,23 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn implied_demand_inverts_design_below_cap() {
-        let utility = Utility::new(UtilityConfig::default(), 20).unwrap();
-        let demand = TimeSeries::from_fn(day(), |h| 5.0 + h as f64);
-        let price = utility.design_price(&demand);
-        let implied = utility.implied_demand_per_customer(&price);
-        for h in 0..24 {
-            let per_customer = demand[h] / 20.0;
-            assert!(
-                (implied[h] - per_customer).abs() < 1e-9,
-                "slot {h}: {} vs {}",
-                implied[h],
-                per_customer
-            );
-        }
-    }
-
-    #[test]
     fn zero_sensitivity_implies_flat_price() {
         let config = UtilityConfig {
             sensitivity: 0.0,
@@ -234,11 +204,6 @@ mod tests {
             .as_series()
             .iter()
             .all(|&p| (p - config.base_price).abs() < 1e-12));
-        // Implied demand degenerates to zero rather than dividing by zero.
-        assert!(utility
-            .implied_demand_per_customer(&price)
-            .iter()
-            .all(|&d| d == 0.0));
     }
 
     proptest! {

@@ -139,11 +139,6 @@ impl SnapshotPublisher {
     pub fn metrics_text(&self) -> String {
         lock(&self.state).metrics.clone()
     }
-
-    /// The currently published health JSON (what `/health` serves).
-    pub fn health_text(&self) -> String {
-        lock(&self.state).health.clone()
-    }
 }
 
 /// A [`Recorder`] event sink that mirrors sealed trace lines into the

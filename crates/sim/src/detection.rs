@@ -45,8 +45,7 @@ use nms_par::Parallelism;
 use nms_pricing::PriceSignal;
 use nms_smarthome::Community;
 use nms_types::{
-    DayHealth, MeterId, RetryPolicy, RunHealth, SolveBudget, StorageFaultCounts,
-    StorageFaultLedger, TimeSeries,
+    DayHealth, MeterId, RetryPolicy, RunHealth, SolveBudget, StorageFaultLedger, TimeSeries,
     ValidateError,
 };
 use nms_vfs::{FaultVfs, IoFaultPlan, StdVfs, StoragePolicy, Vfs};
@@ -1108,14 +1107,6 @@ impl SupervisedRun {
         Ok(())
     }
 
-    /// Storage faults this run's ledger absorbed so far (never part of the
-    /// journaled state — see the field's invariant). When the run was built
-    /// from cloned options, this covers every earlier incarnation of the
-    /// run that shared the ledger, not just this value.
-    pub fn storage_faults(&self) -> StorageFaultCounts {
-        self.storage.snapshot()
-    }
-
     /// Consumes the run and produces the final result (valid at any point;
     /// covers the completed days).
     ///
@@ -1408,7 +1399,7 @@ mod tests {
         let mut run_a =
             SupervisedRun::with_options(&scenario, &config, 5, path, options_a.clone()).unwrap();
         assert!(run_a.step_day().is_err(), "append through a dead disk must fail");
-        assert_eq!(run_a.storage_faults().journal_append_failures, 1);
+        assert_eq!(run_a.storage.snapshot().journal_append_failures, 1);
         drop(run_a);
 
         // Shard B runs concurrently from independent options: its ledger

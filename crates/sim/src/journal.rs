@@ -486,11 +486,6 @@ impl RunJournal {
         &self.path
     }
 
-    /// Days currently persisted (excluding the header).
-    pub fn days_recorded(&self) -> usize {
-        self.days
-    }
-
     /// Appends one completed day: a single sealed-line write to the
     /// append-mode handle, synced before returning — O(1) in the number of
     /// days already journaled.
@@ -622,7 +617,7 @@ mod tests {
         let mut journal = RunJournal::create(&path, &header()).unwrap();
         journal.append_day(&day(0)).unwrap();
         journal.append_day(&day(1)).unwrap();
-        assert_eq!(journal.days_recorded(), 2);
+        assert_eq!(journal.days, 2);
 
         let loaded = RunJournal::load(&path).unwrap();
         assert_eq!(loaded.header.unwrap(), header());
@@ -648,7 +643,7 @@ mod tests {
 
         // Reopen for append drops the same tail and keeps appending.
         let mut reopened = RunJournal::reopen(&path).unwrap();
-        assert_eq!(reopened.days_recorded(), 1);
+        assert_eq!(reopened.days, 1);
         reopened.append_day(&day(1)).unwrap();
         let reloaded = RunJournal::load(&path).unwrap();
         assert_eq!(reloaded.days.len(), 2);
@@ -693,7 +688,7 @@ mod tests {
         fs::write(&path, &intact[..intact.len() - last_len / 2]).unwrap();
 
         let reopened = RunJournal::reopen(&path).unwrap();
-        assert_eq!(reopened.days_recorded(), 1);
+        assert_eq!(reopened.days, 1);
         // The torn bytes are gone from disk immediately, not just ignored:
         // every line of the compacted file verifies.
         let compacted = fs::read_to_string(&path).unwrap();

@@ -118,12 +118,6 @@ impl PowerLevels {
         *self.levels.last().expect("at least off + one level")
     }
 
-    /// The smallest strictly positive level.
-    #[inline]
-    pub fn min_positive(&self) -> Kw {
-        self.levels[1]
-    }
-
     /// Returns `true` when `level` (in kW) is a member of the set, within
     /// tolerance `1e-9`.
     pub fn contains(&self, level: Kw) -> bool {
@@ -206,18 +200,6 @@ impl TaskSpec {
     #[inline]
     pub fn allows_slot(&self, slot: usize) -> bool {
         slot >= self.start && slot <= self.deadline
-    }
-
-    /// Slack of the window: slots in the window beyond the minimum needed to
-    /// run the task at power `max_level` (how much freedom the scheduler has
-    /// to shift load).
-    pub fn slack_slots(&self, max_level: Kw, slot_hours: f64) -> f64 {
-        let min_slots = if max_level.value() > 0.0 {
-            self.energy.value() / (max_level.value() * slot_hours)
-        } else {
-            f64::INFINITY
-        };
-        self.window_len() as f64 - min_slots
     }
 }
 
@@ -383,7 +365,6 @@ mod tests {
         let values: Vec<f64> = levels.iter().map(|l| l.value()).collect();
         assert_eq!(values, vec![0.0, 0.5, 1.0]);
         assert!(levels.contains(Kw::ZERO));
-        assert_eq!(levels.min_positive(), Kw::new(0.5));
     }
 
     #[test]
@@ -410,15 +391,13 @@ mod tests {
     }
 
     #[test]
-    fn task_window_and_slack() {
+    fn task_window_bounds() {
         let task = TaskSpec::new(Kwh::new(3.0), 10, 15).unwrap();
         assert_eq!(task.window_len(), 6);
         assert!(task.allows_slot(10));
         assert!(task.allows_slot(15));
         assert!(!task.allows_slot(9));
         assert!(!task.allows_slot(16));
-        // 3 kWh at 1 kW hourly needs 3 slots: slack = 6 - 3.
-        assert!((task.slack_slots(Kw::new(1.0), 1.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl PvPanel {
     pub fn is_generating(&self) -> bool {
         self.profile.iter().any(|&g| g > 0.0)
     }
-
-    /// Returns a copy whose profile is scaled by `factor` (cloud cover,
-    /// seasonal derating). Factors are clamped to be non-negative.
-    pub fn derated(&self, factor: f64) -> Self {
-        let f = factor.max(0.0);
-        Self {
-            rating: self.rating,
-            profile: self.profile.scaled(f),
-        }
-    }
 }
 
 /// The deterministic clear-sky generation curve for a panel of nameplate
@@ -186,15 +176,6 @@ mod tests {
         assert!(!panel.is_generating());
         assert_eq!(panel.total_generation(), Kwh::ZERO);
         assert_eq!(panel.rating(), Kw::ZERO);
-    }
-
-    #[test]
-    fn derating_scales_profile() {
-        let panel = PvPanel::new(Kw::new(4.0), clear_sky_profile(day(), Kw::new(4.0))).unwrap();
-        let half = panel.derated(0.5);
-        assert!((half.generation(12).value() - panel.generation(12).value() * 0.5).abs() < 1e-12);
-        // Negative factors clamp to zero rather than generating negative power.
-        assert!(!panel.derated(-1.0).is_generating());
     }
 
     #[test]

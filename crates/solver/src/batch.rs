@@ -88,12 +88,6 @@ impl BatchResponseWorkspace {
         self.slots
     }
 
-    /// Customer `index`'s committed trading lane.
-    #[inline]
-    pub fn trading_lane(&self, index: usize) -> &[f64] {
-        &self.tradings[index * self.slots..(index + 1) * self.slots]
-    }
-
     /// The running community total `Σ_n y_n^h`.
     #[inline]
     pub fn total(&self) -> &[f64] {
@@ -230,7 +224,7 @@ mod tests {
         for h in 0..3 {
             assert_eq!(expected[h].to_bits(), ws.total()[h].to_bits(), "slot {h}");
         }
-        assert_eq!(ws.trading_lane(0), response.as_slice());
+        assert_eq!(&ws.tradings[..3], response.as_slice());
     }
 
     #[test]
@@ -266,7 +260,7 @@ mod tests {
         ws.rebuild_total();
         assert!(ws.total().iter().any(|&v| v != 0.0));
         ws.begin(2, 3);
-        assert!(ws.trading_lane(1).iter().all(|&v| v == 0.0));
+        assert!(ws.tradings[3..6].iter().all(|&v| v == 0.0));
         assert!(ws.total().iter().all(|&v| v == 0.0));
         assert_eq!(ws.customers(), 2);
         assert_eq!(ws.slots(), 3);

@@ -28,13 +28,6 @@ pub struct NashGap {
     pub per_customer: Vec<Dollars>,
 }
 
-impl NashGap {
-    /// `true` when no customer can improve by more than `epsilon` dollars.
-    pub fn is_epsilon_equilibrium(&self, epsilon: f64) -> bool {
-        self.max_improvement.value() <= epsilon
-    }
-}
-
 /// Measures the Nash gap of `schedule` under the broadcast price `prices`.
 ///
 /// For each customer, the current cost is compared against the cost of a
@@ -216,16 +209,5 @@ mod tests {
             strong_gap.max_improvement,
             weak_gap.max_improvement
         );
-    }
-
-    #[test]
-    fn epsilon_equilibrium_predicate() {
-        let gap = NashGap {
-            max_improvement: Dollars::new(0.05),
-            mean_improvement: Dollars::new(0.01),
-            per_customer: vec![Dollars::new(0.05)],
-        };
-        assert!(gap.is_epsilon_equilibrium(0.1));
-        assert!(!gap.is_epsilon_equilibrium(0.01));
     }
 }

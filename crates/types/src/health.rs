@@ -205,11 +205,6 @@ impl SolveBudget {
         Ok(())
     }
 
-    /// `true` when neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_iterations.is_none() && self.max_wall_secs.is_none()
-    }
-
     /// Starts the wall clock for one solve; iterations are reported to the
     /// returned [`BudgetClock`] as they complete.
     pub fn start(&self) -> BudgetClock {
@@ -574,7 +569,8 @@ mod tests {
     #[test]
     fn solve_budget_validation_and_breach() {
         assert!(SolveBudget::unlimited().validate().is_ok());
-        assert!(SolveBudget::unlimited().is_unlimited());
+        let unlimited = SolveBudget::unlimited();
+        assert!(unlimited.max_iterations.is_none() && unlimited.max_wall_secs.is_none());
         assert!(SolveBudget {
             max_iterations: Some(0),
             max_wall_secs: None,

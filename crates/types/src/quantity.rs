@@ -228,19 +228,6 @@ impl Kw {
     }
 }
 
-impl Kwh {
-    /// Average power if this energy is spread uniformly over `hours` hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `hours` is zero.
-    #[inline]
-    pub fn over_hours(self, hours: f64) -> Kw {
-        debug_assert!(hours != 0.0, "cannot average energy over zero hours");
-        Kw::new(self.0 / hours)
-    }
-}
-
 impl Mul<Kwh> for PricePerKwh {
     type Output = Dollars;
     #[inline]
@@ -280,7 +267,6 @@ mod tests {
     #[test]
     fn power_over_duration_is_energy() {
         assert_eq!(Kw::new(1.5).for_hours(2.0), Kwh::new(3.0));
-        assert_eq!(Kwh::new(3.0).over_hours(2.0), Kw::new(1.5));
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl<T> TimeSeries<T> {
         &self.values
     }
 
-    /// Consumes the series, returning the backing vector.
-    #[inline]
-    pub fn into_values(self) -> Vec<T> {
-        self.values
-    }
-
     /// Returns a series over the same horizon with `f` applied per slot.
     pub fn map<U>(&self, f: impl FnMut(&T) -> U) -> TimeSeries<U> {
         TimeSeries {
@@ -217,23 +211,6 @@ impl TimeSeries<f64> {
         let mse = diff.values.iter().map(|d| d * d).sum::<f64>() / diff.len() as f64;
         Ok(mse.sqrt())
     }
-
-    /// Accumulates `Σ_n series_n` slot-wise over an iterator of aligned
-    /// series, starting from zero on `horizon`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HorizonMismatchError`] if any series disagrees on slot count.
-    pub fn sum_all<'a>(
-        horizon: Horizon,
-        series: impl IntoIterator<Item = &'a TimeSeries<f64>>,
-    ) -> Result<Self, HorizonMismatchError> {
-        let mut acc = TimeSeries::filled(horizon, 0.0);
-        for s in series {
-            acc = acc.add(s)?;
-        }
-        Ok(acc)
-    }
 }
 
 impl<T> Index<usize> for TimeSeries<T> {
@@ -348,13 +325,6 @@ mod tests {
         let b = TimeSeries::filled(Horizon::hourly(48), 1.0);
         assert!(a.add(&b).is_err());
         assert!(a.zip_with(&b, |x, y| x + y).is_err());
-    }
-
-    #[test]
-    fn sum_all_accumulates() {
-        let parts = vec![TimeSeries::filled(day(), 1.0); 5];
-        let total = TimeSeries::sum_all(day(), &parts).unwrap();
-        assert!(total.iter().all(|&v| (v - 5.0).abs() < 1e-12));
     }
 
     #[test]

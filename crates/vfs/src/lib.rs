@@ -227,15 +227,6 @@ impl std::error::Error for StorageError {
     }
 }
 
-impl StorageError {
-    /// The underlying I/O error.
-    pub fn io_error(&self) -> &io::Error {
-        match self {
-            Self::Render(err) | Self::Exhausted { last: err, .. } => err,
-        }
-    }
-}
-
 /// Writes `contents` to `path` atomically (stage in a `.tmp` sibling, then
 /// rename over the destination) under `policy`'s bounded retries.
 ///

@@ -37,7 +37,7 @@
 //! | [`solver`] | DP scheduler, cross-entropy optimizer, game engine |
 //! | [`forecast`] | from-scratch ε-SVR, kernels, feature maps |
 //! | [`attack`] | price manipulations and attacker scenarios |
-//! | [`pomdp`] | beliefs, QMDP/PBVI solvers |
+//! | [`pomdp`] | beliefs, the QMDP solver |
 //! | [`core`] | the paper's detection framework |
 //! | [`sim`] | scenario generation and the paper's experiments |
 //! | [`fleet`] | supervised multi-community shard runner with a failure ladder |
