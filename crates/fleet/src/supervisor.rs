@@ -193,7 +193,7 @@ pub fn run_fleet(
             config.parallelism.threads,
             &active,
             rec.as_ref(),
-            |_, &index| close_day(&slots[index], day, config, &options),
+            |_, &index, _| close_day(&slots[index], day, config, &options),
         );
 
         // The sequential ladder: escalate each failed shard in spec order.
@@ -372,7 +372,7 @@ fn attempt_once(
     options: &FleetOptions,
     rec: &dyn nms_obs::Recorder,
 ) -> Attempt {
-    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, |_, _item| {
+    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, |_, _item, _| {
         close_day(slot, day, config, options)
     });
     match outcomes.pop() {
@@ -454,7 +454,7 @@ fn recover_quarantined(slot: &mut ShardSlot) -> Option<LongTermRunResult> {
     let seed = slot.spec.seed;
     let path = slot.spec.journal_path.clone();
     let options = slot.options.clone();
-    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, move |_, _item| {
+    let mut outcomes = par_map_outcomes(1, &[()], &nms_obs::NoopRecorder, move |_, _item, _| {
         SupervisedRun::with_options(&scenario, &config, seed, &path, options.clone())
             .and_then(SupervisedRun::finish)
             .map_err(|err| format!("quarantine recovery failed: {err}"))

@@ -26,10 +26,11 @@
 //!    results the stage already produced (rounds, iterations, cache
 //!    tallies) or are wall-clock timings, which exist only inside the
 //!    telemetry and never feed back into control flow.
-//! 3. Inside parallel regions only the commutative metric methods are
-//!    used by the workspace's instrumentation, so metric *totals* stay
-//!    reproducible; event order (and per-worker load split) is the one
-//!    thing allowed to vary run-to-run.
+//! 3. Inside parallel regions work records through a [`Deferred`] view:
+//!    the commutative metric methods pass straight through, so metric
+//!    *totals* stay reproducible, while events and gauges replay on the
+//!    calling thread in item order after the join. The per-worker load
+//!    split is the one thing allowed to vary run-to-run.
 //!
 //! `tests/obs_determinism.rs` asserts the consequence: an active
 //! [`JsonlTrace`]+[`MetricsRegistry`] recorder produces bit-identical
@@ -38,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod deferred;
 pub mod metrics;
 pub mod names;
 pub mod span;
@@ -46,6 +48,7 @@ pub mod trace;
 use std::sync::Arc;
 use std::time::Instant;
 
+pub use deferred::Deferred;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use span::{parse_collapsed, SpanProfile, SpanRecorder};
 pub use trace::{

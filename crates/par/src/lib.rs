@@ -1,28 +1,32 @@
 //! Deterministic parallel execution layer (DESIGN.md §9).
 //!
-//! Every parallel loop in this workspace — parameter sweeps and fleet
-//! shards — is a map over independent items whose
-//! per-item randomness is derived from a `(seed, index)` pair *before* the
-//! map runs. That makes the map's output a pure function of
-//! its inputs, so running it on N worker threads must produce bit-identical
-//! results to running it on one. This crate provides
-//! exactly that contract:
+//! Every parallel loop in this workspace — parameter sweeps, fleet shards,
+//! and the training epoch's bootstrap and backtest days — is a map over
+//! independent items whose per-item randomness is derived from a
+//! `(seed, index)` pair *before* the map runs. That makes the map's output
+//! a pure function of its inputs, so running it on N threads must produce
+//! bit-identical results to running it on one. This crate provides exactly
+//! that contract:
 //!
 //! - **ordered results** — [`par_map`] returns `f(0, &items[0]) …
 //!   f(n-1, &items[n-1])` in input order, however the items were scheduled
 //!   across workers;
+//! - **ordered telemetry** — each item records through its own
+//!   [`Deferred`] view of the map's recorder: counters and observations
+//!   pass straight through, while events and gauges replay on the calling
+//!   thread in item order after the join, so the trace is the plain
+//!   loop's;
 //! - **first-error propagation** — a fallible `f` fails the whole map with
 //!   the error of the *lowest-index* failing item, which is the same error
 //!   the sequential loop would have returned (items before it succeed in
-//!   both executions);
-//! - **panic rethrow with context** — a worker panic is re-raised on the
+//!   both executions), after the telemetry of the items up to it replays;
+//! - **panic rethrow with context** — an item's panic is re-raised on the
 //!   calling thread as a panic naming the item index and carrying the
-//!   original payload's message, instead of crossbeam's opaque
-//!   `Err(Box<dyn Any>)`;
-//! - **sequential degradation** — `threads <= 1` runs the plain loop on
-//!   the calling thread: no spawns, errors short-circuit immediately, and
-//!   a panic surfaces with the same item-index context as the parallel
-//!   path (both entry points share one panic-capture code path);
+//!   original payload's message, before that item's telemetry replays;
+//! - **one worker loop** — the calling thread runs the same
+//!   pull-from-one-counter loop as its `workers − 1` scoped helpers, and
+//!   `threads <= 1` is that loop with no helper, so the sequential path is
+//!   not a second implementation;
 //! - **failure containment** — [`par_map_outcomes`] is the supervision
 //!   surface: instead of propagating the lowest-index failure it runs
 //!   *every* item to completion and returns a per-item [`Outcome`]
@@ -38,25 +42,26 @@
 //! host's logical cores — oversubscribing a small host only adds
 //! context-switch and cache-thrash overhead while the bit-identity
 //! contract already makes the thread count observationally irrelevant.
-//! On a 1-core host every `par_map` therefore degrades to the sequential
-//! loop, which is exactly the fastest correct schedule there. Workers pull
+//! On a 1-core host every map therefore runs on the calling thread alone,
+//! which is exactly the fastest correct schedule there. Workers pull
 //! one item at a time: every map in the workspace is over few heavy items
-//! (sweep points, shards), where load balance
+//! (sweep points, shards, training days), where load balance
 //! matters more than the one `SeqCst` fetch-add per pull.
 //!
-//! A map whose workers fill the host marks them ([`worker_fills_host`]),
-//! so work nested inside an item can see that no core is left to fork
+//! A map whose workers fill the host marks them, the calling thread
+//! included, while it runs ([`worker_fills_host`]); a map started on a
+//! marked thread runs on that thread alone, since no core is left to fork
 //! onto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use nms_obs::Recorder;
+use nms_obs::{Deferred, Recorder};
 use serde::{Deserialize, Serialize};
 
 /// The workspace-wide parallelism knob: how many worker threads a
@@ -105,33 +110,36 @@ impl Default for Parallelism {
 pub fn host_threads() -> usize {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 thread_local! {
-    /// Set at the start of a worker thread whose map runs one worker per
-    /// logical core.
+    /// Set on every thread of a running map — helpers and the calling
+    /// thread — whose worker count equals the host's logical cores.
     static FILLS_HOST: Cell<bool> = const { Cell::new(false) };
 }
 
-/// `true` on a worker thread of a map that runs one worker per logical
-/// core of the host, so every core already has an item to work on.
-/// `false` on every other thread, including the caller of a map and a
-/// map's sequential path (which spawns no worker).
+/// `true` on a thread that is working in a map with one worker per
+/// logical core of the host, so every core already has an item to work
+/// on. `false` on every other thread, including the caller of a map that
+/// has returned and of a map that runs on the calling thread alone.
 pub fn worker_fills_host() -> bool {
     FILLS_HOST.with(Cell::get)
 }
 
 /// The worker count actually used for a map of `n` items requested at
 /// `threads`: never more workers than items, never more than the host has
-/// logical cores.
+/// logical cores, and one on a thread whose map already fills the host.
 fn resolve_workers(threads: usize, n: usize) -> usize {
-    threads.min(n).min(host_threads())
+    if worker_fills_host() {
+        1
+    } else {
+        threads.min(n).min(host_threads())
+    }
 }
 
-/// What one item of an isolating map produced — the per-item verdict
+/// What one item of a map produced — the per-item verdict
 /// [`par_map_outcomes`] returns instead of rethrowing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome<R, E> {
@@ -141,7 +149,7 @@ pub enum Outcome<R, E> {
     Err(E),
     /// The item's closure panicked; the message names the item index and
     /// carries the captured payload's message (or the
-    /// `"non-string panic payload"` fallback for exotic payload types).
+    /// `"non-string panic payload"` fallback for other payload types).
     Panicked(String),
 }
 
@@ -160,10 +168,11 @@ impl<R, E> Outcome<R, E> {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` worker threads, returning the
-/// results in input order. See the crate docs for the determinism
-/// contract; `f` must be a pure function of `(index, item)` for the
-/// bit-identity guarantee to mean anything.
+/// Maps `f` over `items` on the calling thread and up to `threads − 1`
+/// helpers, returning the results in input order. See the crate docs for
+/// the determinism contract; `f` must be a pure function of
+/// `(index, item)` for the bit-identity guarantee to mean anything. Item
+/// `i` records through the third argument, a [`Deferred`] view of `rec`.
 ///
 /// Worker telemetry — `par_maps` / `par_items` counters and per-worker
 /// `par_worker_items` / `par_worker_busy_seconds` histograms — is gathered
@@ -171,13 +180,17 @@ impl<R, E> Outcome<R, E> {
 /// after the join, so the recorder never sits on the worker hot path and
 /// results are the same under any recorder.
 ///
+/// Items after the lowest failing one that were already running finish;
+/// their counters and observations have been recorded, their events and
+/// gauges are dropped.
+///
 /// # Errors
 ///
 /// Returns the error of the lowest-index failing item.
 ///
 /// # Panics
 ///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
+/// Re-raises the lowest-index item panic on the calling thread, with the
 /// item index and original message in the payload.
 pub fn par_map<T, R, E, F>(
     threads: usize,
@@ -189,7 +202,7 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E> + Sync,
 {
     par_map_core(resolve_workers(threads, items.len()), items, rec, f)
 }
@@ -199,12 +212,9 @@ where
 /// returns `Err` or panics yields `Outcome::Err` / `Outcome::Panicked` for
 /// that slot while every other item still runs to completion — no early
 /// abort, no rethrow. This is the isolation surface supervisors build on:
-/// one shard's panic must not take down its siblings. Records the worker
-/// telemetry of [`par_map`] into `rec`.
-///
-/// The `threads <= 1` path still degrades to a loop on the calling thread,
-/// but (unlike [`par_map`]) it catches panics per item, so the containment
-/// contract is thread-count independent.
+/// one shard's panic must not take down its siblings. Every item's events
+/// and gauges replay in item order; the worker telemetry of [`par_map`] is
+/// recorded into `rec`.
 pub fn par_map_outcomes<T, R, E, F>(
     threads: usize,
     items: &[T],
@@ -215,25 +225,28 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(resolve_workers(threads, items.len()), items, rec, f, false);
+    let slots = run_map(resolve_workers(threads, items.len()), items, rec, &f, false);
     slots
         .into_iter()
         .enumerate()
-        .map(|(index, slot)| match slot {
-            Some(Outcome::Panicked(message)) => {
-                Outcome::Panicked(format!("item {index}: {message}"))
+        .map(|(index, slot)| {
+            let Some((outcome, deferred)) = slot else {
+                unreachable!("nms-par: non-aborting map skipped item {index}")
+            };
+            deferred.replay();
+            match outcome {
+                Outcome::Panicked(message) => Outcome::Panicked(format!("item {index}: {message}")),
+                outcome => outcome,
             }
-            Some(outcome) => outcome,
-            None => unreachable!("nms-par: non-aborting map skipped item {index}"),
         })
         .collect()
 }
 
-/// The shared rethrowing consumer: runs the engine in abort-on-first-failure
-/// mode, then replays the lowest-index failure exactly as the sequential
-/// loop would have surfaced it.
+/// The rethrowing consumer: runs the engine in abort-on-first-failure
+/// mode, then settles the items in index order exactly as the sequential
+/// loop would have.
 fn par_map_core<T, R, E, F>(
     workers: usize,
     items: &[T],
@@ -244,137 +257,127 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(workers, items, rec, f, true);
-    // The counter hands indices out in increasing order and a worker stops
-    // at its first failure, so every index below the lowest failure is
+    let slots = run_map(workers, items, rec, &f, true);
+    // The counter hands indices out in increasing order and no worker pulls
+    // after a failure, so every index below the lowest failure is
     // guaranteed Some(Ok) — the ascending scan below therefore reports
     // exactly the failure the sequential loop would have hit first.
     let mut results = Vec::with_capacity(items.len());
     for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Outcome::Ok(value)) => results.push(value),
-            Some(Outcome::Err(err)) => return Err(err),
-            Some(Outcome::Panicked(message)) => {
+        let Some((outcome, deferred)) = slot else {
+            unreachable!("nms-par: item {index} skipped before the first failure")
+        };
+        match outcome {
+            Outcome::Ok(value) => {
+                deferred.replay();
+                results.push(value);
+            }
+            Outcome::Err(err) => {
+                deferred.replay();
+                return Err(err);
+            }
+            Outcome::Panicked(message) => {
                 panic!("nms-par: worker panicked on item {index}: {message}")
             }
-            None => unreachable!("nms-par: item {index} skipped before the first failure"),
         }
     }
     Ok(results)
 }
 
 /// The one map engine behind every entry point. `workers` is already
-/// resolved (≤ items, ≤ host cores); `abort` selects fail-fast (the
-/// rethrowing surfaces) versus run-everything (the outcome surface). Every
-/// panic, on any path, is captured by exactly this function's
-/// `catch_unwind`, so payload handling cannot drift between surfaces.
-fn outcomes_core<T, R, E, F>(
+/// resolved (≤ items, ≤ host cores); the calling thread is one of them.
+/// `abort_on_failure` selects fail-fast (the rethrowing surface) versus
+/// run-everything (the outcome surface). Every panic is captured by
+/// [`run_item`], so payload handling cannot drift between surfaces.
+fn run_map<'r, T, R, E, F>(
     workers: usize,
     items: &[T],
-    rec: &dyn Recorder,
-    f: F,
+    rec: &'r dyn Recorder,
+    f: &F,
     abort_on_failure: bool,
-) -> Vec<Option<Outcome<R, E>>>
+) -> Vec<Option<(Outcome<R, E>, Deferred<'r>)>>
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E> + Sync,
 {
-    let n = items.len();
     rec.add("par_maps", 1);
-    rec.add("par_items", n as u64);
-    if workers <= 1 {
-        // Sequential path: the reference behavior. No spawns; in abort
-        // mode the first failure short-circuits immediately.
-        let busy = Instant::now();
-        let mut slots: Vec<Option<Outcome<R, E>>> = (0..n).map(|_| None).collect();
-        let mut done = 0usize;
-        for (index, item) in items.iter().enumerate() {
-            let outcome = run_item(index, item, &f);
-            let failed = !outcome.is_ok();
-            slots[index] = Some(outcome);
-            done += 1;
-            if failed && abort_on_failure {
-                break;
-            }
-        }
-        rec.observe("par_worker_items", done as f64);
-        rec.observe("par_worker_busy_seconds", busy.elapsed().as_secs_f64());
-        return slots;
-    }
-
+    rec.add("par_items", items.len() as u64);
     let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let f = &f;
-    let next = &next;
-    let abort = &abort;
-
-    // Workers return (index, outcome) pairs plus their own load tally;
-    // merging the pairs into index order afterwards is what makes the
-    // output independent of scheduling, and recording the tallies only
-    // after the join keeps the recorder off the worker hot path.
-    type WorkerYield<R, E> = (Vec<(usize, Outcome<R, E>)>, f64);
-    let fills_host = workers == host_threads();
-    let gathered: Vec<WorkerYield<R, E>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+    let failed = AtomicBool::new(false);
+    // Each worker returns its (index, outcome, telemetry) triples plus its
+    // busy time; merging them into index order afterwards is what makes
+    // the output independent of scheduling.
+    let work = || {
+        let busy = Instant::now();
+        let mut ran = Vec::new();
+        while !failed.load(Ordering::SeqCst) {
+            let index = next.fetch_add(1, Ordering::SeqCst);
+            let Some(item) = items.get(index) else {
+                break;
+            };
+            let deferred = Deferred::new(rec);
+            let outcome = run_item(index, item, f, &deferred);
+            if abort_on_failure && !outcome.is_ok() {
+                failed.store(true, Ordering::SeqCst);
+            }
+            ran.push((index, outcome, deferred));
+        }
+        (ran, busy.elapsed().as_secs_f64())
+    };
+    let fills_host = workers > 1 && workers == host_threads();
+    let gathered = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
             .map(|_| {
-                scope.spawn(move |_| {
-                    FILLS_HOST.with(|flag| flag.set(fills_host));
-                    let busy = Instant::now();
-                    let mut local: Vec<(usize, Outcome<R, E>)> = Vec::new();
-                    while !abort.load(Ordering::SeqCst) {
-                        let index = next.fetch_add(1, Ordering::SeqCst);
-                        if index >= n {
-                            break;
-                        }
-                        let outcome = run_item(index, &items[index], f);
-                        let failed = !outcome.is_ok();
-                        local.push((index, outcome));
-                        if failed && abort_on_failure {
-                            abort.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                    (local, busy.elapsed().as_secs_f64())
+                scope.spawn(|| {
+                    FILLS_HOST.with(|mark| mark.set(fills_host));
+                    work()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("nms-par: worker vanished without result"))
-            .collect()
-    })
-    .expect("nms-par: scope itself panicked");
+        // The calling thread carries this map's mark while it works in the
+        // map, and keeps a mark of its own (a marked thread's maps resolve
+        // to one worker, so `fills_host` is then `false`).
+        let outer = FILLS_HOST.with(|mark| mark.replace(mark.get() || fills_host));
+        let mut gathered = vec![work()];
+        FILLS_HOST.with(|mark| mark.set(outer));
+        gathered.extend(helpers.into_iter().map(|helper| {
+            helper
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload))
+        }));
+        gathered
+    });
 
-    let mut slots: Vec<Option<Outcome<R, E>>> = (0..n).map(|_| None).collect();
-    for (local, busy_secs) in gathered {
-        rec.observe("par_worker_items", local.len() as f64);
+    let mut slots: Vec<Option<(Outcome<R, E>, Deferred<'r>)>> =
+        (0..items.len()).map(|_| None).collect();
+    for (ran, busy_secs) in gathered {
+        rec.observe("par_worker_items", ran.len() as f64);
         rec.observe("par_worker_busy_seconds", busy_secs);
-        for (index, outcome) in local {
-            slots[index] = Some(outcome);
+        for (index, outcome, deferred) in ran {
+            slots[index] = Some((outcome, deferred));
         }
     }
     slots
 }
 
 /// Runs one item under the engine's single `catch_unwind`.
-fn run_item<T, R, E, F>(index: usize, item: &T, f: &F) -> Outcome<R, E>
+fn run_item<T, R, E, F>(index: usize, item: &T, f: &F, rec: &dyn Recorder) -> Outcome<R, E>
 where
-    F: Fn(usize, &T) -> Result<R, E>,
+    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E>,
 {
-    match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
+    match catch_unwind(AssertUnwindSafe(|| f(index, item, rec))) {
         Ok(Ok(value)) => Outcome::Ok(value),
         Ok(Err(err)) => Outcome::Err(err),
         Err(payload) => Outcome::Panicked(payload_message(payload.as_ref())),
     }
 }
 
-/// Renders a panic payload's message for the rethrow. Panics almost always
-/// carry `&str` or `String`; a few primitive `panic_any` payloads are
-/// probed too, and anything else falls back to a stable
+/// Renders a panic payload's message for the rethrow. Panics carry `&str`
+/// or `String`; anything else falls back to a stable
 /// `"non-string panic payload"` marker (the surrounding context always
 /// names the item index, so even an opaque payload stays attributable).
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -382,14 +385,6 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
-    } else if let Some(v) = payload.downcast_ref::<u64>() {
-        format!("non-string panic payload (u64: {v})")
-    } else if let Some(v) = payload.downcast_ref::<i64>() {
-        format!("non-string panic payload (i64: {v})")
-    } else if let Some(v) = payload.downcast_ref::<u32>() {
-        format!("non-string panic payload (u32: {v})")
-    } else if let Some(v) = payload.downcast_ref::<i32>() {
-        format!("non-string panic payload (i32: {v})")
     } else {
         "non-string panic payload".to_string()
     }
@@ -398,8 +393,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nms_obs::NoopRecorder;
+    use nms_obs::{NoopRecorder, TraceEvent};
     use proptest::prelude::*;
+    use std::sync::Mutex;
 
     fn square(index: usize, item: &u64) -> Result<u64, String> {
         let _ = index;
@@ -412,7 +408,9 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
-        par_map(threads, items, &NoopRecorder, f)
+        par_map(threads, items, &NoopRecorder, |index, item, _| {
+            f(index, item)
+        })
     }
 
     /// The isolating map without telemetry.
@@ -421,7 +419,9 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Vec<Outcome<R, E>> {
-        par_map_outcomes(threads, items, &NoopRecorder, f)
+        par_map_outcomes(threads, items, &NoopRecorder, |index, item, _| {
+            f(index, item)
+        })
     }
 
     /// Runs the map engine with an explicit worker count, bypassing the
@@ -432,7 +432,37 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
-        par_map_core(workers.min(items.len()), items, &NoopRecorder, f)
+        par_map_core(
+            workers.min(items.len()),
+            items,
+            &NoopRecorder,
+            |index, item, _| f(index, item),
+        )
+    }
+
+    /// Records event kinds in arrival order.
+    #[derive(Default)]
+    struct EventLog(Mutex<Vec<String>>);
+
+    impl Recorder for EventLog {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, event: &TraceEvent) {
+            self.0.lock().unwrap().push(event.kind.clone());
+        }
+    }
+
+    /// Item `index` of an event-order test records the event `item{index}`.
+    fn record(rec: &dyn Recorder, index: usize) {
+        rec.event(&TraceEvent::new(format!("item{index}")));
+    }
+
+    fn wait_for(flag: &AtomicBool) {
+        while !flag.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -492,7 +522,86 @@ mod tests {
             two.iter().all(|&m| m == (cores == 2)),
             "two workers fill only a 2-core host: {two:?}"
         );
-        assert!(!worker_fills_host(), "the mark stays on the workers");
+        assert!(!worker_fills_host(), "the caller's mark ends with its map");
+        // A map started on a marked thread runs its items there alone: each
+        // nested map tallies exactly one worker.
+        let nested = nms_obs::MetricsRegistry::new();
+        let inline = map(cores, &items, |_, _| {
+            let worker = std::thread::current().id();
+            let threads = par_map(2, &[0u64, 1, 2], &nested, |_, _, _| {
+                Ok::<_, String>(std::thread::current().id())
+            })?;
+            Ok::<_, String>(threads.iter().all(|&thread| thread == worker))
+        })
+        .unwrap();
+        assert!(
+            inline.iter().all(|&inline| inline),
+            "every nested item runs on its worker's own thread"
+        );
+        let workers = nested.histogram("par_worker_items").unwrap();
+        assert_eq!(
+            workers.count(),
+            items.len() as u64,
+            "one worker per nested map"
+        );
+    }
+
+    #[test]
+    fn events_replay_in_item_order_across_two_threads() {
+        // The items finish out of order on both threads: the thread holding
+        // item 0 waits for item 1, which waits for item 2, which the first
+        // thread then takes. So one thread runs items 0 and 2 and the
+        // other item 1.
+        let log = EventLog::default();
+        let recorded: Vec<AtomicBool> = (0..3).map(|_| AtomicBool::new(false)).collect();
+        let threads = par_map_core(2, &[0, 1, 2], &log, |index, _, rec| {
+            if index == 0 {
+                wait_for(&recorded[1]);
+            }
+            record(rec, index);
+            recorded[index].store(true, Ordering::SeqCst);
+            if index == 1 {
+                wait_for(&recorded[2]);
+            }
+            Ok::<_, String>(std::thread::current().id())
+        })
+        .unwrap();
+        assert_eq!(threads[0], threads[2]);
+        assert_ne!(threads[0], threads[1], "items 0 and 1 run on two threads");
+        assert_eq!(log.0.into_inner().unwrap(), ["item0", "item1", "item2"]);
+    }
+
+    #[test]
+    fn a_failing_item_replays_the_items_up_to_itself() {
+        // Item 2 fails only after item 3 has recorded and panicked on the
+        // other thread, so item 3's outcome and events are there to be
+        // (wrongly) surfaced.
+        let log = EventLog::default();
+        let item_three_recorded = AtomicBool::new(false);
+        let result = par_map_core(2, &[0, 1, 2, 3, 4], &log, |index, _, rec| {
+            record(rec, index);
+            match index {
+                2 => {
+                    wait_for(&item_three_recorded);
+                    Err("item 2".to_string())
+                }
+                3 => {
+                    item_three_recorded.store(true, Ordering::SeqCst);
+                    panic!("unreachable in sequence")
+                }
+                _ => Ok(index),
+            }
+        });
+        assert_eq!(
+            result,
+            Err("item 2".into()),
+            "the lowest-index failure wins"
+        );
+        assert_eq!(
+            log.0.into_inner().unwrap(),
+            ["item0", "item1", "item2"],
+            "the failing item's events replay after the items before it, and no later item's"
+        );
     }
 
     #[test]
@@ -535,6 +644,7 @@ mod tests {
         let message = payload_message(payload.as_ref());
         assert!(message.contains("item 5"), "{message}");
         assert!(message.contains("boom at five"), "{message}");
+        assert!(!message.contains("scoped thread"), "{message}");
     }
 
     #[test]
@@ -559,7 +669,7 @@ mod tests {
     fn recorded_map_tallies_workers_without_changing_results() {
         let items: Vec<u64> = (0..32).collect();
         let metrics = nms_obs::MetricsRegistry::new();
-        let out = par_map(4, &items, &metrics, square).unwrap();
+        let out = par_map(4, &items, &metrics, |index, item, _| square(index, item)).unwrap();
         assert_eq!(out, map(1, &items, square).unwrap());
         assert_eq!(metrics.counter("par_maps"), 1);
         assert_eq!(metrics.counter("par_items"), 32);
@@ -589,10 +699,7 @@ mod tests {
             assert_eq!(outcomes.len(), items.len(), "no item may be skipped");
             for (index, (outcome, item)) in outcomes.iter().zip(&items).enumerate() {
                 match *item % 5 {
-                    3 => assert_eq!(
-                        outcome,
-                        &Outcome::Err(format!("soft failure on {item}"))
-                    ),
+                    3 => assert_eq!(outcome, &Outcome::Err(format!("soft failure on {item}"))),
                     4 => match outcome {
                         Outcome::Panicked(message) => {
                             assert!(message.contains(&format!("item {index}")), "{message}");
@@ -621,7 +728,10 @@ mod tests {
             Ok(*item)
         });
         assert!(matches!(outcomes[0], Outcome::Panicked(_)));
-        assert_eq!(outcomes[1..], [Outcome::Ok(1), Outcome::Ok(2), Outcome::Ok(3)]);
+        assert_eq!(
+            outcomes[1..],
+            [Outcome::Ok(1), Outcome::Ok(2), Outcome::Ok(3)]
+        );
     }
 
     #[test]
@@ -643,27 +753,10 @@ mod tests {
             }
             Ok(*item)
         });
-        match &outcomes[1] {
-            Outcome::Panicked(message) => {
-                assert!(message.contains("item 1"), "{message}");
-                assert!(message.contains("non-string panic payload"), "{message}");
-                assert!(message.contains("1234"), "{message}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        // A payload type the probe does not know still lands on the
-        // stable fallback marker.
-        #[derive(Debug)]
-        struct Opaque;
-        let outcomes = contained(1, &[0u64], |_i, _item| -> Result<u64, String> {
-            std::panic::panic_any(Opaque);
-        });
-        match &outcomes[0] {
-            Outcome::Panicked(message) => {
-                assert_eq!(message, "item 0: non-string panic payload");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
+        assert_eq!(
+            outcomes[1],
+            Outcome::Panicked("item 1: non-string panic payload".into())
+        );
     }
 
     #[test]
@@ -691,13 +784,17 @@ mod tests {
     fn outcomes_recorded_tallies_every_item() {
         let items: Vec<u64> = (0..16).collect();
         let metrics = nms_obs::MetricsRegistry::new();
-        let outcomes =
-            par_map_outcomes(2, &items, &metrics, |_i, item: &u64| -> Result<u64, String> {
+        let outcomes = par_map_outcomes(
+            2,
+            &items,
+            &metrics,
+            |_i, item: &u64, _| -> Result<u64, String> {
                 if *item == 9 {
                     panic!("one bad shard");
                 }
                 Ok(*item)
-            });
+            },
+        );
         assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 15);
         assert_eq!(metrics.counter("par_items"), 16);
         let per_worker = metrics.histogram("par_worker_items").unwrap();

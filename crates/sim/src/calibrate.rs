@@ -28,9 +28,10 @@ use rand_chacha::ChaCha8Rng;
 use nms_attack::AttackTimeline;
 use nms_core::{FrameworkConfig, ParObservationMap, PricePredictor};
 use nms_forecast::PriceHistory;
+use nms_par::par_map;
 use nms_types::{MeterId, RetryPolicy, RunHealth, SolveBudget, TimeSeries, ValidateError};
 
-use crate::fork::fork_map;
+use crate::fork::TRAINING_WORKERS;
 use crate::{CommunityGenerator, Market, PaperScenario, SimError};
 
 /// Pseudo-count mass of the analytic prior when estimating the observation
@@ -310,7 +311,7 @@ pub(crate) fn calibrate_detector(
     let scenario = backtest.scenario;
     let weather = scenario.weather_factors(scenario.training_days);
     let day_seeds: Vec<(u64, u64)> = (0..backtest_days).map(|_| (rng.gen(), rng.gen())).collect();
-    let days = fork_map(&day_seeds, rec, |back, &seeds, _| {
+    let days = par_map(TRAINING_WORKERS, &day_seeds, rec, |back, &seeds, _| {
         backtest.day(back, &weather, seeds)
     })?;
     let calibration = backtest.calibrate(days)?;

@@ -10,10 +10,11 @@ use rand_chacha::ChaCha8Rng;
 
 use nms_core::{LoadPredictor, PredictedResponse};
 use nms_forecast::PriceHistory;
+use nms_par::par_map;
 use nms_pricing::{PriceSignal, Utility};
 use nms_smarthome::Community;
 
-use crate::fork::fork_map;
+use crate::fork::TRAINING_WORKERS;
 use crate::{CommunityGenerator, PaperScenario, SimError};
 
 /// One simulated market day: the cleared guideline price and the community's
@@ -146,7 +147,7 @@ impl Market {
         let _span = span(rec, "bootstrap");
         // A day returns only its (price, generation, demand) per slot, so
         // its N-customer schedule is freed on the thread that cleared it.
-        let cleared = fork_map(&seeds, rec, |day, &seed, rec| {
+        let cleared = par_map(TRAINING_WORKERS, &seeds, rec, |day, &seed, rec| {
             let community = generator.community_for_day(day, weather[day]);
             let outcome = self.clear_day(&community, 2, seed, rec)?;
             let theta = community.total_generation();

@@ -58,9 +58,8 @@ pub fn sweep_tariff(
 ) -> Result<Vec<SweepPoint>, SimError> {
     // Every point seeds its own RNG from the scenario, so points are
     // independent and the parallel sweep is bit-identical to sequential.
-    // Workers clear unrecorded: the game layer emits trace events, which
-    // the nms-obs contract keeps out of parallel regions.
-    par_map(parallelism.threads, w_values, &NoopRecorder, |_, &w| {
+    // Points clear unrecorded: a sweep row carries its own solver effort.
+    par_map(parallelism.threads, w_values, &NoopRecorder, |_, &w, _| {
         let mut swept = scenario.clone();
         swept.tariff = NetMeteringTariff::new(w)?;
         clear_point(&swept, w)
@@ -82,7 +81,7 @@ pub fn sweep_pv_ownership(
         parallelism.threads,
         ownership_values,
         &NoopRecorder,
-        |_, &ownership| {
+        |_, &ownership, _| {
             let mut swept = scenario.clone();
             swept.pv_ownership = ownership;
             swept.validate()?;
@@ -155,7 +154,7 @@ pub fn sweep_fault_tolerance(
         parallelism.threads,
         fault_rates,
         &NoopRecorder,
-        |_, &rate| {
+        |_, &rate, _| {
             let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
             let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
                 let config = LongTermRunConfig {

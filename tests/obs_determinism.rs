@@ -443,6 +443,12 @@ fn forked_bootstrap_matches_the_sequential_loop() {
                 batteries,
                 "{label}: CE runs exactly when homes have batteries"
             );
+            assert_eq!(forked_metrics.counter("par_maps"), 1, "{label}: one map");
+            assert_eq!(
+                forked_metrics.counter("par_items"),
+                days as u64,
+                "{label}: one item per day"
+            );
         }
     }
 }
