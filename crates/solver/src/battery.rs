@@ -197,11 +197,7 @@ pub fn optimize_battery(
         Some(point) => {
             if point.len() != problem.dim() {
                 return Err(SolverError::Numeric {
-                    detail: format!(
-                        "warm start dimension: {} vs {}",
-                        point.len(),
-                        problem.dim()
-                    ),
+                    detail: format!("warm start dimension: {} vs {}", point.len(), problem.dim()),
                 });
             }
             point.to_vec()

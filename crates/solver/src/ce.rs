@@ -261,8 +261,8 @@ impl CrossEntropyOptimizer {
         std.extend(widths.iter().map(|w| w * self.config.init_std_fraction));
 
         let samples = self.config.samples;
-        let elite_count = ((samples as f64 * self.config.elite_fraction).ceil() as usize)
-            .clamp(1, samples);
+        let elite_count =
+            ((samples as f64 * self.config.elite_fraction).ceil() as usize).clamp(1, samples);
 
         best_point.clear();
         best_point.extend_from_slice(mean);
@@ -431,7 +431,10 @@ mod tests {
         }
         assert!(solution.converged);
         assert_eq!(solution.std_history.len(), solution.iterations);
-        assert!(solution.std_history.iter().all(|s| s.is_finite() && *s >= 0.0));
+        assert!(solution
+            .std_history
+            .iter()
+            .all(|s| s.is_finite() && *s >= 0.0));
         // Convergence means the spread collapsed over the run.
         assert!(solution.std_history.last().unwrap() < solution.std_history.first().unwrap());
     }

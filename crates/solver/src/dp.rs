@@ -9,22 +9,37 @@
 //! ```text
 //! f(h, r) = min_{0 ≤ j ≤ J_h} f(h−1, r−j) + cost(h, j·q)
 //! ```
+//!
+//! The recurrence visits only the states that can still finish the task.
+//! Before window slot `w` of `W`, with at most `J` quanta per slot, a
+//! state `r` is kept only if `R − (W−w)·J ≤ r ≤ w·J`, and a level `j`
+//! only if `r + j` can still reach `R` in the `W−w−1` slots after it. Every
+//! cell it skips is unreachable (`∞`) or off every path to `R`, so each
+//! kept cell sees the full table's candidates in the full table's order,
+//! and `f(W, R)`, the back-pointers on the optimal path and every
+//! tie-break are the full table's, bit for bit.
+
+use std::ops::Range;
 
 use nms_smarthome::{Appliance, ApplianceSchedule};
 use nms_types::{Horizon, TimeSeries};
 
 use crate::SolverError;
 
+const INF: f64 = f64::INFINITY;
+
 /// Reusable scratch buffers for [`DpScheduler`] solves.
 ///
 /// A DP solve needs the value tables `dp`/`next`, the per-slot level costs,
-/// the window slot list, and the back-pointer table. Allocating them fresh
-/// per solve dominates the cost of small instances, so callers that solve
-/// many appliances (the best-response inner loop) hold one workspace and
-/// pass it to every [`DpScheduler::schedule`]; steady-state reuse then
-/// allocates nothing. The buffers carry no state between solves — every
-/// solve fully reinitializes the prefix it reads — so reuse is always
-/// bit-identical to fresh allocation (see `tests/solver_workspace.rs`).
+/// and the back-pointer table. Allocating them fresh per solve dominates
+/// the cost of small instances, so callers that solve many appliances (the
+/// best-response inner loop) hold one workspace and pass it to every
+/// [`DpScheduler::schedule`]; steady-state reuse then allocates nothing. The buffers carry no state between solves, so reuse
+/// is always bit-identical to fresh allocation (see
+/// `tests/solver_workspace.rs`). Every solve reinitializes what it reads,
+/// with one exception: `choices` is grown but never cleared, because
+/// reconstruction reads a `choices` cell only where the same solve wrote
+/// it (the back-pointers on the optimal path).
 #[derive(Debug, Clone, Default)]
 pub struct DpWorkspace {
     /// `dp[r]` = best cost allocating `r` quanta among processed slots.
@@ -33,17 +48,19 @@ pub struct DpWorkspace {
     next: Vec<f64>,
     /// Cost of placing `j` quanta into the current slot.
     level_costs: Vec<f64>,
-    /// Feasible slots of the `[α_m, β_m]` window.
-    window: Vec<usize>,
     /// Back-pointers, flattened row-major: `choices[w * (quanta + 1) + r]`
     /// is the quanta placed in window slot `w` on the best path to `r`.
+    /// Only the cells of the current solve's live states are meaningful.
     choices: Vec<u32>,
 }
 
 /// Exact DP scheduling of one appliance against an arbitrary per-slot cost.
 ///
 /// `resolution` controls how many quanta fit in one full-power slot: higher
-/// values track convex costs more closely at `O(H · R · J)` cost.
+/// values track convex costs more closely. A solve over a window of `W`
+/// slots evaluates the cost `W · (J + 1)` times and visits at most
+/// `W · (R + 1) · (J + 1)` (state, level) pairs, only those from which the
+/// task can still finish, so a tight window costs less than a loose one.
 ///
 /// # Examples
 ///
@@ -77,6 +94,16 @@ pub struct DpScheduler {
     resolution: usize,
 }
 
+/// A task quantized for the DP: `quanta` quanta of `q` kWh each, at most
+/// `per_slot` of them in one slot of `window`.
+#[derive(Debug)]
+struct Quantized {
+    quanta: usize,
+    q: f64,
+    per_slot: usize,
+    window: Range<usize>,
+}
+
 impl DpScheduler {
     /// Creates a scheduler whose quantum is at most
     /// `max_slot_energy / resolution`.
@@ -100,10 +127,11 @@ impl DpScheduler {
     ///
     /// The cost closure receives the slot index and the energy (kWh)
     /// tentatively allocated to that slot, and must return the *customer
-    /// cost* of that allocation; it is evaluated `O(H·J)` times per quantum
-    /// level. The DP tables live in `ws` and are reused across solves, so a
-    /// warm workspace makes the solve allocation-free up to the returned
-    /// schedule; reuse is bit-identical to a fresh [`DpWorkspace`].
+    /// cost* of that allocation; it is evaluated once per window slot and
+    /// quantum level, in slot order. The DP tables live in `ws` and are
+    /// reused across solves, so a warm workspace makes the solve
+    /// allocation-free up to the returned schedule; reuse is bit-identical
+    /// to a fresh [`DpWorkspace`].
     ///
     /// # Errors
     ///
@@ -128,7 +156,8 @@ impl DpScheduler {
     /// [`ApplianceSchedule`]. The allocation is feasible by construction
     /// (window, per-slot cap, and total energy at quantum granularity);
     /// the caller validates it, as the best response does on every solve
-    /// through [`nms_smarthome::check_plan`].
+    /// through [`nms_smarthome::check_plan`]. The cost closure is called
+    /// only for slots of the appliance's window clipped to the horizon.
     ///
     /// # Errors
     ///
@@ -146,108 +175,163 @@ impl DpScheduler {
         out: &mut TimeSeries<f64>,
         mut slot_cost: impl FnMut(usize, f64) -> f64,
     ) -> Result<(), SolverError> {
-        let slots = horizon.slots();
-        assert_eq!(out.len(), slots, "output series must span the horizon");
-        let energy = appliance.task().energy().value();
-        if energy <= 1e-12 {
+        assert_eq!(
+            out.len(),
+            horizon.slots(),
+            "output series must span the horizon"
+        );
+        let Some(task) = self.quantize(appliance, horizon)? else {
             for value in out.iter_mut() {
                 *value = 0.0;
             }
             return Ok(());
-        }
-
-        let cap = appliance.max_slot_energy(horizon).value();
-        if cap <= 0.0 {
-            return Err(SolverError::Infeasible {
-                detail: format!("{} has zero per-slot capacity", appliance.id()),
-            });
-        }
-        // Quantize: R quanta of q = E/R each, with q ≤ cap/resolution.
-        let quanta = ((energy / (cap / self.resolution as f64)).ceil() as usize).max(1);
-        let q = energy / quanta as f64;
-        let per_slot_max = ((cap / q) + 1e-9).floor() as usize;
-
+        };
+        let Quantized {
+            quanta,
+            q,
+            per_slot,
+            ref window,
+        } = task;
         let DpWorkspace {
             dp,
             next,
             level_costs,
-            window,
             choices,
         } = ws;
 
-        window.clear();
-        window.extend(
-            (appliance.task().start()..=appliance.task().deadline()).filter(|&h| h < slots),
-        );
-        if window.len() * per_slot_max < quanta {
-            return Err(SolverError::Infeasible {
-                detail: format!(
-                    "{} needs {quanta} quanta but window holds {}",
-                    appliance.id(),
-                    window.len() * per_slot_max
-                ),
-            });
-        }
-        if quanta >= u32::MAX as usize {
-            return Err(SolverError::Infeasible {
-                detail: format!("{} needs {quanta} quanta (back-pointer overflow)", appliance.id()),
-            });
-        }
-
-        const INF: f64 = f64::INFINITY;
         let stride = quanta + 1;
+        let max_j = per_slot.min(quanta);
+        // Quanta the window slots from `w` on can still absorb.
+        let room = |w: usize| (window.len() - w) * max_j;
         dp.clear();
         dp.resize(stride, INF);
         dp[0] = 0.0;
-        choices.clear();
-        choices.resize(window.len() * stride, 0);
+        next.clear();
+        next.resize(stride, INF);
+        if choices.len() < window.len() * stride {
+            choices.resize(window.len() * stride, 0);
+        }
 
-        for (w, &slot) in window.iter().enumerate() {
-            let max_j = per_slot_max.min(quanta);
+        for (w, slot) in window.clone().enumerate() {
             // Pre-compute the slot's cost at each quantum level.
             level_costs.clear();
             level_costs.extend((0..=max_j).map(|j| slot_cost(slot, j as f64 * q)));
-            next.clear();
-            next.resize(stride, INF);
+            // Live states before and after this slot: reachable so far,
+            // and still able to reach `quanta` in the slots left.
+            let live = quanta.saturating_sub(room(w))..=(w * max_j).min(quanta);
+            let next_lo = quanta.saturating_sub(room(w + 1));
+            next[next_lo..=((w + 1) * max_j).min(quanta)].fill(INF);
             let row = &mut choices[w * stride..(w + 1) * stride];
-            for (r, &cost_so_far) in dp.iter().enumerate() {
+            for r in live {
+                let cost_so_far = dp[r];
                 if cost_so_far == INF {
                     continue;
                 }
-                for (j, &cost) in level_costs.iter().enumerate() {
-                    let r2 = r + j;
-                    if r2 > quanta {
-                        break;
-                    }
-                    let candidate = cost_so_far + cost;
-                    if candidate < next[r2] {
-                        next[r2] = candidate;
-                        row[r2] = j as u32;
+                for j in next_lo.saturating_sub(r)..=max_j.min(quanta - r) {
+                    let candidate = cost_so_far + level_costs[j];
+                    if candidate < next[r + j] {
+                        next[r + j] = candidate;
+                        row[r + j] = j as u32;
                     }
                 }
             }
             std::mem::swap(dp, next);
         }
 
-        if dp[quanta] == INF {
+        reconstruct(appliance, &task, ws, out)
+    }
+
+    /// The slots the DP of `appliance` schedules on a horizon of `slots`
+    /// slots: its `[α_m, β_m]` window clipped to the horizon (empty when
+    /// the window starts past it).
+    pub(crate) fn window(appliance: &Appliance, slots: usize) -> Range<usize> {
+        let end = appliance.task().deadline().saturating_add(1).min(slots);
+        appliance.task().start().min(end)..end
+    }
+
+    /// Quantizes `appliance`'s task on `horizon`: `R` quanta of `q = E/R`
+    /// each, with `q ≤ cap/resolution`. `None` for a task with no energy.
+    fn quantize(
+        &self,
+        appliance: &Appliance,
+        horizon: Horizon,
+    ) -> Result<Option<Quantized>, SolverError> {
+        let energy = appliance.task().energy().value();
+        if energy <= 1e-12 {
+            return Ok(None);
+        }
+        let cap = appliance.max_slot_energy(horizon).value();
+        if cap <= 0.0 {
             return Err(SolverError::Infeasible {
-                detail: format!("{} DP found no allocation", appliance.id()),
+                detail: format!("{} has zero per-slot capacity", appliance.id()),
             });
         }
+        let quanta = ((energy / (cap / self.resolution as f64)).ceil() as usize).max(1);
+        let q = energy / quanta as f64;
+        let per_slot = ((cap / q) + 1e-9).floor() as usize;
 
-        // Reconstruct.
-        for value in out.iter_mut() {
-            *value = 0.0;
+        let window = Self::window(appliance, horizon.slots());
+        if window.len() * per_slot < quanta {
+            return Err(SolverError::Infeasible {
+                detail: format!(
+                    "{} needs {quanta} quanta but window holds {}",
+                    appliance.id(),
+                    window.len() * per_slot
+                ),
+            });
         }
-        let mut r = quanta;
-        for w in (0..window.len()).rev() {
-            let j = choices[w * stride + r] as usize;
-            out[window[w]] = j as f64 * q;
-            r -= j;
+        if quanta >= u32::MAX as usize {
+            return Err(SolverError::Infeasible {
+                detail: format!(
+                    "{} needs {quanta} quanta (back-pointer overflow)",
+                    appliance.id()
+                ),
+            });
         }
-        debug_assert_eq!(r, 0, "reconstruction must consume all quanta");
-        Ok(())
+        Ok(Some(Quantized {
+            quanta,
+            q,
+            per_slot,
+            window,
+        }))
     }
+}
+
+/// Walks the back-pointers from `R` quanta after the last window slot and
+/// writes the allocation into `out` (zero off the window).
+///
+/// # Errors
+///
+/// Returns [`SolverError::Infeasible`] when no allocation reached `R`.
+fn reconstruct(
+    appliance: &Appliance,
+    task: &Quantized,
+    ws: &DpWorkspace,
+    out: &mut TimeSeries<f64>,
+) -> Result<(), SolverError> {
+    let Quantized {
+        quanta,
+        q,
+        ref window,
+        ..
+    } = *task;
+    if ws.dp[quanta] == INF {
+        return Err(SolverError::Infeasible {
+            detail: format!("{} DP found no allocation", appliance.id()),
+        });
+    }
+    for value in out.iter_mut() {
+        *value = 0.0;
+    }
+    let stride = quanta + 1;
+    let mut r = quanta;
+    for (w, slot) in window.clone().enumerate().rev() {
+        let j = ws.choices[w * stride + r] as usize;
+        out[slot] = j as f64 * q;
+        r -= j;
+    }
+    debug_assert_eq!(r, 0, "reconstruction must consume all quanta");
+    Ok(())
 }
 
 impl Default for DpScheduler {
@@ -480,6 +564,147 @@ mod tests {
                 (dp_cost - oracle).abs() < 1e-9,
                 "E={energy} window {start}..={deadline}: dp {dp_cost} vs oracle {oracle}"
             );
+        }
+    }
+
+    /// The full-table recurrence the pruned kernel of
+    /// [`DpScheduler::schedule_into`] replaced: every state, every level,
+    /// and `choices` zero-filled on every solve. Kept as the oracle of
+    /// `pruned_kernel_matches_full_table`.
+    fn schedule_into_full_table(
+        scheduler: &DpScheduler,
+        appliance: &Appliance,
+        horizon: Horizon,
+        ws: &mut DpWorkspace,
+        out: &mut TimeSeries<f64>,
+        mut slot_cost: impl FnMut(usize, f64) -> f64,
+    ) -> Result<(), SolverError> {
+        let Some(task) = scheduler.quantize(appliance, horizon)? else {
+            for value in out.iter_mut() {
+                *value = 0.0;
+            }
+            return Ok(());
+        };
+        let Quantized {
+            quanta,
+            q,
+            per_slot,
+            ref window,
+        } = task;
+        let DpWorkspace {
+            dp,
+            next,
+            level_costs,
+            choices,
+        } = ws;
+        let stride = quanta + 1;
+        dp.clear();
+        dp.resize(stride, INF);
+        dp[0] = 0.0;
+        choices.clear();
+        choices.resize(window.len() * stride, 0);
+        for (w, slot) in window.clone().enumerate() {
+            let max_j = per_slot.min(quanta);
+            level_costs.clear();
+            level_costs.extend((0..=max_j).map(|j| slot_cost(slot, j as f64 * q)));
+            next.clear();
+            next.resize(stride, INF);
+            let row = &mut choices[w * stride..(w + 1) * stride];
+            for (r, &cost_so_far) in dp.iter().enumerate() {
+                if cost_so_far == INF {
+                    continue;
+                }
+                for (j, &cost) in level_costs.iter().enumerate() {
+                    let r2 = r + j;
+                    if r2 > quanta {
+                        break;
+                    }
+                    let candidate = cost_so_far + cost;
+                    if candidate < next[r2] {
+                        next[r2] = candidate;
+                        row[r2] = j as u32;
+                    }
+                }
+            }
+            std::mem::swap(dp, next);
+        }
+        reconstruct(appliance, &task, ws, out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// The pruned kernel equals the full table bit for bit: the same
+        /// `Ok`/`Err` (with the same message), the same allocation under
+        /// `to_bits`, and the same sequence of cost-closure calls. Both run
+        /// through one reused workspace, in either order, so a back-pointer
+        /// the other kernel left behind must never be read. Inputs cover
+        /// resolutions 1–16, windows clipped by (or past) the horizon,
+        /// infeasible tasks, tasks that fit in one slot (`per_slot ≥
+        /// quanta`), all-tie and integer-valued costs, and a cost that is
+        /// NaN in one slot.
+        #[test]
+        fn pruned_kernel_matches_full_table(
+            resolution in 1_usize..=16,
+            slots in 1_usize..=30,
+            start_share in 0.0_f64..1.1,
+            len in 1_usize..20,
+            steps in 1_usize..=4,
+            max_kw in 0.5_f64..4.0,
+            fill in 0.0_f64..1.15,
+            shape in 0_u8..8,
+            cost_kind in 0_u8..5,
+            nan_slot in 0_usize..32,
+            prices in proptest::collection::vec(0.0_f64..1.0, 32),
+            full_table_first in true,
+        ) {
+            let horizon = Horizon::hourly(slots);
+            let start = (start_share * slots as f64) as usize;
+            let deadline = start + len - 1;
+            let in_horizon = deadline.min(slots - 1).saturating_sub(start) + usize::from(start < slots);
+            // Energy as a share of one slot's capacity (it fits in one
+            // slot) or of the clipped window's (past 1.0 it is infeasible).
+            let energy = match shape {
+                0 => 0.0,
+                1 => fill * max_kw,
+                _ => fill * max_kw * in_horizon.max(1) as f64,
+            };
+            let appliance = Appliance::new(
+                ApplianceId::new(0),
+                ApplianceKind::WaterHeater,
+                PowerLevels::stepped(Kw::new(max_kw), steps).unwrap(),
+                TaskSpec::new(Kwh::new(energy), start, deadline).unwrap(),
+            );
+            let cost = |slot: usize, e: f64| match cost_kind {
+                0 => 0.0,
+                1 => 0.2 * e,
+                2 => ((slot % 3) as f64 + 1.0) * e.ceil(),
+                3 => prices[slot] * e + 0.3 * e * e,
+                _ if slot == nan_slot => f64::NAN,
+                _ => prices[slot] * e + 0.3 * e * e,
+            };
+            let scheduler = DpScheduler::new(resolution);
+            let mut ws = DpWorkspace::default();
+            let run = |full_table: bool, ws: &mut DpWorkspace| {
+                let mut calls = Vec::new();
+                let mut out = TimeSeries::filled(horizon, 7.0);
+                let logged = |slot: usize, e: f64| {
+                    calls.push((slot, e.to_bits()));
+                    cost(slot, e)
+                };
+                let result = if full_table {
+                    schedule_into_full_table(&scheduler, &appliance, horizon, ws, &mut out, logged)
+                } else {
+                    scheduler.schedule_into(&appliance, horizon, ws, &mut out, logged)
+                };
+                let bits: Vec<u64> = out.iter().map(|e| e.to_bits()).collect();
+                (result.map_err(|err| err.to_string()), bits, calls)
+            };
+            // Warm the workspace with the other kernel's tables first.
+            let first = run(full_table_first, &mut ws);
+            let second = run(!full_table_first, &mut ws);
+            prop_assert_eq!(&first.0, &second.0);
+            prop_assert_eq!(&first.1, &second.1);
+            prop_assert_eq!(&first.2, &second.2);
         }
     }
 

@@ -3,6 +3,7 @@
 //! optimization until the customer's plan stabilizes.
 
 use std::cell::Cell;
+use std::ops::Range;
 
 use nms_obs::{span, Recorder};
 use rand::Rng;
@@ -277,6 +278,7 @@ pub(crate) fn respond_in_place(
         dp: dp_ws,
         ce: ce_ws,
         table,
+        prefix,
         base,
         battery_delta,
         generation,
@@ -300,6 +302,10 @@ pub(crate) fn respond_in_place(
     // Tallied locally (the DP cost closure is not `Sync`-friendly to hand
     // the recorder into) and flushed to `rec` once per response.
     let dp_cells = Cell::new(0_u64);
+    // Each appliance's DP reads `base` on its own window only, so only
+    // window slots are written; the rest stay at zero.
+    base.clear();
+    base.resize(slots, 0.0);
 
     for _ in 0..config.inner_iters {
         // Battery contribution to own trading, fixed during the DP step.
@@ -307,12 +313,16 @@ pub(crate) fn respond_in_place(
         battery_delta.extend((0..slots).map(|h| battery[h + 1].value() - battery[h].value()));
 
         // DP step: reschedule each appliance against the others (coordinate
-        // descent over appliances).
+        // descent over appliances). `prefix` holds the lanes already
+        // rescheduled in this sweep, folded in index order.
         let dp_span = span(rec, "dp_appliances");
+        prefix.clear();
+        prefix.resize(slots, std::iter::empty::<f64>().sum());
         for (index, appliance) in customer.appliances().iter().enumerate() {
-            sum_other_appliances(energies, slots, index, base);
-            for (h, value) in base.iter_mut().enumerate() {
-                *value = customer.base_load()[h] + *value + battery_delta[h] - generation[h];
+            let window = DpScheduler::window(appliance, slots);
+            fold_other_appliances(prefix, energies, index, window.clone(), base);
+            for h in window {
+                base[h] = customer.base_load()[h] + base[h] + battery_delta[h] - generation[h];
             }
             let out = &mut energies[index];
             if hoist {
@@ -328,6 +338,7 @@ pub(crate) fn respond_in_place(
                         .value()
                 })?;
             }
+            fold_lane(prefix, out.as_slice());
         }
         drop(dp_span);
 
@@ -393,25 +404,30 @@ fn lanes(energies: &[TimeSeries<f64>]) -> impl Iterator<Item = &[f64]> + Clone {
     energies.iter().map(TimeSeries::as_slice)
 }
 
-/// Writes `Σ_{i ≠ skip} e_i^h` into `acc` for each of the `slots` slots.
-/// Appliances are added in index order onto `Iterator::sum`'s identity —
-/// the additions `(0..A).filter(|&i| i != skip).map(|i| e_i[h]).sum()`
-/// performs, in the same order, as a per-appliance loop the compiler
-/// vectorizes.
-fn sum_other_appliances(
+/// Writes `Σ_{i ≠ skip} e_i^h` into `acc` on the slots of `window` only:
+/// `prefix` (the lanes before `skip`, folded in index order onto
+/// `Iterator::sum`'s identity), then the lanes after `skip` in index order.
+/// Those are the additions `(0..A).filter(|&i| i != skip).map(|i|
+/// e_i[h]).sum()` performs, in the same order, as a per-lane loop the
+/// compiler vectorizes.
+fn fold_other_appliances(
+    prefix: &[f64],
     energies: &[TimeSeries<f64>],
-    slots: usize,
     skip: usize,
-    acc: &mut Vec<f64>,
+    window: Range<usize>,
+    acc: &mut [f64],
 ) {
-    acc.clear();
-    acc.resize(slots, std::iter::empty::<f64>().sum());
-    for (index, energy) in energies.iter().enumerate() {
-        if index != skip {
-            for (sum, &value) in acc.iter_mut().zip(energy.iter()) {
-                *sum += value;
-            }
-        }
+    let acc = &mut acc[window.clone()];
+    acc.copy_from_slice(&prefix[window.clone()]);
+    for energy in &energies[skip + 1..] {
+        fold_lane(acc, &energy.as_slice()[window.clone()]);
+    }
+}
+
+/// Adds `lane` onto `acc`, slot by slot.
+fn fold_lane(acc: &mut [f64], lane: &[f64]) {
+    for (sum, &value) in acc.iter_mut().zip(lane) {
+        *sum += value;
     }
 }
 
@@ -486,18 +502,22 @@ mod tests {
     }
 
     proptest! {
-        /// The per-lane fold of the other appliances equals the per-slot
-        /// `enumerate().filter().sum()` it replaced, bit for bit, for 0–10
-        /// appliances. Both signed zeros are over-represented among the
-        /// energies: a fold seeded at `+0.0` turns an all-`-0.0` (or
-        /// empty) sum positive.
+        /// The prefix-plus-window fold of the other appliances equals the
+        /// per-slot `enumerate().filter().sum()` it replaced on every slot
+        /// of each appliance's window, bit for bit, for 0–10 appliances
+        /// rescheduled in index order as the DP sweep does, and writes no
+        /// slot outside the window. After the sweep the prefix is the sum
+        /// of every lane. Both signed zeros are over-represented among the
+        /// energies: a fold seeded at `+0.0` turns an all-`-0.0` (or empty)
+        /// sum positive.
         #[test]
         fn other_appliance_fold_matches_filtered_sum(
             count in 0_usize..=10,
-            skip in 0_usize..=10,
             slots in 1_usize..30,
-            kinds in proptest::collection::vec(0_u8..4, 10 * 30),
-            magnitudes in proptest::collection::vec(-1.0_f64..1.0, 10 * 30),
+            starts in proptest::collection::vec(0_usize..32, 10),
+            lengths in proptest::collection::vec(1_usize..32, 10),
+            kinds in proptest::collection::vec(0_u8..4, 2 * 10 * 30),
+            magnitudes in proptest::collection::vec(-1.0_f64..1.0, 2 * 10 * 30),
         ) {
             let value = |i: usize| match kinds[i] {
                 0 => -0.0,
@@ -506,20 +526,42 @@ mod tests {
                 _ => magnitudes[i] * 1e16,
             };
             let horizon = Horizon::hourly(slots);
-            let energies: Vec<TimeSeries<f64>> = (0..count)
-                .map(|a| TimeSeries::from_fn(horizon, |h| value(a * slots + h)))
-                .collect();
-            let mut acc = Vec::new();
-            sum_other_appliances(&energies, slots, skip, &mut acc);
-            prop_assert_eq!(acc.len(), slots);
-            for (h, &folded) in acc.iter().enumerate() {
-                let summed: f64 = energies
+            let lane = |draw: usize, a: usize| {
+                TimeSeries::from_fn(horizon, |h| value((draw * 10 + a) * 30 + h))
+            };
+            let mut energies: Vec<TimeSeries<f64>> = (0..count).map(|a| lane(0, a)).collect();
+            let filtered = |energies: &[TimeSeries<f64>], skip: usize, h: usize| -> f64 {
+                energies
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != skip)
                     .map(|(_, e)| e[h])
-                    .sum();
-                prop_assert_eq!(folded.to_bits(), summed.to_bits());
+                    .sum()
+            };
+            let mut prefix = vec![std::iter::empty::<f64>().sum(); slots];
+            for k in 0..count {
+                let appliance = Appliance::new(
+                    ApplianceId::new(k),
+                    ApplianceKind::Dishwasher,
+                    PowerLevels::on_off(Kw::new(1.0)).unwrap(),
+                    TaskSpec::new(Kwh::ZERO, starts[k], starts[k] + lengths[k] - 1).unwrap(),
+                );
+                let window = DpScheduler::window(&appliance, slots);
+                let mut acc = vec![f64::NAN; slots];
+                fold_other_appliances(&prefix, &energies, k, window.clone(), &mut acc);
+                for (h, &folded) in acc.iter().enumerate() {
+                    if window.contains(&h) {
+                        prop_assert_eq!(folded.to_bits(), filtered(&energies, k, h).to_bits());
+                    } else {
+                        prop_assert!(folded.is_nan(), "slot {h} outside {window:?} written");
+                    }
+                }
+                // Reschedule lane k, then fold it into the prefix.
+                energies[k] = lane(1, k);
+                fold_lane(&mut prefix, energies[k].as_slice());
+            }
+            for (h, &sum) in prefix.iter().enumerate() {
+                prop_assert_eq!(sum.to_bits(), filtered(&energies, count, h).to_bits());
             }
         }
     }

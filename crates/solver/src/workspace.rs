@@ -39,7 +39,11 @@ pub struct ResponseWorkspace {
     pub(crate) ce: CeWorkspace,
     /// Per-slot billing terms hoisted once per response.
     pub(crate) table: HoistedCostTable,
-    /// Fixed per-slot trading base seen by the appliance under reschedule.
+    /// Running sum of the appliance lanes already rescheduled in the
+    /// current DP sweep.
+    pub(crate) prefix: Vec<f64>,
+    /// Fixed per-slot trading base seen by the appliance under reschedule
+    /// (written on its window only).
     pub(crate) base: Vec<f64>,
     /// Battery contribution to own trading (`b^{h+1} − b^h`).
     pub(crate) battery_delta: Vec<f64>,
