@@ -102,20 +102,27 @@ impl<'a> BatteryProblem<'a> {
         debug_assert_eq!(interior.len(), self.dim());
         let mut prev = self.battery.initial_charge().value();
         let mut total = 0.0;
-        let limit = self.battery.slot_throughput_limit().map(Kwh::value);
         for (h, &next) in interior.iter().enumerate() {
-            let trading = self.load[h] + next - prev - self.generation[h];
-            total += self
-                .cost_model
-                .slot_cost(h, self.others_trading[h], trading)
-                .value();
-            if let Some(limit) = limit {
-                let excess = ((next - prev).abs() - limit).max(0.0);
-                total += THROUGHPUT_PENALTY * excess * excess;
-            }
+            add_terms(&mut total, self.slot_terms(h, prev, next));
             prev = next;
         }
         total
+    }
+
+    /// Slot `h`'s objective terms for the step `prev → next`: the billing
+    /// cost, and the throughput penalty when the battery has a limit.
+    #[inline]
+    fn slot_terms(&self, h: usize, prev: f64, next: f64) -> SlotTerms {
+        let trading = self.load[h] + next - prev - self.generation[h];
+        let cost = self
+            .cost_model
+            .slot_cost(h, self.others_trading[h], trading)
+            .value();
+        let penalty = self.battery.slot_throughput_limit().map(|limit| {
+            let excess = ((next - prev).abs() - limit.value()).max(0.0);
+            THROUGHPUT_PENALTY * excess * excess
+        });
+        (cost, penalty)
     }
 
     /// The customer's trading series implied by an interior trajectory.
@@ -158,14 +165,30 @@ impl<'a> BatteryProblem<'a> {
     }
 }
 
+/// One slot's objective terms: the billing cost and, with a throughput
+/// limit, the penalty.
+type SlotTerms = (f64, Option<f64>);
+
+/// Adds one slot's terms to a running objective: the cost, then the
+/// penalty as a second addition, the order [`BatteryProblem::objective`]
+/// sums them in.
+#[inline]
+fn add_terms(total: &mut f64, (cost, penalty): SlotTerms) {
+    *total += cost;
+    if let Some(penalty) = penalty {
+        *total += penalty;
+    }
+}
+
 /// Optimizes the battery trajectory with cross-entropy optimization,
 /// returning the full `b⁰..b^H` trajectory and the CE diagnostics.
 ///
-/// `warm_start` (an interior `b¹..b^H`, e.g. from the previous game round)
-/// both seeds the sampling distribution and acts as a floor: the result is
-/// never worse than the warm start or the idle trajectory. For an unusable
-/// (zero-capacity) battery this degenerates to the idle trajectory without
-/// sampling. The CE population/elite buffers live in `ws` and are reused
+/// `warm_start` (an interior `b¹..b^H`, e.g. from the previous game round,
+/// paired with its [`BatteryProblem::objective`] value, which the caller
+/// has already computed) both seeds the sampling distribution and acts as
+/// a floor: the result is never worse than the warm start or the idle
+/// trajectory. For an unusable (zero-capacity) battery this degenerates to
+/// the idle trajectory without sampling. The CE population/elite buffers live in `ws` and are reused
 /// across solves — the best-response inner loop runs one battery step per
 /// alternation and reuses one workspace for all of them.
 ///
@@ -176,7 +199,7 @@ impl<'a> BatteryProblem<'a> {
 pub fn optimize_battery(
     problem: &BatteryProblem<'_>,
     optimizer: &CrossEntropyOptimizer,
-    warm_start: Option<&[f64]>,
+    warm_start: Option<(&[f64], f64)>,
     rng: &mut impl Rng,
     ws: &mut CeWorkspace,
 ) -> Result<(Vec<Kwh>, CeSolution), SolverError> {
@@ -193,22 +216,28 @@ pub fn optimize_battery(
     }
     let capacity = problem.battery().capacity().value();
     let bounds = vec![(0.0, capacity); problem.dim()];
-    let init = match warm_start {
-        Some(point) => {
+    let (init, init_cost) = match warm_start {
+        Some((point, cost)) => {
             if point.len() != problem.dim() {
                 return Err(SolverError::Numeric {
                     detail: format!("warm start dimension: {} vs {}", point.len(), problem.dim()),
                 });
             }
-            point.to_vec()
+            debug_assert_eq!(cost.to_bits(), problem.objective(point).to_bits());
+            (point.to_vec(), cost)
         }
-        None => problem.idle_interior(),
+        None => {
+            let idle = problem.idle_interior();
+            let cost = problem.objective(&idle);
+            (idle, cost)
+        }
     };
     let mut solution = optimizer.minimize(|x| problem.objective(x), &bounds, &init, rng, ws)?;
     // Never return something worse than the warm start (which `init`
     // holds) or doing nothing.
-    for candidate in [init, problem.idle_interior()] {
-        let cost = problem.objective(&candidate);
+    let idle = problem.idle_interior();
+    let idle_cost = problem.objective(&idle);
+    for (candidate, cost) in [(init, init_cost), (idle, idle_cost)] {
         if cost < solution.objective {
             solution.point = candidate;
             solution.objective = cost;
@@ -217,20 +246,114 @@ pub fn optimize_battery(
     Ok((problem.full_trajectory(&solution.point), solution))
 }
 
-/// Deterministic baseline: cyclic projected coordinate descent with a
-/// grid-plus-golden-section line search per coordinate.
+/// Deterministic baseline: one sweep of cyclic projected coordinate
+/// descent with a grid-plus-golden-section line search per coordinate.
 ///
-/// Returns the full `b⁰..b^H` trajectory. The best response runs one
-/// sweep per battery step and warm-starts [`optimize_battery`] from the
-/// better of it and the previous trajectory.
-pub fn coordinate_descent_battery(problem: &BatteryProblem<'_>, sweeps: usize) -> Vec<Kwh> {
+/// Returns the full `b⁰..b^H` trajectory. The best response runs it once
+/// per battery step and warm-starts [`optimize_battery`] from the better
+/// of it and the previous trajectory.
+///
+/// Each candidate is scored incrementally. Moving slot `k` changes only
+/// the terms of slots `k` and `k + 1`, and in one sweep every slot after
+/// `k` still holds the initial charge, so the terms after `k + 1` are the
+/// idle trajectory's. A score is the running total over slots `0..k`,
+/// plus the two recomputed terms, plus the idle terms re-added one at a
+/// time in slot order: the additions [`BatteryProblem::objective`]
+/// performs, in its order, so every score, every comparison and the
+/// result are bit-identical to scoring each candidate in full.
+pub fn coordinate_descent_battery(problem: &BatteryProblem<'_>) -> Vec<Kwh> {
     if !problem.battery().is_usable() {
         return problem.full_trajectory(&problem.idle_interior());
     }
     let capacity = problem.battery().capacity().value();
+    let initial = problem.battery().initial_charge().value();
     let mut interior = problem.idle_interior();
+    let idle_terms: Vec<SlotTerms> = (0..interior.len())
+        .map(|h| problem.slot_terms(h, initial, initial))
+        .collect();
+    // The objective's running total over slots `0..k`.
+    let mut prefix = 0.0;
+    for k in 0..interior.len() {
+        let prev = if k == 0 { initial } else { interior[k - 1] };
+        let score = |value: f64| {
+            let mut total = prefix;
+            add_terms(&mut total, problem.slot_terms(k, prev, value));
+            if k + 1 < idle_terms.len() {
+                add_terms(&mut total, problem.slot_terms(k + 1, value, initial));
+                for &tail in &idle_terms[k + 2..] {
+                    add_terms(&mut total, tail);
+                }
+            }
+            total
+        };
+        let best = line_search(initial, capacity, score);
+        interior[k] = best;
+        add_terms(&mut prefix, problem.slot_terms(k, prev, best));
+    }
+    problem.full_trajectory(&interior)
+}
+
+/// One coordinate's line search over `[0, capacity]`: a coarse grid, then
+/// a golden-section refine around the best grid cell. Returns the best
+/// value found, keeping `current` unless a candidate scores strictly
+/// lower.
+fn line_search(current: f64, capacity: f64, score: impl Fn(f64) -> f64) -> f64 {
     const GRID: usize = 16;
-    for _ in 0..sweeps {
+    let mut best_value = current;
+    let mut best_cost = score(current);
+    for g in 0..=GRID {
+        let candidate = capacity * g as f64 / GRID as f64;
+        let cost = score(candidate);
+        if cost < best_cost {
+            best_cost = cost;
+            best_value = candidate;
+        }
+    }
+    let step = capacity / GRID as f64;
+    let (mut lo, mut hi) = (
+        (best_value - step).max(0.0),
+        (best_value + step).min(capacity),
+    );
+    let phi = (5.0_f64.sqrt() - 1.0) / 2.0;
+    for _ in 0..24 {
+        let m1 = hi - phi * (hi - lo);
+        let m2 = lo + phi * (hi - lo);
+        if score(m1) <= score(m2) {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    let refined = (lo + hi) / 2.0;
+    if score(refined) < best_cost {
+        best_value = refined;
+    }
+    best_value
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CeConfig;
+    use nms_pricing::{NetMeteringTariff, PriceSignal};
+    use nms_types::Horizon;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn day() -> Horizon {
+        Horizon::hourly_day()
+    }
+
+    /// The coordinate-descent sweep that scores every candidate with the
+    /// full objective: the oracle [`coordinate_descent_battery`]'s
+    /// incremental scoring must match bit for bit.
+    fn coordinate_descent_reference(problem: &BatteryProblem<'_>) -> Vec<Kwh> {
+        if !problem.battery().is_usable() {
+            return problem.full_trajectory(&problem.idle_interior());
+        }
+        let capacity = problem.battery().capacity().value();
+        let mut interior = problem.idle_interior();
+        const GRID: usize = 16;
         for k in 0..interior.len() {
             let evaluate = |value: f64, interior: &mut Vec<f64>| {
                 let saved = interior[k];
@@ -272,21 +395,7 @@ pub fn coordinate_descent_battery(problem: &BatteryProblem<'_>, sweeps: usize) -
             }
             interior[k] = best_value;
         }
-    }
-    problem.full_trajectory(&interior)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::CeConfig;
-    use nms_pricing::{NetMeteringTariff, PriceSignal};
-    use nms_types::Horizon;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn day() -> Horizon {
-        Horizon::hourly_day()
+        problem.full_trajectory(&interior)
     }
 
     /// One cold-started CE solve from a fresh workspace.
@@ -400,7 +509,7 @@ mod tests {
     fn coordinate_descent_beats_idle_on_arbitrage() {
         let fixture = Fixture::arbitrage();
         let problem = fixture.problem();
-        let trajectory = coordinate_descent_battery(&problem, 3);
+        let trajectory = coordinate_descent_battery(&problem);
         fixture.battery.validate_trajectory(&trajectory).unwrap();
         let interior: Vec<f64> = trajectory[1..].iter().map(|b| b.value()).collect();
         let idle_cost = problem.objective(&problem.idle_interior());
@@ -471,6 +580,49 @@ mod tests {
             // hard-feasible trajectory.
             let trajectory = problem.full_trajectory(&raw);
             proptest::prop_assert!(battery.validate_trajectory(&trajectory).is_ok());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+        #[test]
+        fn prop_incremental_sweep_matches_full_objective_sweep(
+            prices in proptest::collection::vec(0.0_f64..0.5, 24),
+            load in proptest::collection::vec(0.0_f64..4.0, 24),
+            generation in proptest::collection::vec(0.0_f64..4.0, 24),
+            others in proptest::collection::vec(-30.0_f64..60.0, 24),
+            w in 1.0_f64..3.0,
+            capacity in 0.5_f64..10.0,
+            zero_capacity in 0_u8..8,
+            charge_fraction in 0.0_f64..=1.0,
+            limited in true,
+            limit_fraction in 0.05_f64..1.0,
+        ) {
+            let capacity = if zero_capacity == 0 { 0.0 } else { capacity };
+            let mut battery =
+                Battery::new(Kwh::new(capacity), Kwh::new(capacity * charge_fraction)).unwrap();
+            if limited {
+                battery = battery
+                    .with_throughput_limit(Kwh::new(capacity * limit_fraction))
+                    .unwrap();
+            }
+            let series = |values: Vec<f64>| TimeSeries::from_fn(day(), |h| values[h]);
+            let prices = PriceSignal::new(series(prices)).unwrap();
+            let (load, generation, others) = (series(load), series(generation), series(others));
+            let problem = BatteryProblem::new(
+                &battery,
+                &load,
+                &generation,
+                &others,
+                CostModel::new(&prices, NetMeteringTariff::new(w).unwrap()),
+            );
+            let bits = |trajectory: Vec<Kwh>| -> Vec<u64> {
+                trajectory.iter().map(|b| b.value().to_bits()).collect()
+            };
+            proptest::prop_assert_eq!(
+                bits(coordinate_descent_battery(&problem)),
+                bits(coordinate_descent_reference(&problem))
+            );
         }
     }
 

@@ -359,13 +359,14 @@ pub(crate) fn respond_in_place(
             // deterministic coordinate-descent sweep — CE then refines.
             warm_prev.clear();
             warm_prev.extend(battery[1..].iter().map(|b| b.value()));
-            let full_sweep = coordinate_descent_battery(&problem, 1);
+            let full_sweep = coordinate_descent_battery(&problem);
             swept.clear();
             swept.extend(full_sweep[1..].iter().map(|b| b.value()));
-            let warm: &[f64] = if problem.objective(swept) < problem.objective(warm_prev) {
-                swept
+            let (swept_cost, prev_cost) = (problem.objective(swept), problem.objective(warm_prev));
+            let warm: (&[f64], f64) = if swept_cost < prev_cost {
+                (swept, swept_cost)
             } else {
-                warm_prev
+                (warm_prev, prev_cost)
             };
             let (trajectory, solution) = optimize_battery(&problem, &ce, Some(warm), rng, ce_ws)?;
             rec.add("solver_ce_solves", 1);
