@@ -7,27 +7,83 @@ use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, LoadProfile};
-use nms_solver::{best_response, GameConfig, GameEngine, ResponseWorkspace, SolverError};
+use nms_solver::{
+    best_response, GameConfig, GameEngine, GameOutcome, ResponseWorkspace, SolverError,
+};
 use nms_types::{MeterId, TimeSeries};
 
-/// The community's predicted response to a price signal.
+/// The community's predicted response to a price signal: its demand, load
+/// and PAR, and the game's plans behind them.
+///
+/// The N-customer schedule is built only by
+/// [`PredictedResponse::into_scheduled`], for the callers that read it.
 #[derive(Debug, Clone)]
 pub struct PredictedResponse {
-    /// The full game solution.
-    pub schedule: CommunitySchedule,
     /// Predicted net grid demand (`Σ_n y_n^h`, clamped at zero).
     pub grid_demand: TimeSeries<f64>,
     /// PAR of the predicted grid demand — the detection statistic.
     pub par: f64,
     /// Whether the game converged within its round budget.
     pub converged: bool,
-    /// Best-response rounds the game executed (`0` for responses that did
-    /// not run the full game, e.g. unilateral deviations).
+    /// Best-response rounds the game executed.
     pub rounds: usize,
+    /// The solved game, holding the plans.
+    outcome: GameOutcome,
+    /// Whether the game modeled the DER-stripped community.
+    stripped: bool,
 }
 
 impl PredictedResponse {
     /// The predicted community consumption profile `L_h`.
+    pub fn load(&self) -> &LoadProfile {
+        &self.outcome.load
+    }
+
+    /// Builds the community schedule behind the prediction. `community`
+    /// is the one passed to [`LoadPredictor::predict`]; a predictor that
+    /// ignores net metering strips its DER again here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError`] when `community` is not the one predicted.
+    pub fn into_scheduled(self, community: &Community) -> Result<ScheduledResponse, SolverError> {
+        let stripped_storage;
+        let community_model = if self.stripped {
+            stripped_storage = strip_der(community);
+            &stripped_storage
+        } else {
+            community
+        };
+        Ok(ScheduledResponse {
+            schedule: self.outcome.into_schedule(community_model)?,
+            grid_demand: self.grid_demand,
+            par: self.par,
+            converged: self.converged,
+            rounds: self.rounds,
+        })
+    }
+}
+
+/// A community response with its N-customer schedule: a prediction built
+/// by [`PredictedResponse::into_scheduled`], or a unilateral deviation
+/// from one.
+#[derive(Debug, Clone)]
+pub struct ScheduledResponse {
+    /// Every customer's schedule, with the community's aggregates.
+    pub schedule: CommunitySchedule,
+    /// Net grid demand (`Σ_n y_n^h`, clamped at zero).
+    pub grid_demand: TimeSeries<f64>,
+    /// PAR of the grid demand — the detection statistic.
+    pub par: f64,
+    /// Whether the game behind the response converged.
+    pub converged: bool,
+    /// Best-response rounds the game executed (`0` for unilateral
+    /// deviations, which run no game).
+    pub rounds: usize,
+}
+
+impl ScheduledResponse {
+    /// The community consumption profile `L_h`.
     pub fn load(&self) -> &LoadProfile {
         self.schedule.load()
     }
@@ -97,14 +153,16 @@ impl LoadPredictor {
         let engine = GameEngine::new(community_model, prices, self.tariff, game)
             .map_err(SolverError::Config)?;
         let outcome = engine.solve(rng, rec)?;
-        let grid_demand = outcome.schedule.grid_demand_clamped();
+        // `CommunitySchedule::grid_demand_clamped` on the outcome's demand.
+        let grid_demand = outcome.grid_demand.map(|&y| y.max(0.0));
         let par = grid_demand.par().unwrap_or(1.0);
         Ok(PredictedResponse {
             grid_demand,
             par,
             converged: outcome.converged,
             rounds: outcome.rounds,
-            schedule: outcome.schedule,
+            outcome,
+            stripped: !self.net_metering,
         })
     }
 
@@ -115,9 +173,10 @@ impl LoadPredictor {
     /// coordination has already closed; nobody re-equilibrates intraday).
     ///
     /// `committed` must be a response previously produced by this predictor
-    /// for the same community (its schedules are reused as warm starts and
-    /// as the honest homes' plans). The per-meter best responses tally
-    /// their DP/CE work into `rec`.
+    /// for the same community and built by
+    /// [`PredictedResponse::into_scheduled`] (its schedules are reused as
+    /// warm starts and as the honest homes' plans). The per-meter best
+    /// responses tally their DP/CE work into `rec`.
     ///
     /// # Errors
     ///
@@ -126,12 +185,12 @@ impl LoadPredictor {
     pub fn respond_unilaterally(
         &self,
         community: &Community,
-        committed: &PredictedResponse,
+        committed: &ScheduledResponse,
         manipulated_price: &PriceSignal,
         hacked_meters: &[MeterId],
         rng: &mut impl Rng,
         rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
+    ) -> Result<ScheduledResponse, SolverError> {
         let stripped_storage;
         let community_model: &Community = if self.net_metering {
             community
@@ -185,12 +244,12 @@ impl LoadPredictor {
         let schedule = CommunitySchedule::new(horizon, schedules)?;
         let grid_demand = schedule.grid_demand_clamped();
         let par = grid_demand.par().unwrap_or(1.0);
-        Ok(PredictedResponse {
+        Ok(ScheduledResponse {
+            schedule,
             grid_demand,
             par,
             converged: committed.converged,
             rounds: 0,
-            schedule,
         })
     }
 }

@@ -116,11 +116,11 @@ impl Backtest<'_> {
     /// `weather` holds the training epoch's clearness factors, and `seeds`
     /// the day's clearing and realization seeds.
     ///
-    /// Of its N-customer schedules it keeps only the honest response,
-    /// which the unilateral deviations read. The clearing's and the
-    /// day-ahead prediction's shrink to their demand series at once, and
-    /// each bucket's unilateral response is dropped after its bucket, so
-    /// two days running at once hold at most four schedules.
+    /// It builds one N-customer schedule, the honest response's, which the
+    /// unilateral deviations read. The clearing and the day-ahead
+    /// prediction build none and shrink to their demand series at once,
+    /// and each bucket's unilateral response is dropped after its bucket,
+    /// so two days running at once hold at most four schedules.
     fn day(
         &self,
         back: usize,
@@ -177,7 +177,8 @@ impl Backtest<'_> {
         let mut honest_rng = ChaCha8Rng::seed_from_u64(seed);
         let honest = framework
             .load
-            .predict(&community, &price, &mut honest_rng, &NoopRecorder)?;
+            .predict(&community, &price, &mut honest_rng, &NoopRecorder)?
+            .into_scheduled(&community)?;
 
         let mut day_stats = Vec::with_capacity(self.buckets);
         for bucket in 0..self.buckets {

@@ -25,6 +25,7 @@
 //! durable checkpoint journal to memory through
 //! [`SupervisedOptions::in_memory`].
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -39,6 +40,7 @@ use nms_core::{
     meter_day_failed, sanitize_series, AccuracyTracker, DetectorAction, FrameworkConfig,
     LaborTracker, LongTermDetector, MeterQuarantine, ParObservationMap, PredictedResponse,
     PricePredictor, QuarantineConfig, QuarantineEvent, QuarantineTransition, SanitizeConfig,
+    ScheduledResponse,
 };
 use nms_forecast::PriceHistory;
 use nms_par::Parallelism;
@@ -56,7 +58,7 @@ use crate::fork::{fork_day, Fork};
 use crate::journal::{
     DayRecord, FixRecord, HistoryRow, JournalError, JournalHeader, RunJournal, JOURNAL_VERSION,
 };
-use crate::{CommunityGenerator, DayOutcome, Market, PaperScenario, SimError};
+use crate::{CommunityGenerator, Market, PaperScenario, SimError};
 
 /// Slots per simulated day (the paper's hourly horizon).
 const SLOTS_PER_DAY: usize = 24;
@@ -365,7 +367,7 @@ fn train(
 fn faulted_view(
     plan: &FaultPlan,
     day: usize,
-    realization: &PredictedResponse,
+    realization: &ScheduledResponse,
     predicted: &TimeSeries<f64>,
     sanitize: &SanitizeConfig,
     quarantine: Option<&MeterQuarantine>,
@@ -426,30 +428,31 @@ fn faulted_view(
 }
 
 /// Realizes one day's response for a compromise set: the committed (clean)
-/// plan with hacked homes deviating unilaterally. Pure in
-/// `(community, clean, manipulated, realization_seed, compromised)`.
+/// plan with hacked homes deviating unilaterally, or `None` when no meter
+/// is hacked and the committed response is the realization. Pure in
+/// `(community, committed, manipulated, realization_seed, compromised)`.
 fn realize_day(
     setup: &RunSetup,
     community: &Community,
-    clean: &DayOutcome,
+    committed: &ScheduledResponse,
     manipulated: &PriceSignal,
     realization_seed: u64,
     compromised: &CompromiseSet,
     rec: &dyn Recorder,
-) -> Result<PredictedResponse, SimError> {
+) -> Result<Option<ScheduledResponse>, SimError> {
     if compromised.is_empty() {
-        return Ok(clean.response.clone());
+        return Ok(None);
     }
     let meters: Vec<MeterId> = compromised.iter().collect();
     let mut child = ChaCha8Rng::seed_from_u64(realization_seed);
-    Ok(setup.market.truth_model().respond_unilaterally(
+    Ok(Some(setup.market.truth_model().respond_unilaterally(
         community,
-        &clean.response,
+        committed,
         manipulated,
         &meters,
         &mut child,
         rec,
-    )?)
+    )?))
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
@@ -483,26 +486,32 @@ fn simulate_day(
 
     // The clearing, the attack and the day-start realization.
     let compromised = &state.compromised;
+    // The committed response's schedule is built here: every realization
+    // reads it, as do the telemetry faults.
     let front = || -> Result<_, SimError> {
         let clearing_watch = Stopwatch::start();
-        let clean = {
+        let (price, committed) = {
             let _span = span(rec, "clearing");
-            setup
-                .market
-                .clear_day(&community, config.clearing_iterations, clearing_seed, rec)?
+            let clean = setup.market.clear_day(
+                &community,
+                config.clearing_iterations,
+                clearing_seed,
+                rec,
+            )?;
+            (clean.price, clean.response.into_scheduled(&community)?)
         };
         let clearing_secs = clearing_watch.secs();
-        let manipulated = config.timeline.attack().apply(&clean.price);
-        let realization = realize_day(
+        let manipulated = config.timeline.attack().apply(&price);
+        let deviation = realize_day(
             setup,
             &community,
-            &clean,
+            &committed,
             &manipulated,
             realization_seed,
             compromised,
             rec,
         )?;
-        Ok((clean, manipulated, realization, clearing_secs))
+        Ok((price, committed, manipulated, deviation, clearing_secs))
     };
     // The detector's day-ahead view reads the trained predictors, the
     // history through yesterday, the day's community and the realization
@@ -530,8 +539,14 @@ fn simulate_day(
             Ok((predicted, prediction_watch.secs()))
         }
     });
-    let ((clean, manipulated, mut realization, clearing_secs), prediction) =
+    let ((price, committed, manipulated, deviation, clearing_secs), prediction) =
         fork_day(front, prediction, fork, rec)?;
+    // While no meter is hacked, the realization borrows the committed
+    // response.
+    let realized = |deviation: Option<ScheduledResponse>| {
+        deviation.map_or(Cow::Borrowed(&committed), Cow::Owned)
+    };
+    let mut realization = realized(deviation);
     let (day_prediction, prediction_secs) = match prediction {
         Some((predicted, secs)) => (Some(predicted), secs),
         None => (None, 0.0),
@@ -550,16 +565,17 @@ fn simulate_day(
     });
 
     // Re-realize the day whenever the compromise set changes mid-day.
-    let realize = |compromised: &CompromiseSet| -> Result<PredictedResponse, SimError> {
+    let realize = |compromised: &CompromiseSet| {
         realize_day(
             setup,
             &community,
-            &clean,
+            &committed,
             &manipulated,
             realization_seed,
             compromised,
             rec,
         )
+        .map(realized)
     };
     // The telemetry view of the current realization, rebuilt lazily
     // whenever the realization changes mid-day.
@@ -696,7 +712,7 @@ fn simulate_day(
     let mut history_rows = Vec::with_capacity(SLOTS_PER_DAY);
     for h in 0..SLOTS_PER_DAY {
         let row = HistoryRow {
-            price: clean.price.at(h).value(),
+            price: price.at(h).value(),
             generation: theta[h],
             demand: realization.load().at(h).value(),
         };

@@ -388,6 +388,8 @@ mod tests {
             .clear_day(&community, 2, rng.gen(), &NoopRecorder)
             .unwrap()
             .response
+            .into_scheduled(&community)
+            .unwrap()
             .schedule
     }
 

@@ -18,7 +18,9 @@ use crate::fork::TRAINING_WORKERS;
 use crate::{CommunityGenerator, PaperScenario, SimError};
 
 /// One simulated market day: the cleared guideline price and the community's
-/// scheduled (ground-truth) response to it.
+/// (ground-truth) response to it. The response's N-customer schedule is
+/// built only by a caller that reads it
+/// ([`PredictedResponse::into_scheduled`]).
 #[derive(Debug, Clone)]
 pub struct DayOutcome {
     /// The guideline price the utility broadcast.
@@ -97,8 +99,8 @@ impl Market {
             if iterations == 0 {
                 return Ok(DayOutcome { price, response });
             }
-            // Only the price carries over: the response, with its
-            // N-customer schedule, is freed before the next game solves.
+            // Only the price carries over: the response, with its plans, is
+            // freed before the next game solves.
         }
         // Final response to the final price.
         let mut child = ChaCha8Rng::seed_from_u64(seed);
@@ -145,8 +147,8 @@ impl Market {
         let weather = self.scenario.weather_factors(days);
         let seeds: Vec<u64> = weather.iter().map(|_| rng.gen()).collect();
         let _span = span(rec, "bootstrap");
-        // A day returns only its (price, generation, demand) per slot, so
-        // its N-customer schedule is freed on the thread that cleared it.
+        // A day returns only its (price, generation, demand) per slot and
+        // builds no N-customer schedule.
         let cleared = par_map(TRAINING_WORKERS, &seeds, rec, |day, &seed, rec| {
             let community = generator.community_for_day(day, weather[day]);
             let outcome = self.clear_day(&community, 2, seed, rec)?;

@@ -97,21 +97,21 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x5eeb);
     let outcome = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
-    let energy_sold = outcome
-        .response
+    let response = outcome.response.into_scheduled(&community)?;
+    let energy_sold = response
         .schedule
         .customer_schedules()
         .iter()
         .map(|s| s.total_sold().value())
         .sum();
-    let midday_draw = (11..15).map(|h| outcome.response.grid_demand[h]).sum();
+    let midday_draw = (11..15).map(|h| response.grid_demand[h]).sum();
     Ok(SweepPoint {
         parameter,
-        par: outcome.response.par,
+        par: response.par,
         energy_sold,
         midday_draw,
-        solver_rounds: outcome.response.rounds,
-        solver_converged: outcome.response.converged,
+        solver_rounds: response.rounds,
+        solver_converged: response.converged,
     })
 }
 

@@ -302,6 +302,17 @@ impl CustomerSchedule {
 
 /// Checks one appliance's per-slot energies (kWh) against its task and
 /// power levels on `horizon`, naming the first violated constraint.
+///
+/// One branch-free pass tests every slot: exactly zero outside the
+/// window, and inside it not below `-tol` and not above the cap (so not
+/// NaN or infinite either: the cap is finite). When it passes,
+/// only the window's energies are summed: the scan's running total starts
+/// at `+0.0` and so never becomes `-0.0`, and adding a signed zero leaves
+/// any other value unchanged, so this is the scan's total, bit for bit.
+/// Anything else, including a plan the scan accepts with a draw of at
+/// most `tol` outside the window, is scanned again by
+/// [`first_energy_error`], which stops at the first violation. The
+/// verdict and the error are therefore always the scan's.
 fn check_energy(
     appliance: &Appliance,
     horizon: Horizon,
@@ -313,6 +324,34 @@ fn check_energy(
             actual: energy.len(),
         });
     }
+    let task = appliance.task();
+    let (start, deadline) = (task.start(), task.deadline());
+    let cap = appliance.max_slot_energy(horizon).value() + FEASIBILITY_TOL;
+    let window = start.min(energy.len())..deadline.saturating_add(1).min(energy.len());
+    // Folds without short-circuits, which the compiler vectorizes.
+    let zero = |ok: bool, &e: &f64| ok & (e == 0.0);
+    let feasible = energy[..window.start].iter().fold(true, zero)
+        & energy[window.end..].iter().fold(true, zero)
+        & energy[window.clone()]
+            .iter()
+            .fold(true, |ok, &e| ok & (e >= -FEASIBILITY_TOL) & (e <= cap));
+    if feasible {
+        let total = energy[window].iter().fold(0.0, |total, &e| total + e);
+        let required = task.energy().value();
+        if (total - required).abs() <= FEASIBILITY_TOL.max(required * 1e-6) {
+            return Ok(());
+        }
+    }
+    first_energy_error(appliance, horizon, energy)
+}
+
+/// The slot-by-slot scan behind [`check_energy`]: returns the first
+/// violated constraint, in slot order, or the total's mismatch.
+fn first_energy_error(
+    appliance: &Appliance,
+    horizon: Horizon,
+    energy: &[f64],
+) -> Result<(), ScheduleError> {
     let cap = appliance.max_slot_energy(horizon);
     let mut total = 0.0;
     for (slot, &e) in energy.iter().enumerate() {
@@ -355,7 +394,14 @@ fn check_energy(
 ///
 /// These are exactly the checks [`CustomerSchedule::new`] makes, in the
 /// same order, so a solver that keeps its plans in its own buffers can run
-/// them on every response without building a schedule.
+/// them on every response without building a schedule. When the
+/// customer's appliance ids increase strictly (as the generator and the
+/// catalog number them) and the plan lists them in that order (a solver's
+/// plans always do), each lane is checked against the appliance at its
+/// position: the ids are then unique, so that is the appliance the id
+/// lookup finds, and no id repeats. Any other plan is checked by id
+/// lookup and a scan for repeated ids. (`Customer::build` rejects repeated
+/// ids, but a deserialized customer skips it.)
 ///
 /// # Errors
 ///
@@ -373,7 +419,37 @@ where
     I::IntoIter: Clone,
 {
     let horizon = customer.horizon();
+    let own = customer.appliances();
     let appliances = appliances.into_iter();
+    if own.windows(2).all(|pair| pair[0].id() < pair[1].id())
+        && appliances
+            .clone()
+            .map(|(id, _)| id)
+            .eq(own.iter().map(Appliance::id))
+    {
+        for ((_, energy), appliance) in appliances.zip(own) {
+            check_energy(appliance, horizon, energy)?;
+        }
+    } else {
+        check_appliances_by_id(customer, appliances)?;
+    }
+    if battery.len() != horizon.slots() + 1 {
+        return Err(ScheduleError::HorizonMismatch {
+            expected: horizon.slots() + 1,
+            actual: battery.len(),
+        });
+    }
+    customer.battery().validate_trajectory(battery)?;
+    Ok(())
+}
+
+/// The appliance half of [`check_plan`] for any other plan: the count,
+/// then each lane against the appliance its id names, then a scan for
+/// repeated ids.
+fn check_appliances_by_id<'a>(
+    customer: &Customer,
+    appliances: impl Iterator<Item = (ApplianceId, &'a [f64])> + Clone,
+) -> Result<(), ScheduleError> {
     let mismatch = || ScheduleError::ApplianceSetMismatch {
         customer: customer.id(),
     };
@@ -384,20 +460,13 @@ where
         // Look the appliance up by id: the energies may have been planned
         // against another appliance carrying the same id.
         let appliance = customer.appliance(id).ok_or_else(mismatch)?;
-        check_energy(appliance, horizon, energy)?;
+        check_energy(appliance, customer.horizon(), energy)?;
     }
     for (index, (id, _)) in appliances.clone().enumerate() {
         if appliances.clone().take(index).any(|(other, _)| other == id) {
             return Err(mismatch());
         }
     }
-    if battery.len() != horizon.slots() + 1 {
-        return Err(ScheduleError::HorizonMismatch {
-            expected: horizon.slots() + 1,
-            actual: battery.len(),
-        });
-    }
-    customer.battery().validate_trajectory(battery)?;
     Ok(())
 }
 
@@ -748,6 +817,244 @@ mod tests {
             let expected = CustomerSchedule::new(owner, schedules, battery).unwrap_err();
             assert!(variant(&expected), "{label}: {expected:?}");
             assert_eq!(got, Err(expected), "{label}");
+        }
+    }
+
+    /// Today's reference for [`check_energy`]: the slot-by-slot scan,
+    /// kept as the oracle of `plan_check_matches_oracle`.
+    fn check_energy_oracle(
+        appliance: &Appliance,
+        horizon: Horizon,
+        energy: &[f64],
+    ) -> Result<(), ScheduleError> {
+        if energy.len() != horizon.slots() {
+            return Err(ScheduleError::HorizonMismatch {
+                expected: horizon.slots(),
+                actual: energy.len(),
+            });
+        }
+        let cap = appliance.max_slot_energy(horizon);
+        let mut total = 0.0;
+        for (slot, &e) in energy.iter().enumerate() {
+            if !e.is_finite() || e < -FEASIBILITY_TOL {
+                return Err(ScheduleError::InvalidEnergy {
+                    appliance: appliance.id(),
+                    slot,
+                });
+            }
+            if e > FEASIBILITY_TOL && !appliance.task().allows_slot(slot) {
+                return Err(ScheduleError::OutsideWindow {
+                    appliance: appliance.id(),
+                    slot,
+                });
+            }
+            if e > cap.value() + FEASIBILITY_TOL {
+                return Err(ScheduleError::ExceedsSlotCap {
+                    appliance: appliance.id(),
+                    slot,
+                    requested: Kwh::new(e),
+                    cap,
+                });
+            }
+            total += e;
+        }
+        let required = appliance.task().energy().value();
+        if (total - required).abs() > FEASIBILITY_TOL.max(required * 1e-6) {
+            return Err(ScheduleError::EnergyMismatch {
+                appliance: appliance.id(),
+                required: Kwh::new(required),
+                scheduled: Kwh::new(total),
+            });
+        }
+        Ok(())
+    }
+
+    /// Today's reference for [`check_plan`]: every lane looked up by id,
+    /// then an all-pairs scan for repeated ids, then the battery.
+    fn check_plan_oracle(
+        customer: &Customer,
+        appliances: &[(ApplianceId, &[f64])],
+        battery: &[Kwh],
+    ) -> Result<(), ScheduleError> {
+        let horizon = customer.horizon();
+        let mismatch = || ScheduleError::ApplianceSetMismatch {
+            customer: customer.id(),
+        };
+        if appliances.len() != customer.appliances().len() {
+            return Err(mismatch());
+        }
+        for &(id, energy) in appliances {
+            let appliance = customer.appliance(id).ok_or_else(mismatch)?;
+            check_energy_oracle(appliance, horizon, energy)?;
+        }
+        for (index, (id, _)) in appliances.iter().enumerate() {
+            if appliances[..index].iter().any(|(other, _)| other == id) {
+                return Err(mismatch());
+            }
+        }
+        if battery.len() != horizon.slots() + 1 {
+            return Err(ScheduleError::HorizonMismatch {
+                expected: horizon.slots() + 1,
+                actual: battery.len(),
+            });
+        }
+        customer.battery().validate_trajectory(battery)?;
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+        /// The one-pass plan check returns the oracle's `Result` (variant,
+        /// appliance and slot) on feasible plans of 0–5 appliances with up
+        /// to four faults injected into random lanes and the battery: NaN
+        /// or infinite energy, `-2·tol`, energy outside the window, energy
+        /// over the cap, a wrong task total, a wrong battery length, an
+        /// invalid battery transition or start, and ids swapped, repeated
+        /// or dropped. Half the customers number their appliances
+        /// downwards; they and the id faults take the by-id path. The
+        /// negative, window and cap faults also come with the task total
+        /// kept, so the one-pass check's own per-slot tests must catch
+        /// them, and outside the window a `-0.0` or a draw within `tol`
+        /// (which the scan accepts) is injected too.
+        #[test]
+        fn plan_check_matches_oracle(
+            slots in 1_usize..=30,
+            count in 0_usize..=5,
+            start_shares in proptest::collection::vec(0.0_f64..1.0, 5),
+            len_shares in proptest::collection::vec(0.0_f64..1.0, 5),
+            max_kws in proptest::collection::vec(0.5_f64..3.0, 5),
+            fills in proptest::collection::vec(0.0_f64..=1.0, 5),
+            zero_tasks in proptest::collection::vec(0_u8..4, 5),
+            fault_count in 0_usize..=4,
+            fault_kinds in proptest::collection::vec(0_u8..9, 4),
+            fault_lanes in proptest::collection::vec(0_usize..5, 4),
+            fault_slots in proptest::collection::vec(0_usize..32, 4),
+            fault_magnitudes in proptest::collection::vec(-2.0_f64..2.0, 4),
+            reversed_ids in true,
+        ) {
+            let horizon = Horizon::hourly(slots);
+            let appliances: Vec<Appliance> = (0..count)
+                .map(|id| {
+                    let start = (start_shares[id] * slots as f64) as usize;
+                    let len = 1 + (len_shares[id] * (slots - start) as f64) as usize;
+                    let max_kw = max_kws[id];
+                    let energy = match zero_tasks[id] {
+                        0 => 0.0,
+                        _ => fills[id] * max_kw * len as f64,
+                    };
+                    // Reversed ids are unique but not increasing, which
+                    // takes the by-id path.
+                    let id = if reversed_ids { count - 1 - id } else { id };
+                    Appliance::new(
+                        ApplianceId::new(id),
+                        ApplianceKind::Dishwasher,
+                        PowerLevels::stepped(Kw::new(max_kw), 2).unwrap(),
+                        TaskSpec::new(Kwh::new(energy), start, start + len - 1).unwrap(),
+                    )
+                })
+                .collect();
+            let customer = Customer::builder(CustomerId::new(0), horizon)
+                .appliances(appliances.iter().cloned())
+                .battery(Battery::new(Kwh::new(4.0), Kwh::new(1.0)).unwrap())
+                .build()
+                .unwrap();
+            // A feasible plan: each task spread evenly over its window, the
+            // battery idle.
+            let mut lanes: Vec<Vec<f64>> = appliances
+                .iter()
+                .map(|a| {
+                    let task = a.task();
+                    let share = task.energy().value() / task.window_len() as f64;
+                    (0..slots)
+                        .map(|h| if task.allows_slot(h) { share } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            let mut ids: Vec<ApplianceId> = appliances.iter().map(Appliance::id).collect();
+            let mut battery = vec![Kwh::new(1.0); slots + 1];
+            for fault in 0..fault_count {
+                let (kind, magnitude) = (fault_kinds[fault], fault_magnitudes[fault]);
+                let lane = fault_lanes[fault] % count.max(1);
+                let slot = fault_slots[fault] % slots;
+                let Some(energy) = lanes.get_mut(lane) else {
+                    // No appliance to fault: fault the battery instead.
+                    battery[slot] = Kwh::new(9.0);
+                    continue;
+                };
+                let task = appliances[lane].task();
+                let cap = appliances[lane].max_slot_energy(horizon).value();
+                match kind {
+                    0 => energy[slot] = if magnitude < 0.0 { f64::NAN } else { f64::INFINITY },
+                    1 => {
+                        // `-2·tol` on `slot`, or on a window slot with its
+                        // energy moved to another one (the total kept).
+                        let at = slot.clamp(task.start(), task.deadline());
+                        let to = if at == task.start() { task.deadline() } else { task.start() };
+                        if magnitude < 0.0 && to != at {
+                            energy[to] += energy[at] + 2.0 * FEASIBILITY_TOL;
+                            energy[at] = -2.0 * FEASIBILITY_TOL;
+                        } else {
+                            energy[slot] = -2.0 * FEASIBILITY_TOL;
+                        }
+                    }
+                    2 => {
+                        // Move a window slot's energy (the task total is
+                        // kept), or put a draw the scan tolerates (at most
+                        // `tol`, or `-0.0`) or one it rejects on the first
+                        // slot outside the window at or after `slot`.
+                        let outside = (slot..slots).chain(0..slot).find(|&h| !task.allows_slot(h));
+                        if let Some(h) = outside {
+                            let from = slot.clamp(task.start(), task.deadline());
+                            if magnitude < -1.0 && energy[from] > 2.0 * FEASIBILITY_TOL {
+                                energy[h] += energy[from];
+                                energy[from] = 0.0;
+                            } else if magnitude < -0.5 {
+                                energy[h] = -0.0;
+                            } else if magnitude < 0.5 {
+                                energy[h] = magnitude * 2.0 * FEASIBILITY_TOL;
+                            } else {
+                                energy[h] = magnitude + 2.0 * FEASIBILITY_TOL;
+                            }
+                        }
+                    }
+                    3 => {
+                        // Pile the whole lane into one window slot (over the
+                        // cap when the task is) or overfill one slot.
+                        let at = slot.clamp(task.start(), task.deadline());
+                        if magnitude < 0.0 {
+                            let total: f64 = energy.iter().sum();
+                            energy.iter_mut().for_each(|e| *e = 0.0);
+                            energy[at] = total;
+                        } else {
+                            energy[at] = cap * 1.5 + 0.1;
+                        }
+                    }
+                    4 => energy[slot.clamp(task.start(), task.deadline())] += magnitude,
+                    5 => {
+                        let len = if magnitude < 0.0 { slots } else { slots + 2 };
+                        battery.resize(len, Kwh::new(1.0));
+                    }
+                    6 => {
+                        let last = battery.len() - 1;
+                        battery[(slot + 1).min(last)] = Kwh::new(4.0 + magnitude.abs() + 0.1);
+                    }
+                    7 => battery[0] = Kwh::new(1.5),
+                    _ => match (slot % 3, (lane + 1) % ids.len()) {
+                        (0, next) => ids.swap(lane, next),
+                        (1, next) => ids[lane] = ids[next],
+                        _ => {
+                            ids.remove(lane);
+                            lanes.remove(lane);
+                        }
+                    },
+                }
+            }
+            let pairs: Vec<(ApplianceId, &[f64])> =
+                ids.iter().copied().zip(lanes.iter().map(Vec::as_slice)).collect();
+            proptest::prop_assert_eq!(
+                check_plan(&customer, pairs.iter().copied(), &battery),
+                check_plan_oracle(&customer, &pairs, &battery)
+            );
         }
     }
 

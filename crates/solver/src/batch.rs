@@ -147,6 +147,22 @@ impl BatchResponseWorkspace {
         }
     }
 
+    /// `Σ_n y_n^slot`: customer `n`'s committed trading at `slot`, summed
+    /// over the lanes in customer index order by `Iterator::sum`, the
+    /// per-slot sum [`CommunitySchedule::new`] takes over the customers'
+    /// trading series. The running [`total`](Self::total) starts at
+    /// `+0.0` instead of `sum`'s `-0.0`, so the two differ in a slot where
+    /// every lane is `-0.0`. `slot` must be below [`slots`](Self::slots).
+    ///
+    /// [`CommunitySchedule::new`]: nms_smarthome::CommunitySchedule::new
+    pub(crate) fn lane_sum(&self, slot: usize) -> f64 {
+        self.tradings[slot..]
+            .iter()
+            .step_by(self.slots)
+            .take(self.customers)
+            .sum()
+    }
+
     /// Rebuilds the total from the lanes, accumulating customers in index
     /// order per slot — the exact fold order of
     /// `TimeSeries::from_fn(h, |h| lanes.map(|l| l[h]).sum())`, evaluated
@@ -240,6 +256,26 @@ mod tests {
         for h in 0..2 {
             assert_eq!(expected[h].to_bits(), ws.total()[h].to_bits(), "slot {h}");
         }
+    }
+
+    #[test]
+    fn lane_sum_matches_series_sum_bitwise() {
+        // Slot 1 is `-0.0` in every lane: a fold seeded at `+0.0` (as the
+        // running total is) turns it positive; `Iterator::sum` keeps it.
+        let lanes = vec![
+            vec![1e16, -0.0, 0.5, 0.0],
+            vec![1.0, -0.0, -0.0, -0.0],
+            vec![-1e16, -0.0, 0.25, -0.0],
+        ];
+        let mut ws = BatchResponseWorkspace::new();
+        filled(&mut ws, &lanes);
+        let horizon = Horizon::hourly(4);
+        let expected = TimeSeries::from_fn(horizon, |h| lanes.iter().map(|l| l[h]).sum::<f64>());
+        for h in 0..4 {
+            assert_eq!(expected[h].to_bits(), ws.lane_sum(h).to_bits(), "slot {h}");
+        }
+        assert_eq!(ws.lane_sum(1).to_bits(), (-0.0_f64).to_bits());
+        assert_eq!(ws.total()[1].to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -95,9 +95,12 @@ pub struct DpScheduler {
 }
 
 /// A task quantized for the DP: `quanta` quanta of `q` kWh each, at most
-/// `per_slot` of them in one slot of `window`.
-#[derive(Debug)]
-struct Quantized {
+/// `per_slot` of them in one slot of `window`. It depends only on the
+/// appliance, the horizon and the resolution, so the game engine
+/// quantizes each appliance once per solve and keeps the result beside
+/// its plan.
+#[derive(Debug, Clone)]
+pub(crate) struct Quantized {
     quanta: usize,
     q: f64,
     per_slot: usize,
@@ -173,14 +176,29 @@ impl DpScheduler {
         horizon: Horizon,
         ws: &mut DpWorkspace,
         out: &mut TimeSeries<f64>,
-        mut slot_cost: impl FnMut(usize, f64) -> f64,
+        slot_cost: impl FnMut(usize, f64) -> f64,
     ) -> Result<(), SolverError> {
         assert_eq!(
             out.len(),
             horizon.slots(),
             "output series must span the horizon"
         );
-        let Some(task) = self.quantize(appliance, horizon)? else {
+        let task = self.quantize(appliance, horizon)?;
+        Self::schedule_quantized(appliance, task.as_ref(), ws, out, slot_cost)
+    }
+
+    /// The DP of [`DpScheduler::schedule_into`] on a task already
+    /// quantized by [`DpScheduler::quantize`] (`None`: a task with no
+    /// energy, scheduled as all zeros). `out` must span the horizon the
+    /// task was quantized on.
+    pub(crate) fn schedule_quantized(
+        appliance: &Appliance,
+        task: Option<&Quantized>,
+        ws: &mut DpWorkspace,
+        out: &mut TimeSeries<f64>,
+        mut slot_cost: impl FnMut(usize, f64) -> f64,
+    ) -> Result<(), SolverError> {
+        let Some(task) = task else {
             for value in out.iter_mut() {
                 *value = 0.0;
             }
@@ -191,7 +209,7 @@ impl DpScheduler {
             q,
             per_slot,
             ref window,
-        } = task;
+        } = *task;
         let DpWorkspace {
             dp,
             next,
@@ -238,7 +256,7 @@ impl DpScheduler {
             std::mem::swap(dp, next);
         }
 
-        reconstruct(appliance, &task, ws, out)
+        reconstruct(appliance, task, ws, out)
     }
 
     /// The slots the DP of `appliance` schedules on a horizon of `slots`
@@ -251,7 +269,12 @@ impl DpScheduler {
 
     /// Quantizes `appliance`'s task on `horizon`: `R` quanta of `q = E/R`
     /// each, with `q ≤ cap/resolution`. `None` for a task with no energy.
-    fn quantize(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::Infeasible`] when the appliance has no
+    /// per-slot capacity or its window cannot absorb the task.
+    pub(crate) fn quantize(
         &self,
         appliance: &Appliance,
         horizon: Horizon,

@@ -11,8 +11,8 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
-use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule};
-use nms_types::ValidateError;
+use nms_smarthome::{Community, CommunitySchedule, CustomerSchedule, LoadProfile};
+use nms_types::{TimeSeries, ValidateError};
 
 use crate::batch::BatchResponseWorkspace;
 use crate::response::{respond_in_place, Plan};
@@ -66,17 +66,59 @@ impl Default for GameConfig {
     }
 }
 
-/// Result of solving the scheduling game.
+/// Result of solving the scheduling game: the community's demand and
+/// load, and every customer's converged (or last-round) plan.
+///
+/// The N-customer [`CommunitySchedule`] is built only by
+/// [`GameOutcome::into_schedule`], for the callers that read it; the
+/// demand and load are summed from the plans directly.
 #[derive(Debug, Clone)]
 pub struct GameOutcome {
-    /// The converged (or last-round) community schedule.
-    pub schedule: CommunitySchedule,
+    /// The community's net grid demand `Σ_n y_n^h` (kWh per slot; may be
+    /// negative under heavy PV), summed over the final trading lanes in
+    /// customer order: bit for bit the schedule's
+    /// [`grid_demand`](CommunitySchedule::grid_demand).
+    pub grid_demand: TimeSeries<f64>,
+    /// The community load `L_h = Σ_n l_n^h`, summed over the plans in
+    /// customer order: bit for bit the schedule's
+    /// [`load`](CommunitySchedule::load).
+    pub load: LoadProfile,
     /// Rounds executed.
     pub rounds: usize,
     /// Whether the tolerance was met before `max_rounds`.
     pub converged: bool,
     /// Largest per-slot trading change after each round (kWh).
     pub history: Vec<f64>,
+    /// Every customer's final plan, in customer order.
+    plans: Vec<Plan>,
+}
+
+impl GameOutcome {
+    /// Builds the community schedule from the final plans. `community`
+    /// must be the community the game solved. Every plan already passed
+    /// the schedule checks in its own response; the build runs them again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError::Config`] when `community` has another
+    /// customer count than the game, or [`SolverError::Schedule`] when a
+    /// plan fails the checks against its customer (only for another
+    /// community than the one solved).
+    pub fn into_schedule(self, community: &Community) -> Result<CommunitySchedule, SolverError> {
+        if community.len() != self.plans.len() {
+            return Err(SolverError::Config(ValidateError::new(format!(
+                "game planned {} customers, community has {}",
+                self.plans.len(),
+                community.len()
+            ))));
+        }
+        let schedules: Vec<CustomerSchedule> = community
+            .iter()
+            .zip(self.plans)
+            .map(|(customer, plan)| plan.into_schedule(customer))
+            .collect::<Result<_, _>>()?;
+        CommunitySchedule::new(community.horizon(), schedules).map_err(Into::into)
+    }
 }
 
 /// Solves the Net Metering Aware Energy Consumption Scheduling Game for a
@@ -245,18 +287,24 @@ impl<'a> GameEngine<'a> {
             );
         }
 
-        let schedules: Vec<CustomerSchedule> = self
-            .community
-            .iter()
-            .zip(plans)
-            .map(|(customer, plan)| plan.into_schedule(customer))
-            .collect::<Result<_, _>>()?;
-        let schedule = CommunitySchedule::new(horizon, schedules)?;
+        // The sums `CommunitySchedule::new` takes over the customers'
+        // series, per slot in customer order, taken over the lanes and
+        // plans instead.
+        let grid_demand = TimeSeries::from_fn(horizon, |h| batch.lane_sum(h));
+        let load = LoadProfile::new(TimeSeries::from_fn(horizon, |h| {
+            self.community
+                .iter()
+                .zip(&plans)
+                .map(|(customer, plan)| plan.load(customer, h))
+                .sum()
+        }));
         Ok(GameOutcome {
-            schedule,
+            grid_demand,
+            load,
             rounds,
             converged,
             history,
+            plans,
         })
     }
 }
@@ -269,7 +317,7 @@ mod tests {
         clear_sky_profile, Appliance, ApplianceKind, Battery, Customer, PowerLevels, PvPanel,
         TaskSpec,
     };
-    use nms_types::{ApplianceId, CustomerId, Horizon, Kw, Kwh};
+    use nms_types::{ApplianceId, CustomerId, Horizon, Kw, Kwh, TimeSeries};
 
     fn day() -> Horizon {
         Horizon::hourly_day()
@@ -354,9 +402,8 @@ mod tests {
         let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
         assert!(outcome.converged, "history: {:?}", outcome.history);
         // Flexible load avoids the on-peak windows.
-        let schedule = &outcome.schedule;
-        let peak_demand: f64 = (17..21).map(|h| schedule.grid_demand()[h]).sum();
-        let offpeak_demand: f64 = (0..7).map(|h| schedule.grid_demand()[h]).sum();
+        let peak_demand: f64 = (17..21).map(|h| outcome.grid_demand[h]).sum();
+        let offpeak_demand: f64 = (0..7).map(|h| outcome.grid_demand[h]).sum();
         assert!(offpeak_demand > peak_demand);
     }
 
@@ -385,13 +432,107 @@ mod tests {
         let mut rng2 = ChaCha8Rng::seed_from_u64(11);
         let with_der = engine.solve(&mut rng2, &NoopRecorder).unwrap();
 
-        let total = |o: &GameOutcome| -> f64 { o.schedule.grid_demand_clamped().total() };
+        let total = |o: &GameOutcome| -> f64 { o.grid_demand.map(|&y| y.max(0.0)).total() };
         assert!(
             total(&with_der) < total(&base) - 1.0,
             "der {} vs base {}",
             total(&with_der),
             total(&base)
         );
+    }
+
+    /// The demand and load an outcome sums from its lanes and plans equal
+    /// the built schedule's under `to_bits`, for battery and PV customers,
+    /// and for customers without appliances whose base load is `-0.0` in
+    /// a slot, so every customer's load there is `-0.0`: the sum must
+    /// start at `Iterator::sum`'s identity to keep its sign.
+    #[test]
+    fn outcome_sums_equal_the_built_schedule_bitwise() {
+        let mut signed_zero = TimeSeries::filled(day(), 0.3);
+        signed_zero[4] = -0.0;
+        let bare: Vec<Customer> = (0..3)
+            .map(|i| {
+                Customer::builder(CustomerId::new(i), day())
+                    .base_load(signed_zero.clone())
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let communities = [
+            small_community(4, true),
+            small_community(3, false),
+            Community::new(day(), bare).unwrap(),
+        ];
+        let prices = tou_prices();
+        for (label, community) in communities.iter().enumerate() {
+            let engine = GameEngine::new(
+                community,
+                &prices,
+                NetMeteringTariff::default(),
+                GameConfig::fast(),
+            )
+            .unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
+            let (demand, load) = (outcome.grid_demand.clone(), outcome.load.clone());
+            let schedule = outcome.into_schedule(community).unwrap();
+            for h in 0..day().slots() {
+                assert_eq!(
+                    demand[h].to_bits(),
+                    schedule.grid_demand()[h].to_bits(),
+                    "community {label} demand slot {h}"
+                );
+                assert_eq!(
+                    load.at(h).value().to_bits(),
+                    schedule.load().at(h).value().to_bits(),
+                    "community {label} load slot {h}"
+                );
+            }
+        }
+        let community = &communities[2];
+        let engine = GameEngine::new(
+            community,
+            &prices,
+            NetMeteringTariff::default(),
+            GameConfig::fast(),
+        )
+        .unwrap();
+        let outcome = engine
+            .solve(&mut ChaCha8Rng::seed_from_u64(13), &NoopRecorder)
+            .unwrap();
+        assert_eq!(outcome.load.at(4).value().to_bits(), (-0.0_f64).to_bits());
+        // The outcome refuses a community of another size.
+        assert!(outcome.into_schedule(&small_community(2, false)).is_err());
+    }
+
+    /// A quantize error (here the back-pointer overflow of a huge DP
+    /// resolution) surfaces from the game as from one best response: the
+    /// table is filled in the first response, where each DP quantized.
+    #[test]
+    fn quantize_error_surfaces_as_in_a_best_response() {
+        let community = small_community(2, false);
+        let prices = tou_prices();
+        let mut config = GameConfig::fast();
+        config.response.dp_resolution = 1 << 33;
+        let engine =
+            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
+        let game = engine
+            .solve(&mut ChaCha8Rng::seed_from_u64(14), &NoopRecorder)
+            .unwrap_err();
+        let customer = community.iter().next().unwrap();
+        let single = crate::best_response(
+            customer,
+            &[0.0; 24],
+            CostModel::new(&prices, NetMeteringTariff::default()),
+            &config.response,
+            None,
+            &mut ChaCha8Rng::seed_from_u64(14),
+            &NoopRecorder,
+            &mut ResponseWorkspace::default(),
+        )
+        .unwrap_err();
+        assert!(game.to_string().contains("back-pointer overflow"), "{game}");
+        assert_eq!(game.to_string(), single.to_string());
     }
 
     #[test]

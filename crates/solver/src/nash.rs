@@ -142,7 +142,7 @@ mod tests {
 
         let gap = nash_gap(
             &community,
-            &outcome.schedule,
+            &outcome.into_schedule(&community).unwrap(),
             &prices,
             tariff,
             &ResponseConfig::default(),
@@ -186,7 +186,7 @@ mod tests {
         let mut rng_gap = ChaCha8Rng::seed_from_u64(3);
         let weak_gap = nash_gap(
             &community,
-            &weak_outcome.schedule,
+            &weak_outcome.into_schedule(&community).unwrap(),
             &prices,
             tariff,
             &probe,
@@ -196,7 +196,7 @@ mod tests {
         let mut rng_gap = ChaCha8Rng::seed_from_u64(3);
         let strong_gap = nash_gap(
             &community,
-            &strong_outcome.schedule,
+            &strong_outcome.into_schedule(&community).unwrap(),
             &prices,
             tariff,
             &probe,

@@ -15,6 +15,7 @@ use nms_smarthome::{
 };
 use nms_types::{Kwh, TimeSeries, ValidateError};
 
+use crate::dp::Quantized;
 use crate::workspace::ResponseWorkspace;
 use crate::{
     coordinate_descent_battery, optimize_battery, BatteryProblem, CeConfig, CrossEntropyOptimizer,
@@ -85,8 +86,10 @@ impl Default for ResponseConfig {
 /// DESIGN.md §11); reuse is bit-identical to a fresh [`ResponseWorkspace`]
 /// under the same seed. This is the solve the game engine runs on every
 /// customer in every round, plus one schedule build; the engine itself
-/// keeps each plan in its own buffers and builds the schedules once, from
-/// the final round.
+/// keeps each plan in its own buffers and builds schedules from them only
+/// when a caller asks ([`GameOutcome::into_schedule`]).
+///
+/// [`GameOutcome::into_schedule`]: crate::GameOutcome::into_schedule
 ///
 /// Solver telemetry goes to `rec`: DP cost-cell evaluations
 /// (`solver_dp_cells`), cross-entropy solves / iterations / convergences
@@ -202,11 +205,17 @@ fn respond_and_build(
 /// A customer's plan in the form [`respond_in_place`] updates: one energy
 /// series per appliance, in the customer's appliance order, and the
 /// battery trajectory `b⁰..b^H`. The game engine keeps one per customer
-/// across its rounds and turns each into a schedule once, at the end.
-#[derive(Debug)]
+/// across its rounds, and builds schedules from them only on request.
+///
+/// Beside the plan sit its appliances' quantized DP tasks, in appliance
+/// order, filled by the plan's first response: a plan lives for one game,
+/// whose horizon and DP resolution are fixed, so each appliance is
+/// quantized once per game, not once per round.
+#[derive(Debug, Clone)]
 pub(crate) struct Plan {
     energies: Vec<TimeSeries<f64>>,
     battery: Vec<Kwh>,
+    tasks: Vec<Option<Quantized>>,
 }
 
 impl Plan {
@@ -217,7 +226,14 @@ impl Plan {
         Self {
             energies: vec![TimeSeries::filled(horizon, 0.0); customer.appliances().len()],
             battery: vec![customer.battery().initial_charge(); horizon.slots() + 1],
+            tasks: Vec::new(),
         }
+    }
+
+    /// The customer's load `l^h` at `slot` under this plan: what
+    /// [`CustomerSchedule::load`] holds there once the plan is built.
+    pub(crate) fn load(&self, customer: &Customer, slot: usize) -> f64 {
+        plan_load(customer, lanes(&self.energies), slot)
     }
 
     /// Wraps the plan in a [`CustomerSchedule`], moving its series in.
@@ -287,7 +303,11 @@ pub(crate) fn respond_in_place(
         warm_prev,
         swept,
     } = ws;
-    let Plan { energies, battery } = plan;
+    let Plan {
+        energies,
+        battery,
+        tasks,
+    } = plan;
 
     generation.clear();
     generation.extend((0..slots).map(|h| customer.generation(h).value()));
@@ -314,7 +334,8 @@ pub(crate) fn respond_in_place(
 
         // DP step: reschedule each appliance against the others (coordinate
         // descent over appliances). `prefix` holds the lanes already
-        // rescheduled in this sweep, folded in index order.
+        // rescheduled in this sweep, folded in index order; after the sweep
+        // it is every lane's sum, which the load reads.
         let dp_span = span(rec, "dp_appliances");
         prefix.clear();
         prefix.resize(slots, std::iter::empty::<f64>().sum());
@@ -324,14 +345,21 @@ pub(crate) fn respond_in_place(
             for h in window {
                 base[h] = customer.base_load()[h] + base[h] + battery_delta[h] - generation[h];
             }
+            // The plan's first response quantizes each appliance just
+            // before its DP, where `schedule_into` would, so a quantize
+            // error surfaces at the same point.
+            if tasks.len() == index {
+                tasks.push(dp.quantize(appliance, horizon)?);
+            }
+            let task = tasks[index].as_ref();
             let out = &mut energies[index];
             if hoist {
-                dp.schedule_into(appliance, horizon, dp_ws, out, |slot, energy| {
+                DpScheduler::schedule_quantized(appliance, task, dp_ws, out, |slot, energy| {
                     dp_cells.set(dp_cells.get() + 1);
                     table.slot_cost(slot, base[slot] + energy)
                 })?;
             } else {
-                dp.schedule_into(appliance, horizon, dp_ws, out, |slot, energy| {
+                DpScheduler::schedule_quantized(appliance, task, dp_ws, out, |slot, energy| {
                     dp_cells.set(dp_cells.get() + 1);
                     cost_model
                         .slot_cost(slot, others_trading[slot], base[slot] + energy)
@@ -345,8 +373,7 @@ pub(crate) fn respond_in_place(
         // Battery step (cross-entropy optimization of Algorithm 1, line 5).
         if config.use_battery && customer.battery().is_usable() {
             let _ce_span = span(rec, "ce_battery");
-            load.clear();
-            load.extend((0..slots).map(|h| plan_load(customer, lanes(energies), h)));
+            fill_load(load, customer, prefix);
             let problem = BatteryProblem::from_slices(
                 customer.battery(),
                 horizon,
@@ -393,11 +420,25 @@ pub(crate) fn respond_in_place(
             .zip(lanes(energies)),
         battery,
     )?;
-    load.clear();
-    load.extend((0..slots).map(|h| plan_load(customer, lanes(energies), h)));
+    fill_load(load, customer, prefix);
     trading.clear();
     trading.extend((0..slots).map(|h| plan_trading(customer, load[h], battery, h)));
     Ok(())
+}
+
+/// Writes the customer's load `l^h` into `load` from `lane_sum`, every
+/// appliance lane summed in index order onto `Iterator::sum`'s identity:
+/// the DP sweep's prefix once the sweep is done. Those are the additions
+/// [`plan_load`] performs, in the same order, without re-reading the lanes.
+fn fill_load(load: &mut Vec<f64>, customer: &Customer, lane_sum: &[f64]) {
+    load.clear();
+    load.extend(
+        customer
+            .base_load()
+            .iter()
+            .zip(lane_sum)
+            .map(|(&base, &sum)| base + sum),
+    );
 }
 
 /// The per-appliance energy series as slices.

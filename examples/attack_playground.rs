@@ -35,11 +35,12 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
+    let clean_response = clean.response.into_scheduled(&community)?;
     let billing = BillingEngine::new(clean.price.clone(), scenario.tariff);
-    let clean_bill = billing.total_revenue(&clean.response.schedule)?;
+    let clean_bill = billing.total_revenue(&clean_response.schedule)?;
     println!(
         "clean day: PAR {:.4}, community bill {:.2}\n",
-        clean.response.par, clean_bill
+        clean_response.par, clean_bill
     );
     drop(billing);
 
@@ -67,15 +68,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         let manipulated = attack.apply(&clean.price);
         // The whole community believes the manipulated price…
         let mut attacked_rng = ChaCha8Rng::seed_from_u64(seed);
-        let attacked = market.truth_model().predict(
-            &community,
-            &manipulated,
-            &mut attacked_rng,
-            &NoopRecorder,
-        )?;
+        let attacked = market
+            .truth_model()
+            .predict(&community, &manipulated, &mut attacked_rng, &NoopRecorder)?
+            .into_scheduled(&community)?;
         // …but is billed at the real one.
         let impact = AttackImpact::assess(
-            &clean.response.schedule,
+            &clean_response.schedule,
             &attacked.schedule,
             &clean.price,
             scenario.tariff,

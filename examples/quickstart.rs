@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         outcome.rounds, outcome.converged
     );
 
-    let schedule = outcome.schedule;
+    let schedule = outcome.into_schedule(&community)?;
     let clock = horizon.clock();
     println!("\nhour   grid demand (kWh)");
     for h in 0..horizon.slots() {

@@ -50,6 +50,7 @@ fn unilateral_deviation_scales_with_hacked_count() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let manipulated = attack().apply(&clean.price);
+    let committed = clean.response.into_scheduled(&community).unwrap();
 
     let mut last_excess = 0.0;
     for k in [0usize, 4, 12] {
@@ -59,7 +60,7 @@ fn unilateral_deviation_scales_with_hacked_count() {
             .truth_model()
             .respond_unilaterally(
                 &community,
-                &clean.response,
+                &committed,
                 &manipulated,
                 &meters,
                 &mut child,
@@ -67,7 +68,7 @@ fn unilateral_deviation_scales_with_hacked_count() {
             )
             .unwrap();
         let excess: f64 = (0..24)
-            .map(|h| mixed.grid_demand[h] - clean.response.grid_demand[h])
+            .map(|h| mixed.grid_demand[h] - committed.grid_demand[h])
             .fold(f64::NEG_INFINITY, f64::max);
         if k == 0 {
             assert!(excess.abs() < 1e-9, "no hacked homes, excess {excess}");
@@ -94,6 +95,7 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let manipulated = attack().apply(&clean.price);
+    let committed = clean.response.into_scheduled(&community).unwrap();
 
     let meters = vec![MeterId::new(0), MeterId::new(1)];
     let mut child = ChaCha8Rng::seed_from_u64(5);
@@ -101,7 +103,7 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
         .truth_model()
         .respond_unilaterally(
             &community,
-            &clean.response,
+            &committed,
             &manipulated,
             &meters,
             &mut child,
@@ -109,7 +111,7 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
         )
         .unwrap();
     for index in 2..community.len() {
-        let before = &clean.response.schedule.customer_schedules()[index];
+        let before = &committed.schedule.customer_schedules()[index];
         let after = &mixed.schedule.customer_schedules()[index];
         assert_eq!(before, after, "honest customer {index} was rescheduled");
     }

@@ -75,10 +75,8 @@ fn every_customer_schedule_is_feasible_at_equilibrium() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
 
-    for (customer, plan) in community
-        .iter()
-        .zip(outcome.response.schedule.customer_schedules())
-    {
+    let response = outcome.response.into_scheduled(&community).unwrap();
+    for (customer, plan) in community.iter().zip(response.schedule.customer_schedules()) {
         assert_eq!(customer.id(), plan.customer());
         // Battery trajectory feasible.
         customer
@@ -118,7 +116,6 @@ fn cheaper_prices_attract_load_in_equilibrium() {
     let engine = GameEngine::new(&community, &price, s.tariff, GameConfig::fast()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
-    let schedule = outcome.schedule;
 
     // Flexible "anytime" load should concentrate before 06:00 (windows
     // permitting); at minimum, early-morning demand should exceed the
@@ -127,7 +124,7 @@ fn cheaper_prices_attract_load_in_equilibrium() {
         .iter()
         .map(|c| (0..6).map(|h| c.base_load()[h]).sum::<f64>())
         .sum();
-    let early_demand: f64 = (0..6).map(|h| schedule.load().at(h).value()).sum();
+    let early_demand: f64 = (0..6).map(|h| outcome.load.at(h).value()).sum();
     assert!(
         early_demand > base_early + 1.0,
         "early {early_demand} vs base {base_early}"
@@ -146,7 +143,8 @@ fn billing_consistent_with_equilibrium() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let engine = BillingEngine::new(outcome.price.clone(), s.tariff);
-    let bills = engine.bill(&outcome.response.schedule).unwrap();
+    let response = outcome.response.into_scheduled(&community).unwrap();
+    let bills = engine.bill(&response.schedule).unwrap();
     assert_eq!(bills.len(), community.len());
     // Someone pays something; credits only for trading-capable homes.
     assert!(bills.iter().any(|b| b.purchases.value() > 0.0));

@@ -194,3 +194,46 @@ fn robustness_types_roundtrip() {
     assert!(health.degraded());
     roundtrip(&RunHealth::new());
 }
+
+/// A customer read back from JSON skips `Customer::build`, so its
+/// appliance ids can repeat. Its plans must still fail the plan check
+/// with the appliance-set mismatch, even listed in the customer's order.
+#[test]
+fn deserialized_customer_with_repeated_ids_fails_the_plan_check() {
+    use netmeter_sentinel::smarthome::{check_plan, Customer, ScheduleError};
+    use netmeter_sentinel::types::{ApplianceId, CustomerId};
+
+    let horizon = Horizon::hourly_day();
+    let appliance = |id: usize| {
+        Appliance::new(
+            ApplianceId::new(id),
+            ApplianceKind::Dishwasher,
+            PowerLevels::on_off(Kw::new(1.0)).unwrap(),
+            TaskSpec::new(Kwh::new(1.0), 8, 12).unwrap(),
+        )
+    };
+    let customer = Customer::builder(CustomerId::new(0), horizon)
+        .appliance(appliance(0))
+        .appliance(appliance(7))
+        .build()
+        .unwrap();
+    let json = serde_json::to_string(&customer).expect("serialize");
+    assert_eq!(json.matches(":7").count(), 1, "{json}");
+    let repeated: Customer = serde_json::from_str(&json.replace(":7", ":0")).expect("deserialize");
+    let ids: Vec<ApplianceId> = repeated.appliances().iter().map(|a| a.id()).collect();
+    assert_eq!(ids, [ApplianceId::new(0), ApplianceId::new(0)]);
+
+    let mut lane = vec![0.0; 24];
+    lane[8] = 1.0;
+    let battery = vec![Kwh::ZERO; 25];
+    let plan = ids.iter().map(|&id| (id, lane.as_slice()));
+    assert_eq!(
+        check_plan(&repeated, plan, &battery),
+        Err(ScheduleError::ApplianceSetMismatch {
+            customer: CustomerId::new(0)
+        })
+    );
+    // The same plan passes for the customer as built.
+    let built = [ApplianceId::new(0), ApplianceId::new(7)].map(|id| (id, lane.as_slice()));
+    assert_eq!(check_plan(&customer, built, &battery), Ok(()));
+}

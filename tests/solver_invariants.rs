@@ -57,7 +57,7 @@ fn consumption_is_conserved_across_prices_and_seeds() {
                 .unwrap();
                 let mut rng = ChaCha8Rng::seed_from_u64(solver_seed);
                 let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
-                let total = outcome.schedule.load().total().value();
+                let total = outcome.load.total().value();
                 assert!(
                     (total - expected).abs() < 1e-6,
                     "seed {seed}/{solver_seed} {label}: consumed {total} vs tasks {expected}"
@@ -81,11 +81,12 @@ fn per_customer_energy_balance_holds() {
     )
     .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
-    for (customer, plan) in community
-        .iter()
-        .zip(outcome.schedule.customer_schedules())
-    {
+    let schedule = engine
+        .solve(&mut rng, &NoopRecorder)
+        .unwrap()
+        .into_schedule(&community)
+        .unwrap();
+    for (customer, plan) in community.iter().zip(schedule.customer_schedules()) {
         let traded: f64 = plan.trading().iter().sum();
         let load = plan.load().total().value();
         let generated: f64 = (0..24).map(|h| customer.generation(h).value()).sum();
@@ -113,14 +114,18 @@ fn sequential_engine_lands_near_equilibrium() {
     )
     .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(6);
-    let outcome = engine.solve(&mut rng, &NoopRecorder).unwrap();
+    let schedule = engine
+        .solve(&mut rng, &NoopRecorder)
+        .unwrap()
+        .into_schedule(&community)
+        .unwrap();
     // With quadratic community pricing a customer's bill runs to tens of
     // dollars, so the gap is judged against the total billed amount.
     let total_cost = netmeter_sentinel::pricing::BillingEngine::new(
         prices.clone(),
         NetMeteringTariff::default(),
     )
-    .total_revenue(&outcome.schedule)
+    .total_revenue(&schedule)
     .unwrap()
     .value()
     .abs()
@@ -128,7 +133,7 @@ fn sequential_engine_lands_near_equilibrium() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let gap = nash_gap(
         &community,
-        &outcome.schedule,
+        &schedule,
         &prices,
         NetMeteringTariff::default(),
         &ResponseConfig::fast(),

@@ -187,9 +187,24 @@ fn game_rounds_bit_identical_to_closure_reference() {
             }
         }
 
-        assert_eq!(outcome.schedule.customer_schedules().len(), n, "{label}");
-        for (index, (a, b)) in outcome
-            .schedule
+        // The demand and load the outcome sums from its lanes and plans are
+        // the built schedule's, bit for bit.
+        let (demand, load) = (outcome.grid_demand.clone(), outcome.load.clone());
+        let schedule = outcome.into_schedule(&community).unwrap();
+        for h in 0..horizon.slots() {
+            assert_eq!(
+                demand[h].to_bits(),
+                schedule.grid_demand()[h].to_bits(),
+                "{label}: demand slot {h}"
+            );
+            assert_eq!(
+                load.at(h).value().to_bits(),
+                schedule.load().at(h).value().to_bits(),
+                "{label}: load slot {h}"
+            );
+        }
+        assert_eq!(schedule.customer_schedules().len(), n, "{label}");
+        for (index, (a, b)) in schedule
             .customer_schedules()
             .iter()
             .zip(schedules.iter())
@@ -243,6 +258,8 @@ fn solver_tallies_of_a_fixed_battery_game_are_pinned() {
             &mut ChaCha8Rng::seed_from_u64(5),
             &NoopRecorder,
         )
+        .unwrap()
+        .into_scheduled(&community)
         .unwrap();
     let manipulated = PriceSignal::flat(community.horizon(), 0.02).unwrap();
     let meters: Vec<MeterId> = (0..community.len()).map(MeterId::new).collect();
