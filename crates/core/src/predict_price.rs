@@ -4,7 +4,8 @@ use std::error::Error;
 use std::fmt;
 
 use nms_forecast::{
-    seasonal_mean_forecast, FeatureConfig, Kernel, PriceHistory, Svr, SvrParams, TrainSvrError,
+    seasonal_mean_forecast, FeatureConfig, Kernel, PriceHistory, Svr, SvrFitReport, SvrParams,
+    TrainSvrError,
 };
 use nms_pricing::PriceSignal;
 use nms_types::{FallbackRecord, Horizon, RetryPolicy, SolveBudget, TimeSeries, ValidateError};
@@ -66,6 +67,9 @@ pub struct TrainReport {
     pub budget_breached: bool,
     /// Set when the predictor dropped to the seasonal-mean baseline.
     pub fallback: Option<FallbackRecord>,
+    /// SMO passes the fit ran, counted from `β = 0` (zero when the data
+    /// was non-finite and no fit ran).
+    pub passes: usize,
 }
 
 /// Day-ahead guideline-price prediction with SVR.
@@ -198,46 +202,52 @@ impl PricePredictor {
                     converged: true,
                     budget_breached: false,
                     fallback: None,
+                    passes: report.passes,
                 })
             }
             Ok((_, report)) if report.budget_breached => Ok(self.drop_to_baseline(
-                report.attempts - 1,
-                true,
+                &report,
                 format!(
                     "BudgetExceeded: watchdog stopped SMO after {} pass(es) in attempt {}",
                     report.passes, report.attempts
                 ),
             )),
             Ok((_, report)) => Ok(self.drop_to_baseline(
-                report.attempts - 1,
-                false,
+                &report,
                 format!(
                     "SMO exhausted {} attempt(s) without converging",
                     report.attempts
                 ),
             )),
             Err(TrainSvrError::NonFiniteData) => Ok(self.drop_to_baseline(
-                0,
-                false,
+                &SvrFitReport {
+                    converged: false,
+                    passes: 0,
+                    attempts: 1,
+                    budget_breached: false,
+                },
                 "training data contains non-finite values".to_string(),
             )),
             Err(err) => Err(err.into()),
         }
     }
 
-    fn drop_to_baseline(&mut self, retries: usize, budget_breached: bool, reason: String) -> TrainReport {
+    /// Drops to the seasonal-mean baseline after the unconverged fit
+    /// `report`.
+    fn drop_to_baseline(&mut self, report: &SvrFitReport, reason: String) -> TrainReport {
         self.model = None;
         self.baseline_fallback = true;
         TrainReport {
-            retries,
+            retries: report.attempts - 1,
             converged: false,
-            budget_breached,
+            budget_breached: report.budget_breached,
             fallback: Some(FallbackRecord::new(
                 "price-predictor",
                 "svr",
                 "seasonal-baseline",
                 reason,
             )),
+            passes: report.passes,
         }
     }
 
@@ -436,6 +446,11 @@ mod tests {
             .unwrap();
         assert!(report.converged);
         assert!(report.fallback.is_none());
+        assert!(
+            (1..=320).contains(&report.passes),
+            "passes {}",
+            report.passes
+        );
         assert!(!aware.baseline_fallback);
         aware
             .predict_day(&history, Horizon::hourly_day(), Some(&forecast))
@@ -462,6 +477,9 @@ mod tests {
             .unwrap();
         assert!(!report.converged);
         assert_eq!(report.retries, 1);
+        // With equal budgets the second attempt runs no further pass; the
+        // fit counts the one pass a restart would count.
+        assert_eq!(report.passes, 1);
         let record = report.fallback.expect("fallback recorded");
         assert_eq!(record.component, "price-predictor");
         assert_eq!(record.from, "svr");
@@ -501,6 +519,7 @@ mod tests {
         assert!(report.budget_breached);
         assert!(!report.converged);
         assert_eq!(report.retries, 0, "breach must stop further attempts");
+        assert_eq!(report.passes, 1);
         let record = report.fallback.expect("fallback recorded");
         assert!(
             record.reason.starts_with("BudgetExceeded"),
@@ -528,6 +547,7 @@ mod tests {
             .unwrap();
         assert!(!report.converged);
         assert!(report.fallback.is_some());
+        assert_eq!(report.passes, 0, "no fit ran");
         assert!(naive.baseline_fallback);
         let predicted = naive
             .predict_day(&history, Horizon::hourly_day(), None)

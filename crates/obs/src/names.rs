@@ -32,3 +32,15 @@ pub mod fleet {
     /// Gauge: shards currently active (not quarantined, not finished).
     pub const SHARDS_ACTIVE: &str = "fleet_shards_active";
 }
+
+/// Price-predictor training metrics emitted by the `nms-sim` detector
+/// calibration, one sample per `train_robust_budgeted` fit (the backtest
+/// days', then the full history's).
+pub mod forecast {
+    /// Counter: SMO fits run (backtest days + 1 per calibration).
+    pub const SMO_FITS: &str = "forecast_smo_fits";
+    /// Counter: SMO passes those fits ran, counted from `β = 0`.
+    pub const SMO_PASSES: &str = "forecast_smo_passes";
+    /// Counter: fits that dropped to the seasonal-mean baseline.
+    pub const SMO_FALLBACKS: &str = "forecast_smo_fallbacks";
+}

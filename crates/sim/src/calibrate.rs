@@ -20,13 +20,14 @@
 //! model is biased (ignoring net metering) calibrates against its *own*
 //! bias, exactly as the prior art would have.
 
+use nms_obs::names::forecast as names;
 use nms_obs::{NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nms_attack::AttackTimeline;
-use nms_core::{FrameworkConfig, ParObservationMap, PricePredictor};
+use nms_core::{FrameworkConfig, ParObservationMap, PricePredictor, TrainReport};
 use nms_forecast::PriceHistory;
 use nms_par::par_map;
 use nms_types::{MeterId, RetryPolicy, RunHealth, SolveBudget, TimeSeries, ValidateError};
@@ -85,9 +86,22 @@ pub(crate) struct Backtest<'a> {
     pub(crate) history: &'a PriceHistory,
 }
 
-/// One backtest day's statistic per bucket, and the retries and fallbacks
-/// its predictor training consumed.
-type BacktestDay = (Vec<f64>, RunHealth);
+/// One backtest day's statistic per bucket, and the report of its
+/// predictor training.
+type BacktestDay = (Vec<f64>, TrainReport);
+
+/// Folds one predictor fit into the calibration's health ledger and its
+/// SMO counters.
+fn record_training(health: &mut RunHealth, report: TrainReport, rec: &dyn Recorder) {
+    health.record_retries(report.retries);
+    health.record_budget_breaches(usize::from(report.budget_breached));
+    rec.add(names::SMO_FITS, 1);
+    rec.add(names::SMO_PASSES, report.passes as u64);
+    if let Some(fallback) = report.fallback {
+        rec.add(names::SMO_FALLBACKS, 1);
+        health.record_fallback(fallback);
+    }
+}
 
 impl Backtest<'_> {
     /// How many of the last training days the backtest replays.
@@ -141,16 +155,10 @@ impl Backtest<'_> {
         let manipulated = self.timeline.attack().apply(&price);
 
         // The detector's day-ahead view of this (past) day.
-        let mut day_health = RunHealth::new();
         let mut backtest_predictor = framework.price_predictor();
         let sub_history = self.history.truncated(day * 24);
         let report =
             backtest_predictor.train_robust_budgeted(&sub_history, self.retry, self.budget)?;
-        day_health.record_retries(report.retries);
-        day_health.record_budget_breaches(usize::from(report.budget_breached));
-        if let Some(fallback) = report.fallback {
-            day_health.record_fallback(fallback);
-        }
         let theta = community.total_generation();
         let generation_forecast = backtest_predictor
             .features()
@@ -207,18 +215,23 @@ impl Backtest<'_> {
             };
             day_stats.push(statistic);
         }
-        Ok((day_stats, day_health))
+        Ok((day_stats, report))
     }
 
     /// Folds the backtest days, in day order, into the observation map and
     /// the trained Ω, and trains the price predictor on the full history.
-    fn calibrate(&self, days: Vec<BacktestDay>) -> Result<DetectorCalibration, SimError> {
+    /// Each fit's SMO counters go to `rec`, in the same order.
+    fn calibrate(
+        &self,
+        days: Vec<BacktestDay>,
+        rec: &dyn Recorder,
+    ) -> Result<DetectorCalibration, SimError> {
         let buckets = self.buckets;
         let mut health = RunHealth::new();
         let mut statistics: Vec<Vec<f64>> = Vec::with_capacity(days.len());
-        for (day_stats, day_health) in days {
+        for (day_stats, report) in days {
             statistics.push(day_stats);
-            health.merge(&day_health);
+            record_training(&mut health, report, rec);
         }
 
         // Centroids: per-bucket mean over backtest days. Bucket 0 (the clean
@@ -273,11 +286,7 @@ impl Backtest<'_> {
         let mut price_predictor = self.framework.price_predictor();
         let report =
             price_predictor.train_robust_budgeted(self.history, self.retry, self.budget)?;
-        health.record_retries(report.retries);
-        health.record_budget_breaches(usize::from(report.budget_breached));
-        if let Some(fallback) = report.fallback {
-            health.record_fallback(fallback);
-        }
+        record_training(&mut health, report, rec);
 
         Ok(DetectorCalibration {
             price_predictor,
@@ -315,7 +324,7 @@ pub(crate) fn calibrate_detector(
     let days = par_map(TRAINING_WORKERS, &day_seeds, rec, |back, &seeds, _| {
         backtest.day(back, &weather, seeds)
     })?;
-    let calibration = backtest.calibrate(days)?;
+    let calibration = backtest.calibrate(days, rec)?;
 
     rec.observe("calibrate_seconds", watch.secs());
     rec.add("calibrate_backtest_days", backtest_days as u64);
@@ -425,7 +434,8 @@ mod tests {
 
     /// The forked backtest against a plain loop over its days, fed the same
     /// pre-drawn seeds: statistics, centroids, Ω and health must be equal
-    /// bit for bit, and the RNG must end in the same place. Three backtest
+    /// bit for bit, the RNG must end in the same place, and the SMO
+    /// counters must sum the loop's training reports. Three backtest
     /// days split unevenly between the two threads; a PV-only and a
     /// battery community (the CE path) each calibrate both detectors.
     #[test]
@@ -449,8 +459,8 @@ mod tests {
                     let backtest = fixture.backtest(&framework);
 
                     let mut forked_rng = rng.clone();
-                    let forked =
-                        calibrate_detector(&backtest, &mut forked_rng, &NoopRecorder).unwrap();
+                    let metrics = nms_obs::MetricsRegistry::new();
+                    let forked = calibrate_detector(&backtest, &mut forked_rng, &metrics).unwrap();
 
                     let mut loop_rng = rng.clone();
                     let days = backtest.days().unwrap();
@@ -465,7 +475,27 @@ mod tests {
                     for back in 0..days {
                         looped_days.push(backtest.day(back, &weather, seeds[back]).unwrap());
                     }
-                    let looped = backtest.calibrate(looped_days).unwrap();
+                    // The SMO counters sum every fit's report: the backtest
+                    // days', then the full history's.
+                    let mut reports: Vec<&TrainReport> =
+                        looped_days.iter().map(|(_, report)| report).collect();
+                    let full = framework
+                        .price_predictor()
+                        .train_robust_budgeted(&fixture.history, &fixture.retry, &fixture.budget)
+                        .unwrap();
+                    reports.push(&full);
+                    assert_eq!(metrics.counter(names::SMO_FITS), days as u64 + 1);
+                    assert_eq!(
+                        metrics.counter(names::SMO_PASSES),
+                        reports.iter().map(|r| r.passes as u64).sum::<u64>(),
+                        "{label}: passes"
+                    );
+                    assert_eq!(
+                        metrics.counter(names::SMO_FALLBACKS),
+                        reports.iter().filter(|r| r.fallback.is_some()).count() as u64,
+                        "{label}: fallbacks"
+                    );
+                    let looped = backtest.calibrate(looped_days, &NoopRecorder).unwrap();
 
                     assert_eq!(forked.statistics.len(), days, "{label}");
                     for (f, l) in forked.statistics.iter().zip(&looped.statistics) {

@@ -7,6 +7,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, QuarantineConfig};
+use netmeter_sentinel::obs::names::forecast as forecast_names;
 use netmeter_sentinel::obs::{
     read_trace, JsonlTrace, MetricsRegistry, NoopRecorder, Recorder, Tee, TraceEvent,
 };
@@ -233,6 +234,55 @@ fn day_front_solver_events(events: &[TraceEvent]) -> Vec<Vec<TraceEvent>> {
         }
     }
     days
+}
+
+/// The calibration counts every SMO fit of the price predictor: one per
+/// backtest day, then the full history's, with their passes and their
+/// fallbacks to the seasonal baseline. An iteration cap stops every fit
+/// at the cap, so there the pass counter is the sum of known reports.
+#[test]
+fn calibration_counts_every_smo_fit() {
+    let mut scenario = PaperScenario::small(10, 23);
+    scenario.training_days = 4;
+    let counted = |config: &LongTermRunConfig| {
+        let metrics = MetricsRegistry::new();
+        let result = start(&scenario, config, 23, Arc::new(metrics.clone()))
+            .run()
+            .unwrap();
+        let predictor_fallbacks = result
+            .health
+            .fallbacks
+            .iter()
+            .filter(|fallback| fallback.component == "price-predictor")
+            .count() as u64;
+        (result, predictor_fallbacks, metrics)
+    };
+
+    let config = detection_config(scenario.customers);
+    let (_, predictor_fallbacks, metrics) = counted(&config);
+    let backtest_days = metrics.counter("calibrate_backtest_days");
+    assert!(backtest_days > 0);
+    let fits = metrics.counter(forecast_names::SMO_FITS);
+    assert_eq!(fits, backtest_days + 1);
+    assert!(metrics.counter(forecast_names::SMO_PASSES) >= fits);
+    assert_eq!(
+        metrics.counter(forecast_names::SMO_FALLBACKS),
+        predictor_fallbacks
+    );
+
+    let cap = 2;
+    let mut capped = config.clone();
+    capped.budget.max_iterations = Some(cap);
+    let (result, predictor_fallbacks, metrics) = counted(&capped);
+    assert_eq!(metrics.counter(forecast_names::SMO_FITS), fits);
+    assert_eq!(
+        metrics.counter(forecast_names::SMO_PASSES),
+        cap as u64 * fits,
+        "every fit stops at the cap"
+    );
+    assert_eq!(metrics.counter(forecast_names::SMO_FALLBACKS), fits);
+    assert_eq!(predictor_fallbacks, fits);
+    assert_eq!(result.health.budget_breaches as u64, fits);
 }
 
 /// The detector-on supervised day forks its prediction beside the market
