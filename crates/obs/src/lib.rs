@@ -26,11 +26,12 @@
 //!    results the stage already produced (rounds, iterations, cache
 //!    tallies) or are wall-clock timings, which exist only inside the
 //!    telemetry and never feed back into control flow.
-//! 3. Inside parallel regions work records through a [`Deferred`] view:
-//!    the commutative metric methods pass straight through, so metric
-//!    *totals* stay reproducible, while events and gauges replay on the
-//!    calling thread in item order after the join. The per-worker load
-//!    split is the one thing allowed to vary run-to-run.
+//! 3. Inside parallel regions work records through the deferred view of
+//!    the recorder that `nms-par` gives it: the commutative metric methods
+//!    pass straight through, so metric *totals* stay reproducible, while
+//!    events and gauges replay on the calling thread in item order after
+//!    the join. The per-worker load split is the one thing allowed to vary
+//!    run-to-run.
 //!
 //! `tests/obs_determinism.rs` asserts the consequence: an active
 //! [`JsonlTrace`]+[`MetricsRegistry`] recorder produces bit-identical
@@ -39,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deferred;
 pub mod metrics;
 pub mod names;
 pub mod span;
@@ -48,7 +48,6 @@ pub mod trace;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use deferred::Deferred;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use span::{parse_collapsed, SpanProfile, SpanRecorder};
 pub use trace::{

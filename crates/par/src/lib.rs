@@ -11,11 +11,10 @@
 //! - **ordered results** — [`par_map`] returns `f(0, &items[0]) …
 //!   f(n-1, &items[n-1])` in input order, however the items were scheduled
 //!   across workers;
-//! - **ordered telemetry** — each item records through its own
-//!   [`Deferred`] view of the map's recorder: counters and observations
-//!   pass straight through, while events and gauges replay on the calling
-//!   thread in item order after the join, so the trace is the plain
-//!   loop's;
+//! - **ordered telemetry** — each item records through its own deferred
+//!   view of the map's recorder: counters and observations pass straight
+//!   through, while events and gauges replay on the calling thread in item
+//!   order after the join, so the trace is the plain loop's;
 //! - **first-error propagation** — a fallible `f` fails the whole map with
 //!   the error of the *lowest-index* failing item, which is the same error
 //!   the sequential loop would have returned (items before it succeed in
@@ -33,6 +32,12 @@
 //!   (`Ok`/`Err`/`Panicked`), so one item's panic cannot take down its
 //!   siblings — the isolation primitive the shard fleet is built on.
 //!
+//! [`join`] is the two-closure fork on the same rules: the first closure
+//! on the calling thread with the caller's own recorder, the second on one
+//! helper through a deferred view, or inline after the first where a map
+//! of two items would get one worker. A detection day runs its prediction
+//! beside the market clearing through it.
+//!
 //! Scheduling is dynamic (workers pull the next item off a shared atomic
 //! counter), so heterogeneous item costs balance without tuning; the
 //! counter hands out indices in increasing order, which is what makes the
@@ -42,16 +47,16 @@
 //! host's logical cores — oversubscribing a small host only adds
 //! context-switch and cache-thrash overhead while the bit-identity
 //! contract already makes the thread count observationally irrelevant.
-//! On a 1-core host every map therefore runs on the calling thread alone,
-//! which is exactly the fastest correct schedule there. Workers pull
-//! one item at a time: every map in the workspace is over few heavy items
-//! (sweep points, shards, training days), where load balance
-//! matters more than the one `SeqCst` fetch-add per pull.
+//! On a 1-core host every map and every [`join`] therefore runs on the
+//! calling thread alone, which is exactly the fastest correct schedule
+//! there. Workers pull one item at a time: every map in the workspace is
+//! over few heavy items (sweep points, shards, training days), where load
+//! balance matters more than the one `SeqCst` fetch-add per pull.
 //!
-//! A map whose workers fill the host marks them, the calling thread
-//! included, while it runs ([`worker_fills_host`]); a map started on a
-//! marked thread runs on that thread alone, since no core is left to fork
-//! onto.
+//! A map or [`join`] whose workers fill the host marks them, the calling
+//! thread included, while it runs ([`worker_fills_host`]); a map or
+//! [`join`] started on a marked thread runs on that thread alone, since no
+//! core is left to fork onto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,8 +66,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use nms_obs::{Deferred, Recorder};
+use nms_obs::{span, Recorder};
 use serde::{Deserialize, Serialize};
+
+mod deferred;
+
+use deferred::Deferred;
 
 /// The workspace-wide parallelism knob: how many worker threads a
 /// parallelizable stage may use.
@@ -129,8 +138,9 @@ pub fn worker_fills_host() -> bool {
 }
 
 /// The worker count actually used for a map of `n` items requested at
-/// `threads`: never more workers than items, never more than the host has
-/// logical cores, and one on a thread whose map already fills the host.
+/// `threads` (a [`join`] is a map of two items at two threads): never more
+/// workers than items, never more than the host has logical cores, and one
+/// on a thread whose map already fills the host.
 fn resolve_workers(threads: usize, n: usize) -> usize {
     if worker_fills_host() {
         1
@@ -172,7 +182,7 @@ impl<R, E> Outcome<R, E> {
 /// helpers, returning the results in input order. See the crate docs for
 /// the determinism contract; `f` must be a pure function of
 /// `(index, item)` for the bit-identity guarantee to mean anything. Item
-/// `i` records through the third argument, a [`Deferred`] view of `rec`.
+/// `i` records through the third argument, a deferred view of `rec`.
 ///
 /// Worker telemetry — `par_maps` / `par_items` counters and per-worker
 /// `par_worker_items` / `par_worker_busy_seconds` histograms — is gathered
@@ -320,7 +330,7 @@ where
                 break;
             };
             let deferred = Deferred::new(rec);
-            let outcome = run_item(index, item, f, &deferred);
+            let outcome = run_item(|| f(index, item, &deferred));
             if abort_on_failure && !outcome.is_ok() {
                 failed.store(true, Ordering::SeqCst);
             }
@@ -338,12 +348,7 @@ where
                 })
             })
             .collect();
-        // The calling thread carries this map's mark while it works in the
-        // map, and keeps a mark of its own (a marked thread's maps resolve
-        // to one worker, so `fills_host` is then `false`).
-        let outer = FILLS_HOST.with(|mark| mark.replace(mark.get() || fills_host));
-        let mut gathered = vec![work()];
-        FILLS_HOST.with(|mark| mark.set(outer));
+        let mut gathered = vec![marked(fills_host, work)];
         gathered.extend(helpers.into_iter().map(|helper| {
             helper
                 .join()
@@ -364,12 +369,94 @@ where
     slots
 }
 
+/// Runs `first` and then `second` as the sequential code would, with
+/// `second` on one helper beside `first` when a core is free for it.
+///
+/// `first` always runs on the calling thread and records into `rec`
+/// itself, so its spans stay in the caller's span tree. `second` runs
+/// either
+///
+/// - on one scoped helper, recording through a deferred view of `rec`
+///   whose events and gauges replay on the calling thread after `first`
+///   (its spans are dropped), or
+/// - inline after `first`, recording into `rec`, where a map of two items
+///   at two threads resolves to one worker: on a 1-core host and on a
+///   thread of a map that fills the host.
+///
+/// The calling thread holds the span `span_name` over its time on
+/// `second`: its wait for the helper, or the inline run. `join` records no
+/// worker telemetry of its own.
+///
+/// # Errors
+///
+/// As in sequence: `first`'s error wins, and the inline path then never
+/// runs `second` (a helper's counters have been added; its events are
+/// dropped). Then `second`'s error, after its events replay.
+///
+/// # Panics
+///
+/// Re-raises a panic in `first` with its payload once the helper is done,
+/// then a panic in `second` with its own message.
+pub fn join<A, B: Send, E: Send>(
+    rec: &dyn Recorder,
+    span_name: &'static str,
+    first: impl FnOnce(&dyn Recorder) -> Result<A, E>,
+    second: impl FnOnce(&dyn Recorder) -> Result<B, E> + Send,
+) -> Result<(A, B), E> {
+    join_on(resolve_workers(2, 2), rec, span_name, first, second)
+}
+
+/// [`join`] on `workers` (1 or 2, already resolved) threads.
+fn join_on<A, B: Send, E: Send>(
+    workers: usize,
+    rec: &dyn Recorder,
+    span_name: &'static str,
+    first: impl FnOnce(&dyn Recorder) -> Result<A, E>,
+    second: impl FnOnce(&dyn Recorder) -> Result<B, E> + Send,
+) -> Result<(A, B), E> {
+    if workers == 1 {
+        let first = first(rec)?;
+        let _span = span(rec, span_name);
+        return Ok((first, second(rec)?));
+    }
+    let fills_host = workers == host_threads();
+    let deferred = Deferred::new(rec);
+    let (first, second) = std::thread::scope(|scope| {
+        let helper = scope.spawn(|| {
+            FILLS_HOST.with(|mark| mark.set(fills_host));
+            run_item(|| second(&deferred))
+        });
+        let first = marked(fills_host, || first(rec));
+        let _wait = span(rec, span_name);
+        let second = helper
+            .join()
+            .unwrap_or_else(|payload| resume_unwind(payload));
+        (first, second)
+    });
+    let first = first?;
+    let second = match second {
+        Outcome::Ok(value) => Ok(value),
+        Outcome::Err(err) => Err(err),
+        Outcome::Panicked(message) => resume_unwind(Box::new(message)),
+    };
+    deferred.replay();
+    Ok((first, second?))
+}
+
+/// Runs `f` on the calling thread carrying a mark for the map or join it
+/// works in, on top of a mark of its own (a marked thread's maps resolve to
+/// one worker, so `fills_host` is then `false`). The thread's own mark is
+/// back in place when `f` returns or unwinds.
+fn marked<R>(fills_host: bool, f: impl FnOnce() -> R) -> R {
+    let outer = FILLS_HOST.with(|mark| mark.replace(mark.get() || fills_host));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    FILLS_HOST.with(|mark| mark.set(outer));
+    result.unwrap_or_else(|payload| resume_unwind(payload))
+}
+
 /// Runs one item under the engine's single `catch_unwind`.
-fn run_item<T, R, E, F>(index: usize, item: &T, f: &F, rec: &dyn Recorder) -> Outcome<R, E>
-where
-    F: Fn(usize, &T, &dyn Recorder) -> Result<R, E>,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(index, item, rec))) {
+fn run_item<R, E>(f: impl FnOnce() -> Result<R, E>) -> Outcome<R, E> {
+    match catch_unwind(AssertUnwindSafe(f)) {
         Ok(Ok(value)) => Outcome::Ok(value),
         Ok(Err(err)) => Outcome::Err(err),
         Err(payload) => Outcome::Panicked(payload_message(payload.as_ref())),
@@ -799,6 +886,222 @@ mod tests {
         assert_eq!(metrics.counter("par_items"), 16);
         let per_worker = metrics.histogram("par_worker_items").unwrap();
         assert_eq!(per_worker.sum(), 16.0, "panicked items still count as work");
+    }
+
+    /// Which way a `join` under test runs its second closure.
+    #[derive(Debug, Clone, Copy)]
+    enum JoinPath {
+        /// On a helper, whatever the host.
+        Forked,
+        /// Inline, through the public entry point on a thread where no
+        /// core is free.
+        Inline,
+    }
+
+    fn joined<A, B: Send, E: Send>(
+        path: JoinPath,
+        rec: &dyn Recorder,
+        first: impl FnOnce(&dyn Recorder) -> Result<A, E>,
+        second: impl FnOnce(&dyn Recorder) -> Result<B, E> + Send,
+    ) -> Result<(A, B), E> {
+        match path {
+            JoinPath::Forked => join_on(2, rec, "second", first, second),
+            JoinPath::Inline => {
+                assert_eq!(resolve_workers(2, 2), 1, "a core is free for a helper");
+                join(rec, "second", first, second)
+            }
+        }
+    }
+
+    /// Runs `check` in an item of a map that fills the host, where a
+    /// `join` runs inline. (On a 1-core host that map has one unmarked
+    /// worker, and a `join` runs inline there too.)
+    fn in_filled_map(check: impl Fn() + Sync) {
+        let cores = host_threads();
+        let items: Vec<usize> = (0..cores.max(2)).collect();
+        map(cores, &items, |index, _| {
+            if index == 0 {
+                check();
+            }
+            Ok::<_, String>(())
+        })
+        .unwrap();
+    }
+
+    /// Records events, counters and spans in arrival order.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<String>>);
+
+    impl Log {
+        fn push(&self, entry: String) {
+            self.0.lock().unwrap().push(entry);
+        }
+    }
+
+    impl Recorder for Log {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn event(&self, event: &TraceEvent) {
+            self.push(event.kind.clone());
+        }
+
+        fn add(&self, name: &str, _by: u64) {
+            self.push(name.to_string());
+        }
+
+        fn span_enter(&self, name: &'static str) {
+            self.push(format!("enter {name}"));
+        }
+
+        fn span_exit(&self, name: &'static str) {
+            self.push(format!("exit {name}"));
+        }
+    }
+
+    type Second = fn(&dyn Recorder) -> Result<u32, String>;
+
+    #[test]
+    fn join_surfaces_errors_in_sequential_order() {
+        let check = |path: JoinPath| {
+            let failing: Second = |_| Err("second".into());
+            let panicking: Second = |_| panic!("unreachable in sequence");
+            let ok: Second = |_| Ok(2);
+            let first_fails = |_: &dyn Recorder| Err::<u32, _>("first".to_string());
+            let first_ok = |_: &dyn Recorder| Ok::<u32, String>(1);
+            assert_eq!(
+                joined(path, &NoopRecorder, first_fails, failing),
+                Err("first".into()),
+                "{path:?}: both fail, the first's error wins"
+            );
+            assert_eq!(
+                joined(path, &NoopRecorder, first_fails, panicking),
+                Err("first".into()),
+                "{path:?}: in sequence the second never runs after a failed first"
+            );
+            assert_eq!(
+                joined(path, &NoopRecorder, first_ok, failing),
+                Err("second".into()),
+                "{path:?}"
+            );
+            assert_eq!(
+                joined(path, &NoopRecorder, first_ok, ok),
+                Ok((1, 2)),
+                "{path:?}"
+            );
+        };
+        check(JoinPath::Forked);
+        in_filled_map(|| check(JoinPath::Inline));
+    }
+
+    #[test]
+    fn join_reraises_a_second_panic_with_its_own_message() {
+        // The fleet ladder isolates shards through `par_map_outcomes`; the
+        // verdict must carry the second closure's payload, not the scope's
+        // generic "a scoped thread panicked".
+        let day = |path: JoinPath| {
+            let exploding: Second = |_| panic!("prediction exploded");
+            joined(path, &NoopRecorder, |_| Ok(1), exploding)
+        };
+        let forked = par_map_outcomes(1, &[()], &NoopRecorder, |_, _, _| day(JoinPath::Forked));
+        let cores = host_threads();
+        let filling: Vec<usize> = (0..cores.max(2)).collect();
+        let inline = par_map_outcomes(cores, &filling, &NoopRecorder, |_, _, _| {
+            day(JoinPath::Inline)
+        });
+        for (path, outcome) in [("forked", &forked[0]), ("inline", &inline[0])] {
+            match outcome {
+                Outcome::Panicked(message) => {
+                    assert!(message.contains("prediction exploded"), "{path}: {message}");
+                    assert!(!message.contains("scoped thread"), "{path}: {message}");
+                }
+                other => panic!("{path}: expected a panic verdict, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn join_replays_the_second_closures_events_after_the_first() {
+        let check = |path: JoinPath| {
+            let log = Log::default();
+            let caller = std::thread::current().id();
+            let (done, recorded) = std::sync::mpsc::channel();
+            let second = move |rec: &dyn Recorder| -> Result<_, String> {
+                let _inner = span(rec, "inner");
+                rec.event(&TraceEvent::new("second_event"));
+                rec.add("second_counter", 1);
+                done.send(()).unwrap();
+                Ok(std::thread::current().id())
+            };
+            let first = |rec: &dyn Recorder| -> Result<(), String> {
+                if let JoinPath::Forked = path {
+                    // The helper records first; its event must still come
+                    // after.
+                    recorded.recv().unwrap();
+                }
+                rec.event(&TraceEvent::new("first_event"));
+                Ok(())
+            };
+            let ((), ran_on) = joined(path, &log, first, second).unwrap();
+            (ran_on == caller, log.0.into_inner().unwrap())
+        };
+
+        let (on_caller, seen) = check(JoinPath::Forked);
+        assert!(!on_caller, "the forked second closure runs on a helper");
+        assert_eq!(
+            seen,
+            [
+                "second_counter",
+                "first_event",
+                "enter second",
+                "exit second",
+                "second_event"
+            ],
+            "counters pass through, events replay after the wait, spans drop"
+        );
+
+        in_filled_map(|| {
+            let (on_caller, seen) = check(JoinPath::Inline);
+            assert!(on_caller, "the inline second closure runs on the caller");
+            assert_eq!(
+                seen,
+                [
+                    "first_event",
+                    "enter second",
+                    "enter inner",
+                    "second_event",
+                    "second_counter",
+                    "exit inner",
+                    "exit second"
+                ],
+                "the inline run records into the caller's recorder, spans too"
+            );
+        });
+    }
+
+    #[test]
+    fn forked_join_marks_both_threads_exactly_when_they_fill_the_host() {
+        let fills = host_threads() == 2;
+        let marks = join_on(
+            2,
+            &NoopRecorder,
+            "second",
+            |_| Ok::<_, String>(worker_fills_host()),
+            |_| Ok(worker_fills_host()),
+        )
+        .unwrap();
+        assert_eq!(marks, (fills, fills));
+        assert!(!worker_fills_host(), "the caller's mark ends with its join");
+        let first_panics = catch_unwind(AssertUnwindSafe(|| {
+            let panicking: fn(&dyn Recorder) -> Result<u32, String> = |_| panic!("first");
+            join_on(2, &NoopRecorder, "second", panicking, |_| Ok(2))
+        }));
+        assert!(first_panics.is_err());
+        assert!(
+            !worker_fills_host(),
+            "and with a panic in its first closure"
+        );
     }
 
     proptest! {

@@ -32,7 +32,7 @@ use nms_forecast::PriceHistory;
 use nms_par::par_map;
 use nms_types::{MeterId, RetryPolicy, RunHealth, SolveBudget, TimeSeries, ValidateError};
 
-use crate::fork::TRAINING_WORKERS;
+use crate::market::TRAINING_WORKERS;
 use crate::{CommunityGenerator, Market, PaperScenario, SimError};
 
 /// Pseudo-count mass of the analytic prior when estimating the observation

@@ -54,7 +54,6 @@ use nms_vfs::{FaultVfs, IoFaultPlan, StdVfs, StoragePolicy, Vfs};
 
 use crate::calibrate::{calibrate_detector, peak_deviation, Backtest};
 use crate::faults::{corrupt_day_meters, FaultPlan};
-use crate::fork::{fork_day, Fork};
 use crate::journal::{
     DayRecord, FixRecord, HistoryRow, JournalError, JournalHeader, RunJournal, JOURNAL_VERSION,
 };
@@ -469,7 +468,6 @@ fn simulate_day(
     state: &mut RunState,
     day_offset: usize,
     rng: &mut impl Rng,
-    fork: Fork,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
     let _day_span = span(rec, "detect_day");
@@ -488,7 +486,7 @@ fn simulate_day(
     let compromised = &state.compromised;
     // The committed response's schedule is built here: every realization
     // reads it, as do the telemetry faults.
-    let front = || -> Result<_, SimError> {
+    let front = |rec: &dyn Recorder| -> Result<_, SimError> {
         let clearing_watch = Stopwatch::start();
         let (price, committed) = {
             let _span = span(rec, "clearing");
@@ -516,7 +514,7 @@ fn simulate_day(
     // The detector's day-ahead view reads the trained predictors, the
     // history through yesterday, the day's community and the realization
     // seed — never the clearing or the compromise set — so it runs beside
-    // the front half.
+    // the front half, or after it where no core is free (`nms_par::join`).
     let history = &state.history;
     let community_ref = &community;
     let prediction = state.detector.as_ref().map(|det| {
@@ -539,8 +537,13 @@ fn simulate_day(
             Ok((predicted, prediction_watch.secs()))
         }
     });
-    let ((price, committed, manipulated, deviation, clearing_secs), prediction) =
-        fork_day(front, prediction, fork, rec)?;
+    let ((price, committed, manipulated, deviation, clearing_secs), prediction) = match prediction {
+        Some(prediction) => {
+            let (front, predicted) = nms_par::join(rec, "prediction", front, prediction)?;
+            (front, Some(predicted))
+        }
+        None => (front(rec)?, None),
+    };
     // While no meter is hacked, the realization borrows the committed
     // response.
     let realized = |deviation: Option<ScheduledResponse>| {
@@ -1064,24 +1067,6 @@ impl SupervisedRun {
     /// completed day cannot be persisted (the day's state changes are kept
     /// in memory but will re-run on resume).
     pub fn step_day(&mut self) -> Result<(), SimError> {
-        self.step(Fork::Overlapped)
-    }
-
-    /// [`SupervisedRun::step_day`] with the detector's prediction run to
-    /// completion before the clearing starts instead of beside it. The
-    /// results, journal and trace are identical; this is the sequential
-    /// reference `tests/obs_determinism.rs` checks the overlapped day
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SupervisedRun::step_day`].
-    #[doc(hidden)]
-    pub fn step_day_prediction_first(&mut self) -> Result<(), SimError> {
-        self.step(Fork::JoinedFirst)
-    }
-
-    fn step(&mut self, fork: Fork) -> Result<(), SimError> {
         if self.is_finished() {
             return Ok(());
         }
@@ -1094,7 +1079,6 @@ impl SupervisedRun {
             &mut self.state,
             self.next_day,
             &mut rng,
-            fork,
             rec,
         )?;
         let append_watch = Stopwatch::start();

@@ -39,7 +39,6 @@ mod detection;
 mod error;
 pub mod experiments;
 mod faults;
-mod fork;
 pub mod export;
 pub mod journal;
 mod market;

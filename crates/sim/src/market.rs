@@ -14,8 +14,11 @@ use nms_par::par_map;
 use nms_pricing::{PriceSignal, Utility};
 use nms_smarthome::Community;
 
-use crate::fork::TRAINING_WORKERS;
 use crate::{CommunityGenerator, PaperScenario, SimError};
+
+/// Workers for the training epoch's bootstrap and backtest maps: the
+/// calling thread plus one helper (DESIGN.md §15).
+pub(crate) const TRAINING_WORKERS: usize = 2;
 
 /// One simulated market day: the cleared guideline price and the community's
 /// (ground-truth) response to it. The response's N-customer schedule is

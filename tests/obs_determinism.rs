@@ -288,8 +288,9 @@ fn calibration_counts_every_smo_fit() {
 /// The detector-on supervised day forks its prediction beside the market
 /// clearing. The trace must not notice: the event sequence repeats across
 /// runs, each day's prediction game lands after the clearing's games and
-/// before the first slot, and the solver totals equal a run whose
-/// prediction finishes before the clearing starts.
+/// before the first slot, and results, events and solver totals equal the
+/// same run stepped in an item of a host-filling `nms_par` map, where each
+/// day runs its prediction inline after the clearing.
 #[test]
 fn forked_detection_days_keep_the_sequential_trace() {
     let mut scenario = PaperScenario::small(10, 29);
@@ -297,7 +298,7 @@ fn forked_detection_days_keep_the_sequential_trace() {
     let config = detection_config(scenario.customers);
     let seed = 29;
 
-    let traced = |tag: &str, config: &LongTermRunConfig, prediction_first: bool| {
+    let traced = |tag: &str, config: &LongTermRunConfig| {
         let trace_path = temp_path(&format!("fork-{tag}-trace"));
         let _ = std::fs::remove_file(&trace_path);
         let trace = Arc::new(JsonlTrace::create(&trace_path).unwrap());
@@ -308,11 +309,7 @@ fn forked_detection_days_keep_the_sequential_trace() {
         ]);
         let mut run = start(&scenario, config, seed, Arc::new(tee));
         while !run.is_finished() {
-            if prediction_first {
-                run.step_day_prediction_first().unwrap();
-            } else {
-                run.step_day().unwrap();
-            }
+            run.step_day().unwrap();
         }
         let result = run.finish().unwrap();
         assert_eq!(trace.dropped(), 0, "no trace line may be dropped");
@@ -325,15 +322,30 @@ fn forked_detection_days_keep_the_sequential_trace() {
         (result, events, metrics)
     };
 
-    let (first, first_events, first_metrics) = traced("a", &config, false);
-    let (second, second_events, _) = traced("b", &config, false);
+    // The sequential reference. On a 1-core host the map has one unmarked
+    // worker, and every day runs inline there as well.
+    let inline = |tag: &str, config: &LongTermRunConfig| {
+        let cores = nms_par::host_threads();
+        let items: Vec<usize> = (0..cores.max(2)).collect();
+        let mut runs = nms_par::par_map(cores, &items, &NoopRecorder, |index, _, _| {
+            Ok::<_, String>((index == 0).then(|| {
+                assert!(nms_par::worker_fills_host() || cores == 1);
+                traced(tag, config)
+            }))
+        })
+        .unwrap();
+        runs.swap_remove(0).unwrap()
+    };
+
+    let (first, first_events, first_metrics) = traced("a", &config);
+    let (second, second_events, _) = traced("b", &config);
     assert_identical(&first, &second);
     assert_eq!(
         first_events, second_events,
         "the event sequence must repeat"
     );
 
-    let (reference, reference_events, reference_metrics) = traced("ref", &config, true);
+    let (reference, reference_events, reference_metrics) = inline("ref", &config);
     assert_identical(&first, &reference);
     assert_eq!(first_events, reference_events);
     for counter in [
@@ -349,7 +361,7 @@ fn forked_detection_days_keep_the_sequential_trace() {
         assert_eq!(
             first_metrics.counter(counter),
             reference_metrics.counter(counter),
-            "{counter} differs from the prediction-first run"
+            "{counter} differs from the inline run"
         );
     }
 
@@ -369,7 +381,7 @@ fn forked_detection_days_keep_the_sequential_trace() {
     // the prediction's game as the last one.
     let mut no_detector = config.clone();
     no_detector.detector = None;
-    let (_, clearing_events, _) = traced("clear", &no_detector, false);
+    let (_, clearing_events, _) = traced("clear", &no_detector);
     let forked_days = day_front_solver_events(&first_events);
     let clearing_days = day_front_solver_events(&clearing_events);
     assert_eq!(forked_days.len(), config.detection_days);
