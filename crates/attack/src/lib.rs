@@ -29,11 +29,9 @@
 #![warn(missing_docs)]
 
 mod compromise;
-mod impact;
 mod price_attack;
 mod scenario;
 
 pub use compromise::CompromiseSet;
-pub use impact::AttackImpact;
 pub use price_attack::PriceAttack;
 pub use scenario::AttackTimeline;

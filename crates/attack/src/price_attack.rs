@@ -56,32 +56,6 @@ impl PriceAttack {
         Ok(Self::ZeroWindow { from_hour, to_hour })
     }
 
-    /// Convenience constructor for [`PriceAttack::ScaleWindow`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] on invalid hours or a negative/non-finite
-    /// factor.
-    pub fn scale_window(from_hour: f64, to_hour: f64, factor: f64) -> Result<Self, ValidateError> {
-        validate_window(from_hour, to_hour)?;
-        validate_factor(factor)?;
-        Ok(Self::ScaleWindow {
-            from_hour,
-            to_hour,
-            factor,
-        })
-    }
-
-    /// Convenience constructor for [`PriceAttack::ScaleAll`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] on a negative/non-finite factor.
-    pub fn scale_all(factor: f64) -> Result<Self, ValidateError> {
-        validate_factor(factor)?;
-        Ok(Self::ScaleAll { factor })
-    }
-
     /// Applies the manipulation, producing what the hacked meter reports.
     pub fn apply(&self, received: &PriceSignal) -> PriceSignal {
         let horizon = received.horizon();
@@ -151,15 +125,6 @@ fn validate_window(from_hour: f64, to_hour: f64) -> Result<(), ValidateError> {
     Ok(())
 }
 
-fn validate_factor(factor: f64) -> Result<(), ValidateError> {
-    if !factor.is_finite() || factor < 0.0 {
-        return Err(ValidateError::new(format!(
-            "attack factor must be finite and non-negative, got {factor}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +156,16 @@ mod tests {
 
     #[test]
     fn scale_window_and_scale_all() {
-        let attack = PriceAttack::scale_window(7.0, 10.0, 0.5).unwrap();
+        let attack = PriceAttack::ScaleWindow {
+            from_hour: 7.0,
+            to_hour: 10.0,
+            factor: 0.5,
+        };
         let hacked = attack.apply(&tou());
         assert!((hacked.at(8).value() - 0.1).abs() < 1e-12);
         assert_eq!(hacked.at(12).value(), tou().at(12).value());
 
-        let attack = PriceAttack::scale_all(2.0).unwrap();
+        let attack = PriceAttack::ScaleAll { factor: 2.0 };
         let hacked = attack.apply(&tou());
         assert!((hacked.at(3).value() - 0.1).abs() < 1e-12);
     }
@@ -215,8 +184,6 @@ mod tests {
     fn constructors_validate() {
         assert!(PriceAttack::zero_window(-1.0, 5.0).is_err());
         assert!(PriceAttack::zero_window(0.0, 25.0).is_err());
-        assert!(PriceAttack::scale_window(0.0, 5.0, -1.0).is_err());
-        assert!(PriceAttack::scale_all(f64::NAN).is_err());
     }
 
     #[test]
@@ -225,7 +192,7 @@ mod tests {
             PriceAttack::zero_window(16.0, 17.0).unwrap().label(),
             "zero-price 16:00-17:00"
         );
-        assert!(PriceAttack::scale_all(2.0).unwrap().label().contains("2"));
+        assert!(PriceAttack::ScaleAll { factor: 2.0 }.label().contains("2"));
         assert_eq!(PriceAttack::InvertAroundMean.label(), "invert-around-mean");
     }
 
@@ -233,7 +200,7 @@ mod tests {
     fn attacks_never_produce_negative_prices() {
         for attack in [
             PriceAttack::zero_window(0.0, 24.0).unwrap(),
-            PriceAttack::scale_all(0.0).unwrap(),
+            PriceAttack::ScaleAll { factor: 0.0 },
             PriceAttack::InvertAroundMean,
         ] {
             let hacked = attack.apply(&tou());

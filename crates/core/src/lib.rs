@@ -48,7 +48,7 @@ pub use long_term::{
 };
 pub use metrics::{AccuracyTracker, DetectionReport, LaborTracker};
 pub use pipeline::{DetectorMode, FrameworkConfig};
-pub use predict_load::{LoadPredictor, PredictedResponse, ScheduledResponse};
+pub use predict_load::{Deviation, LoadPredictor, PredictedResponse};
 pub use predict_price::{PredictPriceError, PricePredictor, TrainReport};
 pub use sanitize::{
     meter_day_failed, sanitize_series, MeterHealth, MeterQuarantine, MeterState, QuarantineConfig,

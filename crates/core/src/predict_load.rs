@@ -6,17 +6,17 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
-use nms_smarthome::{Community, CommunitySchedule, Customer, LoadProfile};
-use nms_solver::{
-    best_response, GameConfig, GameEngine, GameOutcome, ResponseWorkspace, SolverError,
-};
-use nms_types::{MeterId, TimeSeries};
+use nms_smarthome::{Community, Customer, LoadProfile};
+use nms_solver::{GameConfig, GameEngine, GameOutcome, ResponseWorkspace, SolverError};
+use nms_types::{MeterId, TimeSeries, ValidateError};
 
 /// The community's predicted response to a price signal: its demand, load
-/// and PAR, and the game's plans behind them.
+/// and PAR, and the game's plans and trading lanes behind them.
 ///
-/// The N-customer schedule is built only by
-/// [`PredictedResponse::into_scheduled`], for the callers that read it.
+/// No N-customer schedule is built here. A realization lays the hacked
+/// homes' [`Deviation`]s over the committed lanes instead
+/// ([`PredictedResponse::lanes`], [`PredictedResponse::realized_demand`],
+/// [`PredictedResponse::realized_load`]).
 #[derive(Debug, Clone)]
 pub struct PredictedResponse {
     /// Predicted net grid demand (`Σ_n y_n^h`, clamped at zero).
@@ -27,10 +27,25 @@ pub struct PredictedResponse {
     pub converged: bool,
     /// Best-response rounds the game executed.
     pub rounds: usize,
-    /// The solved game, holding the plans.
+    /// The solved game, holding the plans and lanes.
     outcome: GameOutcome,
-    /// Whether the game modeled the DER-stripped community.
-    stripped: bool,
+}
+
+/// One hacked home's unilateral deviation from a committed day-ahead plan:
+/// its re-optimized trading and load lanes (see
+/// [`LoadPredictor::respond_unilaterally`]).
+#[derive(Debug, Clone)]
+pub struct Deviation {
+    customer: usize,
+    trading: Vec<f64>,
+    load: Vec<f64>,
+}
+
+impl Deviation {
+    /// The index of the customer that deviated.
+    pub fn customer(&self) -> usize {
+        self.customer
+    }
 }
 
 impl PredictedResponse {
@@ -39,53 +54,63 @@ impl PredictedResponse {
         &self.outcome.load
     }
 
-    /// Builds the community schedule behind the prediction. `community`
-    /// is the one passed to [`LoadPredictor::predict`]; a predictor that
-    /// ignores net metering strips its DER again here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError`] when `community` is not the one predicted.
-    pub fn into_scheduled(self, community: &Community) -> Result<ScheduledResponse, SolverError> {
-        let stripped_storage;
-        let community_model = if self.stripped {
-            stripped_storage = strip_der(community);
-            &stripped_storage
-        } else {
-            community
-        };
-        Ok(ScheduledResponse {
-            schedule: self.outcome.into_schedule(community_model)?,
-            grid_demand: self.grid_demand,
-            par: self.par,
-            converged: self.converged,
-            rounds: self.rounds,
+    /// The solved game behind the prediction. For a predictor that ignores
+    /// net metering it is the game of the DER-stripped community.
+    pub fn outcome(&self) -> &GameOutcome {
+        &self.outcome
+    }
+
+    /// Every customer's trading lane, in customer order, with each of
+    /// `deviations` laid over its customer's committed lane (a later
+    /// deviation of the same customer wins).
+    pub fn lanes<'a>(&'a self, deviations: &'a [Deviation]) -> Vec<&'a [f64]> {
+        let mut lanes: Vec<&[f64]> = (0..self.outcome.customers())
+            .map(|index| self.outcome.trading(index))
+            .collect();
+        for deviation in deviations {
+            lanes[deviation.customer] = &deviation.trading;
+        }
+        lanes
+    }
+
+    /// The net grid demand (`Σ_n y_n^h`, clamped at zero) with
+    /// `deviations` laid over the committed lanes: per slot, in customer
+    /// order, by `Iterator::sum`, the sum an N-customer schedule takes.
+    /// Without deviations it is the prediction's own
+    /// [`grid_demand`](Self::grid_demand).
+    pub fn realized_demand(&self, deviations: &[Deviation]) -> TimeSeries<f64> {
+        if deviations.is_empty() {
+            return self.grid_demand.clone();
+        }
+        let lanes = self.lanes(deviations);
+        TimeSeries::from_fn(self.grid_demand.horizon(), |h| {
+            lanes.iter().map(|lane| lane[h]).sum::<f64>().max(0.0)
         })
     }
-}
 
-/// A community response with its N-customer schedule: a prediction built
-/// by [`PredictedResponse::into_scheduled`], or a unilateral deviation
-/// from one.
-#[derive(Debug, Clone)]
-pub struct ScheduledResponse {
-    /// Every customer's schedule, with the community's aggregates.
-    pub schedule: CommunitySchedule,
-    /// Net grid demand (`Σ_n y_n^h`, clamped at zero).
-    pub grid_demand: TimeSeries<f64>,
-    /// PAR of the grid demand — the detection statistic.
-    pub par: f64,
-    /// Whether the game behind the response converged.
-    pub converged: bool,
-    /// Best-response rounds the game executed (`0` for unilateral
-    /// deviations, which run no game).
-    pub rounds: usize,
-}
-
-impl ScheduledResponse {
-    /// The community consumption profile `L_h`.
-    pub fn load(&self) -> &LoadProfile {
-        self.schedule.load()
+    /// The community load `L_h` with `deviations` laid over the committed
+    /// plans, summed like [`realized_demand`](Self::realized_demand).
+    /// `community` is the one predicted. Without deviations it is the
+    /// prediction's own [`load`](Self::load).
+    pub fn realized_load(&self, community: &Community, deviations: &[Deviation]) -> LoadProfile {
+        if deviations.is_empty() {
+            return self.outcome.load.clone();
+        }
+        let mut deviated: Vec<Option<&[f64]>> = vec![None; community.len()];
+        for deviation in deviations {
+            deviated[deviation.customer] = Some(&deviation.load);
+        }
+        LoadProfile::new(TimeSeries::from_fn(community.horizon(), |h| {
+            community
+                .iter()
+                .zip(&deviated)
+                .enumerate()
+                .map(|(index, (customer, load))| match load {
+                    Some(load) => load[h],
+                    None => self.outcome.plan(index).load(customer, h),
+                })
+                .sum()
+        }))
     }
 }
 
@@ -162,21 +187,24 @@ impl LoadPredictor {
             converged: outcome.converged,
             rounds: outcome.rounds,
             outcome,
-            stripped: !self.net_metering,
         })
     }
 
-    /// The community's realized response when `hacked_meters` deviate
-    /// *unilaterally* from a committed day-ahead plan: each hacked home
-    /// re-optimizes against the committed aggregate using the manipulated
-    /// price, while honest homes keep their committed schedules (day-ahead
-    /// coordination has already closed; nobody re-equilibrates intraday).
+    /// The hacked homes' unilateral deviations from a committed day-ahead
+    /// plan: each hacked home re-optimizes against the committed aggregate
+    /// using the manipulated price, while honest homes keep their committed
+    /// plans (day-ahead coordination has already closed; nobody
+    /// re-equilibrates intraday).
     ///
-    /// `committed` must be a response previously produced by this predictor
-    /// for the same community and built by
-    /// [`PredictedResponse::into_scheduled`] (its schedules are reused as
-    /// warm starts and as the honest homes' plans). The per-meter best
-    /// responses tally their DP/CE work into `rec`.
+    /// `committed` must be a response this predictor produced for the same
+    /// community. Only the hacked homes' plans are cloned, as warm starts;
+    /// each responds to `others = committed total − own lane`, in
+    /// `hacked_meters` order, drawing from `rng`. A response reads only the
+    /// committed plan, never another hacked home's response, so the
+    /// deviations of a prefix of `hacked_meters` are a prefix of the
+    /// result. A predictor that ignores net metering strips the DER of the
+    /// hacked homes only. The per-meter best responses tally their DP/CE
+    /// work into `rec`.
     ///
     /// # Errors
     ///
@@ -185,25 +213,18 @@ impl LoadPredictor {
     pub fn respond_unilaterally(
         &self,
         community: &Community,
-        committed: &ScheduledResponse,
+        committed: &PredictedResponse,
         manipulated_price: &PriceSignal,
         hacked_meters: &[MeterId],
         rng: &mut impl Rng,
         rec: &dyn Recorder,
-    ) -> Result<ScheduledResponse, SolverError> {
-        let stripped_storage;
-        let community_model: &Community = if self.net_metering {
-            community
-        } else {
-            stripped_storage = strip_der(community);
-            &stripped_storage
-        };
-        let committed_schedules = committed.schedule.customer_schedules();
-        if committed_schedules.len() != community_model.len() {
-            return Err(SolverError::Config(nms_types::ValidateError::new(format!(
+    ) -> Result<Vec<Deviation>, SolverError> {
+        let outcome = &committed.outcome;
+        if outcome.customers() != community.len() {
+            return Err(SolverError::Config(ValidateError::new(format!(
                 "committed response covers {} customers, community has {}",
-                committed_schedules.len(),
-                community_model.len()
+                outcome.customers(),
+                community.len()
             ))));
         }
         let mut response_config = self.game.response;
@@ -211,64 +232,71 @@ impl LoadPredictor {
             response_config.use_battery = false;
         }
         let cost_model = CostModel::new(manipulated_price, self.tariff);
-        let horizon = community_model.horizon();
-        let total = TimeSeries::from_fn(horizon, |h| {
-            committed_schedules.iter().map(|s| s.trading()[h]).sum()
-        });
+        // The committed lanes' per-slot sum in customer order.
+        let total = &outcome.grid_demand;
 
-        let mut schedules = committed_schedules.to_vec();
+        let mut others = Vec::with_capacity(total.len());
+        let mut deviations = Vec::with_capacity(hacked_meters.len());
         let mut ws = ResponseWorkspace::default();
         for meter in hacked_meters {
             let index = meter.customer().index();
-            let customer = community_model.customer(meter.customer()).ok_or_else(|| {
-                SolverError::Config(nms_types::ValidateError::new(format!(
+            let customer = community.customer(meter.customer()).ok_or_else(|| {
+                SolverError::Config(ValidateError::new(format!(
                     "{meter} is not in the community"
                 )))
             })?;
-            let committed_own = &committed_schedules[index];
-            let others = total
-                .sub(committed_own.trading())
-                .expect("aligned horizons");
-            schedules[index] = best_response(
-                customer,
-                others.as_slice(),
-                cost_model,
-                &response_config,
-                Some(committed_own),
-                rng,
-                rec,
-                &mut ws,
-            )?;
+            let stripped;
+            let customer = if self.net_metering {
+                customer
+            } else {
+                stripped = strip_customer(customer);
+                &stripped
+            };
+            others.clear();
+            others.extend(
+                total
+                    .iter()
+                    .zip(outcome.trading(index))
+                    .map(|(total, own)| total - own),
+            );
+            let mut plan = outcome.plan(index).clone();
+            let trading = plan
+                .respond(
+                    customer,
+                    &others,
+                    cost_model,
+                    &response_config,
+                    rng,
+                    rec,
+                    &mut ws,
+                )?
+                .to_vec();
+            let load = (0..total.len()).map(|h| plan.load(customer, h)).collect();
+            deviations.push(Deviation {
+                customer: index,
+                trading,
+                load,
+            });
         }
-
-        let schedule = CommunitySchedule::new(horizon, schedules)?;
-        let grid_demand = schedule.grid_demand_clamped();
-        let par = grid_demand.par().unwrap_or(1.0);
-        Ok(ScheduledResponse {
-            schedule,
-            grid_demand,
-            par,
-            converged: committed.converged,
-            rounds: 0,
-        })
+        Ok(deviations)
     }
 }
 
 /// Rebuilds the community with every customer's PV panel and battery
 /// removed — the "ignore net metering" world model.
 fn strip_der(community: &Community) -> Community {
-    let customers: Vec<Customer> = community
-        .iter()
-        .map(|customer| {
-            Customer::builder(customer.id(), customer.horizon())
-                .appliances(customer.appliances().iter().cloned())
-                .base_load(customer.base_load().clone())
-                .build()
-                .expect("stripping DER preserves appliance validity")
-        })
-        .collect();
+    let customers: Vec<Customer> = community.iter().map(strip_customer).collect();
     Community::new(community.horizon(), customers)
         .expect("stripped community preserves ids and horizon")
+}
+
+/// One customer with its PV panel and battery removed.
+fn strip_customer(customer: &Customer) -> Customer {
+    Customer::builder(customer.id(), customer.horizon())
+        .appliances(customer.appliances().iter().cloned())
+        .base_load(customer.base_load().clone())
+        .build()
+        .expect("stripping DER preserves appliance validity")
 }
 
 #[cfg(test)]

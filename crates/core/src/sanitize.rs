@@ -561,10 +561,15 @@ mod tests {
     fn meter_day_failure_judgement() {
         let sanitize = SanitizeConfig::default();
         let quarantine = QuarantineConfig::default(); // fails at ≥ 50% bad
-        // All readings present and plausible: good day.
+                                                      // All readings present and plausible: good day.
         assert!(!meter_day_failed(&[1.0; 24], 1.0, &sanitize, &quarantine));
         // Completely unreported: failed day.
-        assert!(meter_day_failed(&[f64::NAN; 24], 1.0, &sanitize, &quarantine));
+        assert!(meter_day_failed(
+            &[f64::NAN; 24],
+            1.0,
+            &sanitize,
+            &quarantine
+        ));
         assert!(meter_day_failed(&[], 1.0, &sanitize, &quarantine));
         // Garbage magnitudes against a unit scale: failed day.
         assert!(meter_day_failed(&[1e9; 24], 1.0, &sanitize, &quarantine));
@@ -597,7 +602,9 @@ mod tests {
         let observed = TimeSeries::filled(day(), 1.0);
         let reference = TimeSeries::filled(Horizon::new(12, 1.0), 1.0);
         assert!(sanitize_series(&observed, &reference, &SanitizeConfig::default()).is_err());
-        let bad = SanitizeConfig { outlier_factor: 1.0 };
+        let bad = SanitizeConfig {
+            outlier_factor: 1.0,
+        };
         assert!(sanitize_series(&observed, &observed, &bad).is_err());
     }
 }

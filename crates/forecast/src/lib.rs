@@ -43,6 +43,6 @@ mod svr;
 pub use baseline::seasonal_mean_forecast;
 pub use features::{FeatureConfig, PriceHistory, SlidingWindowDataset};
 pub use kernel::Kernel;
-pub use metrics::{mae, mape, rmse};
+pub use metrics::rmse;
 pub use scaler::StandardScaler;
 pub use svr::{Svr, SvrFitReport, SvrParams, TrainSvrError};

@@ -17,43 +17,6 @@ pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    assert!(!predictions.is_empty(), "empty inputs");
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Mean absolute percentage error, skipping targets with magnitude below
-/// `1e-12` (a percentage error against zero is undefined).
-///
-/// Returns `None` when every target is (near-)zero.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mape(predictions: &[f64], targets: &[f64]) -> Option<f64> {
-    assert_eq!(predictions.len(), targets.len(), "length mismatch");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, t) in predictions.iter().zip(targets) {
-        if t.abs() > 1e-12 {
-            total += ((p - t) / t).abs();
-            count += 1;
-        }
-    }
-    (count > 0).then(|| 100.0 * total / count as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,18 +30,6 @@ mod tests {
     fn rmse_matches_hand_computation() {
         // Errors 1 and -1: rmse = 1.
         assert!((rmse(&[2.0, 1.0], &[1.0, 2.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mae_matches_hand_computation() {
-        assert!((mae(&[2.0, 0.0], &[1.0, 2.0]) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mape_skips_zero_targets() {
-        let m = mape(&[1.1, 5.0], &[1.0, 0.0]).unwrap();
-        assert!((m - 10.0).abs() < 1e-9);
-        assert!(mape(&[1.0], &[0.0]).is_none());
     }
 
     #[test]

@@ -27,9 +27,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nms_attack::AttackTimeline;
-use nms_core::{FrameworkConfig, ParObservationMap, PricePredictor, TrainReport};
+use nms_core::{
+    FrameworkConfig, ParObservationMap, PredictedResponse, PricePredictor, TrainReport,
+};
 use nms_forecast::PriceHistory;
 use nms_par::par_map;
+use nms_pricing::PriceSignal;
+use nms_smarthome::Community;
 use nms_types::{MeterId, RetryPolicy, RunHealth, SolveBudget, TimeSeries, ValidateError};
 
 use crate::market::TRAINING_WORKERS;
@@ -90,6 +94,37 @@ pub(crate) struct Backtest<'a> {
 /// predictor training.
 type BacktestDay = (Vec<f64>, TrainReport);
 
+/// What one backtest day's statistics read: the community, its observed
+/// clean demand, the detector's day-ahead prediction, the detector's
+/// world-model response to the cleared price, the manipulated price, and
+/// the realization seed.
+struct DayInputs {
+    community: Community,
+    actual: TimeSeries<f64>,
+    predicted: TimeSeries<f64>,
+    honest: PredictedResponse,
+    manipulated: PriceSignal,
+    seed: u64,
+}
+
+impl DayInputs {
+    /// The statistic of a bucket whose world-model demand is `mixed`
+    /// (`None` when no meter is hacked): the world-model attack delta
+    /// superimposed on the observed clean demand, against the prediction.
+    fn statistic(&self, mixed: Option<&TimeSeries<f64>>) -> f64 {
+        let (actual, honest) = (&self.actual, &self.honest.grid_demand);
+        match mixed {
+            None => peak_deviation(actual, &self.predicted),
+            Some(mixed) => {
+                let synthetic = TimeSeries::from_fn(actual.horizon(), |h| {
+                    (actual[h] + mixed[h] - honest[h]).max(0.0)
+                });
+                peak_deviation(&synthetic, &self.predicted)
+            }
+        }
+    }
+}
+
 /// Folds one predictor fit into the calibration's health ledger and its
 /// SMO counters.
 fn record_training(health: &mut RunHealth, report: TrainReport, rec: &dyn Recorder) {
@@ -130,17 +165,31 @@ impl Backtest<'_> {
     /// `weather` holds the training epoch's clearness factors, and `seeds`
     /// the day's clearing and realization seeds.
     ///
-    /// It builds one N-customer schedule, the honest response's, which the
-    /// unilateral deviations read. The clearing and the day-ahead
-    /// prediction build none and shrink to their demand series at once,
-    /// and each bucket's unilateral response is dropped after its bucket,
-    /// so two days running at once hold at most four schedules.
+    /// It builds no N-customer schedule. The clearing and the day-ahead
+    /// prediction shrink to their demand series at once; the honest
+    /// prediction keeps its plans and lanes, and only the hacked homes'
+    /// lanes are added beside them.
     fn day(
         &self,
         back: usize,
         weather: &[f64],
-        (clear_seed, seed): (u64, u64),
+        seeds: (u64, u64),
     ) -> Result<BacktestDay, SimError> {
+        let (inputs, report) = self.inputs(back, weather, seeds)?;
+        let demands = self.bucket_demands(&inputs, &NoopRecorder)?;
+        let statistics = demands.iter().map(|d| inputs.statistic(d.as_ref()));
+        Ok((statistics.collect(), report))
+    }
+
+    /// Clears backtest day `back`, trains its day-ahead price predictor,
+    /// and predicts the day twice in the detector's world model: under the
+    /// predicted price, and under the cleared price.
+    fn inputs(
+        &self,
+        back: usize,
+        weather: &[f64],
+        (clear_seed, seed): (u64, u64),
+    ) -> Result<(DayInputs, TrainReport), SimError> {
         let framework = self.framework;
         let day = self.scenario.training_days - 1 - back;
         let community = self.generator.community_for_day(day, weather[day]);
@@ -185,37 +234,58 @@ impl Backtest<'_> {
         let mut honest_rng = ChaCha8Rng::seed_from_u64(seed);
         let honest = framework
             .load
-            .predict(&community, &price, &mut honest_rng, &NoopRecorder)?
-            .into_scheduled(&community)?;
+            .predict(&community, &price, &mut honest_rng, &NoopRecorder)?;
+        let inputs = DayInputs {
+            community,
+            actual,
+            predicted,
+            honest,
+            manipulated,
+            seed,
+        };
+        Ok((inputs, report))
+    }
 
-        let mut day_stats = Vec::with_capacity(self.buckets);
-        for bucket in 0..self.buckets {
-            let hacked = ((bucket as f64 * self.bucket_fraction_step) * community.len() as f64)
-                .round() as usize;
-            let statistic = if hacked == 0 {
-                peak_deviation(&actual, &predicted)
-            } else {
-                let meters: Vec<MeterId> =
-                    (0..hacked.min(community.len())).map(MeterId::new).collect();
-                let mut mixed_rng = ChaCha8Rng::seed_from_u64(seed);
-                let mixed = framework.load.respond_unilaterally(
-                    &community,
-                    &honest,
-                    &manipulated,
-                    &meters,
-                    &mut mixed_rng,
-                    &NoopRecorder,
-                )?;
-                // Superimpose the world-model attack delta on the
-                // observed clean demand.
-                let synthetic = TimeSeries::from_fn(community.horizon(), |h| {
-                    (actual[h] + mixed.grid_demand[h] - honest.grid_demand[h]).max(0.0)
-                });
-                peak_deviation(&synthetic, &predicted)
-            };
-            day_stats.push(statistic);
-        }
-        Ok((day_stats, report))
+    /// Each bucket's world-model demand with its meters hacked, `None` for
+    /// a bucket whose count rounds to 0. Every bucket's hacked meters are a
+    /// prefix of `0..k_max`, and each deviation reads only the honest plan
+    /// and the next draws of the one stream, so one pass over the largest
+    /// bucket's meters yields every bucket's deviations. The deviations
+    /// tally their solver work into `rec`.
+    fn bucket_demands(
+        &self,
+        inputs: &DayInputs,
+        rec: &dyn Recorder,
+    ) -> Result<Vec<Option<TimeSeries<f64>>>, SimError> {
+        let DayInputs {
+            community,
+            honest,
+            manipulated,
+            seed,
+            ..
+        } = inputs;
+        let n = community.len();
+        let hacked: Vec<usize> = (0..self.buckets)
+            .map(|bucket| {
+                let hacked = (bucket as f64 * self.bucket_fraction_step * n as f64).round();
+                (hacked as usize).min(n)
+            })
+            .collect();
+        let k_max = hacked.iter().copied().max().unwrap_or(0);
+        let meters: Vec<MeterId> = (0..k_max).map(MeterId::new).collect();
+        let mut mixed_rng = ChaCha8Rng::seed_from_u64(*seed);
+        let deviations = self.framework.load.respond_unilaterally(
+            community,
+            honest,
+            manipulated,
+            &meters,
+            &mut mixed_rng,
+            rec,
+        )?;
+        Ok(hacked
+            .iter()
+            .map(|&count| (count > 0).then(|| honest.realized_demand(&deviations[..count])))
+            .collect())
     }
 
     /// Folds the backtest days, in day order, into the observation map and
@@ -343,6 +413,7 @@ pub(crate) fn calibrate_detector(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::respond_unilaterally_reference;
     use nms_attack::PriceAttack;
     use nms_core::DetectorMode;
 
@@ -403,6 +474,154 @@ mod tests {
                 market: &self.market,
                 generator: &self.generator,
                 history: &self.history,
+            }
+        }
+    }
+
+    /// The per-bucket loop the single pass replaced, in schedule form:
+    /// each bucket solves its own meters `0..k_b` from a fresh stream and
+    /// builds the N-customer schedule over them. Returns each bucket's
+    /// statistic and world-model demand (`None` for a clean bucket).
+    fn per_bucket_loop(
+        backtest: &Backtest<'_>,
+        inputs: &DayInputs,
+        rec: &dyn Recorder,
+    ) -> Vec<(f64, Option<TimeSeries<f64>>)> {
+        let DayInputs {
+            community,
+            actual,
+            predicted,
+            honest,
+            manipulated,
+            seed,
+        } = inputs;
+        (0..backtest.buckets)
+            .map(|bucket| {
+                let hacked = ((bucket as f64 * backtest.bucket_fraction_step)
+                    * community.len() as f64)
+                    .round() as usize;
+                if hacked == 0 {
+                    return (peak_deviation(actual, predicted), None);
+                }
+                let meters: Vec<MeterId> =
+                    (0..hacked.min(community.len())).map(MeterId::new).collect();
+                let mixed = respond_unilaterally_reference(
+                    &backtest.framework.load,
+                    community,
+                    honest,
+                    manipulated,
+                    &meters,
+                    &mut ChaCha8Rng::seed_from_u64(*seed),
+                    rec,
+                )
+                .grid_demand_clamped();
+                let synthetic = TimeSeries::from_fn(community.horizon(), |h| {
+                    (actual[h] + mixed[h] - honest.grid_demand[h]).max(0.0)
+                });
+                (peak_deviation(&synthetic, predicted), Some(mixed))
+            })
+            .collect()
+    }
+
+    /// The single pass over `0..k_max` against the per-bucket loop: equal
+    /// statistics and per-bucket demand bit for bit, on a PV-only and a
+    /// battery community (the CE path, which draws from the stream), both
+    /// PV-heavy enough to export at midday, for both detectors. The bucket
+    /// grids at N = 8 hack `[0, 1, 2, 4]` meters (the run's grid),
+    /// `[0, 0, 1, 1]` (a bucket rounding to 0, two sharing a count) and
+    /// `[0, 5, 8]` (`k_max = N`, the last count clamped). The pass solves
+    /// `k_max` responses: its solver tallies are those of one reference
+    /// pass over `0..k_max`, below the loop's sum over the buckets.
+    #[test]
+    fn single_pass_statistics_match_the_per_bucket_loop() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tallies = [
+            "solver_dp_cells",
+            "solver_ce_solves",
+            "solver_ce_iterations",
+        ];
+        for batteries in [false, true] {
+            let mut scenario = PaperScenario::small(8, 3);
+            scenario.training_days = 4;
+            scenario.pv_ownership = 1.0;
+            scenario.pv_rating = (5.0, 8.0);
+            if !batteries {
+                scenario.battery_ownership = 0.0;
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let fixture = Fixture::new(scenario, &mut rng);
+            let weather = fixture
+                .scenario
+                .weather_factors(fixture.scenario.training_days);
+            for mode in [
+                DetectorMode::IgnoreNetMetering,
+                DetectorMode::NetMeteringAware,
+            ] {
+                let framework = FrameworkConfig::new(mode, 24);
+                for (buckets, step, counts) in [
+                    (4, 0.15, vec![0, 1, 2, 4]),
+                    (4, 0.05, vec![0, 0, 1, 1]),
+                    (3, 0.6, vec![0, 5, 8]),
+                ] {
+                    let label = format!("batteries {batteries}, {mode:?}, {counts:?}");
+                    let mut backtest = fixture.backtest(&framework);
+                    backtest.buckets = buckets;
+                    backtest.bucket_fraction_step = step;
+                    let (inputs, _) = backtest.inputs(0, &weather, (41, 42)).unwrap();
+                    let n = inputs.community.len() as f64;
+                    let hacked: Vec<usize> = (0..buckets)
+                        .map(|b| ((b as f64 * step * n).round() as usize).min(8))
+                        .collect();
+                    assert_eq!(hacked, counts, "{label}");
+
+                    let (single, _) = backtest.day(0, &weather, (41, 42)).unwrap();
+                    let single_tally = nms_obs::MetricsRegistry::new();
+                    let demands = backtest.bucket_demands(&inputs, &single_tally).unwrap();
+                    let looped_tally = nms_obs::MetricsRegistry::new();
+                    let looped = per_bucket_loop(&backtest, &inputs, &looped_tally);
+                    let looped_stats: Vec<f64> = looped.iter().map(|(stat, _)| *stat).collect();
+                    assert_eq!(bits(&single), bits(&looped_stats), "{label}: statistics");
+                    let pairs = demands.iter().zip(&looped);
+                    for (bucket, (demand, (_, expected))) in pairs.enumerate() {
+                        let demand = demand.as_ref().map(|d| bits(d.as_slice()));
+                        let expected = expected.as_ref().map(|d| bits(d.as_slice()));
+                        assert_eq!(demand, expected, "{label}: bucket {bucket} demand");
+                    }
+                    if mode == DetectorMode::NetMeteringAware {
+                        // The PV-heavy community exports at midday, so the
+                        // demand clamp is exercised.
+                        let honest = &inputs.honest;
+                        assert!(
+                            (0..24).any(|h| honest.outcome().grid_demand[h] < 0.0),
+                            "{label}: no exporting slot"
+                        );
+                    }
+
+                    let k_max = counts.iter().copied().max().unwrap();
+                    let meters: Vec<MeterId> = (0..k_max).map(MeterId::new).collect();
+                    let one_pass = nms_obs::MetricsRegistry::new();
+                    respond_unilaterally_reference(
+                        &framework.load,
+                        &inputs.community,
+                        &inputs.honest,
+                        &inputs.manipulated,
+                        &meters,
+                        &mut ChaCha8Rng::seed_from_u64(inputs.seed),
+                        &one_pass,
+                    );
+                    for name in tallies {
+                        assert_eq!(
+                            single_tally.counter(name),
+                            one_pass.counter(name),
+                            "{label}: {name}"
+                        );
+                    }
+                    assert!(
+                        looped_tally.counter("solver_dp_cells")
+                            > single_tally.counter("solver_dp_cells"),
+                        "{label}: the loop re-solves shared meters"
+                    );
+                }
             }
         }
     }

@@ -25,7 +25,6 @@
 //! durable checkpoint journal to memory through
 //! [`SupervisedOptions::in_memory`].
 
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -37,10 +36,10 @@ use serde::{Deserialize, Serialize};
 
 use nms_attack::{AttackTimeline, CompromiseSet};
 use nms_core::{
-    meter_day_failed, sanitize_series, AccuracyTracker, DetectorAction, FrameworkConfig,
-    LaborTracker, LongTermDetector, MeterQuarantine, ParObservationMap, PredictedResponse,
-    PricePredictor, QuarantineConfig, QuarantineEvent, QuarantineTransition, SanitizeConfig,
-    ScheduledResponse,
+    meter_day_failed, sanitize_series, AccuracyTracker, DetectorAction, Deviation, FrameworkConfig,
+    LaborTracker, LoadPredictor, LongTermDetector, MeterQuarantine, ParObservationMap,
+    PredictedResponse, PricePredictor, QuarantineConfig, QuarantineEvent, QuarantineTransition,
+    SanitizeConfig,
 };
 use nms_forecast::PriceHistory;
 use nms_par::Parallelism;
@@ -366,7 +365,7 @@ fn train(
 fn faulted_view(
     plan: &FaultPlan,
     day: usize,
-    realization: &ScheduledResponse,
+    lanes: &[&[f64]],
     predicted: &TimeSeries<f64>,
     sanitize: &SanitizeConfig,
     quarantine: Option<&MeterQuarantine>,
@@ -375,7 +374,7 @@ fn faulted_view(
     day_failed: &mut Option<Vec<bool>>,
     rec: &dyn Recorder,
 ) -> Result<TimeSeries<f64>, SimError> {
-    let per_meter = corrupt_day_meters(plan, day, &realization.schedule);
+    let per_meter = corrupt_day_meters(plan, day, predicted.horizon(), lanes);
     let excluded: Vec<bool> = (0..per_meter.fleet())
         .map(|m| quarantine.is_some_and(|q| q.is_excluded(m)))
         .collect();
@@ -426,32 +425,34 @@ fn faulted_view(
     Ok(report.cleaned)
 }
 
-/// Realizes one day's response for a compromise set: the committed (clean)
-/// plan with hacked homes deviating unilaterally, or `None` when no meter
-/// is hacked and the committed response is the realization. Pure in
-/// `(community, committed, manipulated, realization_seed, compromised)`.
+/// One realization of a detection day: the hacked homes' deviations from
+/// the committed plan, and the grid demand they produce with it.
+struct Realization {
+    deviations: Vec<Deviation>,
+    grid_demand: TimeSeries<f64>,
+}
+
+/// Realizes one day's response for the hacked `meters`: the committed
+/// (clean) plan with hacked homes deviating unilaterally, in `meters`
+/// order, or the committed response itself when no meter is hacked. Only
+/// the hacked homes' plans are cloned; honest homes are read in place.
+/// Pure in `(community, committed, manipulated, realization_seed, meters)`.
 fn realize_day(
-    setup: &RunSetup,
+    truth: &LoadPredictor,
     community: &Community,
-    committed: &ScheduledResponse,
+    committed: &PredictedResponse,
     manipulated: &PriceSignal,
     realization_seed: u64,
-    compromised: &CompromiseSet,
+    meters: &[MeterId],
     rec: &dyn Recorder,
-) -> Result<Option<ScheduledResponse>, SimError> {
-    if compromised.is_empty() {
-        return Ok(None);
-    }
-    let meters: Vec<MeterId> = compromised.iter().collect();
+) -> Result<Realization, SimError> {
     let mut child = ChaCha8Rng::seed_from_u64(realization_seed);
-    Ok(Some(setup.market.truth_model().respond_unilaterally(
-        community,
-        committed,
-        manipulated,
-        &meters,
-        &mut child,
-        rec,
-    )?))
+    let deviations =
+        truth.respond_unilaterally(community, committed, manipulated, meters, &mut child, rec)?;
+    Ok(Realization {
+        grid_demand: committed.realized_demand(&deviations),
+        deviations,
+    })
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
@@ -484,32 +485,30 @@ fn simulate_day(
 
     // The clearing, the attack and the day-start realization.
     let compromised = &state.compromised;
-    // The committed response's schedule is built here: every realization
-    // reads it, as do the telemetry faults.
+    // The committed response keeps the game's plans and lanes: every
+    // realization reads them, as do the telemetry faults.
+    let truth = setup.market.truth_model();
     let front = |rec: &dyn Recorder| -> Result<_, SimError> {
         let clearing_watch = Stopwatch::start();
-        let (price, committed) = {
+        let clean = {
             let _span = span(rec, "clearing");
-            let clean = setup.market.clear_day(
-                &community,
-                config.clearing_iterations,
-                clearing_seed,
-                rec,
-            )?;
-            (clean.price, clean.response.into_scheduled(&community)?)
+            setup
+                .market
+                .clear_day(&community, config.clearing_iterations, clearing_seed, rec)?
         };
+        let (price, committed) = (clean.price, clean.response);
         let clearing_secs = clearing_watch.secs();
         let manipulated = config.timeline.attack().apply(&price);
-        let deviation = realize_day(
-            setup,
+        let realization = realize_day(
+            truth,
             &community,
             &committed,
             &manipulated,
             realization_seed,
-            compromised,
+            &compromised.iter().collect::<Vec<_>>(),
             rec,
         )?;
-        Ok((price, committed, manipulated, deviation, clearing_secs))
+        Ok((price, committed, manipulated, realization, clearing_secs))
     };
     // The detector's day-ahead view reads the trained predictors, the
     // history through yesterday, the day's community and the realization
@@ -537,19 +536,14 @@ fn simulate_day(
             Ok((predicted, prediction_watch.secs()))
         }
     });
-    let ((price, committed, manipulated, deviation, clearing_secs), prediction) = match prediction {
-        Some(prediction) => {
-            let (front, predicted) = nms_par::join(rec, "prediction", front, prediction)?;
-            (front, Some(predicted))
-        }
-        None => (front(rec)?, None),
-    };
-    // While no meter is hacked, the realization borrows the committed
-    // response.
-    let realized = |deviation: Option<ScheduledResponse>| {
-        deviation.map_or(Cow::Borrowed(&committed), Cow::Owned)
-    };
-    let mut realization = realized(deviation);
+    let ((price, committed, manipulated, mut realization, clearing_secs), prediction) =
+        match prediction {
+            Some(prediction) => {
+                let (front, predicted) = nms_par::join(rec, "prediction", front, prediction)?;
+                (front, Some(predicted))
+            }
+            None => (front(rec)?, None),
+        };
     let (day_prediction, prediction_secs) = match prediction {
         Some((predicted, secs)) => (Some(predicted), secs),
         None => (None, 0.0),
@@ -570,15 +564,14 @@ fn simulate_day(
     // Re-realize the day whenever the compromise set changes mid-day.
     let realize = |compromised: &CompromiseSet| {
         realize_day(
-            setup,
+            truth,
             &community,
             &committed,
             &manipulated,
             realization_seed,
-            compromised,
+            &compromised.iter().collect::<Vec<_>>(),
             rec,
         )
-        .map(realized)
     };
     // The telemetry view of the current realization, rebuilt lazily
     // whenever the realization changes mid-day.
@@ -617,7 +610,7 @@ fn simulate_day(
                     observed_view = Some(faulted_view(
                         plan,
                         day,
-                        &realization,
+                        &committed.lanes(&realization.deviations),
                         &predicted.grid_demand,
                         &config.sanitize,
                         state.quarantine.as_ref(),
@@ -712,12 +705,13 @@ fn simulate_day(
     // from what actually happened). The demand series records consumption
     // `L_h`, matching the bootstrap epoch's convention.
     let theta = community.total_generation();
+    let load = committed.realized_load(&community, &realization.deviations);
     let mut history_rows = Vec::with_capacity(SLOTS_PER_DAY);
     for h in 0..SLOTS_PER_DAY {
         let row = HistoryRow {
             price: price.at(h).value(),
             generation: theta[h],
-            demand: realization.load().at(h).value(),
+            demand: load.at(h).value(),
         };
         state.history.push(row.price, row.generation, row.demand);
         history_rows.push(row);
@@ -1139,8 +1133,89 @@ impl SupervisedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::respond_unilaterally_reference;
     use nms_attack::PriceAttack;
     use nms_core::DetectorMode;
+
+    /// The lane-based realization against the schedule-form reference:
+    /// the realized demand, the load the history rolls and every meter's
+    /// faulted readings, bit for bit, for no hacked meter, one, an unsorted
+    /// pair and the whole community, on a battery community (the CE path)
+    /// that exports at midday (so the demand clamp bites).
+    #[test]
+    fn lane_realization_matches_the_schedule_form() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scenario = PaperScenario::small(6, 31);
+        scenario.pv_ownership = 1.0;
+        scenario.pv_rating = (5.0, 8.0);
+        let market = Market::new(&scenario).unwrap();
+        let truth = market.truth_model();
+        let community = scenario.generator().community_for_day(0, 1.0);
+        assert!(community.iter().any(|c| c.battery().is_usable()));
+        let clean = market.clear_day(&community, 2, 77, &NoopRecorder).unwrap();
+        let committed = &clean.response;
+        assert!((0..24).any(|h| committed.outcome().grid_demand[h] < 0.0));
+        let manipulated = timeline().attack().apply(&clean.price);
+        let horizon = community.horizon();
+        let n = community.len();
+        let faults = FaultPlan::degraded(5, 0.2);
+        for hacked in [vec![], vec![0], vec![4, 1], (0..n).collect()] {
+            let meters: Vec<MeterId> = hacked.iter().map(|&m| MeterId::new(m)).collect();
+            let realization = realize_day(
+                truth,
+                &community,
+                committed,
+                &manipulated,
+                99,
+                &meters,
+                &NoopRecorder,
+            )
+            .unwrap();
+            let reference = respond_unilaterally_reference(
+                truth,
+                &community,
+                committed,
+                &manipulated,
+                &meters,
+                &mut ChaCha8Rng::seed_from_u64(99),
+                &NoopRecorder,
+            );
+            let label = format!("hacked {hacked:?}");
+            assert_eq!(
+                bits(realization.grid_demand.as_slice()),
+                bits(reference.grid_demand_clamped().as_slice()),
+                "{label}: demand"
+            );
+            let load = committed.realized_load(&community, &realization.deviations);
+            assert_eq!(
+                bits(load.series().as_slice()),
+                bits(reference.load().series().as_slice()),
+                "{label}: load"
+            );
+            let lanes = committed.lanes(&realization.deviations);
+            let reference_lanes: Vec<&[f64]> = reference
+                .customer_schedules()
+                .iter()
+                .map(|s| s.trading().as_slice())
+                .collect();
+            for (meter, (a, b)) in lanes.iter().zip(&reference_lanes).enumerate() {
+                assert_eq!(bits(a), bits(b), "{label}: meter {meter} lane");
+            }
+            for day in [0, 3] {
+                let faulted = corrupt_day_meters(&faults, day, horizon, &lanes);
+                let expected = corrupt_day_meters(&faults, day, horizon, &reference_lanes);
+                assert_eq!(faulted.injected, expected.injected, "{label}: faults");
+                assert!(faulted.injected.total() > 0, "{label}: the plan injects");
+                for meter in 0..n {
+                    assert_eq!(
+                        bits(faulted.meter_readings(meter)),
+                        bits(expected.meter_readings(meter)),
+                        "{label}: day {day} meter {meter} readings"
+                    );
+                }
+            }
+        }
+    }
 
     fn timeline() -> AttackTimeline {
         AttackTimeline::new(

@@ -19,7 +19,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use nms_smarthome::CommunitySchedule;
 use nms_types::{FaultCounts, FaultKind, Horizon, TimeSeries, ValidateError};
 
 /// A scripted, deterministic outage: a contiguous block of meters that
@@ -191,18 +190,6 @@ impl FaultPlan {
     }
 }
 
-/// One day of corrupted telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorruptedDay {
-    /// The aggregate grid demand the detector receives: per-slot mean of
-    /// the finite meter reports scaled to fleet size, clamped at zero like
-    /// the clean aggregate, and NaN where no meter reported a usable value.
-    pub observed: TimeSeries<f64>,
-    /// Tally of the faults actually injected (day-level faults count once
-    /// per meter, slot-level faults once per meter-slot).
-    pub injected: FaultCounts,
-}
-
 /// One day of corrupted telemetry kept at per-meter granularity, so the
 /// caller can judge individual meters (quarantine) before aggregating.
 ///
@@ -272,8 +259,11 @@ impl CorruptedMeters {
 }
 
 /// Corrupts one day of per-meter telemetry, keeping per-meter granularity.
+/// `lanes` holds every meter's realized trading series `y_n^h` on
+/// `horizon`, in meter order (see `PredictedResponse::lanes` in
+/// `nms-core`).
 ///
-/// Deterministic in `(plan.seed, day, meter index)`; the schedule's values
+/// Deterministic in `(plan.seed, day, meter index)`; the lanes' values
 /// never influence *which* faults fire, only the magnitudes of garbage
 /// readings. Meters silenced by a scripted [`MeterOutage`] consume no
 /// random draws, so adding an outage does not reshuffle the random faults
@@ -287,17 +277,16 @@ impl CorruptedMeters {
 pub fn corrupt_day_meters(
     plan: &FaultPlan,
     day: usize,
-    schedule: &CommunitySchedule,
+    horizon: Horizon,
+    lanes: &[&[f64]],
 ) -> CorruptedMeters {
     let plan = &plan.clamped();
-    let horizon = schedule.horizon();
     let slots = horizon.slots();
-    let meters = schedule.customer_schedules();
 
     let mut injected = FaultCounts::default();
-    let mut readings = vec![vec![f64::NAN; slots]; meters.len()];
+    let mut readings = vec![vec![f64::NAN; slots]; lanes.len()];
 
-    for (meter_idx, customer) in meters.iter().enumerate() {
+    for (meter_idx, &trading) in lanes.iter().enumerate() {
         if plan
             .outage
             .is_some_and(|outage| outage.covers(day, meter_idx))
@@ -320,7 +309,6 @@ pub fn corrupt_day_meters(
             injected.record(FaultKind::Skewed);
         }
 
-        let trading = customer.trading();
         for h in 0..slots {
             // Slot-level draws, fixed order and always consumed.
             let dropped = rng.gen_bool(plan.drop_rate);
@@ -358,27 +346,15 @@ pub fn corrupt_day_meters(
     }
 }
 
-/// Corrupts one day of per-meter telemetry and re-aggregates it into the
-/// community grid-demand series the detector will see.
-///
-/// Equivalent to [`corrupt_day_meters`] followed by
-/// [`CorruptedMeters::aggregate`]; kept for callers that never inspect
-/// individual meters.
-pub fn corrupt_day(plan: &FaultPlan, day: usize, schedule: &CommunitySchedule) -> CorruptedDay {
-    let per_meter = corrupt_day_meters(plan, day, schedule);
-    CorruptedDay {
-        observed: per_meter.aggregate(),
-        injected: per_meter.injected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Market, PaperScenario};
+    use nms_core::PredictedResponse;
     use nms_obs::NoopRecorder;
 
-    fn realized_schedule() -> CommunitySchedule {
+    /// A cleared day's committed response, read through its lanes.
+    fn realized_response() -> PredictedResponse {
         let scenario = PaperScenario::small(6, 17);
         let market = Market::new(&scenario).unwrap();
         let generator = scenario.generator();
@@ -388,24 +364,27 @@ mod tests {
             .clear_day(&community, 2, rng.gen(), &NoopRecorder)
             .unwrap()
             .response
-            .into_scheduled(&community)
-            .unwrap()
-            .schedule
+    }
+
+    fn corrupt(plan: &FaultPlan, day: usize, response: &PredictedResponse) -> CorruptedMeters {
+        let horizon = response.grid_demand.horizon();
+        corrupt_day_meters(plan, day, horizon, &response.lanes(&[]))
     }
 
     #[test]
     fn noop_plan_reproduces_clean_aggregate() {
-        let schedule = realized_schedule();
+        let response = realized_response();
         let plan = FaultPlan::none(9);
         assert!(plan.is_noop());
-        let corrupted = corrupt_day(&plan, 0, &schedule);
+        let corrupted = corrupt(&plan, 0, &response);
         assert_eq!(corrupted.injected.total(), 0);
-        let clean = schedule.grid_demand_clamped();
-        for h in 0..schedule.horizon().slots() {
+        let observed = corrupted.aggregate();
+        let clean = &response.grid_demand;
+        for h in 0..clean.len() {
             assert!(
-                (corrupted.observed[h] - clean[h]).abs() < 1e-9,
+                (observed[h] - clean[h]).abs() < 1e-9,
                 "slot {h}: {} vs {}",
-                corrupted.observed[h],
+                observed[h],
                 clean[h]
             );
         }
@@ -413,19 +392,20 @@ mod tests {
 
     #[test]
     fn corruption_is_deterministic_per_seed_and_day() {
-        let schedule = realized_schedule();
+        let response = realized_response();
         let plan = FaultPlan::degraded(3, 0.2);
-        let a = corrupt_day(&plan, 4, &schedule);
-        let b = corrupt_day(&plan, 4, &schedule);
-        assert_eq!(a, b);
+        let a = corrupt(&plan, 4, &response);
+        let b = corrupt(&plan, 4, &response);
+        assert_eq!(a.injected, b.injected);
+        assert_eq!(a.aggregate(), b.aggregate());
         // A different day draws a different fault pattern.
-        let c = corrupt_day(&plan, 5, &schedule);
-        assert!(a.observed != c.observed || a.injected != c.injected);
+        let c = corrupt(&plan, 5, &response);
+        assert!(a.aggregate() != c.aggregate() || a.injected != c.injected);
     }
 
     #[test]
     fn heavy_faults_are_injected_and_counted() {
-        let schedule = realized_schedule();
+        let response = realized_response();
         let plan = FaultPlan {
             seed: 11,
             drop_rate: 0.3,
@@ -438,7 +418,7 @@ mod tests {
             outage: None,
         };
         plan.validate().unwrap();
-        let corrupted = corrupt_day(&plan, 1, &schedule);
+        let corrupted = corrupt(&plan, 1, &response);
         assert!(corrupted.injected.total() > 0);
         assert!(corrupted.injected.dropped > 0);
         assert!(corrupted.injected.non_finite > 0);
@@ -446,20 +426,20 @@ mod tests {
 
     #[test]
     fn fully_unreported_day_is_nan() {
-        let schedule = realized_schedule();
+        let response = realized_response();
         let mut plan = FaultPlan::none(2);
         plan.report_rate = 0.0;
-        let corrupted = corrupt_day(&plan, 0, &schedule);
+        let corrupted = corrupt(&plan, 0, &response);
         assert_eq!(
             corrupted.injected.unreported,
-            schedule.customer_schedules().len()
+            response.outcome().customers()
         );
-        assert!(corrupted.observed.iter().all(|v| v.is_nan()));
+        assert!(corrupted.aggregate().iter().all(|v| v.is_nan()));
     }
 
     #[test]
     fn invalid_rates_are_clamped_instead_of_panicking() {
-        let schedule = realized_schedule();
+        let response = realized_response();
         let plan = FaultPlan {
             seed: 4,
             drop_rate: 1.5,
@@ -474,33 +454,18 @@ mod tests {
         assert!(plan.validate().is_err());
         // drop_rate clamps to 1.0 and report_rate to 1.0: every meter
         // reports, every slot drops.
-        let corrupted = corrupt_day(&plan, 0, &schedule);
-        let slots = schedule.horizon().slots();
-        let meters = schedule.customer_schedules().len();
+        let corrupted = corrupt(&plan, 0, &response);
+        let slots = response.grid_demand.len();
+        let meters = response.outcome().customers();
         assert_eq!(corrupted.injected.dropped, slots * meters);
         assert_eq!(corrupted.injected.unreported, 0);
-        assert!(corrupted.observed.iter().all(|v| v.is_nan()));
-    }
-
-    #[test]
-    fn per_meter_view_matches_aggregate_wrapper() {
-        let schedule = realized_schedule();
-        let plan = FaultPlan::degraded(7, 0.15);
-        let per_meter = corrupt_day_meters(&plan, 3, &schedule);
-        let wrapped = corrupt_day(&plan, 3, &schedule);
-        assert_eq!(per_meter.injected, wrapped.injected);
-        assert_eq!(per_meter.fleet(), schedule.customer_schedules().len());
-        let aggregated = per_meter.aggregate();
-        for h in 0..schedule.horizon().slots() {
-            let (a, b) = (aggregated[h], wrapped.observed[h]);
-            assert!(a == b || (a.is_nan() && b.is_nan()), "slot {h}: {a} vs {b}");
-        }
+        assert!(corrupted.aggregate().iter().all(|v| v.is_nan()));
     }
 
     #[test]
     fn scripted_outage_silences_exact_meters_without_reshuffling_others() {
-        let schedule = realized_schedule();
-        let fleet = schedule.customer_schedules().len();
+        let response = realized_response();
+        let fleet = response.outcome().customers();
         let mut plan = FaultPlan::degraded(13, 0.1);
         assert!(fleet >= 3, "small scenario should have at least 3 meters");
         plan.outage = Some(MeterOutage {
@@ -509,22 +474,29 @@ mod tests {
             from_day: 2,
             until_day: 4,
         });
-        let baseline = corrupt_day_meters(&FaultPlan { outage: None, ..plan }, 2, &schedule);
-        let outaged = corrupt_day_meters(&plan, 2, &schedule);
+        let unscripted = FaultPlan {
+            outage: None,
+            ..plan
+        };
+        let baseline = corrupt(&unscripted, 2, &response);
+        let outaged = corrupt(&plan, 2, &response);
         // Covered meters are fully silent.
         for meter in 1..3 {
             assert!(outaged.meter_readings(meter).iter().all(|v| v.is_nan()));
         }
         // Uncovered meters see the exact same random faults.
         for meter in (0..fleet).filter(|m| !(1..3).contains(m)) {
-            let (a, b) = (baseline.meter_readings(meter), outaged.meter_readings(meter));
+            let (a, b) = (
+                baseline.meter_readings(meter),
+                outaged.meter_readings(meter),
+            );
             for (x, y) in a.iter().zip(b) {
                 assert!(x == y || (x.is_nan() && y.is_nan()));
             }
         }
         // Outside the day range the outage does nothing.
-        let after = corrupt_day_meters(&plan, 4, &schedule);
-        let clean = corrupt_day_meters(&FaultPlan { outage: None, ..plan }, 4, &schedule);
+        let after = corrupt(&plan, 4, &response);
+        let clean = corrupt(&unscripted, 4, &response);
         assert_eq!(after.injected, clean.injected);
         for meter in 0..fleet {
             let (a, b) = (after.meter_readings(meter), clean.meter_readings(meter));
@@ -545,17 +517,15 @@ mod tests {
 
     #[test]
     fn exclusion_drops_meters_but_keeps_fleet_scale() {
-        let schedule = realized_schedule();
-        let fleet = schedule.customer_schedules().len();
-        let per_meter = corrupt_day_meters(&FaultPlan::none(3), 0, &schedule);
+        let response = realized_response();
+        let fleet = response.outcome().customers();
+        let per_meter = corrupt(&FaultPlan::none(3), 0, &response);
         let mut excluded = vec![false; fleet];
         excluded[0] = true;
         let with_exclusion = per_meter.aggregate_excluding(&excluded);
-        let slots = schedule.horizon().slots();
+        let slots = response.grid_demand.len();
         for h in 0..slots {
-            let others: Vec<f64> = (1..fleet)
-                .map(|m| per_meter.meter_readings(m)[h])
-                .collect();
+            let others: Vec<f64> = (1..fleet).map(|m| per_meter.meter_readings(m)[h]).collect();
             let expected =
                 (others.iter().sum::<f64>() / others.len() as f64 * fleet as f64).max(0.0);
             assert!(

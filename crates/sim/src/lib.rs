@@ -50,11 +50,78 @@ mod weather;
 pub use calibrate::DetectorCalibration;
 pub use detection::{LongTermRunConfig, LongTermRunResult, SupervisedOptions, SupervisedRun};
 pub use error::SimError;
-pub use faults::{
-    corrupt_day, corrupt_day_meters, CorruptedDay, CorruptedMeters, FaultPlan, MeterOutage,
-};
+pub use faults::{corrupt_day_meters, CorruptedMeters, FaultPlan, MeterOutage};
 pub use market::{DayOutcome, Market};
 pub use nms_par::Parallelism;
 pub use report::{render_series, render_table};
 pub use scenario::{CommunityGenerator, PaperScenario};
 pub use weather::WeatherModel;
+
+#[cfg(test)]
+mod tests {
+    use nms_core::{LoadPredictor, PredictedResponse};
+    use nms_obs::Recorder;
+    use nms_pricing::{CostModel, PriceSignal};
+    use nms_smarthome::{Community, CommunitySchedule, Customer};
+    use nms_solver::{best_response, ResponseWorkspace};
+    use nms_types::{MeterId, TimeSeries};
+    use rand::Rng;
+
+    /// The schedule form of `LoadPredictor::respond_unilaterally`, as it
+    /// stood before the lane form replaced it: every committed customer
+    /// schedule built, the hacked ones replaced by `best_response`
+    /// warm-started from their schedules, and the N-customer schedule built
+    /// over them. `calibrate::tests` and `detection::tests` compare the
+    /// lane form against it bit for bit.
+    pub(crate) fn respond_unilaterally_reference(
+        predictor: &LoadPredictor,
+        community: &Community,
+        committed: &PredictedResponse,
+        manipulated_price: &PriceSignal,
+        hacked_meters: &[MeterId],
+        rng: &mut impl Rng,
+        rec: &dyn Recorder,
+    ) -> CommunitySchedule {
+        let mut response_config = predictor.game.response;
+        let community = if predictor.net_metering {
+            community.clone()
+        } else {
+            response_config.use_battery = false;
+            let stripped = community.iter().map(|customer| {
+                Customer::builder(customer.id(), customer.horizon())
+                    .appliances(customer.appliances().iter().cloned())
+                    .base_load(customer.base_load().clone())
+                    .build()
+                    .unwrap()
+            });
+            Community::new(community.horizon(), stripped.collect()).unwrap()
+        };
+        let committed = committed.outcome().clone().into_schedule(&community).unwrap();
+        let committed_schedules = committed.customer_schedules();
+        let cost_model = CostModel::new(manipulated_price, predictor.tariff);
+        let horizon = community.horizon();
+        let total = TimeSeries::from_fn(horizon, |h| {
+            committed_schedules.iter().map(|s| s.trading()[h]).sum()
+        });
+        let mut schedules = committed_schedules.to_vec();
+        let mut ws = ResponseWorkspace::default();
+        for meter in hacked_meters {
+            let index = meter.customer().index();
+            let customer = community.customer(meter.customer()).unwrap();
+            let committed_own = &committed_schedules[index];
+            let others = total.sub(committed_own.trading()).unwrap();
+            schedules[index] = best_response(
+                customer,
+                others.as_slice(),
+                cost_model,
+                &response_config,
+                Some(committed_own),
+                rng,
+                rec,
+                &mut ws,
+            )
+            .unwrap();
+        }
+        CommunitySchedule::new(horizon, schedules).unwrap()
+    }
+}

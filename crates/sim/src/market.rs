@@ -21,9 +21,9 @@ use crate::{CommunityGenerator, PaperScenario, SimError};
 pub(crate) const TRAINING_WORKERS: usize = 2;
 
 /// One simulated market day: the cleared guideline price and the community's
-/// (ground-truth) response to it. The response's N-customer schedule is
-/// built only by a caller that reads it
-/// ([`PredictedResponse::into_scheduled`]).
+/// (ground-truth) response to it. The response keeps the game's plans and
+/// trading lanes; no N-customer schedule is built
+/// ([`PredictedResponse::lanes`]).
 #[derive(Debug, Clone)]
 pub struct DayOutcome {
     /// The guideline price the utility broadcast.

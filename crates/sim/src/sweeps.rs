@@ -97,12 +97,12 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x5eeb);
     let outcome = market.clear_day(&community, 2, rng.gen(), &NoopRecorder)?;
-    let response = outcome.response.into_scheduled(&community)?;
+    let response = outcome.response;
+    // Each customer's `CustomerSchedule::total_sold`, read off its lane.
     let energy_sold = response
-        .schedule
-        .customer_schedules()
+        .lanes(&[])
         .iter()
-        .map(|s| s.total_sold().value())
+        .map(|lane| -lane.iter().filter(|&&y| y < 0.0).sum::<f64>())
         .sum();
     let midday_draw = (11..15).map(|h| response.grid_demand[h]).sum();
     Ok(SweepPoint {

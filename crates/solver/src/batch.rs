@@ -163,6 +163,11 @@ impl BatchResponseWorkspace {
             .sum()
     }
 
+    /// The customer lanes, moved out when the solve is done.
+    pub(crate) fn into_lanes(self) -> Vec<f64> {
+        self.tradings
+    }
+
     /// Rebuilds the total from the lanes, accumulating customers in index
     /// order per slot — the exact fold order of
     /// `TimeSeries::from_fn(h, |h| lanes.map(|l| l[h]).sum())`, evaluated

@@ -71,7 +71,9 @@ impl Default for GameConfig {
 ///
 /// The N-customer [`CommunitySchedule`] is built only by
 /// [`GameOutcome::into_schedule`], for the callers that read it; the
-/// demand and load are summed from the plans directly.
+/// demand and load are summed from the plans directly, and each customer's
+/// plan and trading lane are read in place ([`GameOutcome::plan`],
+/// [`GameOutcome::trading`]).
 #[derive(Debug, Clone)]
 pub struct GameOutcome {
     /// The community's net grid demand `Σ_n y_n^h` (kWh per slot; may be
@@ -91,9 +93,37 @@ pub struct GameOutcome {
     pub history: Vec<f64>,
     /// Every customer's final plan, in customer order.
     plans: Vec<Plan>,
+    /// Every customer's final trading lane, lane-per-customer as in
+    /// [`BatchResponseWorkspace`].
+    lanes: Vec<f64>,
 }
 
 impl GameOutcome {
+    /// Customers the game planned.
+    pub fn customers(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Customer `index`'s final plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`customers`](Self::customers).
+    pub fn plan(&self, index: usize) -> &Plan {
+        &self.plans[index]
+    }
+
+    /// Customer `index`'s final trading lane `y_n^h`: bit for bit the
+    /// built schedule's [`trading`](CustomerSchedule::trading).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`customers`](Self::customers).
+    pub fn trading(&self, index: usize) -> &[f64] {
+        let slots = self.grid_demand.len();
+        &self.lanes[index * slots..(index + 1) * slots]
+    }
+
     /// Builds the community schedule from the final plans. `community`
     /// must be the community the game solved. Every plan already passed
     /// the schedule checks in its own response; the build runs them again.
@@ -305,6 +335,7 @@ impl<'a> GameEngine<'a> {
             converged,
             history,
             plans,
+            lanes: batch.into_lanes(),
         })
     }
 }

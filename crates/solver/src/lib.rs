@@ -59,5 +59,5 @@ pub use dp::{DpScheduler, DpWorkspace};
 pub use error::SolverError;
 pub use game::{GameConfig, GameEngine, GameOutcome};
 pub use nash::{nash_gap, NashGap};
-pub use response::{best_response, best_response_reference, ResponseConfig};
+pub use response::{best_response, best_response_reference, Plan, ResponseConfig};
 pub use workspace::ResponseWorkspace;

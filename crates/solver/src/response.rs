@@ -202,17 +202,20 @@ fn respond_and_build(
     plan.into_schedule(customer)
 }
 
-/// A customer's plan in the form [`respond_in_place`] updates: one energy
-/// series per appliance, in the customer's appliance order, and the
+/// A customer's plan in the form the best-response core updates: one
+/// energy series per appliance, in the customer's appliance order, and the
 /// battery trajectory `b⁰..b^H`. The game engine keeps one per customer
-/// across its rounds, and builds schedules from them only on request.
+/// across its rounds, and builds schedules from them only on request
+/// ([`GameOutcome::plan`] reads one in place).
 ///
 /// Beside the plan sit its appliances' quantized DP tasks, in appliance
-/// order, filled by the plan's first response: a plan lives for one game,
-/// whose horizon and DP resolution are fixed, so each appliance is
-/// quantized once per game, not once per round.
+/// order, filled by the plan's first response: a plan lives for one
+/// horizon and DP resolution, so each appliance is quantized once per
+/// game, not once per round.
+///
+/// [`GameOutcome::plan`]: crate::GameOutcome::plan
 #[derive(Debug, Clone)]
-pub(crate) struct Plan {
+pub struct Plan {
     energies: Vec<TimeSeries<f64>>,
     battery: Vec<Kwh>,
     tasks: Vec<Option<Quantized>>,
@@ -232,8 +235,48 @@ impl Plan {
 
     /// The customer's load `l^h` at `slot` under this plan: what
     /// [`CustomerSchedule::load`] holds there once the plan is built.
-    pub(crate) fn load(&self, customer: &Customer, slot: usize) -> f64 {
+    pub fn load(&self, customer: &Customer, slot: usize) -> f64 {
         plan_load(customer, lanes(&self.energies), slot)
+    }
+
+    /// The customer's best response to `others_trading`, warm-started from
+    /// this plan and written over it. Returns the new trading lane `y^h`,
+    /// which `ws` holds until its next response.
+    ///
+    /// This is [`best_response`] on a game's plan instead of a built
+    /// schedule. Under the configuration of the game that made the plan it
+    /// is the response `best_response` gives warm-started from the plan's
+    /// schedule, bit for bit. The plan keeps its quantized tasks, which
+    /// depend on the horizon and DP resolution. With `config.use_battery`
+    /// off it also keeps its battery trajectory, which such a game never
+    /// moved from the initial charge.
+    ///
+    /// # Errors
+    ///
+    /// As [`best_response`]. On error the plan holds a partial update.
+    #[allow(clippy::too_many_arguments)]
+    pub fn respond<'w>(
+        &mut self,
+        customer: &Customer,
+        others_trading: &[f64],
+        cost_model: CostModel<'_>,
+        config: &ResponseConfig,
+        rng: &mut impl Rng,
+        rec: &dyn Recorder,
+        ws: &'w mut ResponseWorkspace,
+    ) -> Result<&'w [f64], SolverError> {
+        respond_in_place(
+            customer,
+            others_trading,
+            cost_model,
+            config,
+            self,
+            rng,
+            rec,
+            ws,
+            true,
+        )?;
+        Ok(&ws.trading)
     }
 
     /// Wraps the plan in a [`CustomerSchedule`], moving its series in.

@@ -65,8 +65,10 @@ pub enum InjectedFault {
 }
 
 /// Classifies an error produced by a [`FaultVfs`]; `None` for organic
-/// errors (including everything [`crate::StdVfs`] returns).
-pub fn injected_fault(err: &io::Error) -> Option<InjectedFault> {
+/// errors (including everything [`crate::StdVfs`] returns). Only the unit
+/// tests below classify errors.
+#[cfg(test)]
+pub(crate) fn injected_fault(err: &io::Error) -> Option<InjectedFault> {
     let msg = err.to_string();
     if msg.starts_with(MSG_ENOSPC) {
         Some(InjectedFault::Enospc)

@@ -35,7 +35,7 @@ use std::time::Duration;
 
 pub mod fault;
 
-pub use fault::{injected_fault, FaultVfs, InjectedFault, InjectedFaults, IoFaultPlan};
+pub use fault::{FaultVfs, InjectedFault, InjectedFaults, IoFaultPlan};
 
 /// An open file handle on a [`Vfs`], sufficient for append-only sealed-line
 /// writers: append bytes, make them durable, and roll a partial append back.

@@ -50,13 +50,13 @@ fn unilateral_deviation_scales_with_hacked_count() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let manipulated = attack().apply(&clean.price);
-    let committed = clean.response.into_scheduled(&community).unwrap();
+    let committed = clean.response;
 
     let mut last_excess = 0.0;
     for k in [0usize, 4, 12] {
         let meters: Vec<MeterId> = (0..k).map(MeterId::new).collect();
         let mut child = ChaCha8Rng::seed_from_u64(3);
-        let mixed = market
+        let deviations = market
             .truth_model()
             .respond_unilaterally(
                 &community,
@@ -67,8 +67,9 @@ fn unilateral_deviation_scales_with_hacked_count() {
                 &NoopRecorder,
             )
             .unwrap();
+        let mixed = committed.realized_demand(&deviations);
         let excess: f64 = (0..24)
-            .map(|h| mixed.grid_demand[h] - committed.grid_demand[h])
+            .map(|h| mixed[h] - committed.grid_demand[h])
             .fold(f64::NEG_INFINITY, f64::max);
         if k == 0 {
             assert!(excess.abs() < 1e-9, "no hacked homes, excess {excess}");
@@ -95,11 +96,11 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let manipulated = attack().apply(&clean.price);
-    let committed = clean.response.into_scheduled(&community).unwrap();
+    let committed = clean.response;
 
     let meters = vec![MeterId::new(0), MeterId::new(1)];
     let mut child = ChaCha8Rng::seed_from_u64(5);
-    let mixed = market
+    let deviations = market
         .truth_model()
         .respond_unilaterally(
             &community,
@@ -110,11 +111,29 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
             &NoopRecorder,
         )
         .unwrap();
+    // Only the hacked homes deviate, and every honest home's realized lane
+    // is its committed one.
+    let deviated: Vec<usize> = deviations.iter().map(|d| d.customer()).collect();
+    assert_eq!(deviated, [0, 1]);
+    let lanes = committed.lanes(&deviations);
     for index in 2..community.len() {
-        let before = &committed.schedule.customer_schedules()[index];
-        let after = &mixed.schedule.customer_schedules()[index];
-        assert_eq!(before, after, "honest customer {index} was rescheduled");
+        assert_eq!(
+            lanes[index],
+            committed.outcome().trading(index),
+            "honest customer {index} was rescheduled"
+        );
     }
+    // Their plans, and so their loads, are the committed ones: the
+    // realized load differs from the committed load only by the hacked
+    // homes' load changes, which conserve each home's task energy.
+    let realized = committed.realized_load(&community, &deviations);
+    let (before, after) = (committed.load().total(), realized.total());
+    assert!(
+        (before.value() - after.value()).abs() < 1e-6,
+        "load {} vs committed {}",
+        after.value(),
+        before.value()
+    );
 }
 
 #[test]

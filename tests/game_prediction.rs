@@ -75,8 +75,13 @@ fn every_customer_schedule_is_feasible_at_equilibrium() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
 
-    let response = outcome.response.into_scheduled(&community).unwrap();
-    for (customer, plan) in community.iter().zip(response.schedule.customer_schedules()) {
+    let schedule = outcome
+        .response
+        .outcome()
+        .clone()
+        .into_schedule(&community)
+        .unwrap();
+    for (customer, plan) in community.iter().zip(schedule.customer_schedules()) {
         assert_eq!(customer.id(), plan.customer());
         // Battery trajectory feasible.
         customer
@@ -143,8 +148,13 @@ fn billing_consistent_with_equilibrium() {
         .clear_day(&community, 2, rng.gen(), &NoopRecorder)
         .unwrap();
     let engine = BillingEngine::new(outcome.price.clone(), s.tariff);
-    let response = outcome.response.into_scheduled(&community).unwrap();
-    let bills = engine.bill(&response.schedule).unwrap();
+    let schedule = outcome
+        .response
+        .outcome()
+        .clone()
+        .into_schedule(&community)
+        .unwrap();
+    let bills = engine.bill(&schedule).unwrap();
     assert_eq!(bills.len(), community.len());
     // Someone pays something; credits only for trading-capable homes.
     assert!(bills.iter().any(|b| b.purchases.value() > 0.0));

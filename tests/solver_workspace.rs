@@ -258,8 +258,6 @@ fn solver_tallies_of_a_fixed_battery_game_are_pinned() {
             &mut ChaCha8Rng::seed_from_u64(5),
             &NoopRecorder,
         )
-        .unwrap()
-        .into_scheduled(&community)
         .unwrap();
     let manipulated = PriceSignal::flat(community.horizon(), 0.02).unwrap();
     let meters: Vec<MeterId> = (0..community.len()).map(MeterId::new).collect();
