@@ -278,10 +278,12 @@ fn train(
     let watch = Stopwatch::start();
     let _span = span(rec, "training");
     let mut health = RunHealth::new();
-    let history =
-        setup
-            .market
-            .bootstrap_history_recorded(&setup.generator, scenario.training_days, rng, rec)?;
+    let history = setup.market.bootstrap_history_recorded(
+        &setup.generator,
+        scenario.training_days,
+        rng,
+        rec,
+    )?;
 
     let detector = match &config.detector {
         None => None,
@@ -455,23 +457,153 @@ fn realize_day(
     })
 }
 
-/// Simulates one detection day, mutating `state` and returning the day's
-/// journalable transcript.
-///
-/// The day draws two values from its `rng`, in this order: the clearing
-/// seed, then the realization seed (which also seeds the detector's load
-/// prediction). Nothing else in the day touches `rng`.
+/// Where a detection day starts: its two seeds, drawn in order from its
+/// own stream ([`day_seeds`]), and its clearing's first round when the
+/// day before computed it.
+struct DayStart {
+    day_offset: usize,
+    clearing_seed: u64,
+    realization_seed: u64,
+    first_round: Option<Result<PriceSignal, SimError>>,
+    /// The next day's clearing seed, when this day computes that day's
+    /// first clearing round beside its own prediction.
+    next_clearing_seed: Option<u64>,
+}
+
+/// The caller's half of a detection day: the cleared price, the committed
+/// response (its plans and lanes are what every realization and the
+/// telemetry faults read), the attack price and the day-start
+/// realization.
+struct Cleared {
+    price: PriceSignal,
+    committed: PredictedResponse,
+    manipulated: PriceSignal,
+    realization: Realization,
+    clearing_secs: f64,
+}
+
+/// Clears the day, applies the attack and realizes the day's start for
+/// the `compromised` meters. The clearing continues from `first_round`
+/// when the day before computed it; a carried error is returned here,
+/// where the day's own first game would have returned it.
 #[allow(clippy::too_many_arguments)]
+fn clear_and_realize(
+    config: &LongTermRunConfig,
+    market: &Market,
+    community: &Community,
+    first_round: Option<Result<PriceSignal, SimError>>,
+    clearing_seed: u64,
+    realization_seed: u64,
+    compromised: &CompromiseSet,
+    rec: &dyn Recorder,
+) -> Result<Cleared, SimError> {
+    let clearing_watch = Stopwatch::start();
+    let clean = {
+        let _span = span(rec, "clearing");
+        match first_round {
+            Some(first) => market.finish_clearing(
+                community,
+                first?,
+                config.clearing_iterations - 1,
+                clearing_seed,
+                rec,
+            )?,
+            None => market.clear_day(community, config.clearing_iterations, clearing_seed, rec)?,
+        }
+    };
+    let clearing_secs = clearing_watch.secs();
+    let manipulated = config.timeline.attack().apply(&clean.price);
+    let realization = realize_day(
+        market.truth_model(),
+        community,
+        &clean.response,
+        &manipulated,
+        realization_seed,
+        &compromised.iter().collect::<Vec<_>>(),
+        rec,
+    )?;
+    Ok(Cleared {
+        price: clean.price,
+        committed: clean.response,
+        manipulated,
+        realization,
+        clearing_secs,
+    })
+}
+
+/// The helper's half of a detection day.
+#[derive(Default)]
+struct Ahead {
+    /// The detector's day-ahead grid demand: all the day reads of its
+    /// prediction.
+    predicted_demand: Option<TimeSeries<f64>>,
+    prediction_secs: f64,
+    next_first_round: Option<Result<PriceSignal, SimError>>,
+}
+
+/// The detector's day-ahead demand, then the next day's first clearing
+/// round. Neither reads the day's clearing or its compromise set. The
+/// prediction reads the trained `predictors`, the history through
+/// yesterday, the day's community and the realization seed; its plans are
+/// freed before the next day's game starts. That game reads the next
+/// day's community and clearing seed (`next`: its scenario day and seed),
+/// and its error is carried, not returned: it is the next day's error.
+fn predict_and_look_ahead(
+    setup: &RunSetup,
+    predictors: Option<(&PricePredictor, &LoadPredictor)>,
+    history: &PriceHistory,
+    community: &Community,
+    realization_seed: u64,
+    next: Option<(usize, u64)>,
+    rec: &dyn Recorder,
+) -> Result<Ahead, SimError> {
+    let mut ahead = Ahead::default();
+    if let Some((price_predictor, load)) = predictors {
+        let prediction_watch = Stopwatch::start();
+        let theta = community.total_generation();
+        let generation_forecast = price_predictor
+            .features()
+            .target_generation
+            .then_some(&theta);
+        let predicted_price =
+            price_predictor.predict_day(history, community.horizon(), generation_forecast)?;
+        let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
+        let PredictedResponse { grid_demand, .. } =
+            load.predict(community, &predicted_price, &mut predicted_rng, rec)?;
+        ahead.predicted_demand = Some(grid_demand);
+        ahead.prediction_secs = prediction_watch.secs();
+    }
+    ahead.next_first_round = next.map(|(day, seed)| {
+        let community = setup.generator.community_for_day(day, setup.weather[day]);
+        setup.market.first_round(&community, seed, rec)
+    });
+    Ok(ahead)
+}
+
+/// Simulates one detection day, mutating `state`, and returns the day's
+/// journalable transcript with the next day's first clearing round when
+/// `start` asks for it.
+///
+/// The caller clears the day and realizes its start. The detector's
+/// prediction and the next day's first round read neither, so they run
+/// beside it on one helper, or after it where no core is free
+/// (`nms_par::join`); a run without either calls no join.
 fn simulate_day(
     scenario: &PaperScenario,
     config: &LongTermRunConfig,
     setup: &RunSetup,
     state: &mut RunState,
-    day_offset: usize,
-    rng: &mut impl Rng,
+    start: DayStart,
     rec: &dyn Recorder,
-) -> Result<DayRecord, SimError> {
+) -> Result<(DayRecord, Option<Result<PriceSignal, SimError>>), SimError> {
     let _day_span = span(rec, "detect_day");
+    let DayStart {
+        day_offset,
+        clearing_seed,
+        realization_seed,
+        first_round,
+        next_clearing_seed,
+    } = start;
     let fault_plan = config.faults.as_ref().filter(|plan| !plan.is_noop());
     let fleet = setup.fleet;
     let day = scenario.training_days + day_offset;
@@ -480,74 +612,54 @@ fn simulate_day(
     let observed_start = state.observed_buckets.len();
     let demand_start = state.realized_demand.len();
     let community = setup.generator.community_for_day(day, setup.weather[day]);
-    let clearing_seed: u64 = rng.gen();
-    let realization_seed: u64 = rng.gen();
 
-    // The clearing, the attack and the day-start realization.
     let compromised = &state.compromised;
-    // The committed response keeps the game's plans and lanes: every
-    // realization reads them, as do the telemetry faults.
-    let truth = setup.market.truth_model();
-    let front = |rec: &dyn Recorder| -> Result<_, SimError> {
-        let clearing_watch = Stopwatch::start();
-        let clean = {
-            let _span = span(rec, "clearing");
-            setup
-                .market
-                .clear_day(&community, config.clearing_iterations, clearing_seed, rec)?
-        };
-        let (price, committed) = (clean.price, clean.response);
-        let clearing_secs = clearing_watch.secs();
-        let manipulated = config.timeline.attack().apply(&price);
-        let realization = realize_day(
-            truth,
+    let front = |rec: &dyn Recorder| {
+        clear_and_realize(
+            config,
+            &setup.market,
             &community,
-            &committed,
-            &manipulated,
+            first_round,
+            clearing_seed,
             realization_seed,
-            &compromised.iter().collect::<Vec<_>>(),
+            compromised,
             rec,
-        )?;
-        Ok((price, committed, manipulated, realization, clearing_secs))
+        )
     };
-    // The detector's day-ahead view reads the trained predictors, the
-    // history through yesterday, the day's community and the realization
-    // seed — never the clearing or the compromise set — so it runs beside
-    // the front half, or after it where no core is free (`nms_par::join`).
-    let history = &state.history;
-    let community_ref = &community;
-    let prediction = state.detector.as_ref().map(|det| {
-        let (price_predictor, load) = (&det.price_predictor, &det.framework.load);
-        move |rec: &dyn Recorder| -> Result<(PredictedResponse, f64), SimError> {
-            let prediction_watch = Stopwatch::start();
-            let theta = community_ref.total_generation();
-            let generation_forecast = price_predictor
-                .features()
-                .target_generation
-                .then_some(&theta);
-            let predicted_price = price_predictor.predict_day(
+    let predictors = state
+        .detector
+        .as_ref()
+        .map(|det| (&det.price_predictor, &det.framework.load));
+    let next = next_clearing_seed.map(|seed| (day + 1, seed));
+    let (cleared, ahead) = if predictors.is_some() || next.is_some() {
+        let (history, community) = (&state.history, &community);
+        nms_par::join(rec, "prediction", front, move |rec| {
+            predict_and_look_ahead(
+                setup,
+                predictors,
                 history,
-                community_ref.horizon(),
-                generation_forecast,
-            )?;
-            let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
-            let predicted =
-                load.predict(community_ref, &predicted_price, &mut predicted_rng, rec)?;
-            Ok((predicted, prediction_watch.secs()))
-        }
-    });
-    let ((price, committed, manipulated, mut realization, clearing_secs), prediction) =
-        match prediction {
-            Some(prediction) => {
-                let (front, predicted) = nms_par::join(rec, "prediction", front, prediction)?;
-                (front, Some(predicted))
-            }
-            None => (front(rec)?, None),
-        };
-    let (day_prediction, prediction_secs) = match prediction {
-        Some((predicted, secs)) => (Some(predicted), secs),
-        None => (None, 0.0),
+                community,
+                realization_seed,
+                next,
+                rec,
+            )
+        })?
+    } else {
+        (front(rec)?, Ahead::default())
     };
+    let Cleared {
+        price,
+        committed,
+        manipulated,
+        mut realization,
+        clearing_secs,
+    } = cleared;
+    let Ahead {
+        predicted_demand,
+        prediction_secs,
+        next_first_round,
+    } = ahead;
+    let truth = setup.market.truth_model();
 
     // Quarantined suspects feed the observation: a breaker the detector has
     // opened is a meter it already distrusts, so the observed bucket can
@@ -604,14 +716,14 @@ fn simulate_day(
         );
         state.true_buckets.push(true_bucket);
 
-        if let (Some(det), Some(predicted)) = (state.detector.as_mut(), day_prediction.as_ref()) {
+        if let (Some(det), Some(predicted)) = (state.detector.as_mut(), predicted_demand.as_ref()) {
             if fault_plan.is_some() && observed_view.is_none() {
                 if let Some(plan) = fault_plan {
                     observed_view = Some(faulted_view(
                         plan,
                         day,
                         &committed.lanes(&realization.deviations),
-                        &predicted.grid_demand,
+                        predicted,
                         &config.sanitize,
                         state.quarantine.as_ref(),
                         &mut state.health,
@@ -624,7 +736,7 @@ fn simulate_day(
             let par_watch = Stopwatch::start();
             let telemetry: &TimeSeries<f64> =
                 observed_view.as_ref().unwrap_or(&realization.grid_demand);
-            let statistic = peak_deviation(telemetry, &predicted.grid_demand);
+            let statistic = peak_deviation(telemetry, predicted);
             state.health.slots_observed += 1;
             let observed = det.observation_map.observe(statistic).max(suspect_bucket);
             par_secs += par_watch.secs();
@@ -717,8 +829,16 @@ fn simulate_day(
         history_rows.push(row);
     }
 
-    let meters_quarantined = state.quarantine.as_ref().map_or(0, MeterQuarantine::open_count);
-    let day_health = DayHealth::delta(day_offset, &health_before, &state.health, meters_quarantined);
+    let meters_quarantined = state
+        .quarantine
+        .as_ref()
+        .map_or(0, MeterQuarantine::open_count);
+    let day_health = DayHealth::delta(
+        day_offset,
+        &health_before,
+        &state.health,
+        meters_quarantined,
+    );
     state.day_health.push(day_health);
 
     // Per-day phase timings and belief telemetry. Everything recorded here
@@ -729,7 +849,10 @@ fn simulate_day(
     rec.observe("detect_par_seconds", par_secs);
     rec.observe("detect_pomdp_seconds", pomdp_secs);
     if let Some(det) = state.detector.as_ref() {
-        rec.gauge("detect_belief_entropy", belief_entropy(det.long_term.belief().as_slice()));
+        rec.gauge(
+            "detect_belief_entropy",
+            belief_entropy(det.long_term.belief().as_slice()),
+        );
     }
     if rec.enabled() {
         let mut event = TraceEvent::new("day_phases")
@@ -749,7 +872,7 @@ fn simulate_day(
         rec.event(&event);
     }
 
-    Ok(DayRecord {
+    let record = DayRecord {
         day: day_offset,
         true_buckets: state.true_buckets[true_start..].to_vec(),
         observed_buckets: state.observed_buckets[observed_start..].to_vec(),
@@ -765,7 +888,8 @@ fn simulate_day(
         day_health,
         quarantine: state.quarantine.clone(),
         events,
-    })
+    };
+    Ok((record, next_first_round))
 }
 
 /// Re-applies one journaled day to the run state without re-simulating it.
@@ -787,14 +911,20 @@ fn replay_day(state: &mut RunState, record: &DayRecord) -> Result<(), SimError> 
     for row in &record.history_rows {
         state.history.push(row.price, row.generation, row.demand);
     }
-    state.compromised = record.compromised.iter().map(|&m| MeterId::new(m)).collect();
+    state.compromised = record
+        .compromised
+        .iter()
+        .map(|&m| MeterId::new(m))
+        .collect();
     if let (Some(det), Some(belief)) = (state.detector.as_mut(), record.belief.as_ref()) {
         det.long_term.restore_belief(belief)?;
     }
     state.health = record.health.clone();
     state.quarantine = record.quarantine.clone();
     state.day_health.push(record.day_health);
-    state.quarantine_events.extend(record.events.iter().copied());
+    state
+        .quarantine_events
+        .extend(record.events.iter().copied());
     Ok(())
 }
 
@@ -840,14 +970,7 @@ pub(crate) fn run_in_memory(
     seed: u64,
 ) -> Result<LongTermRunResult, SimError> {
     let path = Path::new("journal.jsonl");
-    SupervisedRun::with_options(
-        scenario,
-        config,
-        seed,
-        path,
-        SupervisedOptions::in_memory(),
-    )?
-    .run()
+    SupervisedRun::with_options(scenario, config, seed, path, SupervisedOptions::in_memory())?.run()
 }
 
 /// Stream tag decorrelating the training epoch from the day streams.
@@ -856,6 +979,14 @@ const TRAINING_STREAM: u64 = 0x7472_6169_6e69_6e67; // "training"
 /// The seeded stream for detection day `day_offset` of a supervised run.
 fn day_stream_seed(seed: u64, day_offset: usize) -> u64 {
     seed.wrapping_add((day_offset as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// Detection day `day_offset`'s two draws from its own stream, in order:
+/// the clearing seed, then the realization seed (which also seeds the
+/// detector's load prediction). Nothing else draws from a day's stream.
+fn day_seeds(seed: u64, day_offset: usize) -> (u64, u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(day_stream_seed(seed, day_offset));
+    (rng.gen(), rng.gen())
 }
 
 /// Fingerprints a configuration through its `Debug` rendering — stable
@@ -893,6 +1024,10 @@ pub struct SupervisedRun {
     journal: RunJournal,
     next_day: usize,
     recorder: Arc<dyn Recorder>,
+    /// Day `next_day`'s first clearing round, computed beside the day
+    /// before it. `None` after a resume or a failed step, and when the
+    /// clearing has no rounds: the day then clears its own first round.
+    first_round: Option<Result<PriceSignal, SimError>>,
     /// Per-run storage-fault ledger, shared with (cloned from) the
     /// [`SupervisedOptions`] that built this run. Deliberately NOT part of
     /// `state.health`: journaled day records and exported CSVs must stay
@@ -989,7 +1124,13 @@ impl SupervisedRun {
         } = options;
         let setup = prepare(scenario, config)?;
         let mut training_rng = ChaCha8Rng::seed_from_u64(seed ^ TRAINING_STREAM);
-        let mut state = train(scenario, config, &setup, &mut training_rng, recorder.as_ref())?;
+        let mut state = train(
+            scenario,
+            config,
+            &setup,
+            &mut training_rng,
+            recorder.as_ref(),
+        )?;
 
         let header = JournalHeader {
             version: JOURNAL_VERSION,
@@ -1019,7 +1160,10 @@ impl SupervisedRun {
                     replay_day(&mut state, record)?;
                     next_day += 1;
                 }
-                (RunJournal::reopen_on(Arc::clone(&vfs), journal_path)?, next_day)
+                (
+                    RunJournal::reopen_on(Arc::clone(&vfs), journal_path)?,
+                    next_day,
+                )
             }
         };
         let journal = journal.with_policy(policy);
@@ -1033,6 +1177,7 @@ impl SupervisedRun {
             journal,
             next_day,
             recorder,
+            first_round: None,
             storage,
         })
     }
@@ -1052,6 +1197,25 @@ impl SupervisedRun {
         self.journal.path()
     }
 
+    /// Where the next day starts: its seeds, the first clearing round the
+    /// day before carried into it, and the next day's clearing seed on
+    /// every day but the last, so that it computes that day's first round
+    /// beside its own prediction (DESIGN.md §15). A clearing with no
+    /// rounds carries nothing.
+    fn next_day_start(&mut self) -> DayStart {
+        let day_offset = self.next_day;
+        let (clearing_seed, realization_seed) = day_seeds(self.seed, day_offset);
+        let look_ahead =
+            day_offset + 1 < self.config.detection_days && self.config.clearing_iterations > 0;
+        DayStart {
+            day_offset,
+            clearing_seed,
+            realization_seed,
+            first_round: self.first_round.take(),
+            next_clearing_seed: look_ahead.then(|| day_seeds(self.seed, day_offset + 1).0),
+        }
+    }
+
     /// Simulates the next detection day and journals it. A no-op once the
     /// run is finished.
     ///
@@ -1064,15 +1228,14 @@ impl SupervisedRun {
         if self.is_finished() {
             return Ok(());
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(day_stream_seed(self.seed, self.next_day));
+        let start = self.next_day_start();
         let rec = self.recorder.as_ref();
-        let record = simulate_day(
+        let (record, next_first_round) = simulate_day(
             &self.scenario,
             &self.config,
             &self.setup,
             &mut self.state,
-            self.next_day,
-            &mut rng,
+            start,
             rec,
         )?;
         let append_watch = Stopwatch::start();
@@ -1081,10 +1244,12 @@ impl SupervisedRun {
             match self.journal.append_day(&record) {
                 Ok(report) => {
                     let retries = report.retries();
-                    self.storage.record(|tally| tally.journal_retries += retries);
+                    self.storage
+                        .record(|tally| tally.journal_retries += retries);
                 }
                 Err(err) => {
-                    self.storage.record(|tally| tally.journal_append_failures += 1);
+                    self.storage
+                        .record(|tally| tally.journal_append_failures += 1);
                     return Err(err.into());
                 }
             }
@@ -1098,6 +1263,7 @@ impl SupervisedRun {
             );
         }
         self.next_day += 1;
+        self.first_round = next_first_round;
         Ok(())
     }
 
@@ -1242,6 +1408,146 @@ mod tests {
             parallelism: Default::default(),
             clearing_iterations: 2,
         }
+    }
+
+    /// A run resumed from its journal at every day boundary carries no
+    /// first clearing round into any day, so each of its days clears all
+    /// its rounds. The uninterrupted run computes each next day's first
+    /// round beside the day before. The two must agree bit for bit, with
+    /// and without a detector (with telemetry faults, so the faulted view
+    /// and the quarantine read the prediction too), at 0, 1 and 2
+    /// clearing rounds.
+    #[test]
+    fn carried_first_rounds_match_days_that_clear_their_own() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scenario = PaperScenario::small(8, 43);
+        scenario.training_days = 4;
+        let aware = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
+        for detector in [None, Some(aware)] {
+            for clearing_iterations in [0, 1, 2] {
+                let label = format!(
+                    "detector {}, {clearing_iterations} rounds",
+                    detector.is_some()
+                );
+                let config = LongTermRunConfig {
+                    detection_days: 3,
+                    faults: detector.is_some().then(|| FaultPlan::degraded(5, 0.2)),
+                    clearing_iterations,
+                    ..run_config(detector.clone())
+                };
+                let path = Path::new("carried.jsonl");
+                let start = |options: &SupervisedOptions| {
+                    SupervisedRun::with_options(&scenario, &config, 7, path, options.clone())
+                        .unwrap()
+                };
+
+                let mut run = start(&SupervisedOptions::in_memory());
+                while !run.is_finished() {
+                    run.step_day().unwrap();
+                    assert_eq!(
+                        run.first_round.is_some(),
+                        clearing_iterations > 0 && !run.is_finished(),
+                        "{label}: day {} looks ahead",
+                        run.completed_days()
+                    );
+                }
+                let uninterrupted = run.finish().unwrap();
+
+                let options = SupervisedOptions::in_memory();
+                let resumed = loop {
+                    let mut run = start(&options);
+                    assert!(
+                        run.first_round.is_none(),
+                        "{label}: a resume carries nothing"
+                    );
+                    if run.is_finished() {
+                        break run.finish().unwrap();
+                    }
+                    run.step_day().unwrap();
+                };
+
+                assert_eq!(
+                    bits(&uninterrupted.realized_demand),
+                    bits(&resumed.realized_demand),
+                    "{label}"
+                );
+                assert_eq!(
+                    uninterrupted.par.to_bits(),
+                    resumed.par.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    format!("{uninterrupted:?}"),
+                    format!("{resumed:?}"),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    /// A day's carried first clearing round is the one the next day would
+    /// clear itself. When it is an error, the day that computed it has
+    /// journaled, and the next day returns the error at its clearing,
+    /// before it changes the run's state or its journal; stepped again,
+    /// that day clears its own first round.
+    #[test]
+    fn carried_error_fails_the_next_day_after_the_day_before_journaled() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scenario = PaperScenario::small(8, 41);
+        scenario.training_days = 3;
+        let config = LongTermRunConfig {
+            detection_days: 2,
+            ..run_config(None)
+        };
+        let (seed, path) = (5, Path::new("/carried/journal.jsonl"));
+        let vfs = FaultVfs::new(IoFaultPlan::none());
+        let options = SupervisedOptions {
+            vfs: Arc::new(vfs.clone()),
+            ..SupervisedOptions::default()
+        };
+        let journaled_days = || RunJournal::load_on(&vfs, path).unwrap().days.len();
+        let mut run = SupervisedRun::with_options(&scenario, &config, seed, path, options).unwrap();
+        run.step_day().unwrap();
+        assert_eq!(journaled_days(), 1);
+
+        let day = scenario.training_days + 1;
+        let community = run
+            .setup
+            .generator
+            .community_for_day(day, run.setup.weather[day]);
+        let own = run
+            .setup
+            .market
+            .first_round(&community, day_seeds(seed, 1).0, &NoopRecorder)
+            .unwrap();
+        match &run.first_round {
+            Some(Ok(carried)) => assert_eq!(
+                bits(carried.as_series().as_slice()),
+                bits(own.as_series().as_slice())
+            ),
+            other => panic!("expected day 1's first round, got {other:?}"),
+        }
+
+        let demand = run.state.realized_demand.clone();
+        let health = run.state.health.clone();
+        run.first_round = Some(Err(SimError::Telemetry {
+            detail: "carried".to_string(),
+        }));
+        match run.step_day() {
+            Err(SimError::Telemetry { detail }) => assert_eq!(detail, "carried"),
+            other => panic!("expected the carried error, got {other:?}"),
+        }
+        assert_eq!(run.completed_days(), 1);
+        assert!(run.first_round.is_none());
+        assert_eq!(bits(&run.state.realized_demand), bits(&demand));
+        assert_eq!(run.state.health, health);
+        assert_eq!(journaled_days(), 1);
+
+        run.step_day().unwrap();
+        assert_eq!(journaled_days(), 2);
+        let retried = run.finish().unwrap();
+        let uninterrupted = run_in_memory(&scenario, &config, seed).unwrap();
+        assert_eq!(format!("{retried:?}"), format!("{uninterrupted:?}"));
     }
 
     #[test]
@@ -1459,8 +1765,7 @@ mod tests {
             vfs: Arc::new(probe.clone()),
             ..SupervisedOptions::default()
         };
-        let run =
-            SupervisedRun::with_options(&scenario, &config, 5, path, probe_options).unwrap();
+        let run = SupervisedRun::with_options(&scenario, &config, 5, path, probe_options).unwrap();
         let first_append_op = probe.ops();
         drop(run);
 
@@ -1473,7 +1778,10 @@ mod tests {
         };
         let mut run_a =
             SupervisedRun::with_options(&scenario, &config, 5, path, options_a.clone()).unwrap();
-        assert!(run_a.step_day().is_err(), "append through a dead disk must fail");
+        assert!(
+            run_a.step_day().is_err(),
+            "append through a dead disk must fail"
+        );
         assert_eq!(run_a.storage.snapshot().journal_append_failures, 1);
         drop(run_a);
 
@@ -1488,7 +1796,11 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(options_b.storage.snapshot().total(), 0, "shard A leaked into B");
+        assert_eq!(
+            options_b.storage.snapshot().total(),
+            0,
+            "shard A leaked into B"
+        );
         assert_eq!(result_b.health.storage.total(), 0);
 
         // Storage comes back; the supervisor rebuilds A from its journal

@@ -54,14 +54,16 @@ fn write_csv<W: Write>(
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn export_prediction<W: Write>(
-    writer: W,
-    experiment: &PredictionExperiment,
-) -> io::Result<()> {
+pub fn export_prediction<W: Write>(writer: W, experiment: &PredictionExperiment) -> io::Result<()> {
     let slots = experiment.received_price.len();
     write_csv(
         writer,
-        &["slot", "received_price", "predicted_price", "predicted_load"],
+        &[
+            "slot",
+            "received_price",
+            "predicted_price",
+            "predicted_load",
+        ],
         (0..slots).map(|h| {
             vec![
                 h as f64,
@@ -101,7 +103,10 @@ pub fn export_attack<W: Write>(writer: W, experiment: &AttackExperiment) -> io::
 ///
 /// Propagates I/O errors from the writer.
 pub fn export_accuracy<W: Write>(writer: W, experiment: &AccuracyExperiment) -> io::Result<()> {
-    let slots = experiment.aware_running.len().min(experiment.naive_running.len());
+    let slots = experiment
+        .aware_running
+        .len()
+        .min(experiment.naive_running.len());
     write_csv(
         writer,
         &["slot", "aware_running_accuracy", "naive_running_accuracy"],
@@ -126,7 +131,13 @@ pub fn export_long_term<W: Write>(writer: W, result: &LongTermRunResult) -> io::
     let slots = result.realized_demand.len();
     write_csv(
         writer,
-        &["slot", "realized_demand", "true_bucket", "observed_bucket", "fix"],
+        &[
+            "slot",
+            "realized_demand",
+            "true_bucket",
+            "observed_bucket",
+            "fix",
+        ],
         (0..slots).map(|h| {
             vec![
                 h as f64,
@@ -196,12 +207,8 @@ pub fn export_health_timeline<W: Write>(
          retries,fallbacks,budget_breaches,quarantine_trips,quarantine_recoveries,\
          meters_quarantined"
     )?;
-    let rows = std::iter::once(("training".to_string(), &result.training_health)).chain(
-        result
-            .day_health
-            .iter()
-            .map(|d| (d.day.to_string(), d)),
-    );
+    let rows = std::iter::once(("training".to_string(), &result.training_health))
+        .chain(result.day_health.iter().map(|d| (d.day.to_string(), d)));
     for (label, d) in rows {
         writeln!(
             writer,
@@ -236,7 +243,11 @@ pub fn export_quarantine_events<W: Write>(
 ) -> io::Result<()> {
     writeln!(writer, "day,meter,transition")?;
     for event in &result.quarantine_events {
-        writeln!(writer, "{},{},{:?}", event.day, event.meter, event.transition)?;
+        writeln!(
+            writer,
+            "{},{},{:?}",
+            event.day, event.meter, event.transition
+        )?;
     }
     Ok(())
 }
@@ -334,8 +345,8 @@ mod tests {
 
     #[test]
     fn long_term_export_includes_fixes_column() {
-        use crate::experiments::paper_timeline;
         use crate::detection::run_in_memory;
+        use crate::experiments::paper_timeline;
         use crate::LongTermRunConfig;
 
         let mut scenario = PaperScenario::small(8, 5);
@@ -421,6 +432,9 @@ mod tests {
         export_quarantine_events(&mut buffer, &result).unwrap();
         let text = String::from_utf8(buffer).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines, vec!["day,meter,transition", "5,1,Tripped", "6,1,Probation"]);
+        assert_eq!(
+            lines,
+            vec!["day,meter,transition", "5,1,Tripped", "6,1,Probation"]
+        );
     }
 }

@@ -94,7 +94,10 @@ impl fmt::Display for JournalError {
                 write!(f, "journal belongs to a different run: {detail}")
             }
             Self::Gap { expected, found } => {
-                write!(f, "journal day records have a gap: expected day {expected}, found {found}")
+                write!(
+                    f,
+                    "journal day records have a gap: expected day {expected}, found {found}"
+                )
             }
         }
     }
@@ -447,12 +450,13 @@ impl RunJournal {
             match Self::verify_line(raw_line, index) {
                 Ok(body) => {
                     if index == 0 {
-                        header = Some(serde_json::from_str::<JournalHeader>(&body).map_err(
-                            |err| JournalError::Corrupt {
-                                line: 1,
-                                detail: err.to_string(),
-                            },
-                        )?);
+                        header =
+                            Some(serde_json::from_str::<JournalHeader>(&body).map_err(|err| {
+                                JournalError::Corrupt {
+                                    line: 1,
+                                    detail: err.to_string(),
+                                }
+                            })?);
                     } else {
                         days.push(serde_json::from_str::<DayRecord>(&body).map_err(|err| {
                             JournalError::Corrupt {
@@ -606,7 +610,10 @@ mod tests {
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
-        path.push(format!("nms-journal-test-{}-{name}.jsonl", std::process::id()));
+        path.push(format!(
+            "nms-journal-test-{}-{name}.jsonl",
+            std::process::id()
+        ));
         let _ = fs::remove_file(&path);
         path
     }

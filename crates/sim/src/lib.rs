@@ -38,8 +38,8 @@ mod calibrate;
 mod detection;
 mod error;
 pub mod experiments;
-mod faults;
 pub mod export;
+mod faults;
 pub mod journal;
 mod market;
 mod report;
@@ -96,7 +96,11 @@ mod tests {
             });
             Community::new(community.horizon(), stripped.collect()).unwrap()
         };
-        let committed = committed.outcome().clone().into_schedule(&community).unwrap();
+        let committed = committed
+            .outcome()
+            .clone()
+            .into_schedule(&community)
+            .unwrap();
         let committed_schedules = committed.customer_schedules();
         let cost_model = CostModel::new(manipulated_price, predictor.tariff);
         let horizon = community.horizon();

@@ -72,9 +72,12 @@ impl Market {
 
     /// Clears one day: fixed-point iterate price ← design(demand(price))
     /// starting from a flat base-price signal, for `iterations` rounds
-    /// (two rounds reach a stable shape in practice). Every round solves
-    /// the game from `seed`; solver telemetry goes to `rec` (see
-    /// [`GameEngine::solve`](nms_solver::GameEngine::solve)).
+    /// (two rounds reach a stable shape in practice), then solve the
+    /// community's response to the final price. Every game solves from
+    /// `seed`; solver telemetry goes to `rec` (see
+    /// [`GameEngine::solve`](nms_solver::GameEngine::solve)). With zero
+    /// rounds the outcome pairs the flat price's response with the price
+    /// designed from it.
     ///
     /// Callers that hold an RNG pass `rng.gen()`, one draw per day. The
     /// callers that clear several days at once (the calibration backtest,
@@ -91,24 +94,77 @@ impl Market {
         seed: u64,
         rec: &dyn Recorder,
     ) -> Result<DayOutcome, SimError> {
-        let horizon = community.horizon();
-        let mut price = PriceSignal::flat(horizon, self.utility.config().base_price)?;
-        // Common random numbers across iterations keep the fixed point from
-        // chasing solver noise.
-        for _ in 0..iterations.max(1) {
-            let mut child = ChaCha8Rng::seed_from_u64(seed);
-            let response = self.truth.predict(community, &price, &mut child, rec)?;
-            price = self.utility.design_price(&response.grid_demand);
-            if iterations == 0 {
-                return Ok(DayOutcome { price, response });
-            }
-            // Only the price carries over: the response, with its plans, is
-            // freed before the next game solves.
+        if iterations == 0 {
+            let flat = self.flat_price(community)?;
+            let response = self.respond(community, &flat, seed, rec)?;
+            let price = self.utility.design_price(&response.grid_demand);
+            return Ok(DayOutcome { price, response });
         }
-        // Final response to the final price.
-        let mut child = ChaCha8Rng::seed_from_u64(seed);
-        let response = self.truth.predict(community, &price, &mut child, rec)?;
+        let first = self.first_round(community, seed, rec)?;
+        self.finish_clearing(community, first, iterations - 1, seed, rec)
+    }
+
+    /// The first round of [`Market::clear_day`]: the price designed from
+    /// the community's response to the flat base price.
+    pub(crate) fn first_round(
+        &self,
+        community: &Community,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Result<PriceSignal, SimError> {
+        let flat = self.flat_price(community)?;
+        self.clear_round(community, &flat, seed, rec)
+    }
+
+    /// The rest of [`Market::clear_day`] after its first round's `price`:
+    /// `rounds` more rounds, then the response to the final price.
+    pub(crate) fn finish_clearing(
+        &self,
+        community: &Community,
+        mut price: PriceSignal,
+        rounds: usize,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Result<DayOutcome, SimError> {
+        for _ in 0..rounds {
+            price = self.clear_round(community, &price, seed, rec)?;
+        }
+        let response = self.respond(community, &price, seed, rec)?;
         Ok(DayOutcome { price, response })
+    }
+
+    fn flat_price(&self, community: &Community) -> Result<PriceSignal, SimError> {
+        PriceSignal::flat(community.horizon(), self.utility.config().base_price).map_err(Into::into)
+    }
+
+    /// One fixed-point round: the price designed from the response to
+    /// `price`. Only the price carries over: the response, with its plans,
+    /// is freed before the next game solves.
+    fn clear_round(
+        &self,
+        community: &Community,
+        price: &PriceSignal,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Result<PriceSignal, SimError> {
+        let response = self.respond(community, price, seed, rec)?;
+        Ok(self.utility.design_price(&response.grid_demand))
+    }
+
+    /// The community's response to `price`, solved from `seed`. Common
+    /// random numbers across rounds keep the fixed point from chasing
+    /// solver noise.
+    fn respond(
+        &self,
+        community: &Community,
+        price: &PriceSignal,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Result<PredictedResponse, SimError> {
+        let mut child = ChaCha8Rng::seed_from_u64(seed);
+        self.truth
+            .predict(community, price, &mut child, rec)
+            .map_err(Into::into)
     }
 
     /// Bootstraps `days` of (price, generation, demand) history by clearing

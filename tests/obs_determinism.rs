@@ -285,12 +285,13 @@ fn calibration_counts_every_smo_fit() {
     assert_eq!(result.health.budget_breaches as u64, fits);
 }
 
-/// The detector-on supervised day forks its prediction beside the market
-/// clearing. The trace must not notice: the event sequence repeats across
-/// runs, each day's prediction game lands after the clearing's games and
-/// before the first slot, and results, events and solver totals equal the
-/// same run stepped in an item of a host-filling `nms_par` map, where each
-/// day runs its prediction inline after the clearing.
+/// The detector-on supervised day forks its prediction, and the next
+/// day's first clearing game, beside the market clearing. The trace must
+/// not notice: the event sequence repeats across runs, each day's front
+/// half is the rest of its clearing, then its prediction's game, then the
+/// next day's first clearing game, and results, events and solver totals
+/// equal the same run stepped in an item of a host-filling `nms_par` map,
+/// where each day runs its helper half inline after the clearing.
 #[test]
 fn forked_detection_days_keep_the_sequential_trace() {
     let mut scenario = PaperScenario::small(10, 29);
@@ -376,9 +377,11 @@ fn forked_detection_days_keep_the_sequential_trace() {
     assert_eq!(first_metrics.counter("solver_rounds"), rounds as u64);
 
     // The clearing reads neither the detector nor the compromise set, so a
-    // detector-free run of the same seed clears the same games. Each forked
-    // day's solver events before its first slot are exactly those, then
-    // the prediction's game as the last one.
+    // detector-free run of the same seed clears the same games, and it
+    // looks ahead too: its helper half is the next day's first clearing
+    // game alone. Day 0 clears all its rounds; every later day continues
+    // from the first round its predecessor computed, and every day but the
+    // last computes the next day's.
     let mut no_detector = config.clone();
     no_detector.detector = None;
     let (_, clearing_events, _) = traced("clear", &no_detector);
@@ -386,25 +389,36 @@ fn forked_detection_days_keep_the_sequential_trace() {
     let clearing_days = day_front_solver_events(&clearing_events);
     assert_eq!(forked_days.len(), config.detection_days);
     assert_eq!(clearing_days.len(), config.detection_days);
-    let solved = |events: &[TraceEvent]| events.iter().filter(|e| e.kind == "game_solved").count();
+    let clearing_games = |day: usize| config.clearing_iterations + usize::from(day == 0);
     for (day, (forked, clearing)) in forked_days.iter().zip(&clearing_days).enumerate() {
+        let (forked, clearing) = (split_games(forked), split_games(clearing));
+        let rest = clearing_games(day);
+        let ahead = usize::from(day + 1 < config.detection_days);
+        assert_eq!(clearing.len(), rest + ahead, "day {day}");
+        assert_eq!(forked.len(), clearing.len() + 1, "day {day}");
         assert_eq!(
-            solved(clearing),
-            config.clearing_iterations + 1,
-            "day {day}"
+            &forked[..rest],
+            &clearing[..rest],
+            "day {day}: the rest of the clearing first"
         );
-        assert_eq!(solved(forked), solved(clearing) + 1, "day {day}");
         assert_eq!(
-            &forked[..clearing.len()],
-            &clearing[..],
-            "day {day}: clearing first"
-        );
-        assert_eq!(
-            forked.last().map(|e| e.kind.as_str()),
-            Some("game_solved"),
-            "day {day}: the prediction's game closes the day's front half"
+            &forked[rest + 1..],
+            &clearing[rest..],
+            "day {day}: the next day's first clearing game closes the day's front half"
         );
     }
+}
+
+/// Splits a day's front solver events into games, each closed by its
+/// `game_solved`; no event may trail the last game.
+fn split_games(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
+    assert!(
+        events.last().map_or(true, |e| e.kind == "game_solved"),
+        "a game without its game_solved event"
+    );
+    events
+        .split_inclusive(|e| e.kind == "game_solved")
+        .collect()
 }
 
 /// Keeps every event, without its wall-clock fields, in arrival order.
